@@ -8,8 +8,9 @@ file values.  Reports are JSON lines with a fixed key order; identical
 configuration and seed reproduce the report byte for byte.
 
 Exit status: 0 when every emitted check passes (or none are emitted), 1
-when any check fails or a computation breaks down (the report then carries
-a diagnostic record and the reason goes to stderr), 2 on usage errors.
+when any check fails or a computation breaks down or runs out of memory
+(the report then carries a diagnostic record and the exception class and
+reason go to stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -404,13 +405,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"fermichain: error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        # computation broke down: deterministic diagnostic record in the
-        # report, the reason on stderr
+    except (RuntimeError, ValueError, np.linalg.LinAlgError,
+            MemoryError) as exc:
+        # computation broke down (or ran out of memory): deterministic
+        # diagnostic record in the report, the reason on stderr
         label = ",".join(str(s) for s in cfg.region_sites or ())
         records = [ReportRecord("error", label, cfg.beta, 0.0, 0.0, False,
                                 cfg.seed)]
-        print(f"fermichain: error: {exc}", file=sys.stderr)
+        print(f"fermichain: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         status = 1
 
     text = emit_report(records, cfg.output_path)

@@ -73,15 +73,15 @@ def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
 
     if not np.all(support1):
         kernel_vecs = u1[:, ~support1]
-        leak = float(np.real(np.einsum("ij,jk,ki->", kernel_vecs.conj().T, d2,
-                                       kernel_vecs)))
+        leak = float(np.real(np.vdot(kernel_vecs, d2 @ kernel_vecs)))
         if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
             return EntropyValue(value=math.inf, kernel_ok=False)
 
     p2 = np.clip(lam2, 0.0, None)
     ent2 = float(np.sum(xlogy(p2, p2)))
 
-    diag2 = np.real(np.einsum("ij,jk,ki->i", u1.conj().T, d2, u1))
+    # diagonal of u1* d2 u1: column i is sum_j conj(u1_ji) (d2 u1)_ji
+    diag2 = np.real(np.sum(u1.conj() * (d2 @ u1), axis=0))
     cross = float(np.sum(np.log(lam1[support1]) * diag2[support1]))
 
     value = ent2 - cross

@@ -165,6 +165,26 @@ def test_computation_breakdown_yields_a_diagnostic_record(monkeypatch,
     assert "synthetic breakdown" in capsys.readouterr().err
 
 
+def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
+                                                 capsys):
+    def exhausted(cfg):
+        raise MemoryError("synthetic allocation failure")
+
+    monkeypatch.setitem(cli.DISPATCH, "gibbs", exhausted)
+    out = tmp_path / "report.jsonl"
+    assert run(["gibbs", "--length", "3", "--region", "1",
+                "--out", str(out)]) == 1
+    records = read_records(out)
+    assert len(records) == 1
+    assert tuple(records[0].keys()) == KEY_ORDER
+    assert records[0]["check"] == "error" and not records[0]["pass"]
+    assert records[0]["region"] == "1"
+    err = capsys.readouterr().err
+    assert ("fermichain: error: MemoryError: synthetic allocation failure"
+            in err)
+    assert "Traceback" not in err
+
+
 def test_empty_record_list_counts_as_success(monkeypatch, capsys):
     monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: [])
     assert run(["gibbs", "--length", "3"]) == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,6 +71,70 @@ def test_relative_entropy_is_nonnegative(seed):
     result = relative_entropy_matrices(a, b)
     assert result.kernel_ok
     assert result.value >= 0.0
+
+
+def random_unitary(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(g)[0]
+
+
+def density_with_spectrum(q, spectrum):
+    return (q * (spectrum / np.sum(spectrum))) @ q.conj().T
+
+
+def logm_relative_entropy(d1, d2):
+    """Oracle: ``Tr(D2 (logm D2 - logm D1))`` with scipy's matrix logarithm."""
+    return float(np.real(np.trace(
+        d2 @ (scipy.linalg.logm(d2) - scipy.linalg.logm(d1)))))
+
+
+# The densities below have spectra in [0.01, 1] before normalization.  The
+# relative entropy's own condition number grows with 1 / lambda_min of the
+# reference, so on nearly singular Wishart samples any floating-point
+# evaluation (this one and logm alike) drifts past 1e-12 relative; bounding
+# the spectrum keeps the comparison about the contraction, not conditioning.
+
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10_000))
+def test_relative_entropy_matches_logm_oracle(lattice, seed):
+    rng = np.random.default_rng(seed)
+    n = car.dim(lattice)
+    d1, d2 = (density_with_spectrum(random_unitary(n, rng),
+                                    rng.uniform(0.01, 1.0, n))
+              for _ in range(2))
+    got = relative_entropy_matrices(d1, d2)
+    want = logm_relative_entropy(d1, d2)
+    assert got.kernel_ok
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10_000))
+def test_relative_entropy_kernel_leak_oracle(lattice, seed):
+    rng = np.random.default_rng(seed)
+    n = car.dim(lattice)
+    q = random_unitary(n, rng)
+    kernel = max(1, int(rng.integers(0, n)))        # 1 <= kernel <= n - 1
+    spectrum = rng.uniform(0.01, 1.0, n)
+    spectrum[:kernel] = 0.0
+    d1 = density_with_spectrum(q, spectrum)
+    # weight on a kernel vector of the reference: infinite
+    d2 = density_with_spectrum(random_unitary(n, rng),
+                               rng.uniform(0.01, 1.0, n))
+    leaked = relative_entropy_matrices(d1, d2)
+    assert not leaked.kernel_ok
+    assert leaked.value == math.inf
+    # weight only on the reference's support: finite, and equal to the
+    # oracle evaluated in a basis of that support
+    support = q[:, kernel:]
+    inner = density_with_spectrum(random_unitary(n - kernel, rng),
+                                  rng.uniform(0.01, 1.0, n - kernel))
+    d2 = support @ inner @ support.conj().T
+    got = relative_entropy_matrices(d1, d2)
+    want = logm_relative_entropy(support.conj().T @ d1 @ support, inner)
+    assert got.kernel_ok
+    # a one-dimensional support makes both states equal and the value 0
+    assert abs(got.value - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 def test_relative_entropy_is_unitarily_invariant():

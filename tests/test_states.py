@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -74,6 +75,39 @@ def test_kms_condition_separates_gibbs_from_tracial():
     tau = tracial_state(lattice)
     assert kms_residual(tau, h, 0.0, pairs) < 1e-12
     assert kms_residual(tau, h, beta, pairs) > 1e-3
+
+
+def dense_kms_traces(density, h, beta, a, b):
+    """``Tr(D A e^(-beta H) B e^(beta H))`` and ``Tr(D B A)``, evaluated
+    directly with dense exponentials and no eigenbasis, and the spectral
+    norm of ``e^(-beta H) B e^(beta H)``."""
+    evolved = scipy.linalg.expm(-beta * h) @ b @ scipy.linalg.expm(beta * h)
+    return (np.trace(density @ a @ evolved), np.trace(density @ b @ a),
+            np.linalg.norm(evolved, 2))
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.floats(min_value=-2.0, max_value=2.0),
+       st.sampled_from([hopping_model, tv_model]),
+       st.integers(min_value=0, max_value=10_000))
+def test_kms_residual_matches_dense_oracle(lattice, beta, model, seed):
+    rng = np.random.default_rng(seed)
+    h = total_hamiltonian(model(lattice)).matrix
+    pairs = random_pair_panel(lattice, 4, rng)
+    gibbs = gibbs_state(h, beta)
+    for omega in (random_density(lattice, rng), gibbs):
+        traces = [dense_kms_traces(omega.density, h, beta, a, b)
+                  for a, b in pairs]
+        want = max(abs(lhs - rhs) for lhs, rhs, _ in traces)
+        got = kms_residual(omega, h, beta, pairs)
+        if omega is gibbs:
+            # the residual vanishes up to rounding on the scale of its
+            # terms: for a density D and ||A|| = 1, the left trace is at
+            # most ||e^(-beta H) B e^(beta H)||, up to e^(2 |beta| ||H||)
+            scale = max(norm for _, _, norm in traces)
+            assert got <= 1e-12 * scale and want <= 1e-12 * scale
+        else:
+            assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
