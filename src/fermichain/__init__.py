@@ -7,9 +7,11 @@ the occupation basis.  The layers, bottom to top:
 - :mod:`fermichain.regions` — site subsets of a chain, the index language
   every other layer speaks;
 - :mod:`fermichain.car` — creation and annihilation operators with the
-  anticommutation relations, the fermion grading, local subalgebras with
-  their trace-orthogonal monomial bases, conditional expectations, and
-  commutants;
+  anticommutation relations, the fermion grading, and local structure
+  through one fermionic mode reordering: small representations (partial
+  traces), their inverse embeddings, conditional expectations onto local
+  algebras and their commutants; trace-orthogonal monomial bases label
+  restriction values;
 - :mod:`fermichain.potentials` — interactions as families of local terms,
   their standard form, local and total Hamiltonians;
 - :mod:`fermichain.states` — density states: tracial, Gibbs, decoupled
@@ -24,14 +26,14 @@ the occupation basis.  The layers, bottom to top:
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
 
-Heavy kernels (operator composition and batched expectations over monomial
-families) run through a compiled extension when it is available and fall
-back to pure NumPy otherwise; see :mod:`fermichain.kernels`.
+Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the
+gather/scatter operations on monomial tables.
 """
 
 from .car import (AlgebraElement, GradedSplit, Monomial, MonomialBasis,
-                  annihilator, commutant_basis, conditional_expectation,
-                  creator, even_odd_split, grading_unitary, monomial_basis,
+                  annihilator, commutant_expectation_matrix,
+                  conditional_expectation, creator, embed, even_odd_split,
+                  grading_unitary, mode_reordering, monomial_basis,
                   number_operator, random_element, small_representation,
                   theta)
 from .entropy import (EntropyValue, conditional_entropy,
@@ -48,38 +50,40 @@ from .potentials import (MODELS, LocalHamiltonian, Potential,
 from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .stability import (FeasibleFamily, MaximizerDidNotConverge,
-                        MaximizerInfo, StabilityReport, feasible_sampler,
-                        free_energy, lts_check, lts_maximizer,
-                        prop4_pipeline)
+from .stability import (ConstraintProjection, FeasibleFamily,
+                        MaximizerDidNotConverge, MaximizerInfo,
+                        StabilityReport, feasible_sampler, free_energy,
+                        lts_check, lts_maximizer, prop4_pipeline)
 from .states import (DensityState, RestrictedState, gibbs_state,
                      kms_residual, max_perturbation_strength,
                      noneven_perturbation, odd_direction, perturbed_state,
                      product_check, random_pair_panel, remark2_construct,
-                     restrict, snapshot, tracial_state)
+                     remark2_restriction_defect, restrict, snapshot,
+                     tracial_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "BACKEND", "DensityState", "EntropyValue",
-    "FeasibleFamily", "GradedSplit", "LocalHamiltonian", "MAX_SITES",
-    "MODELS", "MaximizerDidNotConverge", "MaximizerInfo", "Monomial",
-    "MonomialBasis", "Potential", "PotentialReport", "ProbeResult",
-    "Region", "RestrictedState", "StabilityReport", "annihilator",
-    "build_model", "cluster_coefficient", "commutant_basis",
-    "conditional_entropy", "conditional_expectation",
-    "conditional_free_energy", "creator", "derivation_apply",
-    "even_odd_split", "feasible_sampler", "free_energy", "gibbs_state",
-    "grading_asymmetry", "grading_unitary", "hopping_model", "kms_residual",
-    "local_hamiltonian", "lts_check", "lts_maximizer",
-    "max_perturbation_strength", "monomial_basis", "noneven_perturbation",
-    "number_operator", "odd_direction", "perturbed_state",
-    "potential_from_records", "potential_records", "product_check",
-    "prop4_pipeline", "prune", "purely_imaginary_check", "random_element",
-    "random_pair_panel", "random_standard_potential", "raw_number_model",
-    "relative_entropy", "remark2_construct", "restrict",
+    "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
+    "EntropyValue", "FeasibleFamily", "GradedSplit", "LocalHamiltonian",
+    "MAX_SITES", "MODELS", "MaximizerDidNotConverge", "MaximizerInfo",
+    "Monomial", "MonomialBasis", "Potential", "PotentialReport",
+    "ProbeResult", "Region", "RestrictedState", "StabilityReport",
+    "annihilator", "build_model", "cluster_coefficient",
+    "commutant_expectation_matrix", "conditional_entropy",
+    "conditional_expectation", "conditional_free_energy", "creator",
+    "derivation_apply", "embed", "even_odd_split", "feasible_sampler",
+    "free_energy", "gibbs_state", "grading_asymmetry", "grading_unitary",
+    "hopping_model", "kms_residual", "local_hamiltonian", "lts_check",
+    "lts_maximizer", "max_perturbation_strength", "mode_reordering",
+    "monomial_basis", "noneven_perturbation", "number_operator",
+    "odd_direction", "perturbed_state", "potential_from_records",
+    "potential_records", "product_check", "prop4_pipeline", "prune",
+    "purely_imaginary_check", "random_element", "random_pair_panel",
+    "random_standard_potential", "raw_number_model", "relative_entropy",
+    "remark2_construct", "remark2_restriction_defect", "restrict",
     "restricted_relative_entropy", "scan_odd_correlations",
     "small_representation", "snapshot", "standardize", "theta",
-    "total_hamiltonian", "tracial_state", "tv_model", "validate_potential",
-    "__version__",
+    "total_hamiltonian", "tracial_state", "tv_model",
+    "validate_potential", "__version__",
 ]

@@ -22,22 +22,37 @@ The grading automorphism ``theta`` conjugates by the full-chain parity
 element splits as ``A = A_even + A_odd`` with the two parts obtained by
 averaging ``A`` with ``theta(A)``.
 
+Local structure goes through one primitive, :func:`mode_reordering`: the
+signed permutation of occupation states that renumbers the modes so that a
+region's sites come first, in ascending order, followed by the rest.  In the
+reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
+
+- :func:`small_representation` is the normalized fermionic partial trace
+  over the complement (Friis, Lee & Bruschi, PRA 87, 022338 (2013));
+- :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``;
+- the tau-preserving conditional expectation onto ``A_R`` is
+  ``embed o small_representation``.
+
+Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
+in the reordered basis, never the whole matrix.
+
 Monomials in the generators are "column maps" (each occupation state is sent
-to at most one occupation state), which is what the kernels in
-:mod:`fermichain.kernels` exploit; see :mod:`fermichain._kernels_py` for the
-encoding.  The monomial basis used throughout is, per site, one factor out of
+to at most one occupation state); see :mod:`fermichain.kernels` for the
+encoding.  The monomial basis of a region is, per site, one factor out of
 
     { 1,  a_i,  a_i*,  v_i }
 
-taken over the sites of a region in ascending order.  Distinct such products
-are mutually orthogonal for the normalized trace ``tau = Tr / 2**L``, with
-squared norms ``(1/2)**(number of a or a* factors)``; this makes orthogonal
-projection onto a local subalgebra (the tau-preserving conditional
-expectation) a single coefficient pass.
+taken over the sites of the region in ascending order.  Distinct such
+products are mutually orthogonal for the normalized trace
+``tau = Tr / 2**L``, with squared norms ``(1/2)**(number of a or a*
+factors)``.  The package uses the basis only where its labels matter
+(:func:`monomial_labels`, :func:`monomial_expectations`); its tables of
+``4**|R| * 2**L`` entries stay an independent oracle for the maps above.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -127,45 +142,13 @@ def grading_encoding(region: Region) -> tuple[np.ndarray, np.ndarray]:
     return states.copy(), val.astype(np.complex128)
 
 
-def dagger_encoding(perm: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encoding of the adjoint of an encoded column map."""
-    n = perm.shape[0]
-    alive = perm >= 0
-    pd = np.full(n, -1, dtype=np.int64)
-    vd = np.zeros(n, dtype=np.complex128)
-    src = np.arange(n, dtype=np.int64)[alive]
-    pd[perm[alive]] = src
-    vd[perm[alive]] = np.conj(val[alive])
-    return pd, vd
-
-
 def encoding_dense(perm: np.ndarray, val: np.ndarray) -> np.ndarray:
     """Dense matrix of a single encoded column map."""
-    return kernels.scatter(perm[None, :], val[None, :], np.ones(1, dtype=np.complex128))
-
-
-def encoding_combination_max_abs(encodings, coeffs) -> float:
-    """Largest matrix entry (in modulus) of ``sum_k coeffs[k] * m_k``.
-
-    Works entirely on the column maps; used for exact-arithmetic relation
-    checks (anticommutators, graded commutators) at sizes where assembling
-    dense matrices would dominate the runtime.
-    """
-    from scipy.sparse import coo_matrix
-
-    rows, cols, data = [], [], []
-    n = None
-    for (perm, val), c in zip(encodings, coeffs):
-        n = perm.shape[0]
-        alive = perm >= 0
-        rows.append(perm[alive])
-        cols.append(np.arange(n, dtype=np.int64)[alive])
-        data.append(c * val[alive])
-    mat = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+    n = perm.shape[0]
+    alive = perm >= 0
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[perm[alive], np.arange(n)[alive]] = val[alive]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +262,6 @@ def theta(element: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(theta_matrix(element.matrix, element.lattice_size), element.support)
 
 
-def theta_encoding(perm: np.ndarray, val: np.ndarray,
-                   lattice_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grading automorphism applied to an encoded column map."""
-    signs = parity_signs(lattice_size)
-    n = perm.shape[0]
-    alive = perm >= 0
-    v = val.copy()
-    v[alive] = v[alive] * signs[perm[alive]] * signs[np.arange(n)[alive]]
-    return perm.copy(), v
-
-
 @dataclass
 class GradedSplit:
     """Even/odd decomposition ``A = even + odd`` under the grading."""
@@ -310,15 +282,135 @@ def even_odd_split(element: AlgebraElement) -> GradedSplit:
 
 
 # ---------------------------------------------------------------------------
-# monomial bases and conditional expectations
+# the mode reordering and the maps built from it
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def mode_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutation renumbering the modes as ``region`` then the rest.
+
+    Returns ``(index, sign)``, both of shape ``(2**(L-|R|), 2**|R|)``: entry
+    ``[y, x]`` is the occupation state whose region sites, in ascending
+    order, spell the bits of ``x`` and whose complement sites spell the bits
+    of ``y``, and the sign ``U`` puts on it.  The unitary
+    ``U |index[y, x]> = sign[y, x] |x + 2**|R| y>`` carries the annihilator
+    of the ``j``-th mode in the new order to the Jordan-Wigner annihilator
+    of site ``j`` of a fresh chain, so ``U A_R U*`` is ``M_{2**|R|} (x) 1``.
+
+    Moving a region site past a lower complement site reorders two
+    generators; with parity ``v = 2 n - 1`` the string picks up ``-1`` on
+    *empty* sites, so the sign is ``(-1)**`` the number of such inversions
+    in which both modes are empty.
+    """
+    lattice = region.lattice_size
+    r = len(region)
+    order = region.sites + region.complement().sites
+    new = np.arange(dim(lattice), dtype=np.int64)
+    index = np.zeros_like(new)
+    for j, site in enumerate(order):
+        index |= ((new >> j) & 1) << site
+    empty = ~index
+    inversions = np.zeros_like(new)
+    for q in region.sites:
+        lower = [c for c in order[r:] if c < q]
+        inversions += ((empty >> q) & 1) * sum((empty >> c) & 1 for c in lower)
+    sign = 1.0 - 2.0 * (inversions & 1)
+    shape = (dim(lattice - r), dim(r))
+    index, sign = index.reshape(shape), sign.reshape(shape)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
+    """Image of ``matrix`` in the standard ``2**|R|`` copy of ``A_region``.
+
+    The normalized fermionic partial trace over the complement: the sum of
+    the diagonal blocks of ``U matrix U*`` (see :func:`mode_reordering`)
+    divided by their number.  On ``A_region`` this is the unital
+    isomorphism onto ``M_{2**|R|}`` (operator norms are preserved, the
+    ambient trace picks up the multiplicity ``2**L / 2**|R|``); anything
+    orthogonal to the region's algebra is discarded.
+    """
+    index, sign = mode_reordering(region)
+    blocks = matrix[index[:, :, None], index[:, None, :]]
+    blocks *= sign[:, :, None]
+    blocks *= sign[:, None, :]
+    return blocks.sum(axis=0) / index.shape[0]
+
+
+def embed(small: np.ndarray, region: Region) -> np.ndarray:
+    """The element of ``A_region`` whose small representation is ``small``."""
+    index, sign = mode_reordering(region)
+    m = index.shape[1]
+    if small.shape != (m, m):
+        raise ValueError(f"small matrix of shape {small.shape} does not "
+                         f"represent a region of {len(region)} sites")
+    n = index.size
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[index[:, :, None], index[:, None, :]] = \
+        small[None] * (sign[:, :, None] * sign[:, None, :])
+    return out
+
+
+def conditional_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
+    """Tau-preserving conditional expectation onto ``A_region`` (dense input)."""
+    return embed(small_representation(matrix, region), region)
+
+
+def conditional_expectation(element: AlgebraElement, region: Region) -> AlgebraElement:
+    """Tau-preserving conditional expectation of an element onto ``A_region``."""
+    return AlgebraElement(conditional_expectation_matrix(element.matrix, region), region)
+
+
+def commutant_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
+    """Tau-preserving conditional expectation onto the commutant of ``A_region``.
+
+    The commutant is strictly larger than the complement's algebra: it is
+    spanned by the even elements of the complement together with ``v_R``
+    times the odd ones, so the projection is
+
+        E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd).
+    """
+    if region.is_empty:
+        raise ValueError("the commutant of the empty region is the full algebra")
+    comp = region.complement()
+    graded = theta_matrix(matrix, region.lattice_size)
+    v = grading_encoding(region)[1].real[:, None]
+    even = conditional_expectation_matrix((matrix + graded) / 2.0, comp)
+    odd = conditional_expectation_matrix(v * (matrix - graded) / 2.0, comp)
+    return even + v * odd
+
+
+def support_residual(element: AlgebraElement) -> float:
+    """How far the matrix is from actually lying in its claimed support algebra."""
+    proj = conditional_expectation_matrix(element.matrix, element.support)
+    return float(np.max(np.abs(proj - element.matrix)))
+
+
+# ---------------------------------------------------------------------------
+# monomial bases: labels, and tables kept as an oracle
 # ---------------------------------------------------------------------------
 
 _FACTOR_NORM_SQ = (1.0, 0.5, 0.5, 1.0)   # per-site factors 1, a, a*, v
 _FACTOR_PARITY = (0, 1, 1, 0)
 
 
-def _factor_label(kind: int, site: int) -> str:
-    return ("", f"a{site}", f"a{site}*", f"v{site}")[kind]
+def _factor_words(r: int):
+    """Per-site factor kinds of each monomial over ``r`` sites, in basis
+    order (the first site is the most significant base-4 digit)."""
+    return itertools.product(range(4), repeat=r)
+
+
+def _label(word, sites) -> str:
+    parts = [("", f"a{s}", f"a{s}*", f"v{s}")[kind]
+             for kind, s in zip(word, sites) if kind]
+    return " ".join(parts) if parts else "1"
+
+
+def monomial_labels(region: Region) -> list[str]:
+    """Labels of the monomial basis of ``region``, without building it."""
+    return [_label(word, region.sites) for word in _factor_words(len(region))]
 
 
 @lru_cache(maxsize=16)
@@ -350,25 +442,19 @@ class Monomial:
     def dense(self) -> np.ndarray:
         return encoding_dense(self.perm, self.val)
 
-    def as_element(self, lattice_size: int) -> AlgebraElement:
-        return AlgebraElement(self.dense(), Region(self.sites, lattice_size))
-
 
 @dataclass
 class MonomialBasis:
-    """A tau-orthogonal family of monomials spanning a subalgebra.
+    """The tau-orthogonal product basis (dimension ``4**|R|``) of ``A_R``.
 
-    For a region ``R`` this is the full product basis over ``R`` (dimension
-    ``4**|R|``); the commutant construction reuses the same container for a
-    different monomial family.  Rows of ``P``/``V`` are the encodings.
+    Rows of ``P``/``V`` are the column-map encodings.
     """
 
-    region: Region | None
+    region: Region
     lattice_size: int
     monomials: list[Monomial]
     P: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
-    _dagger: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -383,10 +469,6 @@ class MonomialBasis:
     @property
     def norms_sq(self) -> np.ndarray:
         return np.array([m.norm_sq for m in self.monomials])
-
-    @property
-    def parities(self) -> np.ndarray:
-        return np.array([m.parity for m in self.monomials], dtype=np.int64)
 
     def coefficients(self, matrix: np.ndarray) -> np.ndarray:
         """Expansion coefficients ``tau(m_k* A) / tau(m_k* m_k)``."""
@@ -406,30 +488,6 @@ class MonomialBasis:
         """``Tr(density @ m_k)`` for every monomial."""
         return kernels.expect_batch(self.P, self.V,
                                     np.ascontiguousarray(density, dtype=np.complex128))
-
-    def taus(self) -> np.ndarray:
-        """``tau(m_k)`` for every monomial (1 for the identity, else 0)."""
-        return kernels.trace_batch(self.P, self.V) / self.P.shape[1]
-
-    def dagger_encodings(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._dagger is None:
-            pd = np.empty_like(self.P)
-            vd = np.empty_like(self.V)
-            for k in range(len(self)):
-                pd[k], vd[k] = dagger_encoding(self.P[k], self.V[k])
-            self._dagger = (pd, vd)
-        return self._dagger
-
-    def reconstruction_density(self, values: np.ndarray) -> np.ndarray:
-        """The density in the span whose expectations on the family are ``values``.
-
-        Solves ``Tr(D m_k) = values[k]``: with the normalized trace this is
-        ``D = sum_k values[k] m_k* / (N tau(m_k* m_k))``.
-        """
-        pd, vd = self.dagger_encodings()
-        n = self.P.shape[1]
-        coeffs = np.asarray(values, dtype=np.complex128) / (n * self.norms_sq)
-        return kernels.scatter(pd, vd, coeffs)
 
 
 def _basis_size_guard(n_monomials: int, n: int) -> None:
@@ -451,123 +509,39 @@ def monomial_basis(region: Region) -> MonomialBasis:
     p0, v0 = identity_encoding(lattice)
     P = p0[None, :].copy()
     V = v0[None, :].copy()
-    meta = [((), 0, 1.0, ())]  # (label parts, parity, norm_sq, sites)
-
     for site in region.sites:
         k = P.shape[0]
         newP = np.empty((k * 4, n), dtype=np.int64)
         newV = np.empty((k * 4, n), dtype=np.complex128)
-        new_meta = []
         for f in range(4):
             pf, vf = factors[site][f]
-            bP, bV = kernels.compose_batch(P, V, pf, vf)
-            newP[f::4] = bP
-            newV[f::4] = bV
-        for parts, parity, norm_sq, sites in meta:
-            for f in range(4):
-                new_meta.append(
-                    (
-                        parts + ((_factor_label(f, site),) if f else ()),
-                        (parity + _FACTOR_PARITY[f]) % 2,
-                        norm_sq * _FACTOR_NORM_SQ[f],
-                        sites + ((site,) if f else ()),
-                    )
-                )
-        P, V, meta = newP, newV, new_meta
+            newP[f::4], newV[f::4] = kernels.compose_batch(P, V, pf, vf)
+        P, V = newP, newV
 
     monomials = [
         Monomial(
-            label=" ".join(parts) if parts else "1",
-            sites=sites,
-            parity=parity,
-            norm_sq=norm_sq,
+            label=_label(word, region.sites),
+            sites=tuple(s for kind, s in zip(word, region.sites) if kind),
+            parity=sum(_FACTOR_PARITY[kind] for kind in word) % 2,
+            norm_sq=float(np.prod([_FACTOR_NORM_SQ[kind] for kind in word])),
             perm=P[k],
             val=V[k],
         )
-        for k, (parts, parity, norm_sq, sites) in enumerate(meta)
+        for k, word in enumerate(_factor_words(len(region)))
     ]
     return MonomialBasis(region=region, lattice_size=lattice, monomials=monomials, P=P, V=V)
 
 
-def conditional_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
-    """Tau-preserving conditional expectation onto ``A_region`` (dense input)."""
-    return monomial_basis(region).project(matrix)
+def monomial_expectations(small_density: np.ndarray, region: Region) -> np.ndarray:
+    """``Tr(D m_k)`` over the monomial basis of ``region``, read off the
+    small density ``rho`` of ``D`` (its unnormalized partial trace).
 
-
-def conditional_expectation(element: AlgebraElement, region: Region) -> AlgebraElement:
-    """Tau-preserving conditional expectation of an element onto ``A_region``."""
-    return AlgebraElement(conditional_expectation_matrix(element.matrix, region), region)
-
-
-def support_residual(element: AlgebraElement) -> float:
-    """How far the matrix is from actually lying in its claimed support algebra."""
-    proj = conditional_expectation_matrix(element.matrix, element.support)
-    return float(np.max(np.abs(proj - element.matrix)))
-
-
-def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
-    """Image of an element of ``A_region`` in the standard ``2**|R|`` copy.
-
-    The local algebra on ``|R|`` sites is a full matrix algebra of dimension
-    ``2**|R|``; transferring monomial-basis coefficients to the basis of a
-    fresh ``|R|``-site chain realizes the isomorphism (a unital one, so
-    operator norms are preserved, while the ambient trace picks up the
-    multiplicity ``2**L / 2**|R|``).  The input must be supported in the
-    region; anything orthogonal to its algebra is discarded by the expansion.
+    The small representation carries each monomial of ``region`` to the
+    monomial with the same factors on a fresh chain of ``|R|`` sites, so
+    the table needed has ``8**|R|`` entries, not ``4**|R| * 2**L``.
     """
-    r = len(region)
-    if r == 0:
-        return np.array([[tau(matrix)]], dtype=np.complex128)
-    coeffs = monomial_basis(region).coefficients(matrix)
-    return monomial_basis(Region.full(r)).assemble(coeffs)
-
-
-@lru_cache(maxsize=32)
-def commutant_basis(region: Region) -> MonomialBasis:
-    """Tau-orthogonal basis of the commutant of ``A_region``.
-
-    The commutant of a local algebra is strictly larger than the opposite
-    local algebra: it is spanned by the even monomials of the complement
-    together with ``v_R`` times the odd ones.  Each product is again a single
-    canonical monomial (parity factors on all of ``region``, the original
-    factors outside), so orthogonality and norms carry over unchanged.
-    """
-    if region.is_empty:
-        raise ValueError("commutant basis of the empty region is the full algebra; "
-                         "use monomial_basis(Region.full(L)) instead")
-    comp = region.complement()
-    base = monomial_basis(comp)
-    pR, vR = grading_encoding(region)
-
-    monomials = []
-    perms = []
-    vals = []
-    for m in base.monomials:
-        if m.parity == 0:
-            monomials.append(m)
-            perms.append(m.perm)
-            vals.append(m.val)
-        else:
-            p, v = kernels.compose(pR, vR, m.perm, m.val)
-            label_parts = sorted(
-                [f"v{s}" for s in region.sites] + (m.label.split() if m.label != "1" else []),
-                key=lambda t: (int(t.rstrip("*").lstrip("av")), t),
-            )
-            mono = Monomial(
-                label=" ".join(label_parts) if label_parts else "1",
-                sites=tuple(sorted(set(region.sites) | set(m.sites))),
-                parity=m.parity,
-                norm_sq=m.norm_sq,
-                perm=p,
-                val=v,
-            )
-            monomials.append(mono)
-            perms.append(p)
-            vals.append(v)
-    P = np.stack(perms)
-    V = np.stack(vals)
-    return MonomialBasis(region=None, lattice_size=region.lattice_size,
-                         monomials=monomials, P=P, V=V)
+    return monomial_basis(Region.full(len(region))).expectations(small_density) \
+        if len(region) else np.asarray(small_density, dtype=np.complex128)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +554,25 @@ def random_element(region: Region, rng: np.random.Generator, *,
                    include_identity: bool = True) -> AlgebraElement:
     """Random element of ``A_region`` with optional fixed parity / adjointness.
 
-    Coefficients over the monomial basis are standard complex Gaussians; with
-    ``hermitian`` the result is averaged with its adjoint, which preserves the
-    parity constraint (the grading commutes with the adjoint).
+    The law is that of standard complex Gaussian coefficients over the
+    monomial basis, drawn without the basis: in the small representation
+    the entries are independent complex Gaussians with
+    ``E|M_ij|^2 = 2 * 2**(number of sites where i and j agree)``, and entry
+    ``(i, j)`` has parity ``popcount(i ^ j) mod 2``.  With ``hermitian`` the
+    result is averaged with its adjoint, which preserves the parity
+    constraint (the grading commutes with the adjoint).
     """
-    basis = monomial_basis(region)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    r = len(region)
+    states = np.arange(dim(r), dtype=np.int64)
+    differ = states[:, None] ^ states[None, :]
+    flips = sum((differ >> k) & 1 for k in range(r))
+    shape = flips.shape
+    mat = np.sqrt(2.0 ** (r - flips)) * (rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape))
     if parity is not None:
-        coeffs = np.where(basis.parities == parity, coeffs, 0.0)
+        mat = np.where(flips % 2 == parity, mat, 0.0)
     if not include_identity:
-        coeffs[0] = 0.0
-    mat = basis.assemble(coeffs)
+        mat -= tau(mat) * np.eye(dim(r))
     if hermitian:
         mat = (mat + mat.conj().T) / 2.0
-    return AlgebraElement(mat, region)
+    return AlgebraElement(embed(mat, region), region)

@@ -35,7 +35,7 @@ from .reporting import ReportRecord, all_passed, emit_report, from_checks
 from .stability import lts_check, prop4_pipeline
 from .states import (gibbs_state, kms_residual, odd_direction,
                      perturbed_state, product_check, random_pair_panel,
-                     remark2_construct, restrict)
+                     remark2_construct, remark2_restriction_defect)
 
 COMMANDS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
             "ssb-probe", "remark2")
@@ -80,6 +80,10 @@ class RunConfig:
             if bad:
                 raise UsageError(f"region sites {bad} outside the chain "
                                  f"0..{self.lattice_size - 1}")
+            repeated = sorted({s for s in self.region_sites
+                               if self.region_sites.count(s) > 1})
+            if repeated:
+                raise UsageError(f"region sites {repeated} given more than once")
 
     def region(self) -> Region:
         if not self.region_sites:
@@ -302,37 +306,34 @@ def run_ssb_probe(cfg: RunConfig) -> list[ReportRecord]:
         records.append(ReportRecord("cluster_decay", label, cfg.beta, decay,
                                     1e-12, decay <= 1e-12, cfg.seed))
 
-    rng = np.random.default_rng(cfg.seed)
-    cases = []
-    for _ in range(50):
-        raw = rng.standard_normal((car.dim(cfg.lattice_size),) * 2)
-        raw = raw + 1j * rng.standard_normal(raw.shape)
-        dens = raw @ raw.conj().T
-        dens = dens / float(np.real(np.trace(dens)))
-        dens = 0.5 * (dens + car.theta_matrix(dens, cfg.lattice_size))
-        even_state = type(state)(dens, label="scan-even", validate=False)
-        a = car.random_element(region, rng, parity=1, hermitian=True)
-        b = car.random_element(outside if not outside.is_empty else region,
-                               rng, parity=1, hermitian=True)
-        cases.append((even_state, a, b))
-    scan = scan_odd_correlations(cases)
-    count = float(scan["violations"])
-    records.append(ReportRecord("odd_scan", label, cfg.beta, count, 0.0,
-                                scan["violations"] == 0, cfg.seed))
+        # the scan pairs odd elements of disjoint supports: the region and
+        # its outside; cases are drawn one at a time, so only one is held
+        rng = np.random.default_rng(cfg.seed)
+
+        def cases():
+            for _ in range(50):
+                raw = rng.standard_normal((car.dim(cfg.lattice_size),) * 2)
+                raw = raw + 1j * rng.standard_normal(raw.shape)
+                dens = raw @ raw.conj().T
+                dens = dens / float(np.real(np.trace(dens)))
+                dens = 0.5 * (dens + car.theta_matrix(dens, cfg.lattice_size))
+                even_state = type(state)(dens, label="scan-even", validate=False)
+                a = car.random_element(region, rng, parity=1, hermitian=True)
+                b = car.random_element(outside, rng, parity=1, hermitian=True)
+                yield even_state, a, b
+
+        scan = scan_odd_correlations(cases())
+        count = float(scan["violations"])
+        records.append(ReportRecord("odd_scan", label, cfg.beta, count, 0.0,
+                                    scan["violations"] == 0, cfg.seed))
     return records
 
 
 def run_remark2(cfg: RunConfig) -> list[ReportRecord]:
     state, _ = _gibbs(cfg)
-    lattice = cfg.lattice_size
-    site0 = Region.of([0], lattice)
-    comp = site0.complement()
+    site0 = Region.of([0], cfg.lattice_size)
     vector_state = remark2_construct(state)
-
-    target = 0.5 * (state.density + car.theta_matrix(state.density, lattice))
-    expected = car.monomial_basis(comp).expectations(target)
-    got = restrict(vector_state, comp).values
-    defect = float(np.max(np.abs(expected - got)))
+    defect = remark2_restriction_defect(state, vector_state)
 
     u = odd_direction(site0)
     odd_expectation = float(np.real(vector_state.expectation(u.matrix)))

@@ -12,8 +12,9 @@ has operator-norm dual
         = (N / m) * (trace norm of the small representation of K),
 
 where ``m = 2**|R|`` and ``N/m`` is the multiplicity of the embedding.  The
-compressing element ``K`` is produced by the conditional expectation, which
-is exactly the adjoint of including ``A_R`` into the chain algebra.
+small representation is the normalized partial trace, so it compresses any
+``K`` onto the region's algebra on its own: no separate conditional
+expectation is needed.
 
 Odd self-adjoint elements supported on disjoint regions can only be
 correlated imaginarily: they anticommute, so their product is
@@ -49,12 +50,6 @@ def _trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
 
-def _dual_element(functional_matrix: np.ndarray, region: Region) -> np.ndarray:
-    """Small representation of the ``A_R``-compression of ``B -> Tr(M B)``."""
-    adj = car.conditional_expectation_matrix(functional_matrix.conj().T, region)
-    return car.small_representation(adj.conj().T, region)
-
-
 def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
                         region: Region) -> ProbeResult:
     """``sup |omega(A B) - omega(A) omega(B)|`` over ``B`` in the region's
@@ -70,7 +65,7 @@ def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
     m = car.dim(len(region))
     mean = omega.expectation(observable)
     hand = omega.density @ observable.matrix - mean * omega.density
-    small = _dual_element(hand, region)
+    small = car.small_representation(hand, region)
     value = (n / m) * _trace_norm(small)
     return ProbeResult(quantity=float(value), region=region)
 
@@ -89,16 +84,14 @@ def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
     n = car.dim(omega.lattice_size)
     m = car.dim(len(region))
     diff = omega.density - car.theta_matrix(omega.density, omega.lattice_size)
-    small = _dual_element(diff, region)
+    small = car.small_representation(diff, region)
     small = (small + small.conj().T) / 2.0
     evals, vecs = np.linalg.eigh(small)
     value = 0.5 * (n / m) * float(np.sum(np.abs(evals)))
 
     signs = np.where(evals >= 0.0, 1.0, -1.0)
     opt_small = (vecs * signs[None, :]) @ vecs.conj().T
-    coeffs = car.monomial_basis(Region.full(len(region))).coefficients(opt_small) \
-        if len(region) else np.array([1.0 + 0.0j])
-    opt_big = car.monomial_basis(region).assemble(coeffs)
+    opt_big = car.embed(opt_small, region)
     odd = (opt_big - car.theta_matrix(opt_big, omega.lattice_size)) / 2.0
     odd = (odd + odd.conj().T) / 2.0
     witness = AlgebraElement(odd, region)
@@ -134,12 +127,18 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
     ``real_tol`` or if ``|omega(AB)|`` breaks the Cauchy-Schwarz envelope
     ``sqrt(omega(A*A) omega(B*B))``.  Returns the violation count and the
     worst observed values; a nonzero count would exhibit a state outside the
-    even-state framework the probes assume.
+    even-state framework the probes assume.  The bound on the real part
+    holds only for disjoint supports, so a case whose supports overlap is
+    refused with ``ValueError``.
     """
     violations = 0
     worst_real = 0.0
     worst_excess = -np.inf
     for omega, a, b in cases:
+        if not a.support.is_orthogonal(b.support):
+            raise ValueError(f"odd elements on {a.support.sites} and "
+                             f"{b.support.sites} overlap; the scan needs "
+                             "disjoint supports")
         corr = omega.expectation(a.matrix @ b.matrix)
         envelope = np.sqrt(
             max(np.real(omega.expectation(a.matrix.conj().T @ a.matrix)), 0.0)

@@ -28,6 +28,7 @@ relative entropy from the even one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,21 +44,60 @@ from .states import (DensityState, RestrictedState, noneven_perturbation,
 MODES = ("lts", "lts_prime")
 
 
-def constraint_family(region: Region, mode: str) -> car.MonomialBasis:
-    """Monomial family spanning the constraint algebra of the given mode."""
-    if mode == "lts":
-        return car.monomial_basis(region.complement())
-    if mode == "lts_prime":
-        return car.commutant_basis(region)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+@dataclass(frozen=True)
+class ConstraintProjection:
+    """Tau-preserving conditional expectation onto the constraint algebra of
+    a probe, called on dense matrices."""
+
+    region: Region
+    mode: str
+
+    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+        if self.mode == "lts":
+            return car.conditional_expectation_matrix(matrix, self.region.complement())
+        return car.commutant_expectation_matrix(matrix, self.region)
+
+    def hermitian_basis(self) -> np.ndarray:
+        """Orthonormal Hermitian basis (Hilbert-Schmidt) of the constraint algebra.
+
+        The complement's algebra is the embedded ``M_m``, ``m = 2**|I^c|``,
+        so the embedded Hermitian matrix units ``E_ii``,
+        ``(E_ij + E_ji)/sqrt 2`` and ``i (E_ij - E_ji)/sqrt 2`` span it; the
+        embedding multiplies Hilbert-Schmidt norms by ``sqrt(N / m)``.  The
+        unit ``E_ij`` has parity ``popcount(i ^ j) mod 2``; for
+        ``lts_prime`` the odd units are multiplied by ``v_I``, which keeps
+        them Hermitian and orthonormal and spans the commutant instead.
+        """
+        comp = self.region.complement()
+        m = car.dim(len(comp))
+        n = car.dim(self.region.lattice_size)
+        twist = car.grading_encoding(self.region)[1].real[:, None]
+        out = np.empty((m * m, n, n), dtype=np.complex128)
+        pos = 0
+        for i, j in itertools.combinations_with_replacement(range(m), 2):
+            entries = [(1.0, 1.0)] if i == j else [(1.0, 1.0), (1j, -1j)]
+            for upper, lower in entries:
+                unit = np.zeros((m, m), dtype=np.complex128)
+                unit[i, j], unit[j, i] = upper, lower
+                out[pos] = car.embed(unit, comp) * math.sqrt(m / n / len(entries))
+                if self.mode == "lts_prime" and bin(i ^ j).count("1") % 2:
+                    out[pos] *= twist
+                pos += 1
+        return out
+
+
+def constraint_family(region: Region, mode: str) -> ConstraintProjection:
+    """The projection onto the constraint algebra of the given mode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return ConstraintProjection(region, mode)
 
 
 def free_energy(omega: DensityState, potential: Potential, region: Region,
                 beta: float, mode: str = "lts") -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra of the chosen mode."""
-    basis = constraint_family(region, mode)
-    projected = basis.project(omega.density)
+    projected = constraint_family(region, mode)(omega.density)
     projected = (projected + projected.conj().T) / 2.0
     ent = relative_entropy_matrices(projected, omega.density)
     sc = -ent.value if ent.kernel_ok else -math.inf
@@ -81,13 +121,13 @@ class FeasibleFamily:
     seed: int | None = None
 
     def constraint_residual(self) -> float:
-        """Worst disagreement with the base on the constraint family."""
-        basis = constraint_family(self.region, self.mode)
-        ref = basis.expectations(self.base.density)
+        """Worst disagreement with the base on the constraint algebra: the
+        largest entry of the projected density difference."""
+        project = constraint_family(self.region, self.mode)
         worst = 0.0
         for member in self.members:
             worst = max(worst, float(np.max(np.abs(
-                basis.expectations(member.density) - ref))))
+                project(member.density - self.base.density)))))
         return worst
 
 
@@ -100,7 +140,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
     eigenvalue of ``D`` — so every member is a genuine density with exactly
     the base state's constrained expectations.
     """
-    basis = constraint_family(region, mode)
+    project = constraint_family(region, mode)
     lam_half = 0.5 * omega.lambda_min()
     if lam_half <= 0.0:
         raise ValueError("base state must be faithful (strictly positive density)")
@@ -110,7 +150,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
     while len(members) < count:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g = (g + g.conj().T) / 2.0
-        y = g - basis.project(g)
+        y = g - project(g)
         y = (y + y.conj().T) / 2.0
         nrm = float(np.linalg.norm(y, 2))
         if nrm < 1e-12:
@@ -146,58 +186,7 @@ class MaximizerDidNotConverge(RuntimeError):
         self.info = info
 
 
-def _hermitian_constraint_basis(basis: car.MonomialBasis) -> np.ndarray:
-    """Orthonormal Hermitian basis (Hilbert-Schmidt) of the constraint span.
-
-    The monomial family is closed under the adjoint: each monomial's dagger
-    is plus or minus another family monomial.  Self-paired monomials are
-    kept as they are; cross-paired ones contribute the two Hermitian
-    combinations ``(m + m^*)`` and ``i (m - m^*)``.  Distinct monomials are
-    Hilbert-Schmidt orthogonal, so the result is orthonormal by scaling.
-    """
-    count = len(basis)
-    n = basis.P.shape[1]
-    pd, vd = basis.dagger_encodings()
-
-    def canon(perm: np.ndarray, val: np.ndarray):
-        first = int(np.argmax(perm >= 0))
-        s = val[first]
-        word = np.round(np.real(val / s)).astype(np.int8)
-        return (perm.tobytes(), word.tobytes()), s
-
-    index: dict = {}
-    for k in range(count):
-        key, s = canon(basis.P[k], basis.V[k])
-        index[key] = (k, s)
-
-    out = np.empty((count, n, n), dtype=np.complex128)
-    hs_norm = np.sqrt(float(n) * basis.norms_sq)
-    pos = 0
-    done = np.zeros(count, dtype=bool)
-    for k in range(count):
-        if done[k]:
-            continue
-        key, sd = canon(pd[k], vd[k])
-        j, sj = index[key]
-        s = float(np.real(sd / sj))          # m_k^* = s * m_j
-        if j == k:
-            mat = basis[k].dense()
-            out[pos] = (mat if s > 0 else 1j * mat) / hs_norm[k]
-            pos += 1
-            done[k] = True
-        else:
-            mk, mj = basis[k].dense(), basis[j].dense()
-            scale = math.sqrt(2.0) * hs_norm[k]
-            out[pos] = (mk + s * mj) / scale
-            out[pos + 1] = 1j * (mk - s * mj) / scale
-            pos += 2
-            done[k] = done[j] = True
-    if pos != count:
-        raise RuntimeError("monomial family is not closed under the adjoint")
-    return out
-
-
-def _newton_polish(basis: car.MonomialBasis, herm: np.ndarray,
+def _newton_polish(project: ConstraintProjection, herm: np.ndarray,
                    anchor: np.ndarray, drive: np.ndarray, lam: np.ndarray,
                    target: float = 2e-13,
                    max_steps: int = 8) -> tuple[np.ndarray, float, list[float]]:
@@ -222,7 +211,7 @@ def _newton_polish(basis: car.MonomialBasis, herm: np.ndarray,
         z = float(np.sum(p))
         dens = (u * (p / z)[None, :]) @ u.conj().T
         gap = dens - anchor
-        gap = basis.project((gap + gap.conj().T) / 2.0)
+        gap = project((gap + gap.conj().T) / 2.0)
         gap = (gap + gap.conj().T) / 2.0
         res = float(np.max(np.abs(gap)))
         dual = w_max + math.log(z) - float(np.real(np.einsum("ij,ji->",
@@ -273,7 +262,7 @@ def _newton_polish(basis: car.MonomialBasis, herm: np.ndarray,
     return best_lam, best_res, duals
 
 
-def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
+def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray,
               beta: float, max_iter: int = 2000) -> tuple[np.ndarray, MaximizerInfo]:
     """Maximize the free energy over a constrained slice via its dual problem.
 
@@ -282,8 +271,9 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
 
         D = exp(log rho0 - beta H_I + Lam) / Z,     Lam in the constraint span,
 
-    with ``rho0`` the reconstruction of the constraint values (the anchor of
-    the slice).  Finding ``Lam`` is the smooth convex dual problem
+    with ``rho0`` the anchor of the slice: the projection of any state of
+    the slice onto the constraint algebra, which is itself in the slice.
+    Finding ``Lam`` is the smooth convex dual problem
 
         minimize  log Tr exp(log rho0 - beta H_I + Lam) - Tr(Lam rho0),
 
@@ -293,7 +283,6 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
     and exactly of maximizing form, so the dual gradient norm doubles as a
     convergence certificate.
     """
-    anchor = basis.reconstruction_density(np.asarray(values, dtype=np.complex128))
     anchor = (anchor + anchor.conj().T) / 2.0
     ev0, u0 = np.linalg.eigh(anchor)
     if float(np.min(ev0)) <= 1e-13:
@@ -305,7 +294,7 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
     def unpack(x: np.ndarray) -> np.ndarray:
         mat = x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
         herm = (mat + mat.conj().T) / 2.0
-        lam = basis.project(herm)
+        lam = project(herm)
         return (lam + lam.conj().T) / 2.0
 
     def pack(mat: np.ndarray) -> np.ndarray:
@@ -330,7 +319,7 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
         gval = dual_value(x)
         d = density_of(lam)
         gap = d - anchor
-        gap = basis.project((gap + gap.conj().T) / 2.0)
+        gap = project((gap + gap.conj().T) / 2.0)
         gap = (gap + gap.conj().T) / 2.0
         return gval, pack(gap)
 
@@ -338,7 +327,7 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
 
     def residual_of(lam: np.ndarray) -> float:
         gap = density_of(lam) - anchor
-        gap = basis.project((gap + gap.conj().T) / 2.0)
+        gap = project((gap + gap.conj().T) / 2.0)
         return float(np.max(np.abs(gap)))
 
     history: list[float] = []  # dual values at accepted iterates only
@@ -360,8 +349,8 @@ def _maximize(basis: car.MonomialBasis, values: np.ndarray, h_i: np.ndarray,
 
     lam_star = unpack(x)
     if residual_of(lam_star) > 1e-12:
-        herm = _hermitian_constraint_basis(basis)
-        lam_star, _, duals = _newton_polish(basis, herm, anchor, drive, lam_star)
+        herm = project.hermitian_basis()
+        lam_star, _, duals = _newton_polish(project, herm, anchor, drive, lam_star)
         iterations += len(duals) - 1
         history.extend(duals)
     density = density_of(lam_star)
@@ -395,9 +384,10 @@ def lts_maximizer(constraint: RestrictedState, potential: Potential, beta: float
     region = constraint.region.complement()
     if region.is_empty:
         raise ValueError("constraint covers the whole chain; nothing to maximize")
-    basis = car.monomial_basis(constraint.region)
+    project = constraint_family(region, "lts")
+    anchor = constraint.product_extension().density
     h_i = local_hamiltonian(potential, region).matrix
-    density, info = _maximize(basis, constraint.values, h_i, beta, max_iter=max_iter)
+    density, info = _maximize(project, anchor, h_i, beta, max_iter=max_iter)
     state = DensityState(density, label=f"lts-maximizer(I={region.label()})",
                          validate=True)
     if not info.converged and not return_info:
@@ -474,11 +464,10 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
                                   margin_samples >= -tolerance))
 
     if use_maximizer:
-        basis = constraint_family(region, mode)
+        project = constraint_family(region, mode)
         h_i = local_hamiltonian(potential, region).matrix
-        values = basis.expectations(omega.density)
         try:
-            density, info = _maximize(basis, values, h_i, beta)
+            density, info = _maximize(project, project(omega.density), h_i, beta)
         except ValueError as exc:
             notes.append(f"maximizer skipped: {exc}")
         else:

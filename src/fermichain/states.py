@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import car
-from . import kernels
 from .car import AlgebraElement
 from .potentials import Potential, local_hamiltonian, prune, total_hamiltonian
 from .regions import Region
@@ -195,66 +194,62 @@ def perturbed_state(potential: Potential, beta: float, region: Region,
 
 @dataclass
 class RestrictedState:
-    """A state restricted to a region: its values on the monomial basis."""
+    """A state restricted to a region, held as its small density.
+
+    ``rho`` is the ``2**|R|``-dimensional density of the restriction on the
+    standard copy of the region's algebra (see :func:`car.small_representation`):
+    ``omega(B) = Tr(rho S)`` for every ``B`` in the region's algebra with
+    small representation ``S``.
+    """
 
     region: Region
-    values: np.ndarray  # aligned with monomial_basis(region)
+    rho: np.ndarray
 
     @property
     def lattice_size(self) -> int:
         return self.region.lattice_size
 
     @property
-    def basis(self) -> car.MonomialBasis:
-        return car.monomial_basis(self.region)
+    def labels(self) -> list[str]:
+        return car.monomial_labels(self.region)
 
     @property
-    def labels(self) -> list[str]:
-        return self.basis.labels
+    def values(self) -> np.ndarray:
+        """Values on the monomial basis of the region, aligned with ``labels``."""
+        return car.monomial_expectations(self.rho, self.region)
 
     def evaluate(self, element: AlgebraElement) -> complex:
-        """Value on an element supported in the region, via its expansion."""
+        """Value on an element supported in the region."""
         if not element.support.is_subregion(self.region):
             raise ValueError(
                 f"element supported on {element.support.sites} is not within "
                 f"region {self.region.sites}"
             )
-        coeffs = self.basis.coefficients(element.matrix)
-        return complex(np.dot(coeffs, self.values))
+        small = car.small_representation(element.matrix, self.region)
+        return complex(np.einsum("ij,ji->", self.rho, small))
 
     def max_difference(self, other: "RestrictedState") -> float:
+        """Largest entry of the difference of the two small densities."""
         if other.region != self.region:
             raise ValueError("restrictions live on different regions")
-        return float(np.max(np.abs(self.values - other.values)))
+        return float(np.max(np.abs(self.rho - other.rho)))
 
     def product_extension(self) -> DensityState:
         """The unique extension annihilating everything orthogonal to the region.
 
-        Its density lies in the region's algebra and reproduces the stored
-        values; against any element of the complement it factorizes through
-        the normalized trace.
+        Its density lies in the region's algebra and reproduces the
+        restriction; against any element of the complement it factorizes
+        through the normalized trace.
         """
-        density = self.basis.reconstruction_density(self.values)
+        density = car.embed(self.rho, self.region) * (self.rho.shape[0]
+                                                      / car.dim(self.lattice_size))
         density = (density + density.conj().T) / 2.0
         return DensityState(density, label=f"product-extension({self.region.label()})",
                             validate=False)
 
     def small_density(self) -> np.ndarray:
-        """Density on the ``2**|R|``-dimensional standard copy of the algebra.
-
-        The region's algebra is a full matrix algebra of that size, embedded
-        with uniform multiplicity; restricting a state is a density on the
-        standard copy, obtained by transferring basis coefficients to the
-        corresponding basis of a fresh chain on ``|R|`` sites.
-        """
-        r = len(self.region)
-        if r == 0:
-            return np.array([[1.0 + 0.0j]])
-        n_big = car.dim(self.lattice_size)
-        m = car.dim(r)
-        rho = (n_big / m) * car.small_representation(
-            self.basis.reconstruction_density(self.values), self.region)
-        return (rho + rho.conj().T) / 2.0
+        """Density on the ``2**|R|``-dimensional standard copy of the algebra."""
+        return self.rho
 
     def as_dict(self) -> dict[str, list[float]]:
         return {lab: [float(v.real), float(v.imag)]
@@ -262,24 +257,25 @@ class RestrictedState:
 
 
 def restrict(omega: DensityState, region: Region) -> RestrictedState:
-    basis = car.monomial_basis(region)
-    return RestrictedState(region=region, values=basis.expectations(omega.density))
+    """The restriction of ``omega`` to ``region``: the fermionic partial
+    trace of its density over the complement."""
+    multiplicity = car.dim(omega.lattice_size - len(region))
+    rho = multiplicity * car.small_representation(omega.density, region)
+    return RestrictedState(region=region, rho=rho)
 
 
 def product_check(omega: DensityState, region: Region) -> float:
-    """Worst deviation of ``omega(A B)`` from ``tau(A) omega(B)``.
+    """Trace norm of ``D - E_{I^c}(D)``: how far ``omega`` is from the product
+    ``omega(A B) = tau(A) omega(B)``, ``A`` in the region, ``B`` outside.
 
-    ``A`` ranges over the monomial basis of the region, ``B`` over the
-    monomial basis of its complement; by linearity this bounds the defect on
-    the whole product algebra.
+    For such ``A`` and ``B``, ``omega(A B) - tau(A) omega(B)`` equals
+    ``Tr((D - E_{I^c}(D)) A B)``, so this value bounds the product defect of
+    every pair of norm at most one, monomial pairs included.  It is zero
+    exactly on product states.
     """
-    inner = car.monomial_basis(region)
-    outer = car.monomial_basis(region.complement())
-    cross = kernels.pair_expect(inner.P, inner.V, outer.P, outer.V,
-                                np.ascontiguousarray(omega.density))
-    taus = inner.taus()
-    outer_vals = outer.expectations(omega.density)
-    return float(np.max(np.abs(cross - np.outer(taus, outer_vals))))
+    diff = omega.density - car.conditional_expectation_matrix(omega.density,
+                                                              region.complement())
+    return float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def noneven_perturbation(omega: DensityState, region: Region,
     if np.max(np.abs(x.matrix + car.theta_matrix(x.matrix, lattice))) > 1e-12 * scale:
         raise ValueError("direction is not odd")
     comp = region.complement()
-    overlap = float(np.max(np.abs(car.monomial_basis(comp).coefficients(x.matrix))))
+    overlap = float(np.max(np.abs(car.conditional_expectation_matrix(x.matrix, comp))))
     if overlap > 1e-12 * scale:
         raise ValueError("direction is not orthogonal to the complement algebra")
 
@@ -384,13 +380,19 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     density = (xi @ xi.conj().T) / weight
     state = DensityState(density, label="site0-vector-state", validate=True)
 
-    target = 0.5 * (outer.density + car.theta_matrix(outer.density, lattice))
-    expected = car.monomial_basis(comp).expectations(target)
-    got = restrict(state, comp).values
-    defect = float(np.max(np.abs(expected - got)))
+    defect = remark2_restriction_defect(outer, state)
     if defect > 1e-10:
         raise RuntimeError(f"vector state restriction defect {defect:.3e}")
     return state
+
+
+def remark2_restriction_defect(outer: DensityState, state: DensityState) -> float:
+    """Largest entry of the difference between the restriction of ``state``
+    outside site 0 and that of the even average of ``outer``."""
+    comp = Region((0,), outer.lattice_size).complement()
+    target = DensityState(0.5 * (outer.density + outer.theta().density),
+                          label="even-average", validate=False)
+    return restrict(state, comp).max_difference(restrict(target, comp))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,9 @@ def test_projection_is_idempotent_and_fixes_span(
 
 
 def test_reconstruction_density_reproduces_expectations():
+    # the density rebuilt from a restriction (the embedded partial trace,
+    # i.e. the conditional expectation of the density) has the same values
+    # on the region's monomials
     lattice = 4
     region = Region.of([0, 2], lattice)
     basis = car.monomial_basis(region)
@@ -246,8 +249,10 @@ def test_reconstruction_density_reproduces_expectations():
     dens = g @ g.conj().T
     dens /= np.trace(dens).real
     values = basis.expectations(dens)
-    rebuilt = basis.reconstruction_density(values)
+    rebuilt = car.embed(car.small_representation(dens, region), region)
     assert np.max(np.abs(basis.expectations(rebuilt) - values)) < 1e-12
+    small = car.dim(lattice - len(region)) * car.small_representation(dens, region)
+    assert np.max(np.abs(car.monomial_expectations(small, region) - values)) < 1e-12
 
 
 def test_basis_entry_limit_guards_memory():
@@ -330,29 +335,39 @@ def test_support_residual_detects_leakage():
 # ---------------------------------------------------------------------------
 
 
+def _images(project, lattice):
+    """Projections of every monomial of the chain, flattened as rows."""
+    full = car.monomial_basis(Region.full(lattice))
+    return np.stack([project(m.dense()).ravel() for m in full.monomials])
+
+
 def test_commutant_basis_commutes_with_region_algebra():
     lattice = 5
     region = Region.of([1, 2], lattice)
-    family = car.commutant_basis(region)
-    assert len(family) == 4 ** (lattice - len(region))
+    images = _images(lambda x: car.commutant_expectation_matrix(x, region),
+                     lattice)
+    assert np.linalg.matrix_rank(images) == 4 ** (lattice - len(region))
+    n = car.dim(lattice)
     gens = [car.annihilator(i, lattice).matrix for i in region.sites]
-    for k in range(len(family)):
-        mono = family[k].dense()
+    for row in images:
+        mono = row.reshape(n, n)
         for g in gens:
-            assert np.max(np.abs(comm(mono, g))) == 0.0
+            assert np.max(np.abs(comm(mono, g))) < 1e-15
 
 
 def test_commutant_strictly_contains_complement_algebra():
     lattice = 4
     region = Region.of([1], lattice)
-    family = car.commutant_basis(region)
-    plain = car.monomial_basis(region.complement())
-    assert len(family) == len(plain)
+    comp = region.complement()
+    twisted = _images(lambda x: car.commutant_expectation_matrix(x, region),
+                      lattice)
+    plain = _images(lambda x: car.conditional_expectation_matrix(x, comp),
+                    lattice)
+    assert np.linalg.matrix_rank(twisted) == np.linalg.matrix_rank(plain) \
+        == 4 ** len(comp)
     # same dimension but a different span: the twisted odd part is new
-    fam_span = np.stack([family[k].dense().ravel() for k in range(len(family))])
-    plain_span = np.stack([plain[k].dense().ravel() for k in range(len(plain))])
-    joint = np.linalg.matrix_rank(np.concatenate([fam_span, plain_span]))
-    assert joint > len(family)
+    joint = np.linalg.matrix_rank(np.concatenate([twisted, plain]))
+    assert joint > 4 ** len(comp)
 
 
 def test_small_representation_is_an_isomorphism():

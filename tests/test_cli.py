@@ -60,6 +60,13 @@ def test_usage_errors_exit_two(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_duplicate_region_sites_exit_two(capsys):
+    assert run(["perturb", "--length", "4", "--region", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "[1] given more than once" in captured.err
+    assert captured.out == ""
+
+
 def test_wrong_model_parameters_exit_two(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text("[run]\ncommand = validate\nlength = 4\n"
@@ -220,6 +227,15 @@ def test_ssb_probe_verb_covers_all_probes(tmp_path):
     names = [rec["check"] for rec in read_records(out)]
     assert names == ["grading_asymmetry", "odd_correlation_real",
                      "cluster_decay", "odd_scan"]
+
+
+def test_ssb_probe_on_the_whole_chain_skips_the_outside_probes(tmp_path):
+    # with nothing outside the region there is no disjoint partner for the
+    # odd elements, so only the asymmetry is measured
+    out = tmp_path / "report.jsonl"
+    assert run(["ssb-probe", "--length", "3", "--region", "0,1,2",
+                "--out", str(out)]) == 0
+    assert [rec["check"] for rec in read_records(out)] == ["grading_asymmetry"]
 
 
 def test_entropy_verb_passes(tmp_path):

@@ -191,6 +191,15 @@ def test_scan_counts_fabricated_violations():
     assert report["worst_real_part"] == 1.0
 
 
+def test_scan_refuses_overlapping_supports():
+    lattice = 3
+    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    a = odd_direction(Region.of([0], lattice))
+    b = odd_direction(Region.of([0, 1], lattice))
+    with pytest.raises(ValueError):
+        scan_odd_correlations([(gibbs, a, b)])
+
+
 def test_probe_result_carries_its_region():
     lattice = 4
     region = Region.of([3], lattice)

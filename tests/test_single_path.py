@@ -1,0 +1,67 @@
+"""Guard: one way to compute a conditional expectation.
+
+Restrictions, conditional expectations, commutant projections and random
+elements all go through the mode reordering in :mod:`fermichain.car`.  The
+monomial tables (``monomial_basis`` and the methods of ``MonomialBasis``)
+cost ``4**|R| x 2**L`` entries and refuse large regions, so only ``car``
+itself may call them, for basis labels and label-aligned values.  Tests may
+use them freely as an oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from fermichain import car
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermichain"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TABLE_FUNCTIONS = {"monomial_basis"}
+TABLE_METHODS = {name for name, value in vars(car.MonomialBasis).items()
+                 if callable(value) and not name.startswith("_")}
+
+
+def monomial_table_calls(source: str) -> list[int]:
+    """Line numbers of calls to ``monomial_basis`` or to a method named like
+    one of ``MonomialBasis``'s."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in TABLE_FUNCTIONS:
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and (
+                func.attr in TABLE_FUNCTIONS or func.attr in TABLE_METHODS):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_table_methods_are_known():
+    assert TABLE_METHODS == {"coefficients", "assemble", "project",
+                             "expectations"}
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("car.monomial_basis(region)", True),
+    ("monomial_basis(region)", True),
+    ("basis.coefficients(x)", True),
+    ("car.monomial_basis(comp).expectations(d)", True),
+    ("family.project(x)", True),
+    ("project(x)", False),
+    ("omega.expectation(x)", False),
+    ("car.conditional_expectation_matrix(x, region)", False),
+    ("car.monomial_labels(region)", False),
+])
+def test_guard_recognizes_table_calls(snippet, flagged):
+    assert bool(monomial_table_calls(snippet)) is flagged
+
+
+def test_only_car_touches_the_monomial_tables():
+    assert SOURCES, "no package sources found"
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 if path.name != "car.py"
+                 for line in monomial_table_calls(path.read_text("utf-8"))]
+    assert not offenders, ("monomial tables used outside car.py (use "
+                           f"small_representation / embed): {offenders}")

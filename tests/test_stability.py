@@ -55,20 +55,41 @@ def test_both_modes_agree_on_even_states():
         assert abs(f - f_prime) < 1e-12
 
 
+def fixed_monomials(project, lattice):
+    """The monomials of the whole chain that a projection leaves unchanged."""
+    return [m for m in car.monomial_basis(Region.full(lattice)).monomials
+            if np.max(np.abs(project(m.dense()) - m.dense())) < 1e-14]
+
+
 def test_constraint_family_modes():
     lattice = 4
     region = Region.of([1], lattice)
-    lts = constraint_family(region, "lts")
-    prime = constraint_family(region, "lts_prime")
+    lts = fixed_monomials(constraint_family(region, "lts"), lattice)
+    prime = fixed_monomials(constraint_family(region, "lts_prime"), lattice)
     # same count, different span: half the commutant monomials thread the
     # probed region through its parity operator
     assert len(lts) == 4 ** (lattice - 1)
     assert len(prime) == len(lts)
-    touching = [m for m in prime.monomials if set(m.sites) & set(region.sites)]
+    touching = [m for m in prime if set(m.sites) & set(region.sites)]
     assert len(touching) == len(prime) // 2
-    assert not any(set(m.sites) & set(region.sites) for m in lts.monomials)
+    assert not any(set(m.sites) & set(region.sites) for m in lts)
     with pytest.raises(ValueError):
         constraint_family(region, "global")
+
+
+@pytest.mark.parametrize("mode", ["lts", "lts_prime"])
+def test_hermitian_basis_is_orthonormal_and_spans_the_constraints(mode):
+    lattice = 4
+    region = Region.of([1, 3], lattice)
+    project = constraint_family(region, mode)
+    herm = project.hermitian_basis()
+    count, n = 4 ** (lattice - len(region)), car.dim(lattice)
+    assert herm.shape == (count, n, n)
+    flat = herm.reshape(count, n * n)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(count))) < 1e-13
+    for h in herm:
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
+        assert np.max(np.abs(project(h) - h)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
