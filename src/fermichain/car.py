@@ -231,9 +231,10 @@ def creator(site: int, lattice_size: int) -> AlgebraElement:
 
 
 def number_operator(site: int, lattice_size: int) -> AlgebraElement:
-    c = creator(site, lattice_size)
-    a = annihilator(site, lattice_size)
-    return AlgebraElement(c.matrix @ a.matrix, Region((site,), lattice_size))
+    """``a_site* a_site``, composed as column maps."""
+    p, v = kernels.compose(*creator_encoding(site, lattice_size),
+                           *annihilator_encoding(site, lattice_size))
+    return AlgebraElement(encoding_dense(p, v), Region((site,), lattice_size))
 
 
 def grading_unitary(region: Region) -> AlgebraElement:
@@ -363,6 +364,38 @@ def conditional_expectation(element: AlgebraElement, region: Region) -> AlgebraE
     return AlgebraElement(conditional_expectation_matrix(element.matrix, region), region)
 
 
+def _odd_entries(m: int) -> np.ndarray:
+    """Mask of the odd entries of ``M_m``: ``popcount(i ^ j)`` odd."""
+    parity = np.array([bin(i).count("1") % 2 for i in range(m)])
+    return parity[:, None] != parity[None, :]
+
+
+def commutant_small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
+    """Inverse of :func:`commutant_embed` composed with
+    :func:`commutant_expectation_matrix`: the even entries of the
+    complement's small representation of ``matrix``, the odd entries of
+    that of ``v_R matrix``."""
+    if region.is_empty:
+        raise ValueError("the commutant of the empty region is the full algebra")
+    comp = region.complement()
+    small = small_representation(matrix, comp)
+    odd = _odd_entries(dim(len(comp)))
+    twisted = grading_encoding(region)[1].real[:, None] * matrix
+    small[odd] = small_representation(twisted, comp)[odd]
+    return small
+
+
+def commutant_embed(small: np.ndarray, region: Region) -> np.ndarray:
+    """The unital *-isomorphism ``S -> E(S_even) + v_R E(S_odd)`` from
+    ``M_{2**|R^c|}`` onto the commutant of ``A_region``, ``E`` the
+    complement's :func:`embed`."""
+    comp = region.complement()
+    odd = _odd_entries(dim(len(comp)))
+    twist = grading_encoding(region)[1].real[:, None]
+    return (embed(np.where(odd, 0.0, small), comp)
+            + twist * embed(np.where(odd, small, 0.0), comp))
+
+
 def commutant_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
     """Tau-preserving conditional expectation onto the commutant of ``A_region``.
 
@@ -372,14 +405,7 @@ def commutant_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarr
 
         E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd).
     """
-    if region.is_empty:
-        raise ValueError("the commutant of the empty region is the full algebra")
-    comp = region.complement()
-    graded = theta_matrix(matrix, region.lattice_size)
-    v = grading_encoding(region)[1].real[:, None]
-    even = conditional_expectation_matrix((matrix + graded) / 2.0, comp)
-    odd = conditional_expectation_matrix(v * (matrix - graded) / 2.0, comp)
-    return even + v * odd
+    return commutant_embed(commutant_small_representation(matrix, region), region)
 
 
 def support_residual(element: AlgebraElement) -> float:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import car
+from . import car, kernels
 from .car import AlgebraElement
 from .regions import Region
 
@@ -223,9 +223,9 @@ def _build_term(name: str, sites: list[int], coefficient: float,
                 lattice_size: int) -> tuple[Region, np.ndarray]:
     if name == "hop":
         i, j = sites
-        ad_i = car.creator(i, lattice_size).matrix
-        a_j = car.annihilator(j, lattice_size).matrix
-        hop = ad_i @ a_j
+        hop = car.encoding_dense(*kernels.compose(
+            *car.creator_encoding(i, lattice_size),
+            *car.annihilator_encoding(j, lattice_size)))
         return Region((i, j), lattice_size), coefficient * (hop + hop.conj().T)
     if name in ("num", "num_raw"):
         (i,) = sites
@@ -235,10 +235,10 @@ def _build_term(name: str, sites: list[int], coefficient: float,
         return Region((i,), lattice_size), coefficient * n_i
     if name == "nn":
         i, j = sites
-        eye = np.eye(car.dim(lattice_size))
-        n_i = car.number_operator(i, lattice_size).matrix - 0.5 * eye
-        n_j = car.number_operator(j, lattice_size).matrix - 0.5 * eye
-        return Region((i, j), lattice_size), coefficient * (n_i @ n_j)
+        # both centered number operators are diagonal
+        n_i = np.diagonal(car.number_operator(i, lattice_size).matrix) - 0.5
+        n_j = np.diagonal(car.number_operator(j, lattice_size).matrix) - 0.5
+        return Region((i, j), lattice_size), coefficient * np.diag(n_i * n_j)
     raise ValueError(f"unknown term name: {name!r}")
 
 

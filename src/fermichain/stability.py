@@ -15,10 +15,11 @@ density perturbations orthogonal to the constraint algebra — these change
 nothing any constrained observable can see — and :func:`lts_check` compares
 free energies across the family.  :func:`lts_maximizer` instead solves for
 the exact constrained maximizer through the convex dual of the slice problem
-(exponential-family form, quasi-Newton plus a Newton polish); for a Gibbs
-state of the generating potential both must come back nonpositive: on a
-finite chain the Gibbs state is the exact constrained maximizer, with margin
-equal to the relative entropy of the competitor from it.
+(exponential-family form, Newton's method in the small representation of
+the constraint algebra); for a Gibbs state of the generating potential both
+must come back nonpositive: on a finite chain the Gibbs state is the exact
+constrained maximizer, with margin equal to the relative entropy of the
+competitor from it.
 
 :func:`prop4_pipeline` runs the free-energy comparison that kills noneven
 states: the decoupled state and its odd perturbations agree on everything
@@ -28,9 +29,9 @@ relative entropy from the even one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,43 +48,31 @@ MODES = ("lts", "lts_prime")
 @dataclass(frozen=True)
 class ConstraintProjection:
     """Tau-preserving conditional expectation onto the constraint algebra of
-    a probe, called on dense matrices."""
+    a probe, called on dense matrices.
+
+    The constraint algebra is a copy of ``M_m``, ``m = 2**|I^c|``:
+    :meth:`expand` is the unital *-isomorphism onto it (:func:`car.embed`
+    on the complement, with the odd part multiplied by ``v_I`` for
+    ``lts_prime``) and :meth:`compress` is its inverse composed with the
+    projection.  They are Hilbert-Schmidt adjoint up to the multiplicity:
+    ``<expand(X), G> = (N / m) <X, compress(G)>``.
+    """
 
     region: Region
     mode: str
 
-    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+    def compress(self, matrix: np.ndarray) -> np.ndarray:
         if self.mode == "lts":
-            return car.conditional_expectation_matrix(matrix, self.region.complement())
-        return car.commutant_expectation_matrix(matrix, self.region)
+            return car.small_representation(matrix, self.region.complement())
+        return car.commutant_small_representation(matrix, self.region)
 
-    def hermitian_basis(self) -> np.ndarray:
-        """Orthonormal Hermitian basis (Hilbert-Schmidt) of the constraint algebra.
+    def expand(self, small: np.ndarray) -> np.ndarray:
+        if self.mode == "lts":
+            return car.embed(small, self.region.complement())
+        return car.commutant_embed(small, self.region)
 
-        The complement's algebra is the embedded ``M_m``, ``m = 2**|I^c|``,
-        so the embedded Hermitian matrix units ``E_ii``,
-        ``(E_ij + E_ji)/sqrt 2`` and ``i (E_ij - E_ji)/sqrt 2`` span it; the
-        embedding multiplies Hilbert-Schmidt norms by ``sqrt(N / m)``.  The
-        unit ``E_ij`` has parity ``popcount(i ^ j) mod 2``; for
-        ``lts_prime`` the odd units are multiplied by ``v_I``, which keeps
-        them Hermitian and orthonormal and spans the commutant instead.
-        """
-        comp = self.region.complement()
-        m = car.dim(len(comp))
-        n = car.dim(self.region.lattice_size)
-        twist = car.grading_encoding(self.region)[1].real[:, None]
-        out = np.empty((m * m, n, n), dtype=np.complex128)
-        pos = 0
-        for i, j in itertools.combinations_with_replacement(range(m), 2):
-            entries = [(1.0, 1.0)] if i == j else [(1.0, 1.0), (1j, -1j)]
-            for upper, lower in entries:
-                unit = np.zeros((m, m), dtype=np.complex128)
-                unit[i, j], unit[j, i] = upper, lower
-                out[pos] = car.embed(unit, comp) * math.sqrt(m / n / len(entries))
-                if self.mode == "lts_prime" and bin(i ^ j).count("1") % 2:
-                    out[pos] *= twist
-                pos += 1
-        return out
+    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+        return self.expand(self.compress(matrix))
 
 
 def constraint_family(region: Region, mode: str) -> ConstraintProjection:
@@ -122,12 +111,12 @@ class FeasibleFamily:
 
     def constraint_residual(self) -> float:
         """Worst disagreement with the base on the constraint algebra: the
-        largest entry of the projected density difference."""
+        largest entry of the density difference's small representation."""
         project = constraint_family(self.region, self.mode)
         worst = 0.0
         for member in self.members:
             worst = max(worst, float(np.max(np.abs(
-                project(member.density - self.base.density)))))
+                project.compress(member.density - self.base.density)))))
         return worst
 
 
@@ -186,180 +175,160 @@ class MaximizerDidNotConverge(RuntimeError):
         self.info = info
 
 
-def _newton_polish(project: ConstraintProjection, herm: np.ndarray,
-                   anchor: np.ndarray, drive: np.ndarray, lam: np.ndarray,
-                   target: float = 2e-13,
-                   max_steps: int = 8) -> tuple[np.ndarray, float, list[float]]:
-    """Newton refinement of the dual multiplier.
+# Newton converges in about six steps; the cap only bounds a stalled run.
+_NEWTON_STEPS = 50
+_CG_RTOL = 1e-4       # relative residual at which CG stops solving a step
 
-    A quasi-Newton pass stalls once dual-value differences fall below
-    machine epsilon, around gradient norms of 1e-9 — but the gradient (the
-    feasibility mismatch of the current density) is still computable to full
-    precision, and the dual Hessian has a closed form in the eigenbasis of
-    the exponent (divided differences of exp, minus the rank-one mean term).
-    A few Newton steps therefore push the residual to the 1e-13 level, where
-    the free energy of the maximizer is trustworthy at every temperature.
+
+class _DualPoint(NamedTuple):
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+    residual: float       # largest entry of grad
+    density: np.ndarray
+    w: np.ndarray         # eigenvalues and eigenvectors of the exponent
+    u: np.ndarray
+
+
+def _hermitian(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + matrix.conj().T) / 2.0
+
+
+def _traceless(matrix: np.ndarray) -> np.ndarray:
+    """Drop the identity component, the one direction the dual ignores."""
+    return matrix - np.trace(matrix) / matrix.shape[0] * np.eye(matrix.shape[0])
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+class _Dual:
+    """The convex dual of the free-energy maximization on one slice,
+
+        g(X) = log Tr exp(K) - Tr(Lam rho0),   K = log rho0 - beta H_I + Lam,
+
+    over Hermitian ``m x m`` matrices ``X``, ``Lam = expand(X)``.  In the
+    metric ``expand`` induces (``multiplicity`` times Hilbert-Schmidt) the
+    gradient is ``compress(D - rho0)``, ``D = exp(K) / Tr exp(K)``, and the
+    Hessian maps ``Y`` to ``compress`` of the derivative of ``D`` along
+    ``expand(Y)``.
     """
-    n = anchor.shape[0]
-    count = herm.shape[0]
-    flat = herm.reshape(count, n * n)
 
-    def stats(lam_at: np.ndarray):
-        w, u = np.linalg.eigh(drive + lam_at)
-        w_max = float(np.max(w))
-        p = np.exp(w - w_max)
-        z = float(np.sum(p))
-        dens = (u * (p / z)[None, :]) @ u.conj().T
-        gap = dens - anchor
-        gap = project((gap + gap.conj().T) / 2.0)
-        gap = (gap + gap.conj().T) / 2.0
-        res = float(np.max(np.abs(gap)))
-        dual = w_max + math.log(z) - float(np.real(np.einsum("ij,ji->",
-                                                             lam_at, anchor)))
-        return w, u, p, z, dens, gap, res, dual
+    def __init__(self, project: ConstraintProjection, anchor: np.ndarray,
+                 h_i: np.ndarray, beta: float):
+        self.project, self.anchor = project, _hermitian(anchor)
+        self.small_anchor = _hermitian(project.compress(self.anchor))
+        ev0, u0 = np.linalg.eigh(self.small_anchor)
+        if float(np.min(ev0)) <= 1e-13:
+            raise ValueError("constraint values must come from a faithful state")
+        log_anchor = project.expand((u0 * np.log(ev0)) @ u0.conj().T)
+        self.drive = log_anchor - beta * h_i
+        # Tr(expand(Y) G) = multiplicity * <Y, compress(G)>
+        self.multiplicity = anchor.shape[0] / self.small_anchor.shape[0]
 
-    w, u, p, z, dens, gap, res, dual = stats(lam)
-    best_lam, best_res = lam, res
-    duals = [dual]
-    for _ in range(max_steps):
-        if res <= target:
-            break
-        grad = np.real(flat.conj() @ gap.ravel())
-        # divided differences of exp: phi_pq = (e^wp - e^wq)/(wp - wq),
-        # normalized by the partition sum; stable in symmetric sinh form
-        w_max = float(np.max(w))
-        avg = (w[:, None] + w[None, :]) / 2.0 - w_max
+    def point(self, x: np.ndarray) -> _DualPoint:
+        lam = self.project.expand(x)
+        w, u = np.linalg.eigh(self.drive + lam)
+        p = np.exp(w - np.max(w))
+        density = (u * (p / np.sum(p))) @ u.conj().T
+        grad = _hermitian(self.project.compress(density)) - self.small_anchor
+        value = float(np.max(w) + np.log(np.sum(p))) - _inner(lam, self.anchor)
+        return _DualPoint(x, value, grad, float(np.max(np.abs(grad))),
+                          density, w, u)
+
+    def hessp(self, point: _DualPoint):
+        """Hessian products at ``point``, on traceless matrices."""
+        w, u = point.w, point.u
+        # in the eigenbasis of K, the derivative of D along Lam' is
+        # phi * Lam' minus the rank-one mean term, with phi the divided
+        # differences (e^wp - e^wq)/(wp - wq) / Z, in stable sinh form
         half = (w[:, None] - w[None, :]) / 2.0
         ratio = np.ones_like(half)
         off = half != 0.0
         ratio[off] = np.sinh(half[off]) / half[off]
-        phi = np.exp(avg) * ratio / z
-        tilted = (u.conj().T[None] @ herm) @ u
-        weighted = (tilted * np.sqrt(phi)[None]).reshape(count, n * n)
-        lin = np.real(flat.conj() @ dens.ravel())
-        hess = np.real(weighted.conj() @ weighted.T) - np.outer(lin, lin)
-        evals, evecs = np.linalg.eigh((hess + hess.T) / 2.0)
-        cut = float(evals[-1]) * 1e-14
-        inv = np.where(evals > cut, 1.0 / np.maximum(evals, cut), 0.0)
-        delta = -(evecs * inv[None, :]) @ (evecs.T @ grad)
-        step = 1.0
-        improved = False
-        for _ in range(8):
-            lam_try = lam + np.tensordot(step * delta, herm, axes=1)
-            lam_try = (lam_try + lam_try.conj().T) / 2.0
-            trial = stats(lam_try)
-            if trial[6] < res:
-                w, u, p, z, dens, gap, res, dual = trial
-                lam = lam_try
-                duals.append(dual)
-                if res < best_res:
-                    best_lam, best_res = lam, res
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        phi = np.exp((w[:, None] + w[None, :]) / 2.0 - np.max(w)) * ratio
+        phi /= np.sum(np.exp(w - np.max(w)))
+        q = np.diagonal(phi).copy()
+
+        def product(delta: np.ndarray) -> np.ndarray:
+            tilted = u.conj().T @ self.project.expand(delta) @ u
+            inner = phi * tilted
+            inner[np.diag_indices_from(inner)] -= q * np.real(q @ np.diagonal(tilted))
+            return _traceless(_hermitian(
+                self.project.compress(u @ inner @ u.conj().T)))
+        return product
+
+
+def _newton_direction(hessp, grad: np.ndarray) -> np.ndarray:
+    """Solve ``H y = -grad`` by conjugate gradients (Nocedal & Wright,
+    *Numerical Optimization*, Algorithm 7.1), stopping early on
+    nonpositive curvature."""
+    y, r = np.zeros_like(grad), -grad
+    p, rr = r, _inner(r, r)
+    stop = _CG_RTOL ** 2 * rr
+    for _ in range(grad.size):
+        hp = hessp(p)
+        curvature = _inner(p, hp)
+        if curvature <= 0.0:
+            return y if y.any() else -grad
+        y, r = y + (rr / curvature) * p, r - (rr / curvature) * hp
+        rr, rr_last = _inner(r, r), rr
+        if rr <= stop:
             break
-    return best_lam, best_res, duals
+        p = r + (rr / rr_last) * p
+    return y
 
 
 def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray,
-              beta: float, max_iter: int = 2000) -> tuple[np.ndarray, MaximizerInfo]:
+              beta: float) -> tuple[np.ndarray, MaximizerInfo]:
     """Maximize the free energy over a constrained slice via its dual problem.
 
     On the slice of states with the given constraint expectations, the free
     energy is strictly concave and its maximizer has the closed form
 
-        D = exp(log rho0 - beta H_I + Lam) / Z,     Lam in the constraint span,
+        D = exp(log rho0 - beta H_I + Lam) / Z,     Lam in the constraint algebra,
 
     with ``rho0`` the anchor of the slice: the projection of any state of
     the slice onto the constraint algebra, which is itself in the slice.
-    Finding ``Lam`` is the smooth convex dual problem
-
-        minimize  log Tr exp(log rho0 - beta H_I + Lam) - Tr(Lam rho0),
-
-    whose gradient is the projected constraint mismatch of the current
-    ``D``; it is solved with L-BFGS.  Every iterate is a strictly positive
-    density, and at a vanishing dual gradient the state is exactly feasible
-    and exactly of maximizing form, so the dual gradient norm doubles as a
-    convergence certificate.
+    Finding ``Lam`` is the smooth convex dual problem of :class:`_Dual`,
+    solved by Newton's method: one eigendecomposition per step, the step
+    from conjugate gradients on Hessian products (no array beyond
+    ``N x N``), backtracked on the dual value.  Every iterate is a strictly
+    positive density, and at a vanishing dual gradient the state is exactly
+    feasible and exactly of maximizing form, so the gradient's largest
+    entry doubles as a convergence certificate.
     """
-    anchor = (anchor + anchor.conj().T) / 2.0
-    ev0, u0 = np.linalg.eigh(anchor)
-    if float(np.min(ev0)) <= 1e-13:
-        raise ValueError("constraint values must come from a faithful state")
-    log_anchor = (u0 * np.log(ev0)[None, :]) @ u0.conj().T
-    drive = log_anchor - beta * h_i
-    n = anchor.shape[0]
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        mat = x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
-        herm = (mat + mat.conj().T) / 2.0
-        lam = project(herm)
-        return (lam + lam.conj().T) / 2.0
-
-    def pack(mat: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.real(mat).ravel(), np.imag(mat).ravel()])
-
-    def density_of(lam: np.ndarray) -> np.ndarray:
-        w, u = np.linalg.eigh(drive + lam)
-        w = w - np.max(w)
-        p = np.exp(w)
-        p /= np.sum(p)
-        return (u * p[None, :]) @ u.conj().T
-
-    def dual_value(x: np.ndarray) -> float:
-        lam = unpack(x)
-        w = np.linalg.eigvalsh(drive + lam)
-        shift = float(np.max(w))
-        log_z = shift + math.log(float(np.sum(np.exp(w - shift))))
-        return log_z - float(np.real(np.einsum("ij,ji->", lam, anchor)))
-
-    def objective(x: np.ndarray):
-        lam = unpack(x)
-        gval = dual_value(x)
-        d = density_of(lam)
-        gap = d - anchor
-        gap = project((gap + gap.conj().T) / 2.0)
-        gap = (gap + gap.conj().T) / 2.0
-        return gval, pack(gap)
-
-    from scipy.optimize import minimize
-
-    def residual_of(lam: np.ndarray) -> float:
-        gap = density_of(lam) - anchor
-        gap = project((gap + gap.conj().T) / 2.0)
-        return float(np.max(np.abs(gap)))
-
-    history: list[float] = []  # dual values at accepted iterates only
-
-    # L-BFGS with a few restarts: each restart resets the curvature memory,
-    # which reliably squeezes the dual gradient by further orders of magnitude
-    x = np.zeros(2 * n * n)
+    dual = _Dual(project, anchor, h_i, beta)
+    current = best = dual.point(np.zeros_like(dual.small_anchor))
+    history = [current.value]  # dual values at accepted iterates only
     iterations = 0
-    history.append(dual_value(x))
-    for _ in range(4):
-        result = minimize(objective, x, jac=True, method="L-BFGS-B",
-                          callback=lambda xk: history.append(dual_value(xk)),
-                          options={"maxiter": max_iter, "ftol": 1e-18,
-                                   "gtol": 1e-12})
-        x = result.x
-        iterations += int(result.nit)
-        if residual_of(unpack(x)) <= 1e-11:
+    while iterations < _NEWTON_STEPS:
+        step = _newton_direction(dual.hessp(current), _traceless(current.grad))
+        slope = dual.multiplicity * _inner(current.grad, step)
+        # near the optimum the dual moves by less than its rounding
+        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(current.value))
+        t = 1.0
+        while t > 1e-12:
+            trial = dual.point(current.x + t * step)
+            if trial.value <= current.value + 1e-4 * t * slope + slack:
+                break
+            t /= 2.0
+        else:
+            break
+        previous, current = current, trial
+        iterations += 1
+        history.append(current.value)
+        best = min(best, current, key=lambda point: point.residual)
+        # a full step that fails to halve the residual has hit rounding
+        if t == 1.0 and current.residual >= previous.residual / 2.0:
             break
 
-    lam_star = unpack(x)
-    if residual_of(lam_star) > 1e-12:
-        herm = project.hermitian_basis()
-        lam_star, _, duals = _newton_polish(project, herm, anchor, drive, lam_star)
-        iterations += len(duals) - 1
-        history.extend(duals)
-    density = density_of(lam_star)
-    density = (density + density.conj().T) / 2.0
-
-    gnorm = residual_of(lam_star)
+    density = _hermitian(best.density)
+    gnorm = best.residual
     tail = history[-10:]
     spread = float(max(tail) - min(tail))
-    rel = relative_entropy_matrices(anchor, density)
+    rel = relative_entropy_matrices(dual.anchor, density)
     f_val = -rel.value - beta * float(np.real(np.einsum("ij,ji->", density, h_i)))
     # the dual is smooth and strictly convex with an exact gradient, so a
     # tight gradient norm certifies on its own; a looser one additionally
@@ -372,7 +341,7 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
 
 
 def lts_maximizer(constraint: RestrictedState, potential: Potential, beta: float,
-                  max_iter: int = 4000, return_info: bool = False):
+                  return_info: bool = False):
     """Maximize the local free energy over states with the given complement
     restriction.
 
@@ -387,7 +356,7 @@ def lts_maximizer(constraint: RestrictedState, potential: Potential, beta: float
     project = constraint_family(region, "lts")
     anchor = constraint.product_extension().density
     h_i = local_hamiltonian(potential, region).matrix
-    density, info = _maximize(project, anchor, h_i, beta, max_iter=max_iter)
+    density, info = _maximize(project, anchor, h_i, beta)
     state = DensityState(density, label=f"lts-maximizer(I={region.label()})",
                          validate=True)
     if not info.converged and not return_info:

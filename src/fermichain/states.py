@@ -25,6 +25,7 @@ in :mod:`fermichain.stability`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,15 +123,14 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None) -> DensitySt
 
 
 def random_pair_panel(lattice_size: int, count: int,
-                      rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random operator pairs of unit spectral norm, for KMS residual panels."""
+                      rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Random operator pairs of unit spectral norm, for KMS residual panels,
+    drawn one at a time as the panel is consumed (``list`` it to reuse it)."""
     n = car.dim(lattice_size)
-    pairs = []
     for _ in range(count):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pairs.append((a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2)))
-    return pairs
+        yield a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2)
 
 
 def kms_residual(omega: DensityState, hamiltonian, beta: float, pairs) -> float:

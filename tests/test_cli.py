@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from fermichain import cli
+from fermichain import car, cli
 from fermichain.cli import UsageError, main, resolve_config
 from fermichain.reporting import KEY_ORDER, ReportRecord
 
@@ -244,6 +245,22 @@ def test_entropy_verb_passes(tmp_path):
                 "--out", str(out)]) == 0
     names = {rec["check"] for rec in read_records(out)}
     assert names == {"relative_entropy", "conditional_entropy", "monotonicity"}
+
+
+def test_gibbs_draws_its_pair_panel_one_pair_at_a_time():
+    # the KMS panel is 100 pairs of dense N x N matrices, 200 N**2 complex
+    # entries if held at once
+    lattice = 6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = cli.run_gibbs(cli.RunConfig("gibbs", lattice_size=lattice))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [r.check for r in records] == ["kms_residual", "evenness"]
+    assert all(r.passed for r in records)
+    assert peak < 64 * car.dim(lattice) ** 2 * 16
 
 
 def test_resolve_config_handles_region_from_file(tmp_path):

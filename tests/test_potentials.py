@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car
-from fermichain.potentials import (MODELS, Potential, build_model,
+from fermichain.potentials import (MODELS, Potential, _build_term, build_model,
                                    derivation_apply, hopping_model,
                                    local_hamiltonian, potential_from_records,
                                    potential_records, prune,
@@ -33,6 +33,41 @@ def test_hopping_hamiltonian_matches_kron_oracle():
     diff = got - want
     shift = np.trace(diff) / diff.shape[0]
     assert np.max(np.abs(diff - shift * np.eye(diff.shape[0]))) < 1e-12
+
+
+def dense_term(name, sites, coefficient, lattice):
+    """A named term as products of dense creators and annihilators."""
+    eye = np.eye(car.dim(lattice))
+
+    def number(i):
+        return car.creator(i, lattice).matrix @ car.annihilator(i, lattice).matrix
+
+    if name == "hop":
+        i, j = sites
+        hop = car.creator(i, lattice).matrix @ car.annihilator(j, lattice).matrix
+        return coefficient * (hop + hop.conj().T)
+    if name == "num_raw":
+        return coefficient * number(sites[0])
+    if name == "num":
+        return coefficient * (number(sites[0]) - 0.5 * eye)
+    i, j = sites
+    return coefficient * ((number(i) - 0.5 * eye) @ (number(j) - 0.5 * eye))
+
+
+@pytest.mark.parametrize("lattice", range(1, 7))
+def test_column_map_terms_equal_the_dense_products(lattice):
+    for model in MODELS.values():
+        for rec in model(lattice).records:
+            region, term = _build_term(rec["term"], rec["sites"],
+                                       rec["coefficient"], lattice)
+            assert region.sites == tuple(rec["sites"])
+            want = dense_term(rec["term"], rec["sites"], rec["coefficient"],
+                              lattice)
+            assert term.dtype == want.dtype
+            assert np.array_equal(term, want)
+    for i in range(lattice):
+        want = car.creator(i, lattice).matrix @ car.annihilator(i, lattice).matrix
+        assert np.array_equal(car.number_operator(i, lattice).matrix, want)
 
 
 def test_preset_models_are_standard():

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermichain import car, stability
 from fermichain.entropy import conditional_free_energy, relative_entropy
@@ -77,19 +80,92 @@ def test_constraint_family_modes():
         constraint_family(region, "global")
 
 
-@pytest.mark.parametrize("mode", ["lts", "lts_prime"])
-def test_hermitian_basis_is_orthonormal_and_spans_the_constraints(mode):
-    lattice = 4
-    region = Region.of([1, 3], lattice)
+def commutant_oracle(matrix, region):
+    """``E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd)``, spelled out."""
+    comp = region.complement()
+    graded = car.theta_matrix(matrix, region.lattice_size)
+    v = car.grading_unitary(region).matrix
+    even = car.conditional_expectation_matrix((matrix + graded) / 2.0, comp)
+    odd = car.conditional_expectation_matrix(v @ (matrix - graded) / 2.0, comp)
+    return even + v @ odd
+
+
+@given(st.integers(min_value=1, max_value=6), st.data(),
+       st.sampled_from(stability.MODES), st.integers(0, 10_000))
+def test_compress_is_adjoint_to_expand_and_composes_to_the_projection(
+        lattice, data, mode, seed):
+    sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1))
+    region = Region.of(sites, lattice)
     project = constraint_family(region, mode)
-    herm = project.hermitian_basis()
-    count, n = 4 ** (lattice - len(region)), car.dim(lattice)
-    assert herm.shape == (count, n, n)
-    flat = herm.reshape(count, n * n)
-    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(count))) < 1e-13
-    for h in herm:
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
-        assert np.max(np.abs(project(h) - h)) < 1e-14
+    rng = np.random.default_rng(seed)
+    n, m = car.dim(lattice), car.dim(lattice - len(region))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    small = project.compress(g)
+    assert small.shape == (m, m)
+    lhs = np.vdot(project.expand(x), g)
+    assert abs(lhs - (n / m) * np.vdot(x, small)) <= 1e-13 * n * m
+    assert np.max(np.abs(project.compress(project.expand(x)) - x)) <= 1e-14
+    if mode == "lts":
+        want = car.conditional_expectation_matrix(g, region.complement())
+    else:
+        want = commutant_oracle(g, region)
+    assert np.max(np.abs(project(g) - want)) <= 1e-14
+
+
+def hermitian(m, rng):
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_hessian_product_matches_finite_differences_of_the_gradient(mode):
+    lattice, beta = 5, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1, 2], lattice)
+    project = constraint_family(region, mode)
+    anchor = project(random_state(lattice, np.random.default_rng(3)).density)
+    dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
+                           beta)
+    rng = np.random.default_rng(4)
+    m = car.dim(lattice - len(region))
+    x = 0.3 * hermitian(m, rng)
+    delta = hermitian(m, rng)
+    delta -= np.trace(delta) / m * np.eye(m)
+    point = dual.point(x)
+    h = 1e-5
+    plus, minus = dual.point(x + h * delta), dual.point(x - h * delta)
+    # the gradient is that of the dual value in the metric expand induces
+    slope = (plus.value - minus.value) / (2.0 * h)
+    assert abs(slope - dual.multiplicity * np.real(np.vdot(point.grad, delta))) \
+        <= 1e-8 * abs(slope)
+    fd = (plus.grad - minus.grad) / (2.0 * h)
+    got = dual.hessp(point)(delta)
+    assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_maximizer_memory_is_a_few_dense_matrices(mode):
+    # the dual multiplier lives in the 2**|I^c| small representation, so
+    # nothing of size (number of constraints) x N**2 is ever formed
+    lattice, beta = 7, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3, 4], lattice)
+    project = constraint_family(region, mode)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    anchor = project(gibbs.density)
+    h_i = local_hamiltonian(pot, region).matrix
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        density, info = stability._maximize(project, anchor, h_i, beta)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = car.dim(lattice)
+    assert info.converged
+    assert np.max(np.abs(density - gibbs.density)) < 1e-11
+    assert peak < 64 * n * n * 16
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +271,8 @@ def test_nonconvergence_raises_unless_info_requested(monkeypatch):
     gibbs = gibbs_state(total_hamiltonian(pot), 1.0)
     constraint = restrict(gibbs, Region.of([0, 2], lattice))
 
-    def stalled(basis, values, h_i, beta, max_iter=4000):
-        info = MaximizerInfo(converged=False, iterations=max_iter,
+    def stalled(project, anchor, h_i, beta):
+        info = MaximizerInfo(converged=False, iterations=4000,
                              f_value=0.0, certificate_spread=1.0,
                              gradient_norm=1.0)
         return gibbs.density, info
@@ -285,7 +361,7 @@ def test_check_survives_a_nonconverging_maximizer(monkeypatch):
     region = Region.of([1], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
 
-    def stalled(basis, values, h_i, beta, max_iter=4000):
+    def stalled(project, anchor, h_i, beta):
         info = MaximizerInfo(converged=False, iterations=17, f_value=0.0,
                              certificate_spread=1.0, gradient_norm=1.0)
         return gibbs.density, info

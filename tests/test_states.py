@@ -69,7 +69,7 @@ def test_gibbs_limits_and_invariance():
 def test_kms_condition_separates_gibbs_from_tracial():
     lattice, beta = 4, 1.1
     h = total_hamiltonian(hopping_model(lattice))
-    pairs = random_pair_panel(lattice, 40, np.random.default_rng(0))
+    pairs = list(random_pair_panel(lattice, 40, np.random.default_rng(0)))
     assert kms_residual(gibbs_state(h, beta), h, beta, pairs) < 1e-10
     # the tracial state satisfies the condition only at beta = 0
     tau = tracial_state(lattice)
@@ -93,7 +93,7 @@ def dense_kms_traces(density, h, beta, a, b):
 def test_kms_residual_matches_dense_oracle(lattice, beta, model, seed):
     rng = np.random.default_rng(seed)
     h = total_hamiltonian(model(lattice)).matrix
-    pairs = random_pair_panel(lattice, 4, rng)
+    pairs = list(random_pair_panel(lattice, 4, rng))
     gibbs = gibbs_state(h, beta)
     for omega in (random_density(lattice, rng), gibbs):
         traces = [dense_kms_traces(omega.density, h, beta, a, b)
