@@ -31,7 +31,9 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
   over the complement (Friis, Lee & Bruschi, PRA 87, 022338 (2013));
 - :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``;
 - the tau-preserving conditional expectation onto ``A_R`` is
-  ``embed o small_representation``.
+  ``embed o small_representation``;
+- :func:`commutant_reordering` twists the complement's reordering by
+  ``v_R`` so that the commutant of ``A_R`` is block diagonal as well.
 
 Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
@@ -74,6 +76,13 @@ def dim(lattice_size: int) -> int:
 def tau(matrix: np.ndarray) -> complex:
     """Normalized trace ``Tr(matrix) / N`` (the unique tracial state)."""
     return complex(np.trace(matrix)) / matrix.shape[0]
+
+
+def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
+    """Spectral norm of a Hermitian matrix, or its trace norm with
+    ``trace``, read off the eigenvalues instead of an SVD."""
+    ev = np.abs(np.linalg.eigvalsh(matrix))
+    return float(np.sum(ev) if trace else np.max(ev))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +332,33 @@ def mode_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
+def block_average(matrix: np.ndarray,
+                  reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mean of the diagonal blocks of ``U matrix U*`` for the signed
+    reordering ``U`` given as ``(index, sign)``; reads only those blocks."""
+    index, sign = reordering
+    blocks = matrix[index[:, :, None], index[:, None, :]]
+    blocks *= sign[:, :, None]
+    blocks *= sign[:, None, :]
+    return blocks.sum(axis=0) / index.shape[0]
+
+
+def block_embed(small: np.ndarray,
+                reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``U* (1 (x) small) U``, the inverse of :func:`block_average` on the
+    block-diagonal matrices."""
+    index, sign = reordering
+    m = index.shape[1]
+    if small.shape != (m, m):
+        raise ValueError(f"small matrix of shape {small.shape} does not "
+                         f"represent a block of size {m}")
+    n = index.size
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[index[:, :, None], index[:, None, :]] = \
+        small[None] * (sign[:, :, None] * sign[:, None, :])
+    return out
+
+
 def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
     """Image of ``matrix`` in the standard ``2**|R|`` copy of ``A_region``.
 
@@ -333,25 +369,12 @@ def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
     ambient trace picks up the multiplicity ``2**L / 2**|R|``); anything
     orthogonal to the region's algebra is discarded.
     """
-    index, sign = mode_reordering(region)
-    blocks = matrix[index[:, :, None], index[:, None, :]]
-    blocks *= sign[:, :, None]
-    blocks *= sign[:, None, :]
-    return blocks.sum(axis=0) / index.shape[0]
+    return block_average(matrix, mode_reordering(region))
 
 
 def embed(small: np.ndarray, region: Region) -> np.ndarray:
     """The element of ``A_region`` whose small representation is ``small``."""
-    index, sign = mode_reordering(region)
-    m = index.shape[1]
-    if small.shape != (m, m):
-        raise ValueError(f"small matrix of shape {small.shape} does not "
-                         f"represent a region of {len(region)} sites")
-    n = index.size
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[index[:, :, None], index[:, None, :]] = \
-        small[None] * (sign[:, :, None] * sign[:, None, :])
-    return out
+    return block_embed(small, mode_reordering(region))
 
 
 def conditional_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
@@ -364,10 +387,28 @@ def conditional_expectation(element: AlgebraElement, region: Region) -> AlgebraE
     return AlgebraElement(conditional_expectation_matrix(element.matrix, region), region)
 
 
-def _odd_entries(m: int) -> np.ndarray:
-    """Mask of the odd entries of ``M_m``: ``popcount(i ^ j)`` odd."""
-    parity = np.array([bin(i).count("1") % 2 for i in range(m)])
-    return parity[:, None] != parity[None, :]
+@lru_cache(maxsize=64)
+def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The complement's :func:`mode_reordering`, twisted so that the
+    commutant of ``A_region`` is ``M_{2**|R^c|} (x) 1`` in it.
+
+    The commutant is ``S -> E(S_even) + v_R E(S_odd)``, ``E`` the
+    complement's :func:`embed`.  ``v_R`` reads only the region's modes, so
+    it is a constant ``s_y = +-1`` on each block row ``y`` of the
+    complement's reordering, and block ``y`` of the image is
+    ``S_even + s_y S_odd``: ``S`` itself, or ``S`` conjugated by the
+    complement's parity.  Folding that conjugation into the sign multiplies
+    entry ``[y, x]`` by ``s_y ** popcount(x)``.
+    """
+    if region.is_empty:
+        raise ValueError("the commutant of the empty region is the full algebra")
+    index, sign = mode_reordering(region.complement())
+    block_grading = grading_encoding(region)[1].real[index[:, 0]]
+    states = np.arange(index.shape[1])
+    odd = np.array([bin(x).count("1") % 2 for x in states], dtype=bool)
+    twisted = sign * np.where(odd[None, :], block_grading[:, None], 1.0)
+    twisted.flags.writeable = False
+    return index, twisted
 
 
 def commutant_small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
@@ -375,25 +416,14 @@ def commutant_small_representation(matrix: np.ndarray, region: Region) -> np.nda
     :func:`commutant_expectation_matrix`: the even entries of the
     complement's small representation of ``matrix``, the odd entries of
     that of ``v_R matrix``."""
-    if region.is_empty:
-        raise ValueError("the commutant of the empty region is the full algebra")
-    comp = region.complement()
-    small = small_representation(matrix, comp)
-    odd = _odd_entries(dim(len(comp)))
-    twisted = grading_encoding(region)[1].real[:, None] * matrix
-    small[odd] = small_representation(twisted, comp)[odd]
-    return small
+    return block_average(matrix, commutant_reordering(region))
 
 
 def commutant_embed(small: np.ndarray, region: Region) -> np.ndarray:
     """The unital *-isomorphism ``S -> E(S_even) + v_R E(S_odd)`` from
     ``M_{2**|R^c|}`` onto the commutant of ``A_region``, ``E`` the
     complement's :func:`embed`."""
-    comp = region.complement()
-    odd = _odd_entries(dim(len(comp)))
-    twist = grading_encoding(region)[1].real[:, None]
-    return (embed(np.where(odd, 0.0, small), comp)
-            + twist * embed(np.where(odd, small, 0.0), comp))
+    return block_embed(small, commutant_reordering(region))
 
 
 def commutant_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:

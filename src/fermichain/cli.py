@@ -224,7 +224,7 @@ def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
     phi = perturbed_state(potential, cfg.beta, region)
     product = product_check(phi, region)
     h_i = local_hamiltonian(potential, region).matrix
-    bound = 2.0 * abs(cfg.beta) * float(np.linalg.norm(h_i, 2))
+    bound = 2.0 * abs(cfg.beta) * car.hermitian_norm(h_i)
     forward = relative_entropy(state, phi).value
     backward = relative_entropy(phi, state).value
     slack = bound - max(forward, backward)

@@ -112,16 +112,40 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
     return relative_entropy_matrices(rho1, rho2)
 
 
+def _entropy(matrix: np.ndarray) -> float:
+    """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix."""
+    p = np.clip(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0), 0.0, None)
+    return -float(np.sum(xlogy(p, p)))
+
+
+def conditional_entropy_matrices(density: np.ndarray, small: np.ndarray) -> float:
+    """``Sc = -S(E(D), D) <= 0`` from ``D`` and the ``m x m`` matrix
+    ``small`` that stands for ``E(D)`` in a unital copy of ``M_m``.
+
+    ``E(D)`` is ``N / m`` copies of ``small`` in a reordered basis, and
+    ``Tr(D log E(D)) = Tr(E(D) log E(D))`` because ``log E(D)`` lies in the
+    algebra ``E`` projects onto, so
+
+        Sc = S(D) - (N / m) S(small),
+
+    with ``S`` the von Neumann entropy: one ``N x N`` and one ``m x m``
+    eigenvalue problem.
+    """
+    value = _entropy(density) - density.shape[0] / small.shape[0] * _entropy(small)
+    if value > 0.0:
+        if value > _NEGATIVE_SLACK:
+            raise RuntimeError(f"conditional entropy came out {value:.3e} > 0; "
+                               "inputs are not valid densities")
+        value = 0.0
+    return value
+
+
 def conditional_entropy(omega: DensityState, region: Region) -> float:
     """``Sc_I(omega) <= 0``: minus the relative entropy to the state rebuilt
     from the complement restriction (density = conditional expectation of the
     density onto the complement algebra)."""
-    comp = region.complement()
-    projected = car.conditional_expectation_matrix(omega.density, comp)
-    result = relative_entropy_matrices(projected, omega.density)
-    if not result.kernel_ok:  # cannot happen for true densities; be explicit
-        return -math.inf
-    return -result.value
+    small = car.small_representation(omega.density, region.complement())
+    return conditional_entropy_matrices(omega.density, small)
 
 
 def conditional_free_energy(omega: DensityState, potential: Potential,

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import car
-from .entropy import relative_entropy, relative_entropy_matrices
+from .entropy import (conditional_entropy_matrices, relative_entropy,
+                      relative_entropy_matrices)
 from .potentials import Potential, local_hamiltonian, prune, total_hamiltonian
 from .regions import Region
 from .states import (DensityState, RestrictedState, noneven_perturbation,
@@ -61,15 +63,20 @@ class ConstraintProjection:
     region: Region
     mode: str
 
-    def compress(self, matrix: np.ndarray) -> np.ndarray:
+    @cached_property
+    def reordering(self) -> tuple[np.ndarray, np.ndarray]:
+        """The signed reordering ``(index, sign)`` in which
+        ``expand(X) = 1 (x) X``: :func:`car.mode_reordering` of the
+        complement, or :func:`car.commutant_reordering` of the region."""
         if self.mode == "lts":
-            return car.small_representation(matrix, self.region.complement())
-        return car.commutant_small_representation(matrix, self.region)
+            return car.mode_reordering(self.region.complement())
+        return car.commutant_reordering(self.region)
+
+    def compress(self, matrix: np.ndarray) -> np.ndarray:
+        return car.block_average(matrix, self.reordering)
 
     def expand(self, small: np.ndarray) -> np.ndarray:
-        if self.mode == "lts":
-            return car.embed(small, self.region.complement())
-        return car.commutant_embed(small, self.region)
+        return car.block_embed(small, self.reordering)
 
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
         return self.expand(self.compress(matrix))
@@ -86,12 +93,14 @@ def free_energy(omega: DensityState, potential: Potential, region: Region,
                 beta: float, mode: str = "lts") -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra of the chosen mode."""
-    projected = constraint_family(region, mode)(omega.density)
-    projected = (projected + projected.conj().T) / 2.0
-    ent = relative_entropy_matrices(projected, omega.density)
-    sc = -ent.value if ent.kernel_ok else -math.inf
-    h_i = local_hamiltonian(potential, region).matrix
-    return sc - beta * float(np.real(omega.expectation(h_i)))
+    return _free_energy(omega.density, constraint_family(region, mode),
+                        local_hamiltonian(potential, region).matrix, beta)
+
+
+def _free_energy(density: np.ndarray, project: ConstraintProjection,
+                 h_i: np.ndarray, beta: float) -> float:
+    sc = conditional_entropy_matrices(density, project.compress(density))
+    return sc - beta * float(np.real(np.einsum("ij,ji->", density, h_i)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +150,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
         g = (g + g.conj().T) / 2.0
         y = g - project(g)
         y = (y + y.conj().T) / 2.0
-        nrm = float(np.linalg.norm(y, 2))
+        nrm = car.hermitian_norm(y)
         if nrm < 1e-12:
             continue
         t = float(rng.uniform(0.3, 1.0)) * lam_half
@@ -238,7 +247,15 @@ class _Dual:
                           density, w, u)
 
     def hessp(self, point: _DualPoint):
-        """Hessian products at ``point``, on traceless matrices."""
+        """Hessian products at ``point``, on traceless matrices.
+
+        The rows of ``U`` are regrouped once, with their signs, into the
+        blocks ``rows[y]`` of the projection's reordering, where ``expand``
+        is block diagonal.  So ``U* expand(Y) U = sum_y rows[y]* Y rows[y]``
+        and ``compress(U M U*)`` is the mean over ``y`` of
+        ``rows[y] M rows[y]*``: two ``N x N`` matmuls per product and
+        ``O(N**2 m)`` batched block work.
+        """
         w, u = point.w, point.u
         # in the eigenbasis of K, the derivative of D along Lam' is
         # phi * Lam' minus the rank-one mean term, with phi the divided
@@ -250,13 +267,19 @@ class _Dual:
         phi = np.exp((w[:, None] + w[None, :]) / 2.0 - np.max(w)) * ratio
         phi /= np.sum(np.exp(w - np.max(w)))
         q = np.diagonal(phi).copy()
+        index, sign = self.project.reordering
+        n = u.shape[0]
+        rows = u[index] * sign[:, :, None]          # (N / m, m, N)
+        conj_rows = rows.conj()
 
         def product(delta: np.ndarray) -> np.ndarray:
-            tilted = u.conj().T @ self.project.expand(delta) @ u
+            lifted = (delta @ rows).reshape(n, n)
+            tilted = conj_rows.reshape(n, n).T @ lifted
             inner = phi * tilted
             inner[np.diag_indices_from(inner)] -= q * np.real(q @ np.diagonal(tilted))
-            return _traceless(_hermitian(
-                self.project.compress(u @ inner @ u.conj().T)))
+            back = (rows.reshape(n, n) @ inner).reshape(rows.shape)
+            small = np.sum(back @ conj_rows.transpose(0, 2, 1), axis=0)
+            return _traceless(_hermitian(small / index.shape[0]))
         return product
 
 
@@ -306,8 +329,10 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
     while iterations < _NEWTON_STEPS:
         step = _newton_direction(dual.hessp(current), _traceless(current.grad))
         slope = dual.multiplicity * _inner(current.grad, step)
-        # near the optimum the dual moves by less than its rounding
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(current.value))
+        # near the optimum the dual moves by less than its rounding, which
+        # is that of the exponent's eigenvalues it is summed from
+        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(current.value),
+                                                float(np.max(np.abs(current.w))))
         t = 1.0
         while t > 1e-12:
             trial = dual.point(current.x + t * step)
@@ -413,7 +438,9 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     else:
         family = feasible_sampler(omega, region, mode, int(samples), seed)
 
-    f_base = free_energy(omega, potential, region, beta, mode)
+    project = constraint_family(region, mode)
+    h_i = local_hamiltonian(potential, region).matrix
+    f_base = _free_energy(omega.density, project, h_i, beta)
     checks: list[CheckRecord] = []
     notes: list[str] = []
     free_energies = {"base": f_base}
@@ -423,7 +450,7 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
 
     margins = []
     if family.members:
-        f_members = [free_energy(m, potential, region, beta, mode)
+        f_members = [_free_energy(m.density, project, h_i, beta)
                      for m in family.members]
         best = max(f_members)
         free_energies["best_sample"] = best
@@ -433,16 +460,12 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
                                   margin_samples >= -tolerance))
 
     if use_maximizer:
-        project = constraint_family(region, mode)
-        h_i = local_hamiltonian(potential, region).matrix
         try:
             density, info = _maximize(project, project(omega.density), h_i, beta)
         except ValueError as exc:
             notes.append(f"maximizer skipped: {exc}")
         else:
-            f_max = free_energy(DensityState(density, label="maximizer",
-                                             validate=False),
-                                potential, region, beta, mode)
+            f_max = _free_energy(density, project, h_i, beta)
             free_energies["maximizer"] = f_max
             if info.converged:
                 margin_max = f_base - f_max
@@ -494,17 +517,18 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
 
     pruned = prune(potential, region)
     h_tilde_i = local_hamiltonian(pruned, region).matrix
-    hi_defect = float(np.linalg.norm(h_tilde_i, 2))
+    hi_defect = car.hermitian_norm(h_tilde_i)
     for state in (phi_p, psi, psi_t):
         hi_defect = max(hi_defect, abs(state.expectation(h_tilde_i)))
 
-    f_p = free_energy(phi_p, potential, region, beta)
-    f_psi = free_energy(psi, potential, region, beta)
-    f_psi_t = free_energy(psi_t, potential, region, beta)
+    project = constraint_family(region, "lts")
+    h_i = local_hamiltonian(potential, region).matrix
+    f_p = _free_energy(phi_p.density, project, h_i, beta)
+    f_psi = _free_energy(psi.density, project, h_i, beta)
+    f_psi_t = _free_energy(psi_t.density, project, h_i, beta)
     gap = f_p - f_psi
     rel = relative_entropy(phi_p, psi).value
 
-    h_i = local_hamiltonian(potential, region).matrix
     sc_p = f_p + beta * float(np.real(phi_p.expectation(h_i)))
     sc_psi = f_psi + beta * float(np.real(psi.expectation(h_i)))
     sc_psi_t = f_psi_t + beta * float(np.real(psi_t.expectation(h_i)))

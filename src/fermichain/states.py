@@ -174,8 +174,8 @@ def perturbed_state(potential: Potential, beta: float, region: Region,
         from . import entropy  # deferred: entropy builds on states
 
         full = gibbs_state(total_hamiltonian(potential), beta)
-        bound = 2.0 * abs(beta) * np.linalg.norm(
-            local_hamiltonian(potential, region).matrix, 2)
+        bound = 2.0 * abs(beta) * car.hermitian_norm(
+            local_hamiltonian(potential, region).matrix)
         slack = 1e-8
         fwd = entropy.relative_entropy(full, state)
         bwd = entropy.relative_entropy(state, full)
@@ -275,7 +275,7 @@ def product_check(omega: DensityState, region: Region) -> float:
     """
     diff = omega.density - car.conditional_expectation_matrix(omega.density,
                                                               region.complement())
-    return float(np.sum(np.linalg.svd(diff, compute_uv=False)))
+    return car.hermitian_norm(diff, trace=True)
 
 
 # ---------------------------------------------------------------------------

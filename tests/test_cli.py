@@ -273,13 +273,18 @@ def test_resolve_config_handles_region_from_file(tmp_path):
 
 
 def test_module_entry_point_runs(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child imports the package from where this process did
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "report.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "fermichain", "validate", "--length", "3",
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert read_records(out)

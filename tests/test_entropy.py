@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car
-from fermichain.entropy import (conditional_entropy, conditional_free_energy,
-                                relative_entropy, relative_entropy_matrices,
+from fermichain.entropy import (conditional_entropy,
+                                conditional_entropy_matrices,
+                                conditional_free_energy, relative_entropy,
+                                relative_entropy_matrices,
                                 restricted_relative_entropy)
 from fermichain.potentials import (hopping_model, local_hamiltonian,
                                    total_hamiltonian)
@@ -218,6 +220,19 @@ def test_conditional_entropy_of_a_product_vector_state():
     # the vacuum is pure on site 0, so decoupling it costs exactly log 2
     got = conditional_entropy(omega, Region.of([0], lattice))
     assert abs(got + math.log(2)) < 1e-12
+
+
+def test_conditional_entropy_helper_rejects_non_densities():
+    n, m = 16, 4
+    # the maximally mixed density has no pure conditional expectation, so
+    # S(D) - (N / m) S(small) = log N > 0 can only mean bad inputs
+    pure = np.zeros((m, m))
+    pure[0, 0] = 1.0
+    with pytest.raises(RuntimeError):
+        conditional_entropy_matrices(np.eye(n) / n, pure)
+    # its true conditional expectation gives 0 up to rounding, clamped to <= 0
+    got = conditional_entropy_matrices(np.eye(n) / n, np.eye(m) / n)
+    assert -1e-15 <= got <= 0.0
 
 
 def test_conditional_free_energy_matches_its_parts():

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car, stability
-from fermichain.entropy import conditional_free_energy, relative_entropy
+from fermichain.entropy import (conditional_entropy, conditional_free_energy,
+                                relative_entropy, relative_entropy_matrices)
 from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
@@ -116,6 +117,126 @@ def test_compress_is_adjoint_to_expand_and_composes_to_the_projection(
 def hermitian(m, rng):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return (a + a.conj().T) / 2.0
+
+
+@st.composite
+def probe_regions(draw, lattice):
+    """Contiguous, scattered, boundary and whole-chain probe regions."""
+    kind = draw(st.sampled_from(("contiguous", "scattered", "boundary", "whole")))
+    if kind == "contiguous":
+        start = draw(st.integers(0, lattice - 1))
+        sites = range(start, draw(st.integers(start + 1, lattice)))
+    elif kind == "scattered":
+        sites = range(draw(st.integers(0, lattice - 1)), lattice,
+                      draw(st.integers(2, 3)))
+    elif kind == "boundary":
+        width = draw(st.integers(1, lattice))
+        sites = range(width) if draw(st.booleans()) else range(lattice - width,
+                                                               lattice)
+    else:
+        sites = range(lattice)
+    return Region.of(sites, lattice)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data(),
+       st.sampled_from(stability.MODES), st.booleans(), st.integers(0, 10_000))
+def test_conditional_entropy_matches_the_relative_entropy_oracle(
+        lattice, data, mode, pure, seed):
+    # Sc = S(D) - (N / m) S(compress(D)) against -S(E(D), D) with E(D)
+    # formed densely; the spectra of full-rank densities are kept in
+    # [0.01, 1] so that the comparison measures the identity, not the
+    # conditioning of the reference
+    region = data.draw(probe_regions(lattice))
+    rng = np.random.default_rng(seed)
+    n = car.dim(lattice)
+    if pure:
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        density = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    else:
+        q = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        spectrum = rng.uniform(0.01, 1.0, n)
+        density = (q * (spectrum / np.sum(spectrum))) @ q.conj().T
+    omega = DensityState(density)
+    if mode == "lts":
+        projected = car.conditional_expectation_matrix(density, region.complement())
+    else:
+        projected = commutant_oracle(density, region)
+    oracle = -relative_entropy_matrices(projected, density).value
+    if mode == "lts":
+        assert abs(conditional_entropy(omega, region) - oracle) <= 1e-12
+    pot, beta = hopping_model(lattice), 0.7
+    energy = float(np.real(omega.expectation(local_hamiltonian(pot, region).matrix)))
+    got = free_energy(omega, pot, region, beta, mode)
+    assert abs(got - (oracle - beta * energy)) <= 1e-12
+
+
+def odd_entries(m):
+    parity = np.array([bin(i).count("1") % 2 for i in range(m)])
+    return parity[:, None] != parity[None, :]
+
+
+def oracle_expand(x, region, mode):
+    """``expand`` spelled out: the complement's embedding, with the odd
+    part multiplied by ``v_I`` in mode ``lts_prime``."""
+    comp = region.complement()
+    if mode == "lts":
+        return car.embed(x, comp)
+    odd = odd_entries(x.shape[0])
+    v = car.grading_unitary(region).matrix
+    return car.embed(np.where(odd, 0.0, x), comp) \
+        + v @ car.embed(np.where(odd, x, 0.0), comp)
+
+
+def oracle_compress(g, region, mode):
+    """``compress`` spelled out: the complement's small representation, its
+    odd entries taken from that of ``v_I g`` in mode ``lts_prime``."""
+    comp = region.complement()
+    small = car.small_representation(g, comp)
+    if mode == "lts":
+        return small
+    twisted = car.small_representation(car.grading_unitary(region).matrix @ g, comp)
+    return np.where(odd_entries(small.shape[0]), twisted, small)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data(),
+       st.sampled_from(stability.MODES), st.integers(0, 10_000))
+def test_block_hessian_product_matches_the_dense_formula(lattice, data, mode, seed):
+    sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1))
+    region = Region.of(sites, lattice)
+    # the lts_prime frame carries v_I as one sign per block, which needs
+    # v_I to be constant on each block row of the complement's reordering
+    index, _ = car.mode_reordering(region.complement())
+    v_blocks = car.grading_encoding(region)[1].real[index]
+    assert np.all(v_blocks == v_blocks[:, :1])
+
+    rng = np.random.default_rng(seed)
+    pot = hopping_model(lattice)
+    project = constraint_family(region, mode)
+    anchor = project(random_state(lattice, rng).density)
+    dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
+                           1.0)
+    m = car.dim(lattice - len(region))
+    point = dual.point(0.3 * hermitian(m, rng))
+    delta = hermitian(m, rng)
+    delta -= np.trace(delta) / m * np.eye(m)
+
+    # compress(U (phi o (U* expand(delta) U)) U* - D Tr(D expand(delta))),
+    # phi the divided differences of exp at the eigenvalues, over Z
+    w, u = point.w, point.u
+    e = np.exp(w - np.max(w))
+    gap = w[:, None] - w[None, :]
+    ratio = np.ones_like(gap)
+    ratio[gap != 0.0] = np.expm1(gap[gap != 0.0]) / gap[gap != 0.0]
+    phi = e[None, :] * ratio / np.sum(e)
+    lam = oracle_expand(delta, region, mode)
+    dense = (u @ (phi * (u.conj().T @ lam @ u)) @ u.conj().T
+             - point.density * np.trace(point.density @ lam))
+    want = oracle_compress(dense, region, mode)
+    want = (want + want.conj().T) / 2.0
+    want -= np.trace(want) / m * np.eye(m)
+    got = dual.hessp(point)(delta)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mode", stability.MODES)
@@ -336,6 +457,23 @@ def test_pruned_potential_attains_zero_free_energy():
     assert report.passed
     assert abs(report.free_energies["base"]) < 1e-10
     assert abs(report.free_energies["maximizer"]) < 1e-6
+
+
+def test_check_builds_its_local_hamiltonian_once(monkeypatch):
+    lattice, beta = 4, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1, 2], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    calls = []
+
+    def counted(potential, probe):
+        calls.append(probe)
+        return local_hamiltonian(potential, probe)
+
+    monkeypatch.setattr(stability, "local_hamiltonian", counted)
+    report = lts_check(gibbs, pot, region, beta, samples=20, seed=0)
+    assert report.passed
+    assert calls == [region]
 
 
 def test_check_accepts_a_prebuilt_family_and_rejects_mismatches():
