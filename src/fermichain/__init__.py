@@ -10,80 +10,71 @@ the occupation basis.  The layers, bottom to top:
   anticommutation relations, the fermion grading, and local structure
   through one fermionic mode reordering: small representations (partial
   traces), their inverse embeddings, conditional expectations onto local
-  algebras and their commutants; trace-orthogonal monomial bases label
-  restriction values;
+  algebras; trace-orthogonal monomial bases, kept as the tests' oracle;
 - :mod:`fermichain.potentials` — interactions as families of local terms,
   their standard form, local and total Hamiltonians;
 - :mod:`fermichain.states` — density states: tracial, Gibbs, decoupled
   equilibria, restrictions, noneven perturbations, and a vector state that
   is even outside one site yet maximally noneven on it;
-- :mod:`fermichain.entropy` — relative and conditional entropy, local free
-  energy;
-- :mod:`fermichain.stability` — variational checks of local thermal
-  stability, the constrained free-energy maximizer, and the pipeline
-  showing noneven states lose free energy strictly;
+- :mod:`fermichain.entropy` — relative and conditional entropy;
+- :mod:`fermichain.stability` — the local free energy, projections onto
+  the constraint algebras (the complement's algebra and the region's
+  commutant), variational checks of local thermal stability with the
+  constrained free-energy maximizer, and the pipeline showing noneven
+  states lose free energy strictly;
 - :mod:`fermichain.probes` — symmetry probes: clustering, grading
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
 
 Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the
-gather/scatter operations on monomial tables.
+gather/scatter operations on the monomial tables, which only the tests use.
 """
 
 from .car import (AlgebraElement, GradedSplit, Monomial, MonomialBasis,
-                  annihilator, commutant_expectation_matrix,
-                  conditional_expectation, creator, embed, even_odd_split,
+                  annihilator, creator, embed, even_odd_split,
                   grading_unitary, mode_reordering, monomial_basis,
                   number_operator, random_element, small_representation,
                   theta)
-from .entropy import (EntropyValue, conditional_entropy,
-                      conditional_free_energy, relative_entropy,
+from .entropy import (EntropyValue, conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
 from .potentials import (MODELS, LocalHamiltonian, Potential,
-                         PotentialReport, build_model, derivation_apply,
-                         hopping_model, local_hamiltonian,
-                         potential_from_records, potential_records, prune,
+                         PotentialReport, build_model, hopping_model,
+                         local_hamiltonian, potential_from_records, prune,
                          random_standard_potential, raw_number_model,
                          standardize, total_hamiltonian, tv_model,
                          validate_potential)
 from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .stability import (ConstraintProjection, FeasibleFamily,
-                        MaximizerDidNotConverge, MaximizerInfo,
+from .stability import (ConstraintProjection, FeasibleFamily, MaximizerInfo,
                         StabilityReport, feasible_sampler, free_energy,
-                        lts_check, lts_maximizer, prop4_pipeline)
+                        lts_check, prop4_pipeline)
 from .states import (DensityState, RestrictedState, gibbs_state,
                      kms_residual, max_perturbation_strength,
                      noneven_perturbation, odd_direction, perturbed_state,
                      product_check, random_pair_panel, remark2_construct,
-                     remark2_restriction_defect, restrict, snapshot,
-                     tracial_state)
+                     remark2_restriction_defect, restrict, tracial_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
     "EntropyValue", "FeasibleFamily", "GradedSplit", "LocalHamiltonian",
-    "MAX_SITES", "MODELS", "MaximizerDidNotConverge", "MaximizerInfo",
-    "Monomial", "MonomialBasis", "Potential", "PotentialReport",
-    "ProbeResult", "Region", "RestrictedState", "StabilityReport",
-    "annihilator", "build_model", "cluster_coefficient",
-    "commutant_expectation_matrix", "conditional_entropy",
-    "conditional_expectation", "conditional_free_energy", "creator",
-    "derivation_apply", "embed", "even_odd_split", "feasible_sampler",
-    "free_energy", "gibbs_state", "grading_asymmetry", "grading_unitary",
-    "hopping_model", "kms_residual", "local_hamiltonian", "lts_check",
-    "lts_maximizer", "max_perturbation_strength", "mode_reordering",
-    "monomial_basis", "noneven_perturbation", "number_operator",
-    "odd_direction", "perturbed_state", "potential_from_records",
-    "potential_records", "product_check", "prop4_pipeline", "prune",
-    "purely_imaginary_check", "random_element", "random_pair_panel",
-    "random_standard_potential", "raw_number_model", "relative_entropy",
-    "remark2_construct", "remark2_restriction_defect", "restrict",
-    "restricted_relative_entropy", "scan_odd_correlations",
-    "small_representation", "snapshot", "standardize", "theta",
-    "total_hamiltonian", "tracial_state", "tv_model",
-    "validate_potential", "__version__",
+    "MAX_SITES", "MODELS", "MaximizerInfo", "Monomial", "MonomialBasis",
+    "Potential", "PotentialReport", "ProbeResult", "Region",
+    "RestrictedState", "StabilityReport", "annihilator", "build_model",
+    "cluster_coefficient", "conditional_entropy", "creator", "embed",
+    "even_odd_split", "feasible_sampler", "free_energy", "gibbs_state",
+    "grading_asymmetry", "grading_unitary", "hopping_model",
+    "kms_residual", "local_hamiltonian", "lts_check",
+    "max_perturbation_strength", "mode_reordering", "monomial_basis",
+    "noneven_perturbation", "number_operator", "odd_direction",
+    "perturbed_state", "potential_from_records", "product_check",
+    "prop4_pipeline", "prune", "purely_imaginary_check", "random_element",
+    "random_pair_panel", "random_standard_potential", "raw_number_model",
+    "relative_entropy", "remark2_construct", "remark2_restriction_defect",
+    "restrict", "restricted_relative_entropy", "scan_odd_correlations",
+    "small_representation", "standardize", "theta", "total_hamiltonian",
+    "tracial_state", "tv_model", "validate_potential", "__version__",
 ]

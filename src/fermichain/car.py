@@ -47,9 +47,9 @@ encoding.  The monomial basis of a region is, per site, one factor out of
 taken over the sites of the region in ascending order.  Distinct such
 products are mutually orthogonal for the normalized trace
 ``tau = Tr / 2**L``, with squared norms ``(1/2)**(number of a or a*
-factors)``.  The package uses the basis only where its labels matter
-(:func:`monomial_labels`, :func:`monomial_expectations`); its tables of
-``4**|R| * 2**L`` entries stay an independent oracle for the maps above.
+factors)``.  Nothing in the package calls the basis: its tables of
+``4**|R| * 2**L`` entries are the independent oracle the tests hold the
+maps above to.
 """
 
 from __future__ import annotations
@@ -223,11 +223,6 @@ class AlgebraElement:
         return AlgebraElement(self.matrix @ other.matrix, self.support.union(other.support))
 
 
-def identity_element(lattice_size: int) -> AlgebraElement:
-    return AlgebraElement(np.eye(dim(lattice_size), dtype=np.complex128),
-                          Region.empty(lattice_size))
-
-
 def annihilator(site: int, lattice_size: int) -> AlgebraElement:
     """``a_site`` as an element supported on the single site."""
     p, v = annihilator_encoding(site, lattice_size)
@@ -382,18 +377,15 @@ def conditional_expectation_matrix(matrix: np.ndarray, region: Region) -> np.nda
     return embed(small_representation(matrix, region), region)
 
 
-def conditional_expectation(element: AlgebraElement, region: Region) -> AlgebraElement:
-    """Tau-preserving conditional expectation of an element onto ``A_region``."""
-    return AlgebraElement(conditional_expectation_matrix(element.matrix, region), region)
-
-
 @lru_cache(maxsize=64)
 def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """The complement's :func:`mode_reordering`, twisted so that the
     commutant of ``A_region`` is ``M_{2**|R^c|} (x) 1`` in it.
 
-    The commutant is ``S -> E(S_even) + v_R E(S_odd)``, ``E`` the
-    complement's :func:`embed`.  ``v_R`` reads only the region's modes, so
+    The commutant is the image of ``S -> E(S_even) + v_R E(S_odd)``, ``E``
+    the complement's :func:`embed`, and is strictly larger than the
+    complement's algebra; ``stability.ConstraintProjection`` projects onto
+    it in mode ``"lts_prime"``.  ``v_R`` reads only the region's modes, so
     it is a constant ``s_y = +-1`` on each block row ``y`` of the
     complement's reordering, and block ``y`` of the image is
     ``S_even + s_y S_odd``: ``S`` itself, or ``S`` conjugated by the
@@ -411,33 +403,6 @@ def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     return index, twisted
 
 
-def commutant_small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
-    """Inverse of :func:`commutant_embed` composed with
-    :func:`commutant_expectation_matrix`: the even entries of the
-    complement's small representation of ``matrix``, the odd entries of
-    that of ``v_R matrix``."""
-    return block_average(matrix, commutant_reordering(region))
-
-
-def commutant_embed(small: np.ndarray, region: Region) -> np.ndarray:
-    """The unital *-isomorphism ``S -> E(S_even) + v_R E(S_odd)`` from
-    ``M_{2**|R^c|}`` onto the commutant of ``A_region``, ``E`` the
-    complement's :func:`embed`."""
-    return block_embed(small, commutant_reordering(region))
-
-
-def commutant_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
-    """Tau-preserving conditional expectation onto the commutant of ``A_region``.
-
-    The commutant is strictly larger than the complement's algebra: it is
-    spanned by the even elements of the complement together with ``v_R``
-    times the odd ones, so the projection is
-
-        E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd).
-    """
-    return commutant_embed(commutant_small_representation(matrix, region), region)
-
-
 def support_residual(element: AlgebraElement) -> float:
     """How far the matrix is from actually lying in its claimed support algebra."""
     proj = conditional_expectation_matrix(element.matrix, element.support)
@@ -445,7 +410,7 @@ def support_residual(element: AlgebraElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# monomial bases: labels, and tables kept as an oracle
+# monomial bases: tables kept as an oracle
 # ---------------------------------------------------------------------------
 
 _FACTOR_NORM_SQ = (1.0, 0.5, 0.5, 1.0)   # per-site factors 1, a, a*, v
@@ -462,11 +427,6 @@ def _label(word, sites) -> str:
     parts = [("", f"a{s}", f"a{s}*", f"v{s}")[kind]
              for kind, s in zip(word, sites) if kind]
     return " ".join(parts) if parts else "1"
-
-
-def monomial_labels(region: Region) -> list[str]:
-    """Labels of the monomial basis of ``region``, without building it."""
-    return [_label(word, region.sites) for word in _factor_words(len(region))]
 
 
 @lru_cache(maxsize=16)
@@ -586,18 +546,6 @@ def monomial_basis(region: Region) -> MonomialBasis:
         for k, word in enumerate(_factor_words(len(region)))
     ]
     return MonomialBasis(region=region, lattice_size=lattice, monomials=monomials, P=P, V=V)
-
-
-def monomial_expectations(small_density: np.ndarray, region: Region) -> np.ndarray:
-    """``Tr(D m_k)`` over the monomial basis of ``region``, read off the
-    small density ``rho`` of ``D`` (its unnormalized partial trace).
-
-    The small representation carries each monomial of ``region`` to the
-    monomial with the same factors on a fresh chain of ``|R|`` sites, so
-    the table needed has ``8**|R|`` entries, not ``4**|R| * 2**L``.
-    """
-    return monomial_basis(Region.full(len(region))).expectations(small_density) \
-        if len(region) else np.asarray(small_density, dtype=np.complex128)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Relative entropy, conditional entropy, and the local free energy.
+"""Relative entropy and conditional entropy.
 
 Conventions.  For two states the relative entropy is ordered so that the
 *first* argument is the reference:
@@ -22,8 +22,8 @@ energy of the region gives the local free energy
 
     F(omega) = Sc_I(omega) - beta * omega(H(I)),
 
-the functional whose constrained maximizers are the thermally stable states
-(see :mod:`fermichain.stability`).
+the functional whose constrained maximizers are the thermally stable states;
+:func:`fermichain.stability.free_energy` computes it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import car
-from .potentials import Potential, local_hamiltonian
 from .regions import Region
 from .states import DensityState, restrict
 
@@ -107,9 +106,8 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
     the region's algebra; monotonicity guarantees the result never exceeds
     the global relative entropy.
     """
-    rho1 = restrict(omega1, region).small_density()
-    rho2 = restrict(omega2, region).small_density()
-    return relative_entropy_matrices(rho1, rho2)
+    return relative_entropy_matrices(restrict(omega1, region).rho,
+                                     restrict(omega2, region).rho)
 
 
 def _entropy(matrix: np.ndarray) -> float:
@@ -146,11 +144,3 @@ def conditional_entropy(omega: DensityState, region: Region) -> float:
     density onto the complement algebra)."""
     small = car.small_representation(omega.density, region.complement())
     return conditional_entropy_matrices(omega.density, small)
-
-
-def conditional_free_energy(omega: DensityState, potential: Potential,
-                            region: Region, beta: float) -> float:
-    """``F(omega) = Sc_I(omega) - beta omega(H(I))`` for the given potential."""
-    h_i = local_hamiltonian(potential, region).matrix
-    energy = float(np.real(omega.expectation(h_i)))
-    return conditional_entropy(omega, region) - beta * energy

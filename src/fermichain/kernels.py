@@ -12,8 +12,8 @@ monomial basis, and re-assembling a dense matrix from coefficients — then
 become gather/scatter loops over ``s``, never full matrix products.
 
 The package computes conditional expectations without these tables (see
-:mod:`fermichain.car`); the kernels serve the monomial basis, which labels
-restriction values and is the independent oracle of the tests.
+:mod:`fermichain.car`); the kernels serve the monomial basis, which only
+the tests use, as an independent oracle.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ so ``H(I)`` generally extends beyond ``I``.  Dropping exactly those terms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -42,16 +42,10 @@ def _region_sort_key(region: Region):
 
 @dataclass
 class Potential:
-    """Finitely many interaction terms, keyed by their support region.
-
-    ``records`` optionally keeps the named-term description the potential was
-    built from (see :func:`potential_from_records`); it is required for text
-    serialization and carried through by the built-in model constructors.
-    """
+    """Finitely many interaction terms, keyed by their support region."""
 
     lattice_size: int
     terms: dict[Region, np.ndarray]
-    records: list[dict] | None = field(default=None)
 
     def __post_init__(self) -> None:
         n = car.dim(self.lattice_size)
@@ -65,12 +59,6 @@ class Potential:
 
     def regions(self) -> list[Region]:
         return sorted(self.terms.keys(), key=_region_sort_key)
-
-    def term(self, region: Region) -> np.ndarray:
-        return self.terms[region]
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
@@ -161,21 +149,6 @@ def prune(potential: Potential, region: Region) -> Potential:
     return Potential(lattice_size=potential.lattice_size, terms=kept)
 
 
-def derivation_apply(potential: Potential, element: AlgebraElement) -> AlgebraElement:
-    """Generator of the dynamics on a local element: ``i [H(support), A]``.
-
-    Only the terms meeting the support of ``A`` contribute to the commutator
-    (everything else commutes with ``A`` up to grading, and potential terms
-    are even), so the local Hamiltonian of the support suffices.
-    """
-    if element.support.is_empty:
-        n = car.dim(element.lattice_size)
-        return AlgebraElement(np.zeros((n, n), dtype=np.complex128), element.support)
-    ham = local_hamiltonian(potential, element.support)
-    mat = 1j * (ham.matrix @ element.matrix - element.matrix @ ham.matrix)
-    return AlgebraElement(mat, ham.element.support.union(element.support))
-
-
 @dataclass
 class PotentialReport:
     """Per-condition residuals from :func:`validate_potential`."""
@@ -200,18 +173,19 @@ def validate_potential(potential: Potential) -> PotentialReport:
     res = {"support": 0.0, "self_adjoint": 0.0, "even": 0.0, "standard": 0.0}
     for region in potential.regions():
         term = potential.terms[region]
-        res["self_adjoint"] = max(res["self_adjoint"],
-                                  float(np.max(np.abs(term - term.conj().T))))
-        res["even"] = max(res["even"],
-                          float(np.max(np.abs(term - car.theta_matrix(term, lattice)))))
-        res["support"] = max(res["support"],
-                             car.support_residual(AlgebraElement(term, region)))
-        res["standard"] = max(res["standard"], abs(car.tau(term)))
+        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+        res["self_adjoint"] = np.maximum(res["self_adjoint"],
+                                         np.max(np.abs(term - term.conj().T)))
+        res["even"] = np.maximum(res["even"], np.max(np.abs(
+            term - car.theta_matrix(term, lattice))))
+        res["support"] = np.maximum(res["support"],
+                                    car.support_residual(AlgebraElement(term, region)))
+        res["standard"] = np.maximum(res["standard"], abs(car.tau(term)))
         for site in region.sites:
             sub = region.difference(Region((site,), lattice))
             proj = car.conditional_expectation_matrix(term, sub)
-            res["standard"] = max(res["standard"], float(np.max(np.abs(proj))))
-    return PotentialReport(residuals=res)
+            res["standard"] = np.maximum(res["standard"], np.max(np.abs(proj)))
+    return PotentialReport(residuals={k: float(v) for k, v in res.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +226,6 @@ def potential_from_records(records: list[dict], lattice_size: int) -> Potential:
     region accumulate.
     """
     terms: dict[Region, np.ndarray] = {}
-    kept_records = []
     for rec in records:
         region, mat = _build_term(rec["term"], list(rec["sites"]),
                                   float(rec["coefficient"]), lattice_size)
@@ -260,21 +233,8 @@ def potential_from_records(records: list[dict], lattice_size: int) -> Potential:
             terms[region] = terms[region] + mat
         else:
             terms[region] = mat
-        kept_records.append({"sites": list(region.sites),
-                             "coefficient": float(rec["coefficient"]),
-                             "term": str(rec["term"])})
     terms = {r: terms[r] for r in sorted(terms.keys(), key=_region_sort_key)}
-    return Potential(lattice_size=lattice_size, terms=terms, records=kept_records)
-
-
-def potential_records(potential: Potential) -> list[dict]:
-    """Named-term records of a potential built from them (round-trips)."""
-    if potential.records is None:
-        raise ValueError(
-            "potential was not built from named-term records; only record-built "
-            "potentials serialize to text"
-        )
-    return [dict(rec) for rec in potential.records]
+    return Potential(lattice_size=lattice_size, terms=terms)
 
 
 def hopping_model(lattice_size: int, t: float = 1.0, mu: float = 0.5) -> Potential:

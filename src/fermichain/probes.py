@@ -124,12 +124,13 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
     """Check every (even state, odd A, odd B) case for impossible correlations.
 
     A case is a violation if the real part of ``omega(AB)`` exceeds
-    ``real_tol`` or if ``|omega(AB)|`` breaks the Cauchy-Schwarz envelope
-    ``sqrt(omega(A*A) omega(B*B))``.  Returns the violation count and the
-    worst observed values; a nonzero count would exhibit a state outside the
-    even-state framework the probes assume.  The bound on the real part
-    holds only for disjoint supports, so a case whose supports overlap is
-    refused with ``ValueError``.
+    ``real_tol``, if ``|omega(AB)|`` breaks the Cauchy-Schwarz envelope
+    ``sqrt(omega(A*A) omega(B*B))``, or if either value is NaN.  Returns the
+    violation count and the worst observed values (NaN if any case gave
+    NaN); a nonzero count would exhibit a state outside the even-state
+    framework the probes assume.  The bound on the real part holds only for
+    disjoint supports, so a case whose supports overlap is refused with
+    ``ValueError``.
     """
     violations = 0
     worst_real = 0.0
@@ -146,9 +147,10 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
         )
         real_part = abs(np.real(corr))
         excess = abs(corr) - envelope
-        worst_real = max(worst_real, real_part)
-        worst_excess = max(worst_excess, excess)
-        if real_part > real_tol or excess > real_tol:
+        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+        worst_real = np.maximum(worst_real, real_part)
+        worst_excess = np.maximum(worst_excess, excess)
+        if not (real_part <= real_tol and excess <= real_tol):
             violations += 1
     return {
         "cases": len(cases) if hasattr(cases, "__len__") else None,

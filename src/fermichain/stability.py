@@ -10,16 +10,16 @@ algebra of the complement (mode ``"lts"``) or the full commutant of the
 region's algebra (mode ``"lts_prime"``), which is strictly larger by the
 grading-twisted odd elements.
 
-Two independent tests are provided.  :func:`feasible_sampler` draws random
-density perturbations orthogonal to the constraint algebra — these change
-nothing any constrained observable can see — and :func:`lts_check` compares
-free energies across the family.  :func:`lts_maximizer` instead solves for
-the exact constrained maximizer through the convex dual of the slice problem
-(exponential-family form, Newton's method in the small representation of
-the constraint algebra); for a Gibbs state of the generating potential both
-must come back nonpositive: on a finite chain the Gibbs state is the exact
-constrained maximizer, with margin equal to the relative entropy of the
-competitor from it.
+:func:`lts_check` runs two independent tests.  It compares the free energy
+against the competitors :func:`feasible_sampler` draws, random density
+perturbations orthogonal to the constraint algebra that change nothing any
+constrained observable can see; and against the exact constrained maximizer,
+solved for through the convex dual of the slice problem (exponential-family
+form, Newton's method in the small representation of the constraint
+algebra).  For a Gibbs state of the generating potential both margins must
+come back nonnegative: on a finite chain the Gibbs state is the exact
+constrained maximizer, and each competitor loses by its relative entropy
+from it.
 
 :func:`prop4_pipeline` runs the free-energy comparison that kills noneven
 states: the decoupled state and its odd perturbations agree on everything
@@ -37,12 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import car
-from .entropy import (conditional_entropy_matrices, relative_entropy,
-                      relative_entropy_matrices)
-from .potentials import Potential, local_hamiltonian, prune, total_hamiltonian
+from .entropy import conditional_entropy_matrices, relative_entropy
+from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
-from .states import (DensityState, RestrictedState, noneven_perturbation,
-                     perturbed_state, restrict)
+from .states import (DensityState, noneven_perturbation, perturbed_state,
+                     restrict)
 
 MODES = ("lts", "lts_prime")
 
@@ -86,6 +85,9 @@ def constraint_family(region: Region, mode: str) -> ConstraintProjection:
     """The projection onto the constraint algebra of the given mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if region.is_empty:
+        raise ValueError("empty probe region: the constraints fix the whole "
+                         "state, so there is nothing to vary")
     return ConstraintProjection(region, mode)
 
 
@@ -124,9 +126,10 @@ class FeasibleFamily:
         project = constraint_family(self.region, self.mode)
         worst = 0.0
         for member in self.members:
-            worst = max(worst, float(np.max(np.abs(
-                project.compress(member.density - self.base.density)))))
-        return worst
+            # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+            worst = np.maximum(worst, np.max(np.abs(
+                project.compress(member.density - self.base.density))))
+        return float(worst)
 
 
 def feasible_sampler(omega: DensityState, region: Region, mode: str,
@@ -170,18 +173,8 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
 class MaximizerInfo:
     converged: bool
     iterations: int
-    f_value: float
     certificate_spread: float   # spread of the last (up to) 10 accepted values
     gradient_norm: float
-
-
-class MaximizerDidNotConverge(RuntimeError):
-    def __init__(self, info: MaximizerInfo):
-        super().__init__(
-            f"free-energy ascent did not certify convergence after "
-            f"{info.iterations} iterations (spread {info.certificate_spread:.3e})"
-        )
-        self.info = info
 
 
 # Newton converges in about six steps; the cap only bounds a stalled run.
@@ -353,40 +346,13 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
     gnorm = best.residual
     tail = history[-10:]
     spread = float(max(tail) - min(tail))
-    rel = relative_entropy_matrices(dual.anchor, density)
-    f_val = -rel.value - beta * float(np.real(np.einsum("ij,ji->", density, h_i)))
     # the dual is smooth and strictly convex with an exact gradient, so a
     # tight gradient norm certifies on its own; a looser one additionally
     # needs the accepted dual values to have stopped moving
     converged = gnorm <= 1e-10 or (gnorm <= 1e-8 and spread <= 1e-8)
-    info = MaximizerInfo(converged=converged,
-                         iterations=iterations, f_value=f_val,
+    info = MaximizerInfo(converged=converged, iterations=iterations,
                          certificate_spread=spread, gradient_norm=gnorm)
     return density, info
-
-
-def lts_maximizer(constraint: RestrictedState, potential: Potential, beta: float,
-                  return_info: bool = False):
-    """Maximize the local free energy over states with the given complement
-    restriction.
-
-    ``constraint`` is a restriction to the complement of the probed region;
-    the probed region is recovered as its complement.  Non-convergence is
-    not silent: without ``return_info`` it raises, with it the partial result
-    comes back alongside the certificate.
-    """
-    region = constraint.region.complement()
-    if region.is_empty:
-        raise ValueError("constraint covers the whole chain; nothing to maximize")
-    project = constraint_family(region, "lts")
-    anchor = constraint.product_extension().density
-    h_i = local_hamiltonian(potential, region).matrix
-    density, info = _maximize(project, anchor, h_i, beta)
-    state = DensityState(density, label=f"lts-maximizer(I={region.label()})",
-                         validate=True)
-    if not info.converged and not return_info:
-        raise MaximizerDidNotConverge(info)
-    return (state, info) if return_info else state
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +386,7 @@ class StabilityReport:
 
 def lts_check(omega: DensityState, potential: Potential, region: Region,
               beta: float, mode: str = "lts", samples=200, seed: int = 0,
-              tolerance: float = 1e-9, use_maximizer: bool = True) -> StabilityReport:
+              tolerance: float = 1e-9) -> StabilityReport:
     """Variational stability test of a state against feasible competitors.
 
     ``samples`` is either a prebuilt :class:`FeasibleFamily` or a count to
@@ -459,29 +425,28 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
         checks.append(CheckRecord("margin_samples", margin_samples, tolerance,
                                   margin_samples >= -tolerance))
 
-    if use_maximizer:
-        try:
-            density, info = _maximize(project, project(omega.density), h_i, beta)
-        except ValueError as exc:
-            notes.append(f"maximizer skipped: {exc}")
+    try:
+        density, info = _maximize(project, project(omega.density), h_i, beta)
+    except ValueError as exc:
+        notes.append(f"maximizer skipped: {exc}")
+    else:
+        f_max = _free_energy(density, project, h_i, beta)
+        free_energies["maximizer"] = f_max
+        if info.converged:
+            margin_max = f_base - f_max
+            margins.append(margin_max)
+            checks.append(CheckRecord("margin_maximizer", margin_max, tolerance,
+                                      margin_max >= -tolerance))
+            notes.append(
+                f"maximizer certified after {info.iterations} iterations "
+                f"(spread {info.certificate_spread:.2e})"
+            )
         else:
-            f_max = _free_energy(density, project, h_i, beta)
-            free_energies["maximizer"] = f_max
-            if info.converged:
-                margin_max = f_base - f_max
-                margins.append(margin_max)
-                checks.append(CheckRecord("margin_maximizer", margin_max, tolerance,
-                                          margin_max >= -tolerance))
-                notes.append(
-                    f"maximizer certified after {info.iterations} iterations "
-                    f"(spread {info.certificate_spread:.2e})"
-                )
-            else:
-                notes.append(
-                    f"maximizer did not certify convergence "
-                    f"({info.iterations} iterations, spread "
-                    f"{info.certificate_spread:.2e}); margin uses samples only"
-                )
+            notes.append(
+                f"maximizer did not certify convergence "
+                f"({info.iterations} iterations, spread "
+                f"{info.certificate_spread:.2e}); margin uses samples only"
+            )
 
     margin = min(margins) if margins else math.inf
     verdict = "pass" if all(c.passed for c in checks) else "fail"
@@ -519,7 +484,8 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     h_tilde_i = local_hamiltonian(pruned, region).matrix
     hi_defect = car.hermitian_norm(h_tilde_i)
     for state in (phi_p, psi, psi_t):
-        hi_defect = max(hi_defect, abs(state.expectation(h_tilde_i)))
+        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+        hi_defect = np.maximum(hi_defect, abs(state.expectation(h_tilde_i)))
 
     project = constraint_family(region, "lts")
     h_i = local_hamiltonian(potential, region).matrix

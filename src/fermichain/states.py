@@ -153,7 +153,8 @@ def kms_residual(omega: DensityState, hamiltonian, beta: float, pairs) -> float:
         b_t = u_h @ _as_matrix(b) @ u
         lhs = np.sum((d_t @ a_t) * (b_t * weight).T)
         rhs = np.sum((d_t @ b_t) * a_t.T)
-        worst = max(worst, abs(lhs - rhs))
+        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+        worst = np.maximum(worst, abs(lhs - rhs))
     return float(worst)
 
 
@@ -179,6 +180,13 @@ def perturbed_state(potential: Potential, beta: float, region: Region,
         slack = 1e-8
         fwd = entropy.relative_entropy(full, state)
         bwd = entropy.relative_entropy(state, full)
+        if not (fwd.finite and bwd.finite):
+            raise ValueError(
+                "perturbed state: the relative entropies to the full Gibbs "
+                "state fail the kernel condition at working precision (the "
+                "smallest eigenvalues of the densities fall below the relative "
+                f"cutoff {entropy._KERNEL_CUTOFF:g}); the bound cannot be checked"
+            )
         if not (fwd.value <= bound + slack and bwd.value <= bound + slack):
             raise ValueError(
                 f"perturbed state failed the entropy bound: {fwd.value:.3e} / "
@@ -205,55 +213,11 @@ class RestrictedState:
     region: Region
     rho: np.ndarray
 
-    @property
-    def lattice_size(self) -> int:
-        return self.region.lattice_size
-
-    @property
-    def labels(self) -> list[str]:
-        return car.monomial_labels(self.region)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Values on the monomial basis of the region, aligned with ``labels``."""
-        return car.monomial_expectations(self.rho, self.region)
-
-    def evaluate(self, element: AlgebraElement) -> complex:
-        """Value on an element supported in the region."""
-        if not element.support.is_subregion(self.region):
-            raise ValueError(
-                f"element supported on {element.support.sites} is not within "
-                f"region {self.region.sites}"
-            )
-        small = car.small_representation(element.matrix, self.region)
-        return complex(np.einsum("ij,ji->", self.rho, small))
-
     def max_difference(self, other: "RestrictedState") -> float:
         """Largest entry of the difference of the two small densities."""
         if other.region != self.region:
             raise ValueError("restrictions live on different regions")
         return float(np.max(np.abs(self.rho - other.rho)))
-
-    def product_extension(self) -> DensityState:
-        """The unique extension annihilating everything orthogonal to the region.
-
-        Its density lies in the region's algebra and reproduces the
-        restriction; against any element of the complement it factorizes
-        through the normalized trace.
-        """
-        density = car.embed(self.rho, self.region) * (self.rho.shape[0]
-                                                      / car.dim(self.lattice_size))
-        density = (density + density.conj().T) / 2.0
-        return DensityState(density, label=f"product-extension({self.region.label()})",
-                            validate=False)
-
-    def small_density(self) -> np.ndarray:
-        """Density on the ``2**|R|``-dimensional standard copy of the algebra."""
-        return self.rho
-
-    def as_dict(self) -> dict[str, list[float]]:
-        return {lab: [float(v.real), float(v.imag)]
-                for lab, v in zip(self.labels, self.values)}
 
 
 def restrict(omega: DensityState, region: Region) -> RestrictedState:
@@ -393,19 +357,3 @@ def remark2_restriction_defect(outer: DensityState, state: DensityState) -> floa
     target = DensityState(0.5 * (outer.density + outer.theta().density),
                           label="even-average", validate=False)
     return restrict(state, comp).max_difference(restrict(target, comp))
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-
-def snapshot(omega: DensityState, regions: list[Region]) -> dict:
-    """JSON-ready summary: label, spectrum, and restriction tables."""
-    return {
-        "label": omega.label,
-        "eigenvalues": [float(x) for x in omega.eigenvalues()],
-        "restrictions": {
-            region.label(): restrict(omega, region).as_dict() for region in regions
-        },
-    }

@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fermichain import car, cli
@@ -39,6 +41,17 @@ def test_failing_check_exits_one(capsys):
     standard = [rec for rec in lines if rec["check"] == "standard"]
     assert standard and not standard[0]["pass"]
     assert abs(standard[0]["value"] - 0.25) < 1e-12
+
+
+def test_nan_check_value_fails(capsys):
+    # at beta = 150 the KMS weights exp(-beta (eps_k - eps_l)) overflow and
+    # every pair residual is NaN: the check must fail, not read 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["gibbs", "--length", "6", "--beta", "150"]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()
+             if l.strip()]
+    kms = [rec for rec in lines if rec["check"] == "kms_residual"]
+    assert kms and math.isnan(kms[0]["value"]) and not kms[0]["pass"]
 
 
 def test_unknown_verb_is_an_argparse_error():
@@ -171,6 +184,21 @@ def test_computation_breakdown_yields_a_diagnostic_record(monkeypatch,
     assert len(records) == 1
     assert records[0]["check"] == "error" and not records[0]["pass"]
     assert "synthetic breakdown" in capsys.readouterr().err
+
+
+def test_kernel_condition_failure_is_named(tmp_path, capsys):
+    # at beta = 50 the smallest Gibbs eigenvalues fall below the relative
+    # kernel cutoff, so the entropy bound of the decoupled state cannot be
+    # checked; the error says so instead of reporting a failed bound
+    out = tmp_path / "report.jsonl"
+    assert run(["prop4", "--length", "4", "--region", "1", "--beta", "50",
+                "--out", str(out)]) == 1
+    records = read_records(out)
+    assert len(records) == 1
+    assert records[0]["check"] == "error" and not records[0]["pass"]
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "kernel condition" in err
+    assert "failed the entropy bound" not in err
 
 
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,

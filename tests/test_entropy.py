@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from fermichain import car
 from fermichain.entropy import (conditional_entropy,
-                                conditional_entropy_matrices,
-                                conditional_free_energy, relative_entropy,
+                                conditional_entropy_matrices, relative_entropy,
                                 relative_entropy_matrices,
                                 restricted_relative_entropy)
 from fermichain.potentials import (hopping_model, local_hamiltonian,
                                    total_hamiltonian)
 from fermichain.regions import Region
+from fermichain.stability import free_energy
 from fermichain.states import (DensityState, gibbs_state, perturbed_state,
                                restrict, tracial_state)
 
@@ -243,7 +243,7 @@ def test_conditional_free_energy_matches_its_parts():
     h_i = local_hamiltonian(pot, region).matrix
     want = (conditional_entropy(omega, region)
             - beta * float(np.real(omega.expectation(h_i))))
-    assert abs(conditional_free_energy(omega, pot, region, beta) - want) == 0.0
+    assert abs(free_energy(omega, pot, region, beta) - want) == 0.0
 
 
 def test_conditional_free_energy_favors_the_gibbs_state():
@@ -251,8 +251,8 @@ def test_conditional_free_energy_favors_the_gibbs_state():
     lattice, beta = 4, 1.0
     region = Region.of([1, 2], lattice)
     pot = hopping_model(lattice)
-    best = conditional_free_energy(gibbs_state(total_hamiltonian(pot), beta),
-                                   pot, region, beta)
+    best = free_energy(gibbs_state(total_hamiltonian(pot), beta), pot,
+                       region, beta)
     for seed in range(5):
         omega = random_state(lattice, np.random.default_rng(400 + seed))
-        assert conditional_free_energy(omega, pot, region, beta) <= best + 1e-10
+        assert free_energy(omega, pot, region, beta) <= best + 1e-10

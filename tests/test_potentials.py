@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car
-from fermichain.potentials import (MODELS, Potential, _build_term, build_model,
-                                   derivation_apply, hopping_model,
+from fermichain.potentials import (MODELS, Potential, _build_term,
+                                   build_model, hopping_model,
                                    local_hamiltonian, potential_from_records,
-                                   potential_records, prune,
+                                   prune,
                                    random_standard_potential,
                                    raw_number_model, standardize,
                                    total_hamiltonian, tv_model,
@@ -54,15 +54,19 @@ def dense_term(name, sites, coefficient, lattice):
     return coefficient * ((number(i) - 0.5 * eye) @ (number(j) - 0.5 * eye))
 
 
+# every named term the models build, with their default coefficients
+MODEL_TERMS = (("hop", 2, -1.0), ("num", 1, -0.5), ("num_raw", 1, -0.5),
+               ("nn", 2, 0.8))
+
+
 @pytest.mark.parametrize("lattice", range(1, 7))
 def test_column_map_terms_equal_the_dense_products(lattice):
-    for model in MODELS.values():
-        for rec in model(lattice).records:
-            region, term = _build_term(rec["term"], rec["sites"],
-                                       rec["coefficient"], lattice)
-            assert region.sites == tuple(rec["sites"])
-            want = dense_term(rec["term"], rec["sites"], rec["coefficient"],
-                              lattice)
+    for name, width, coefficient in MODEL_TERMS:
+        for first in range(lattice - width + 1):
+            sites = list(range(first, first + width))
+            region, term = _build_term(name, sites, coefficient, lattice)
+            assert region.sites == tuple(sites)
+            want = dense_term(name, sites, coefficient, lattice)
             assert term.dtype == want.dtype
             assert np.array_equal(term, want)
     for i in range(lattice):
@@ -85,6 +89,16 @@ def test_raw_number_model_fails_standardness_by_half_tau():
     report = validate_potential(raw_number_model(5, mu=mu))
     assert not report.passed
     assert abs(report.residuals["standard"] - mu / 2) < 1e-15
+
+
+def test_nan_terms_fail_validation():
+    pot = hopping_model(3)
+    last = pot.regions()[-1]
+    terms = dict(pot.terms)
+    terms[last] = np.full_like(terms[last], np.nan)
+    report = validate_potential(Potential(lattice_size=3, terms=terms))
+    assert not report.passed
+    assert all(np.isnan(v) for v in report.residuals.values())
 
 
 def test_standardize_repairs_raw_model_and_shifts_by_scalar():
@@ -175,41 +189,12 @@ def test_prune_removes_exactly_the_meeting_terms():
         assert np.max(np.abs(h @ mono - mono @ h)) < 1e-12
 
 
-def test_derivation_is_local_and_compatible_with_adjoints():
-    lattice = 5
-    pot = hopping_model(lattice)
-    rng = np.random.default_rng(6)
-    a = car.random_element(Region.of([1, 2], lattice), rng)
-    da = derivation_apply(pot, a)
-    # the full commutator agrees: distant terms cannot contribute
-    h = total_hamiltonian(pot).matrix
-    full = 1j * (h @ a.matrix - a.matrix @ h)
-    assert np.max(np.abs(da.matrix - full)) < 1e-12
-    # the generator is *-compatible: d(a)* = d(a*)
-    dad = derivation_apply(pot, a.dagger())
-    assert np.max(np.abs(da.matrix.conj().T - dad.matrix)) < 1e-12
-
-
-def test_record_round_trip_and_rejections():
-    pot = hopping_model(4, t=0.9, mu=0.3)
-    records = potential_records(pot)
-    back = potential_from_records(records, 4)
-    assert set(back.terms) == set(pot.terms)
-    for region in pot.terms:
-        assert np.max(np.abs(back.terms[region] - pot.terms[region])) == 0.0
-    with pytest.raises(ValueError):
-        potential_from_records([{"sites": [0], "coefficient": 1.0,
-                                 "term": "frobnicate"}], 4)
-    # potentials not built from records cannot claim a record form
-    rng = np.random.default_rng(8)
-    anon = random_standard_potential(4, rng)
-    with pytest.raises(ValueError):
-        potential_records(anon)
-
-
 def test_build_model_rejects_unknown_names():
     with pytest.raises(ValueError):
         build_model("heisenberg", 4)
+    with pytest.raises(ValueError):
+        potential_from_records([{"sites": [0], "coefficient": 1.0,
+                                 "term": "frobnicate"}], 4)
 
 
 def test_potential_terms_are_validated():

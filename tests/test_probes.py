@@ -11,7 +11,7 @@ from fermichain.probes import (ProbeResult, cluster_coefficient,
 from fermichain.regions import Region
 from fermichain.states import (DensityState, gibbs_state,
                                noneven_perturbation, odd_direction,
-                               perturbed_state, remark2_construct, restrict)
+                               perturbed_state, remark2_construct)
 
 
 def random_even_state(lattice, rng):
@@ -84,7 +84,7 @@ def test_cluster_coefficient_vanishes_for_product_states():
     d = g @ g.conj().T
     d /= np.trace(d).real
     inside = Region.of([0, 1], lattice)
-    ext = restrict(DensityState(d), inside).product_extension()
+    ext = DensityState(car.conditional_expectation_matrix(d, inside))
     obs = car.AlgebraElement(car.number_operator(0, lattice).matrix, inside)
     result = cluster_coefficient(ext, obs, Region.of([4, 5], lattice))
     assert result.quantity < 1e-12
@@ -189,6 +189,22 @@ def test_scan_counts_fabricated_violations():
     report = scan_odd_correlations([(BrokenFunctional(), a, b)])
     assert report["violations"] == 1
     assert report["worst_real_part"] == 1.0
+
+
+def test_scan_counts_nan_cases_as_violations():
+    class NaNFunctional:
+        def expectation(self, matrix):
+            return complex(np.nan, np.nan)
+
+    lattice = 3
+    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    a = odd_direction(Region.of([0], lattice))
+    b = odd_direction(Region.of([2], lattice))
+    report = scan_odd_correlations([(gibbs, a, b), (NaNFunctional(), a, b),
+                                    (gibbs, a, b)])
+    assert report["violations"] == 1
+    assert np.isnan(report["worst_real_part"])
+    assert np.isnan(report["worst_cauchy_schwarz_excess"])
 
 
 def test_scan_refuses_overlapping_supports():

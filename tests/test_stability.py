@@ -7,18 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car, stability
-from fermichain.entropy import (conditional_entropy, conditional_free_energy,
-                                relative_entropy, relative_entropy_matrices)
+from fermichain.entropy import (conditional_entropy, relative_entropy,
+                                relative_entropy_matrices)
 from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
-from fermichain.stability import (FeasibleFamily, MaximizerDidNotConverge,
-                                  MaximizerInfo, StabilityReport,
-                                  constraint_family, feasible_sampler,
-                                  free_energy, lts_check, lts_maximizer,
+from fermichain.stability import (FeasibleFamily, MaximizerInfo,
+                                  StabilityReport, constraint_family,
+                                  feasible_sampler, free_energy, lts_check,
                                   prop4_pipeline)
 from fermichain.states import (DensityState, gibbs_state,
-                               noneven_perturbation, perturbed_state, restrict)
+                               noneven_perturbation, perturbed_state)
 
 
 def random_state(lattice, rng):
@@ -37,10 +36,12 @@ def test_free_energy_agrees_with_the_entropy_module():
     lattice, beta = 4, 1.2
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
+    h_i = local_hamiltonian(pot, region).matrix
     for seed in range(4):
         omega = random_state(lattice, np.random.default_rng(seed))
         a = free_energy(omega, pot, region, beta, mode="lts")
-        b = conditional_free_energy(omega, pot, region, beta)
+        b = (conditional_entropy(omega, region)
+             - beta * float(np.real(omega.expectation(h_i))))
         assert abs(a - b) < 1e-12
 
 
@@ -312,6 +313,16 @@ def test_feasible_sampler_produces_genuine_competitors(mode):
     assert worst > 1e-4
 
 
+def test_constraint_residual_keeps_a_nan():
+    lattice = 3
+    region = Region.of([1], lattice)
+    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    family = feasible_sampler(omega, region, "lts", 2, seed=3)
+    broken = DensityState(np.full_like(omega.density, np.nan), validate=False)
+    family.members.insert(1, broken)
+    assert np.isnan(family.constraint_residual())
+
+
 def test_feasible_sampler_requires_a_faithful_base():
     lattice = 3
     n = car.dim(lattice)
@@ -342,17 +353,26 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
 # ---------------------------------------------------------------------------
 
 
+def maximize(pot, region, omega, beta):
+    """The constrained maximizer of ``lts_check``, anchored at ``omega``."""
+    project = constraint_family(region, "lts")
+    h_i = local_hamiltonian(pot, region).matrix
+    density, info = stability._maximize(project, project(omega.density),
+                                        h_i, beta)
+    return DensityState(density), info
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
 def test_maximizer_recovers_the_gibbs_state(beta):
     lattice = 4
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    constraint = restrict(gibbs, region.complement())
-    state, info = lts_maximizer(constraint, pot, beta, return_info=True)
+    state, info = maximize(pot, region, gibbs, beta)
     assert info.converged
     assert np.max(np.abs(state.density - gibbs.density)) < 1e-11
-    assert abs(info.f_value - free_energy(gibbs, pot, region, beta)) < 1e-9
+    assert abs(free_energy(state, pot, region, beta)
+               - free_energy(gibbs, pot, region, beta)) < 1e-9
 
 
 def test_maximum_matches_the_onsite_closed_form():
@@ -362,10 +382,9 @@ def test_maximum_matches_the_onsite_closed_form():
     pot = hopping_model(lattice, t=0.0, mu=mu)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    constraint = restrict(gibbs, region.complement())
-    _, info = lts_maximizer(constraint, pot, beta, return_info=True)
+    state, _ = maximize(pot, region, gibbs, beta)
     oracle = len(region) * math.log(math.cosh(beta * mu / 2.0))
-    assert abs(info.f_value - oracle) < 1e-9
+    assert abs(free_energy(state, pot, region, beta) - oracle) < 1e-9
 
 
 def test_maximizer_requires_a_faithful_constraint():
@@ -373,38 +392,21 @@ def test_maximizer_requires_a_faithful_constraint():
     n = car.dim(lattice)
     pure = np.zeros((n, n), dtype=complex)
     pure[0, 0] = 1.0
-    constraint = restrict(DensityState(pure), Region.of([0, 1], lattice))
     with pytest.raises(ValueError):
-        lts_maximizer(constraint, hopping_model(lattice), 1.0)
+        maximize(hopping_model(lattice), Region.of([2], lattice),
+                 DensityState(pure), 1.0)
 
 
 def test_maximizer_rejects_an_empty_probe_region():
     lattice = 3
-    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    constraint = restrict(gibbs, Region.full(lattice))
-    with pytest.raises(ValueError):
-        lts_maximizer(constraint, hopping_model(lattice), 1.0)
-
-
-def test_nonconvergence_raises_unless_info_requested(monkeypatch):
-    lattice = 3
     pot = hopping_model(lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), 1.0)
-    constraint = restrict(gibbs, Region.of([0, 2], lattice))
-
-    def stalled(project, anchor, h_i, beta):
-        info = MaximizerInfo(converged=False, iterations=4000,
-                             f_value=0.0, certificate_spread=1.0,
-                             gradient_norm=1.0)
-        return gibbs.density, info
-
-    monkeypatch.setattr(stability, "_maximize", stalled)
-    with pytest.raises(MaximizerDidNotConverge) as exc:
-        lts_maximizer(constraint, pot, 1.0)
-    assert exc.value.info.iterations == 4000
-    state, info = lts_maximizer(constraint, pot, 1.0, return_info=True)
-    assert not info.converged
-    assert isinstance(state, DensityState)
+    empty = Region.empty(lattice)
+    with pytest.raises(ValueError):
+        constraint_family(empty, "lts")
+    # the sampler would find no direction to draw from
+    with pytest.raises(ValueError):
+        lts_check(gibbs, pot, empty, 1.0, samples=5)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +502,7 @@ def test_check_survives_a_nonconverging_maximizer(monkeypatch):
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
 
     def stalled(project, anchor, h_i, beta):
-        info = MaximizerInfo(converged=False, iterations=17, f_value=0.0,
+        info = MaximizerInfo(converged=False, iterations=17,
                              certificate_spread=1.0, gradient_norm=1.0)
         return gibbs.density, info
 
