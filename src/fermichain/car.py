@@ -196,8 +196,10 @@ class AlgebraElement:
         return tau(self.matrix)
 
     def norm(self) -> float:
-        """Operator (spectral) norm."""
-        return float(np.linalg.norm(self.matrix, 2))
+        """Operator (spectral) norm, read from the small representation of
+        the support, which preserves it on ``A_support``: an SVD of
+        ``2**|support|`` rows instead of ``2**L``."""
+        return float(np.linalg.norm(small_representation(self.matrix, self.support), 2))
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)

@@ -221,10 +221,9 @@ def run_gibbs(cfg: RunConfig) -> list[ReportRecord]:
 def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
-    phi = perturbed_state(potential, cfg.beta, region)
+    phi = perturbed_state(potential, cfg.beta, region, full=state)
     product = product_check(phi, region)
-    h_i = local_hamiltonian(potential, region).matrix
-    bound = 2.0 * abs(cfg.beta) * car.hermitian_norm(h_i)
+    bound = 2.0 * abs(cfg.beta) * local_hamiltonian(potential, region).element.norm()
     forward = relative_entropy(state, phi).value
     backward = relative_entropy(phi, state).value
     slack = bound - max(forward, backward)
@@ -243,7 +242,7 @@ def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
 def run_entropy(cfg: RunConfig) -> list[ReportRecord]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
-    phi = perturbed_state(potential, cfg.beta, region)
+    phi = perturbed_state(potential, cfg.beta, region, full=state)
     rel = relative_entropy(phi, state).value
     sc = conditional_entropy(state, region)
     restricted = restricted_relative_entropy(phi, state,

@@ -24,6 +24,15 @@ energy of the region gives the local free energy
 
 the functional whose constrained maximizers are the thermally stable states;
 :func:`fermichain.stability.free_energy` computes it.
+
+When the reference is a Gibbs state its log is known in closed form,
+``log D1 = -beta (H - E0) - log Z'`` (:class:`fermichain.states.GibbsLog`),
+so ``Tr(D2 log D1)`` is a trace against ``H`` and needs no decomposition of
+``D1``; a Gibbs state is faithful, so the kernel condition holds and no
+spectral cutoff is involved.  ``Tr(D2 log D2)`` is ``-S(omega2)``, which a
+Gibbs state also knows in closed form and any other state reads from its
+one eigenvalue computation.  :func:`relative_entropy_matrices` is the
+spectral route for references with no closed-form log.
 """
 
 from __future__ import annotations
@@ -32,11 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import car
 from .regions import Region
-from .states import DensityState, restrict
+from .states import DensityState, GibbsLog, restrict, spectral_entropy
 
 # Relative spectral cutoff separating genuine kernel directions from dust.
 _KERNEL_CUTOFF = 1e-12
@@ -76,14 +84,17 @@ def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
         if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
             return EntropyValue(value=math.inf, kernel_ok=False)
 
-    p2 = np.clip(lam2, 0.0, None)
-    ent2 = float(np.sum(xlogy(p2, p2)))
+    ent2 = -spectral_entropy(lam2)
 
     # diagonal of u1* d2 u1: column i is sum_j conj(u1_ji) (d2 u1)_ji
     diag2 = np.real(np.sum(u1.conj() * (d2 @ u1), axis=0))
     cross = float(np.sum(np.log(lam1[support1]) * diag2[support1]))
 
-    value = ent2 - cross
+    return _nonnegative(ent2 - cross)
+
+
+def _nonnegative(value: float) -> EntropyValue:
+    """A computed relative entropy, with rounding below zero clipped away."""
     if value < 0.0:
         if value < -_NEGATIVE_SLACK:
             raise RuntimeError(f"relative entropy came out {value:.3e} < 0; "
@@ -92,10 +103,19 @@ def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
     return EntropyValue(value=value, kernel_ok=True)
 
 
+def _against_gibbs(log: GibbsLog, density: np.ndarray,
+                   entropy: float) -> EntropyValue:
+    """``S = -S(D2) - Tr(D2 log D1)`` for a Gibbs reference ``D1``, whose
+    closed-form log makes it faithful: the kernel condition always holds."""
+    return _nonnegative(-entropy - log.trace_log(density))
+
+
 def relative_entropy(omega1: DensityState, omega2: DensityState) -> EntropyValue:
     """``S(omega1, omega2)``; finite only if ``omega2`` lives on the support
-    of ``omega1``."""
-    return relative_entropy_matrices(omega1.density, omega2.density)
+    of ``omega1``, which holds whenever ``omega1`` is a Gibbs state."""
+    if omega1.log is None:
+        return relative_entropy_matrices(omega1.density, omega2.density)
+    return _against_gibbs(omega1.log, omega2.density, omega2.entropy())
 
 
 def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
@@ -104,20 +124,22 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
 
     Both states are restricted and transferred to the standard matrix copy of
     the region's algebra; monotonicity guarantees the result never exceeds
-    the global relative entropy.
+    the global relative entropy.  A Gibbs state restricted to the region its
+    Hamiltonian lies in keeps its closed-form log.
     """
-    return relative_entropy_matrices(restrict(omega1, region).rho,
-                                     restrict(omega2, region).rho)
+    rest1, rest2 = restrict(omega1, region), restrict(omega2, region)
+    if rest1.log is None:
+        return relative_entropy_matrices(rest1.rho, rest2.rho)
+    return _against_gibbs(rest1.log, rest2.rho, _entropy(rest2.rho))
 
 
 def _entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix."""
-    p = np.clip(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0), 0.0, None)
-    return -float(np.sum(xlogy(p, p)))
+    return spectral_entropy(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0))
 
 
-def conditional_entropy_matrices(density: np.ndarray, small: np.ndarray) -> float:
-    """``Sc = -S(E(D), D) <= 0`` from ``D`` and the ``m x m`` matrix
+def compressed_conditional_entropy(omega: DensityState, small: np.ndarray) -> float:
+    """``Sc = -S(E(D), D) <= 0`` from ``omega`` and the ``m x m`` matrix
     ``small`` that stands for ``E(D)`` in a unital copy of ``M_m``.
 
     ``E(D)`` is ``N / m`` copies of ``small`` in a reordered basis, and
@@ -126,10 +148,12 @@ def conditional_entropy_matrices(density: np.ndarray, small: np.ndarray) -> floa
 
         Sc = S(D) - (N / m) S(small),
 
-    with ``S`` the von Neumann entropy: one ``N x N`` and one ``m x m``
-    eigenvalue problem.
+    with ``S`` the von Neumann entropy: ``S(D)`` is the state's own (closed
+    form for a Gibbs state, its one spectrum otherwise), ``S(small)`` one
+    ``m x m`` eigenvalue problem.
     """
-    value = _entropy(density) - density.shape[0] / small.shape[0] * _entropy(small)
+    n = omega.density.shape[0]
+    value = omega.entropy() - n / small.shape[0] * _entropy(small)
     if value > 0.0:
         if value > _NEGATIVE_SLACK:
             raise RuntimeError(f"conditional entropy came out {value:.3e} > 0; "
@@ -143,4 +167,4 @@ def conditional_entropy(omega: DensityState, region: Region) -> float:
     from the complement restriction (density = conditional expectation of the
     density onto the complement algebra)."""
     small = car.small_representation(omega.density, region.complement())
-    return conditional_entropy_matrices(omega.density, small)
+    return compressed_conditional_entropy(omega, small)

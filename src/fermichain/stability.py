@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import car
-from .entropy import conditional_entropy_matrices, relative_entropy
+from .entropy import compressed_conditional_entropy, relative_entropy
 from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
 from .states import (DensityState, noneven_perturbation, perturbed_state,
@@ -95,14 +95,14 @@ def free_energy(omega: DensityState, potential: Potential, region: Region,
                 beta: float, mode: str = "lts") -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra of the chosen mode."""
-    return _free_energy(omega.density, constraint_family(region, mode),
+    return _free_energy(omega, constraint_family(region, mode),
                         local_hamiltonian(potential, region).matrix, beta)
 
 
-def _free_energy(density: np.ndarray, project: ConstraintProjection,
+def _free_energy(omega: DensityState, project: ConstraintProjection,
                  h_i: np.ndarray, beta: float) -> float:
-    sc = conditional_entropy_matrices(density, project.compress(density))
-    return sc - beta * float(np.real(np.einsum("ij,ji->", density, h_i)))
+    sc = compressed_conditional_entropy(omega, project.compress(omega.density))
+    return sc - beta * float(np.real(np.einsum("ij,ji->", omega.density, h_i)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
 
     project = constraint_family(region, mode)
     h_i = local_hamiltonian(potential, region).matrix
-    f_base = _free_energy(omega.density, project, h_i, beta)
+    f_base = _free_energy(omega, project, h_i, beta)
     checks: list[CheckRecord] = []
     notes: list[str] = []
     free_energies = {"base": f_base}
@@ -416,7 +416,7 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
 
     margins = []
     if family.members:
-        f_members = [_free_energy(m.density, project, h_i, beta)
+        f_members = [_free_energy(m, project, h_i, beta)
                      for m in family.members]
         best = max(f_members)
         free_energies["best_sample"] = best
@@ -430,7 +430,9 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     except ValueError as exc:
         notes.append(f"maximizer skipped: {exc}")
     else:
-        f_max = _free_energy(density, project, h_i, beta)
+        f_max = _free_energy(DensityState(density, label="maximizer",
+                                          validate=False),
+                             project, h_i, beta)
         free_energies["maximizer"] = f_max
         if info.converged:
             margin_max = f_base - f_max
@@ -480,18 +482,17 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     rest_defect = max(restrict(psi, comp).max_difference(rest_ref),
                       restrict(psi_t, comp).max_difference(rest_ref))
 
-    pruned = prune(potential, region)
-    h_tilde_i = local_hamiltonian(pruned, region).matrix
-    hi_defect = car.hermitian_norm(h_tilde_i)
+    h_tilde_i = local_hamiltonian(prune(potential, region), region).element
+    hi_defect = h_tilde_i.norm()
     for state in (phi_p, psi, psi_t):
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         hi_defect = np.maximum(hi_defect, abs(state.expectation(h_tilde_i)))
 
     project = constraint_family(region, "lts")
     h_i = local_hamiltonian(potential, region).matrix
-    f_p = _free_energy(phi_p.density, project, h_i, beta)
-    f_psi = _free_energy(psi.density, project, h_i, beta)
-    f_psi_t = _free_energy(psi_t.density, project, h_i, beta)
+    f_p = _free_energy(phi_p, project, h_i, beta)
+    f_psi = _free_energy(psi, project, h_i, beta)
+    f_psi_t = _free_energy(psi_t, project, h_i, beta)
     gap = f_p - f_psi
     rel = relative_entropy(phi_p, psi).value
 

@@ -21,14 +21,30 @@ Adding to its density a small odd direction supported in ``I``
 restriction to the complement — the two are indistinguishable outside ``I``
 yet differ globally, which is the engine behind the free-energy comparisons
 in :mod:`fermichain.stability`.
+
+Every spectrum is taken once.  A Gibbs state carries its logarithm in closed
+form (:class:`GibbsLog`),
+
+    log D = -beta (H - E0) - log Z',
+
+with ``H`` held in the small representation of the region it lies in: the
+whole chain for the Gibbs state of the potential, the complement of ``I``
+for the decoupled state, whose ``2**|I^c|``-dimensional Hamiltonian is all
+that gets diagonalized.  Its entropy, smallest eigenvalue and every trace
+``Tr(rho log D)`` then follow from the exact weights and one trace against
+``H``, without decomposing ``D``.  Any other state computes its eigenvalues
+once, on first use, and validation, ``lambda_min`` and its entropy all read
+that computation.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import car
 from .car import AlgebraElement
@@ -44,13 +60,80 @@ def _as_matrix(op) -> np.ndarray:
     return op.matrix if isinstance(op, AlgebraElement) else np.asarray(op, dtype=np.complex128)
 
 
+def spectral_entropy(eigenvalues: np.ndarray) -> float:
+    """Von Neumann entropy ``-sum p log p`` of a spectrum; rounding below
+    zero is clipped away."""
+    p = np.clip(eigenvalues, 0.0, None)
+    return -float(np.sum(xlogy(p, p)))
+
+
+@dataclass(frozen=True)
+class GibbsLog:
+    """The logarithm of a Gibbs density in closed form,
+
+        log D = -beta (H - E0) - log Z',
+
+    with ``H`` in the algebra of ``region`` and held as its small
+    representation ``h`` (``m x m``, ``m = 2**|region|``).  ``region`` is
+    ``None`` when ``h`` is ``H`` itself: for the Gibbs state of a whole
+    chain, and for the restriction of a decoupled state to its region,
+    which is the small Gibbs density.  An ``N x N`` density with this log
+    is ``car.embed(e^(-beta h) / Z) * m / N``: its eigenvalues are the
+    ``m`` exact weights ``exp(log_weights) * m / N``, each ``N / m`` times
+    and all positive, and ``log Z' = log_z + log(N / m)``.
+    """
+
+    h: np.ndarray
+    region: Region | None
+    beta: float
+    shift: float                # E0, the extreme eigenvalue of h
+    log_z: float                # log of sum_k exp(-beta (eps_k - E0))
+    log_weights: np.ndarray     # -beta (eps_k - E0) - log_z, summing to 1
+
+    def multiplicity(self, n: int) -> float:
+        return n / self.h.shape[0]
+
+    def eigenvalues(self, n: int) -> np.ndarray:
+        """The spectrum of the ``n x n`` density, ascending."""
+        weights = np.sort(np.exp(self.log_weights)) / self.multiplicity(n)
+        return np.repeat(weights, n // self.h.shape[0])
+
+    def entropy(self, n: int) -> float:
+        """``-Tr(D log D)`` from the exact weights and their logs."""
+        return (-float(np.sum(np.exp(self.log_weights) * self.log_weights))
+                + math.log(self.multiplicity(n)))
+
+    def trace_log(self, density: np.ndarray) -> float:
+        """``Tr(rho log D) = -beta (Tr(rho H) - E0 Tr(rho)) - log Z' Tr(rho)``.
+
+        ``Tr(rho H)`` is ``(N / m) Tr(compress(rho) h)``, read from the
+        region's block diagonal in the reordered basis, or a plain trace
+        when ``h`` acts on ``rho``'s space: ``O(N m)`` work and no
+        decomposition.  ``h`` is self-adjoint, so ``Tr(S h)`` is
+        ``vdot(h, S)``.
+        """
+        small = (density if self.region is None
+                 else car.small_representation(density, self.region))
+        mult = self.multiplicity(density.shape[0])
+        energy = mult * float(np.real(np.vdot(self.h, small)))
+        trace = float(np.real(np.trace(density)))
+        return (-self.beta * (energy - self.shift * trace)
+                - (self.log_z + math.log(mult)) * trace)
+
+
 @dataclass
 class DensityState:
-    """A state, as a density matrix for the unnormalized trace."""
+    """A state, as a density matrix for the unnormalized trace.
+
+    ``log`` is set on Gibbs states (see :func:`gibbs_state`); for any other
+    state the eigenvalues are computed once, by validation or on first use.
+    """
 
     density: np.ndarray
     label: str = "state"
     validate: bool = field(default=True, repr=False)
+    log: GibbsLog | None = field(default=None, repr=False)
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.density = np.asarray(self.density, dtype=np.complex128)
@@ -64,7 +147,7 @@ class DensityState:
             if abs(np.trace(self.density).real - 1.0) > _TRACE_TOL or \
                     abs(np.trace(self.density).imag) > _TRACE_TOL:
                 raise ValueError(f"density of {self.label!r} has trace {np.trace(self.density)}")
-            if float(np.min(np.linalg.eigvalsh(self.density))) < -_PSD_TOL:
+            if self.lambda_min() < -_PSD_TOL:
                 raise ValueError(f"density of {self.label!r} is not positive semidefinite")
 
     @property
@@ -76,10 +159,23 @@ class DensityState:
         return complex(np.einsum("ij,ji->", self.density, mat))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.density)
+        """The spectrum of the density, ascending: exact for a Gibbs state,
+        otherwise one ``eigvalsh``, kept for every later call."""
+        if self.log is not None:
+            return self.log.eigenvalues(self.density.shape[0])
+        if self._spectrum is None:
+            self._spectrum = np.linalg.eigvalsh(self.density)
+            self._spectrum.flags.writeable = False
+        return self._spectrum
 
     def lambda_min(self) -> float:
         return float(np.min(self.eigenvalues()))
+
+    def entropy(self) -> float:
+        """Von Neumann entropy ``-Tr(D log D)``."""
+        if self.log is not None:
+            return self.log.entropy(self.density.shape[0])
+        return spectral_entropy(self.eigenvalues())
 
     def theta(self) -> "DensityState":
         """The composed state ``omega o theta`` (its density is the grading image)."""
@@ -105,21 +201,43 @@ def tracial_state(lattice_size: int) -> DensityState:
 # ---------------------------------------------------------------------------
 
 
-def gibbs_state(hamiltonian, beta: float, label: str | None = None) -> DensityState:
-    """``e^(-beta H) / Z``, computed from the eigendecomposition of ``H``."""
+def gibbs_state(hamiltonian, beta: float, label: str | None = None,
+                region: Region | None = None) -> DensityState:
+    """``e^(-beta H) / Z``, computed from the eigendecomposition of ``H``.
+
+    With ``region``, ``H`` must lie in the region's algebra (it is checked):
+    only its ``2**|region|``-dimensional small representation ``h`` is
+    diagonalized, and the density is ``car.embed(e^(-beta h)) / Z``.  The
+    state records its log in closed form (:class:`GibbsLog`).
+    """
     h = _as_matrix(hamiltonian)
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise ValueError("Hamiltonian is not self-adjoint")
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
+    if region is not None:
+        full = h
+        h = car.small_representation(full, region)
+        if np.max(np.abs(car.embed(h, region) - full)) > 1e-12 * scale:
+            raise ValueError("Hamiltonian does not lie in the algebra of "
+                             f"region {region.sites}")
     eps, u = np.linalg.eigh(h)
     # shift the spectrum so the largest weight is 1 before normalizing
-    w = np.exp(-beta * (eps - (np.min(eps) if beta >= 0 else np.max(eps))))
-    w /= np.sum(w)
+    shift = float(np.min(eps) if beta >= 0 else np.max(eps))
+    exponent = -beta * (eps - shift)
+    w = np.exp(exponent)
+    total = float(np.sum(w))
+    w /= total
     density = (u * w[None, :]) @ u.conj().T
     density = (density + density.conj().T) / 2.0
-    return DensityState(density, label=label or f"gibbs(beta={beta:g})", validate=False)
+    log = GibbsLog(h, region, float(beta), shift, math.log(total),
+                   exponent - math.log(total))
+    if region is not None:
+        density = car.embed(density, region)
+        density /= log.multiplicity(density.shape[0])
+    return DensityState(density, label=label or f"gibbs(beta={beta:g})",
+                        validate=False, log=log)
 
 
 def random_pair_panel(lattice_size: int, count: int,
@@ -159,34 +277,33 @@ def kms_residual(omega: DensityState, hamiltonian, beta: float, pairs) -> float:
 
 
 def perturbed_state(potential: Potential, beta: float, region: Region,
-                    validate: bool = True) -> DensityState:
+                    validate: bool = True,
+                    full: DensityState | None = None) -> DensityState:
     """Gibbs state of the potential with every term meeting ``region`` removed.
 
     The result is even and lies in the algebra of the complement, so it
-    factorizes against the region as ``omega(AB) = tau(A) omega(B)``.  When
-    ``validate`` is set, its relative-entropy distance to the full Gibbs
-    state is checked against the analytic bound ``2 * |beta| * ||H(region)||``
-    in both orderings.
+    factorizes against the region as ``omega(AB) = tau(A) omega(B)``; its
+    Hamiltonian is diagonalized in the complement's small representation.
+    When ``validate`` is set, its relative-entropy distance to the full
+    Gibbs state (``full`` if the caller has built it, built here otherwise)
+    is checked against the analytic bound ``2 * |beta| * ||H(region)||`` in
+    both orderings.  Both states are Gibbs states, so both relative
+    entropies come from their closed-form logs and are finite at any
+    temperature.
     """
     remainder = total_hamiltonian(prune(potential, region))
     state = gibbs_state(remainder, beta,
-                        label=f"perturbed(beta={beta:g}, I={region.label()})")
+                        label=f"perturbed(beta={beta:g}, I={region.label()})",
+                        region=region.complement())
     if validate:
         from . import entropy  # deferred: entropy builds on states
 
-        full = gibbs_state(total_hamiltonian(potential), beta)
-        bound = 2.0 * abs(beta) * car.hermitian_norm(
-            local_hamiltonian(potential, region).matrix)
+        if full is None:
+            full = gibbs_state(total_hamiltonian(potential), beta)
+        bound = 2.0 * abs(beta) * local_hamiltonian(potential, region).element.norm()
         slack = 1e-8
         fwd = entropy.relative_entropy(full, state)
         bwd = entropy.relative_entropy(state, full)
-        if not (fwd.finite and bwd.finite):
-            raise ValueError(
-                "perturbed state: the relative entropies to the full Gibbs "
-                "state fail the kernel condition at working precision (the "
-                "smallest eigenvalues of the densities fall below the relative "
-                f"cutoff {entropy._KERNEL_CUTOFF:g}); the bound cannot be checked"
-            )
         if not (fwd.value <= bound + slack and bwd.value <= bound + slack):
             raise ValueError(
                 f"perturbed state failed the entropy bound: {fwd.value:.3e} / "
@@ -207,11 +324,14 @@ class RestrictedState:
     ``rho`` is the ``2**|R|``-dimensional density of the restriction on the
     standard copy of the region's algebra (see :func:`car.small_representation`):
     ``omega(B) = Tr(rho S)`` for every ``B`` in the region's algebra with
-    small representation ``S``.
+    small representation ``S``.  The restriction of a Gibbs state to the
+    region its Hamiltonian lies in is the small Gibbs density, and ``log``
+    then holds its closed-form log.
     """
 
     region: Region
     rho: np.ndarray
+    log: GibbsLog | None = None
 
     def max_difference(self, other: "RestrictedState") -> float:
         """Largest entry of the difference of the two small densities."""
@@ -225,7 +345,10 @@ def restrict(omega: DensityState, region: Region) -> RestrictedState:
     trace of its density over the complement."""
     multiplicity = car.dim(omega.lattice_size - len(region))
     rho = multiplicity * car.small_representation(omega.density, region)
-    return RestrictedState(region=region, rho=rho)
+    log = None
+    if omega.log is not None and omega.log.region == region:
+        log = replace(omega.log, region=None)
+    return RestrictedState(region=region, rho=rho, log=log)
 
 
 def product_check(omega: DensityState, region: Region) -> float:
@@ -259,7 +382,8 @@ def odd_direction(region: Region) -> AlgebraElement:
 
 def max_perturbation_strength(omega: DensityState, direction: AlgebraElement) -> float:
     """Largest coefficient keeping ``D + lam X`` positive by the spectral bound
-    ``lam <= lambda_min(D) / (2 ||X||)``."""
+    ``lam <= lambda_min(D) / (2 ||X||)``; the norm of the local ``X`` is read
+    from the small representation of its support."""
     nrm = direction.norm()
     if nrm == 0.0:
         raise ValueError("zero direction")
@@ -334,11 +458,14 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     if np.max(np.abs(u.matrix @ u.matrix - np.eye(n))) > 1e-12 * scale:
         raise ValueError("u is not unitary")
 
-    extended = car.conditional_expectation_matrix(outer.density, comp)
+    # the extension lies in A_comp, so its square root is the embedded
+    # square root of its 2**(L-1)-dimensional small representation
+    extended = car.small_representation(outer.density, comp)
     extended = (extended + extended.conj().T) / 2.0
     evals, vecs = np.linalg.eigh(extended)
     evals = np.clip(evals, 0.0, None)
-    root = (vecs * np.sqrt(evals)[None, :]) @ vecs.conj().T  # Hilbert-Schmidt vector
+    root = car.embed((vecs * np.sqrt(evals)[None, :]) @ vecs.conj().T,
+                     comp)  # Hilbert-Schmidt vector
     xi = (root + u.matrix @ root) / np.sqrt(2.0)
     weight = float(np.trace(xi @ xi.conj().T).real)
     density = (xi @ xi.conj().T) / weight

@@ -186,19 +186,18 @@ def test_computation_breakdown_yields_a_diagnostic_record(monkeypatch,
     assert "synthetic breakdown" in capsys.readouterr().err
 
 
-def test_kernel_condition_failure_is_named(tmp_path, capsys):
-    # at beta = 50 the smallest Gibbs eigenvalues fall below the relative
-    # kernel cutoff, so the entropy bound of the decoupled state cannot be
-    # checked; the error says so instead of reporting a failed bound
+@pytest.mark.parametrize("verb", ["perturb", "entropy", "prop4"])
+def test_low_temperature_runs_report_their_checks(verb, tmp_path):
+    # at beta = 50 the smallest Gibbs eigenvalues are about 1e-17 of the
+    # largest; the closed-form logs keep every relative entropy finite, so
+    # the checks are reported instead of an error record
     out = tmp_path / "report.jsonl"
-    assert run(["prop4", "--length", "4", "--region", "1", "--beta", "50",
-                "--out", str(out)]) == 1
+    status = run([verb, "--length", "4", "--region", "1", "--beta", "50",
+                  "--out", str(out)])
     records = read_records(out)
-    assert len(records) == 1
-    assert records[0]["check"] == "error" and not records[0]["pass"]
-    err = capsys.readouterr().err
-    assert "ValueError" in err and "kernel condition" in err
-    assert "failed the entropy bound" not in err
+    assert records and all(r["check"] != "error" for r in records)
+    if verb != "prop4":
+        assert status == 0 and all(r["pass"] for r in records)
 
 
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,

@@ -1,0 +1,191 @@
+"""Closed-form Gibbs logs against the spectral route, and the decomposition
+budget of each verb.
+
+A Gibbs state records ``log D = -beta (H - E0) - log Z'`` with ``H`` in the
+small representation of its region, so relative entropies against it, its
+entropy and its smallest eigenvalue need no decomposition of ``D``; norms of
+local elements come from the small representation of their support.  Each
+closed form must agree with the dense spectral computation
+(``relative_entropy_matrices``, ``eigvalsh``, ``np.linalg.norm(., 2)``) to
+``1e-12 * max(1, |value|)``.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fermichain import car, cli
+from fermichain.entropy import (conditional_entropy, relative_entropy,
+                                relative_entropy_matrices,
+                                restricted_relative_entropy)
+from fermichain.potentials import (build_model, local_hamiltonian,
+                                   total_hamiltonian)
+from fermichain.regions import Region
+from fermichain.states import (DensityState, gibbs_state, odd_direction,
+                               perturbed_state, restrict, spectral_entropy)
+
+
+def close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def spectrum(state: DensityState) -> np.ndarray:
+    return np.linalg.eigvalsh(state.density)
+
+
+def check_closed_forms(lattice, model, beta, sites):
+    region = Region.of(sites, lattice)
+    potential = build_model(model, lattice)
+    full = gibbs_state(total_hamiltonian(potential), beta)
+    phi = perturbed_state(potential, beta, region)
+    assert full.log is not None and phi.log is not None
+
+    for first, second in ((full, phi), (phi, full)):
+        got = relative_entropy(first, second)
+        want = relative_entropy_matrices(first.density, second.density)
+        assert got.finite and want.finite
+        assert close(got.value, want.value), (got.value, want.value)
+
+    for state in (full, phi):
+        dense = spectrum(state)
+        assert close(state.entropy(), spectral_entropy(dense))
+        assert close(state.lambda_min(), float(np.min(dense)))
+        assert np.max(np.abs(state.eigenvalues() - dense)) <= 1e-12
+
+    comp = region.complement()
+    got = restricted_relative_entropy(phi, full, comp)
+    want = relative_entropy_matrices(restrict(phi, comp).rho,
+                                     restrict(full, comp).rho)
+    assert restrict(phi, comp).log is not None
+    assert close(got.value, want.value), (got.value, want.value)
+
+    for element in (local_hamiltonian(potential, region).element,
+                    odd_direction(region)):
+        assert close(element.norm(), float(np.linalg.norm(element.matrix, 2)))
+
+
+@given(lattice=st.integers(min_value=1, max_value=6),
+       model=st.sampled_from(["hopping", "tv"]),
+       beta=st.floats(min_value=-2.0, max_value=2.0),
+       data=st.data())
+def test_closed_forms_match_the_spectral_route(lattice, model, beta, data):
+    sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1))
+    check_closed_forms(lattice, model, beta, sorted(sites))
+
+
+def test_closed_forms_match_the_spectral_route_at_seven_sites():
+    check_closed_forms(7, "tv", -1.7, [2, 3])
+
+
+def test_gibbs_state_rejects_a_hamiltonian_outside_its_region():
+    lattice = 4
+    h = total_hamiltonian(build_model("hopping", lattice))
+    with pytest.raises(ValueError, match="algebra of region"):
+        gibbs_state(h, 1.0, region=Region.of([0, 1], lattice))
+
+
+def test_restriction_to_another_region_has_no_closed_form():
+    lattice = 5
+    region = Region.of([2], lattice)
+    phi = perturbed_state(build_model("hopping", lattice), 1.0, region)
+    assert restrict(phi, region.complement()).log is not None
+    assert restrict(phi, Region.of([0, 1], lattice)).log is None
+    assert restrict(phi, region).log is None
+
+
+def test_generic_state_takes_its_spectrum_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    d = g @ g.conj().T
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    state = DensityState(d / np.trace(d).real)
+    state.lambda_min()
+    state.entropy()
+    state.eigenvalues()
+    assert calls == [(16, 16)]
+    # the grading image is a different density and takes its own spectrum
+    state.theta().entropy()
+    assert calls == [(16, 16), (16, 16)]
+
+
+def test_closed_form_logs_keep_low_temperature_entropies_finite():
+    lattice, beta = 4, 50.0
+    region = Region.of([1], lattice)
+    potential = build_model("hopping", lattice)
+    full = gibbs_state(total_hamiltonian(potential), beta)
+    phi = perturbed_state(potential, beta, region)
+    # the spectral route loses the kernel condition at this temperature
+    assert not relative_entropy_matrices(full.density, phi.density).kernel_ok
+    bound = 2.0 * beta * local_hamiltonian(potential, region).element.norm()
+    for value in (relative_entropy(full, phi), relative_entropy(phi, full),
+                  restricted_relative_entropy(phi, full, region.complement())):
+        assert value.finite and 0.0 <= value.value <= bound
+    assert conditional_entropy(full, region) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# decomposition budget
+# ---------------------------------------------------------------------------
+
+DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
+# verb -> most N x N eigh / eigvalsh / svd calls at L = 6 on region 2,3:
+# eigh(H) for the full Gibbs state, shared by the verb and the validation
+# of the decoupled state, plus one eigvalsh each for the trace norm in
+# product_check (perturb), for psi and for theta(psi) (prop4; theta(psi)
+# keeps its own spectrum so that FpsiTheta and ScImin compare independent
+# numbers) and for the positivity check of the remark2 vector state
+BUDGET = {"perturb": 2, "entropy": 1, "prop4": 3, "remark2": 2}
+
+
+def counting(monkeypatch, n):
+    calls = []
+    # numpy.linalg.norm reaches svd through the private module namespace
+    modules = [np.linalg, scipy.linalg]
+    if hasattr(np.linalg, "_linalg"):
+        modules.append(np.linalg._linalg)
+    for module in modules:
+        for name in DECOMPOSITIONS:
+            original = getattr(module, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                if np.shape(a) == (n, n):
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("verb", sorted(BUDGET))
+def test_each_verb_stays_within_its_decomposition_budget(verb, monkeypatch):
+    lattice = 6
+    calls = counting(monkeypatch, car.dim(lattice))
+    argv = [verb, "--length", str(lattice)]
+    if verb != "remark2":
+        argv += ["--region", "2,3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls, "the counter saw no decomposition at all"
+    assert len(calls) <= BUDGET[verb], calls
+
+
+def test_the_counter_sees_numpy_norm_and_scipy(monkeypatch):
+    calls = counting(monkeypatch, 4)
+    a = np.eye(4)
+    np.linalg.norm(a, 2)
+    scipy.linalg.eigh(a)
+    np.linalg.eigvalsh(a)
+    np.linalg.eigvalsh(np.eye(2))
+    assert calls == ["svd", "eigh", "eigvalsh"]

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car
-from fermichain.entropy import (conditional_entropy,
-                                conditional_entropy_matrices, relative_entropy,
+from fermichain.entropy import (compressed_conditional_entropy,
+                                conditional_entropy, relative_entropy,
                                 relative_entropy_matrices,
                                 restricted_relative_entropy)
 from fermichain.potentials import (hopping_model, local_hamiltonian,
@@ -228,10 +228,11 @@ def test_conditional_entropy_helper_rejects_non_densities():
     # S(D) - (N / m) S(small) = log N > 0 can only mean bad inputs
     pure = np.zeros((m, m))
     pure[0, 0] = 1.0
+    mixed = DensityState(np.eye(n) / n, validate=False)
     with pytest.raises(RuntimeError):
-        conditional_entropy_matrices(np.eye(n) / n, pure)
+        compressed_conditional_entropy(mixed, pure)
     # its true conditional expectation gives 0 up to rounding, clamped to <= 0
-    got = conditional_entropy_matrices(np.eye(n) / n, np.eye(m) / n)
+    got = compressed_conditional_entropy(mixed, np.eye(m) / n)
     assert -1e-15 <= got <= 0.0
 
 
