@@ -16,6 +16,14 @@ small representation is the normalized partial trace, so it compresses any
 ``K`` onto the region's algebra on its own: no separate conditional
 expectation is needed.
 
+Products with a local factor never multiply two ``2**L``-dimensional
+matrices: the factor acts through its small representation and the mode
+reordering (:func:`car.local_times`), in ``O(N**2 m)`` for a factor on
+``m = 2**|R|`` states, and ``omega(A* A)`` is the expectation of the
+embedded ``m x m`` product.  These routes rely on each element lying in
+the algebra of its declared support, so the probes that take elements
+refuse one that does not.
+
 Odd self-adjoint elements supported on disjoint regions can only be
 correlated imaginarily: they anticommute, so their product is
 skew-adjoint and the real part of its expectation vanishes for every
@@ -50,6 +58,16 @@ def _trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
 
+def _small(x: AlgebraElement, name: str) -> np.ndarray:
+    """Small representation of ``x`` on its support, refusing (``ValueError``)
+    an element whose matrix does not lie in the algebra of that support."""
+    scale = max(1.0, float(np.max(np.abs(x.matrix))))
+    if car.support_residual(x) > 1e-12 * scale:
+        raise ValueError(f"{name} element does not lie in the algebra of its "
+                         f"support {x.support.sites}")
+    return car.small_representation(x.matrix, x.support)
+
+
 def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
                         region: Region) -> ProbeResult:
     """``sup |omega(A B) - omega(A) omega(B)|`` over ``B`` in the region's
@@ -63,8 +81,13 @@ def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
         raise ValueError("cluster probe region must be disjoint from the observable")
     n = car.dim(omega.lattice_size)
     m = car.dim(len(region))
+    local = _small(observable, "observable")
     mean = omega.expectation(observable)
-    hand = omega.density @ observable.matrix - mean * omega.density
+    # D A = (A^T D^T)^T, and embed commutes with the transpose (the
+    # reordering is real), so the local factor acts on the left
+    density = omega.density
+    hand = car.local_times(local.T, observable.support,
+                           density.T).T - mean * density
     small = car.small_representation(hand, region)
     value = (n / m) * _trace_norm(small)
     return ProbeResult(quantity=float(value), region=region)
@@ -117,7 +140,10 @@ def purely_imaginary_check(omega: DensityState, a: AlgebraElement,
         if np.max(np.abs(x.matrix + car.theta_matrix(x.matrix, x.lattice_size))) \
                 > 1e-12 * scale:
             raise ValueError(f"{name} element is not odd")
-    return float(abs(np.real(omega.expectation(a.matrix @ b.matrix))))
+    small_a = _small(a, "first")
+    _small(b, "second")
+    corr = omega.expectation(car.local_times(small_a, a.support, b.matrix))
+    return float(abs(np.real(corr)))
 
 
 def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
@@ -130,21 +156,26 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
     NaN); a nonzero count would exhibit a state outside the even-state
     framework the probes assume.  The bound on the real part holds only for
     disjoint supports, so a case whose supports overlap is refused with
-    ``ValueError``.
+    ``ValueError``, and so is an element that does not lie in the algebra
+    of its declared support.  ``cases`` may be any iterable, a generator
+    included; the count of cases scanned is reported.
     """
+    count = 0
     violations = 0
     worst_real = 0.0
     worst_excess = -np.inf
     for omega, a, b in cases:
+        count += 1
         if not a.support.is_orthogonal(b.support):
             raise ValueError(f"odd elements on {a.support.sites} and "
                              f"{b.support.sites} overlap; the scan needs "
                              "disjoint supports")
-        corr = omega.expectation(a.matrix @ b.matrix)
-        envelope = np.sqrt(
-            max(np.real(omega.expectation(a.matrix.conj().T @ a.matrix)), 0.0)
-            * max(np.real(omega.expectation(b.matrix.conj().T @ b.matrix)), 0.0)
-        )
+        small_a, small_b = _small(a, "first"), _small(b, "second")
+        corr = omega.expectation(car.local_times(small_a, a.support, b.matrix))
+        # embed is a *-homomorphism, so A* A is the embedding of s_a* s_a
+        aa = omega.expectation(car.embed(small_a.conj().T @ small_a, a.support))
+        bb = omega.expectation(car.embed(small_b.conj().T @ small_b, b.support))
+        envelope = np.sqrt(max(np.real(aa), 0.0) * max(np.real(bb), 0.0))
         real_part = abs(np.real(corr))
         excess = abs(corr) - envelope
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
@@ -153,7 +184,7 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
         if not (real_part <= real_tol and excess <= real_tol):
             violations += 1
     return {
-        "cases": len(cases) if hasattr(cases, "__len__") else None,
+        "cases": count,
         "violations": violations,
         "worst_real_part": float(worst_real),
         "worst_cauchy_schwarz_excess": float(worst_excess),

@@ -226,3 +226,111 @@ def test_probe_result_carries_its_region():
     assert isinstance(result, ProbeResult)
     assert result.region == region
     assert result.witness is None
+
+
+# ---------------------------------------------------------------------------
+# products with local factors, against the dense products
+# ---------------------------------------------------------------------------
+
+
+class Recording:
+    """Passes every expectation on to ``omega`` and keeps the values."""
+
+    def __init__(self, omega):
+        self.omega = omega
+        self.values = []
+
+    def expectation(self, matrix):
+        value = self.omega.expectation(matrix)
+        self.values.append(value)
+        return value
+
+
+@st.composite
+def disjoint_odd_pair(draw, max_lattice=6):
+    """Random odd self-adjoint elements on disjoint nonempty regions of a
+    chain of at most ``max_lattice`` sites, with a random even state."""
+    lattice = draw(st.integers(min_value=2, max_value=max_lattice))
+    first, second = draw(st.lists(st.integers(min_value=0,
+                                              max_value=lattice - 1),
+                                  min_size=2, max_size=2, unique=True))
+    others = draw(st.lists(st.sampled_from("abn"), min_size=lattice,
+                           max_size=lattice))
+    others[first], others[second] = "a", "b"
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    omega = random_even_state(lattice, rng)
+    a = odd_hermitian(Region.of([s for s, k in enumerate(others) if k == "a"],
+                                lattice), rng)
+    b = odd_hermitian(Region.of([s for s, k in enumerate(others) if k == "b"],
+                                lattice), rng)
+    return omega, a, b
+
+
+def assert_relative(got, want, tol=1e-12):
+    assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+@given(disjoint_odd_pair())
+def test_scan_expectations_match_the_dense_products(case):
+    omega, a, b = case
+    recorder = Recording(omega)
+    report = scan_odd_correlations([(recorder, a, b)])
+    assert report["violations"] == 0
+    corr, norm_a, norm_b = recorder.values
+    assert_relative(corr, omega.expectation(a.matrix @ b.matrix))
+    assert_relative(norm_a, omega.expectation(a.matrix.conj().T @ a.matrix))
+    assert_relative(norm_b, omega.expectation(b.matrix.conj().T @ b.matrix))
+
+
+@given(disjoint_odd_pair())
+def test_purely_imaginary_check_takes_the_dense_correlation(case):
+    omega, a, b = case
+    recorder = Recording(omega)
+    purely_imaginary_check(recorder, a, b)
+    [corr] = recorder.values
+    assert_relative(corr, omega.expectation(a.matrix @ b.matrix))
+
+
+@given(disjoint_odd_pair())
+def test_cluster_coefficient_matches_the_dense_product(case):
+    omega, a, b = case
+    n, m = car.dim(omega.lattice_size), car.dim(len(b.support))
+    mean = omega.expectation(a.matrix)
+    hand = omega.density @ a.matrix - mean * omega.density
+    small = car.small_representation(hand, b.support)
+    want = (n / m) * np.sum(np.linalg.svd(small, compute_uv=False))
+    assert_relative(cluster_coefficient(omega, a, b.support).quantity, want)
+
+
+def test_scan_counts_the_cases_of_a_generator():
+    lattice = 4
+    rng = np.random.default_rng(3)
+
+    def cases():
+        for _ in range(7):
+            yield (random_even_state(lattice, rng),
+                   odd_hermitian(Region.of([3], lattice), rng),
+                   odd_hermitian(Region.of([0, 1], lattice), rng))
+
+    report = scan_odd_correlations(cases())
+    assert report["cases"] == 7
+    assert report["violations"] == 0
+    assert scan_odd_correlations(iter([]))["cases"] == 0
+
+
+def test_probes_refuse_an_element_outside_its_declared_support():
+    # a_1 + a_1* labelled as living on site 0: every product the probes form
+    # through the declared support would be wrong, so they refuse it
+    lattice = 4
+    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    mislabelled = car.AlgebraElement(
+        odd_direction(Region.of([1], lattice)).matrix, Region.of([0], lattice))
+    b = odd_direction(Region.of([2], lattice))
+    with pytest.raises(ValueError, match="support"):
+        scan_odd_correlations([(gibbs, mislabelled, b)])
+    with pytest.raises(ValueError, match="support"):
+        scan_odd_correlations([(gibbs, b, mislabelled)])
+    with pytest.raises(ValueError, match="support"):
+        purely_imaginary_check(gibbs, mislabelled, b)
+    with pytest.raises(ValueError, match="support"):
+        cluster_coefficient(gibbs, mislabelled, Region.of([3], lattice))

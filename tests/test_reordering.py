@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fermichain import car, kernels
@@ -143,6 +143,33 @@ def test_embedding_matches_monomial_oracle_and_inverts(region, seed):
 def test_embedding_rejects_a_wrong_size():
     with pytest.raises(ValueError):
         car.embed(np.eye(2), Region.of([0, 1], 3))
+
+
+@given(regions(), seeds)
+@example(Region((3,), 5), 0)
+@example(Region((3, 0, 1), 5), 1)       # sites given out of order
+@example(Region.of([0, 2, 5], 6), 2)    # interleaved with the complement
+@example(Region.full(7), 3)
+def test_local_times_is_the_product_with_the_embedding(region, seed):
+    rng = np.random.default_rng(seed)
+    small = unit_matrix(car.dim(len(region)), rng)
+    matrix = unit_matrix(car.dim(region.lattice_size), rng)
+    want = car.embed(small, region) @ matrix
+    assert np.max(np.abs(car.local_times(small, region, matrix) - want)) <= 1e-12
+    # a block of columns, and a real matrix, are multiplied the same way
+    assert np.max(np.abs(car.local_times(small, region, matrix[:, :3])
+                         - want[:, :3])) <= 1e-12
+    want_real = car.embed(small, region) @ matrix.real
+    assert np.max(np.abs(car.local_times(small, region, matrix.real)
+                         - want_real)) <= 1e-12
+
+
+def test_local_times_rejects_mismatched_shapes():
+    region = Region.of([0, 1], 3)
+    with pytest.raises(ValueError):
+        car.local_times(np.eye(2), region, np.eye(8))
+    with pytest.raises(ValueError):
+        car.local_times(np.eye(4), region, np.eye(4))
 
 
 @given(regions(), seeds)
