@@ -11,8 +11,8 @@ the occupation basis.  The layers, bottom to top:
   through one fermionic mode reordering: small representations (partial
   traces), their inverse embeddings, conditional expectations onto local
   algebras; trace-orthogonal monomial bases, kept as the tests' oracle;
-- :mod:`fermichain.potentials` — interactions as families of local terms,
-  their standard form, local and total Hamiltonians;
+- :mod:`fermichain.potentials` — interactions as local terms held on their
+  supports, their standard form, local and total Hamiltonians;
 - :mod:`fermichain.states` — density states: tracial, Gibbs, decoupled
   equilibria, restrictions, noneven perturbations, and a vector state that
   is even outside one site yet maximally noneven on it;
@@ -26,8 +26,8 @@ the occupation basis.  The layers, bottom to top:
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
 
-Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the
-gather/scatter operations on the monomial tables, which only the tests use.
+Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the column-map
+gather/scatter operations of the monomial oracle, which only the tests use.
 """
 
 from .car import (AlgebraElement, GradedSplit, Monomial, MonomialBasis,
@@ -38,9 +38,9 @@ from .car import (AlgebraElement, GradedSplit, Monomial, MonomialBasis,
 from .entropy import (EntropyValue, conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
-from .potentials import (MODELS, LocalHamiltonian, Potential,
-                         PotentialReport, build_model, hopping_model,
-                         local_hamiltonian, potential_from_records, prune,
+from .potentials import (MODELS, Potential, PotentialReport, build_model,
+                         hopping_model, local_hamiltonian,
+                         potential_from_records, prune,
                          random_standard_potential, raw_number_model,
                          standardize, total_hamiltonian, tv_model,
                          validate_potential)
@@ -60,10 +60,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
-    "EntropyValue", "FeasibleFamily", "GradedSplit", "LocalHamiltonian",
-    "MAX_SITES", "MODELS", "MaximizerInfo", "Monomial", "MonomialBasis",
-    "Potential", "PotentialReport", "ProbeResult", "Region",
-    "RestrictedState", "StabilityReport", "annihilator", "build_model",
+    "EntropyValue", "FeasibleFamily", "GradedSplit", "MAX_SITES", "MODELS",
+    "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
+    "PotentialReport", "ProbeResult", "Region", "RestrictedState",
+    "StabilityReport", "annihilator", "build_model",
     "cluster_coefficient", "conditional_entropy", "creator", "embed",
     "even_odd_split", "feasible_sampler", "free_energy", "gibbs_state",
     "grading_asymmetry", "grading_unitary", "hopping_model",

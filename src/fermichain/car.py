@@ -29,7 +29,8 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
 
 - :func:`small_representation` is the normalized fermionic partial trace
   over the complement (Friis, Lee & Bruschi, PRA 87, 022338 (2013));
-- :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``;
+- :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``; it makes the
+  generators from ``2 x 2`` matrices, and :func:`add_embedded` sums terms;
 - :func:`local_times` multiplies a matrix by ``embed(S)`` on the left
   through ``S`` alone;
 - the tau-preserving conditional expectation onto ``A_R`` is
@@ -41,8 +42,8 @@ Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
 
 Monomials in the generators are "column maps" (each occupation state is sent
-to at most one occupation state); see :mod:`fermichain.kernels` for the
-encoding.  The monomial basis of a region is, per site, one factor out of
+to at most one occupation state); the encoding (:mod:`fermichain.kernels`)
+serves only the monomial basis of a region: per site, one factor out of
 
     { 1,  a_i,  a_i*,  v_i }
 
@@ -88,7 +89,7 @@ def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generator encodings
+# column-map encodings (the monomial basis's tables)
 # ---------------------------------------------------------------------------
 
 
@@ -227,22 +228,27 @@ class AlgebraElement:
         return AlgebraElement(self.matrix @ other.matrix, self.support.union(other.support))
 
 
+# a on a chain of one site: |0><1|
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _on_site(small: np.ndarray, site: int, lattice_size: int) -> AlgebraElement:
+    region = Region((site,), lattice_size)
+    return AlgebraElement(embed(small, region), region)
+
+
 def annihilator(site: int, lattice_size: int) -> AlgebraElement:
     """``a_site`` as an element supported on the single site."""
-    p, v = annihilator_encoding(site, lattice_size)
-    return AlgebraElement(encoding_dense(p, v), Region((site,), lattice_size))
+    return _on_site(_LOWER, site, lattice_size)
 
 
 def creator(site: int, lattice_size: int) -> AlgebraElement:
-    p, v = creator_encoding(site, lattice_size)
-    return AlgebraElement(encoding_dense(p, v), Region((site,), lattice_size))
+    return _on_site(_LOWER.T, site, lattice_size)
 
 
 def number_operator(site: int, lattice_size: int) -> AlgebraElement:
-    """``a_site* a_site``, composed as column maps."""
-    p, v = kernels.compose(*creator_encoding(site, lattice_size),
-                           *annihilator_encoding(site, lattice_size))
-    return AlgebraElement(encoding_dense(p, v), Region((site,), lattice_size))
+    """``a_site* a_site``."""
+    return _on_site(_LOWER.T @ _LOWER, site, lattice_size)
 
 
 def grading_unitary(region: Region) -> AlgebraElement:
@@ -374,6 +380,14 @@ def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
 def embed(small: np.ndarray, region: Region) -> np.ndarray:
     """The element of ``A_region`` whose small representation is ``small``."""
     return block_embed(small, mode_reordering(region))
+
+
+def add_embedded(out: np.ndarray, small: np.ndarray, region: Region) -> None:
+    """``out += embed(small, region)`` in place, touching only the
+    ``2**L * 2**|R|`` entries the embedding fills (each exactly once)."""
+    index, sign = mode_reordering(region)
+    out[index[:, :, None], index[:, None, :]] += \
+        small[None] * (sign[:, :, None] * sign[:, None, :])
 
 
 def local_times(small: np.ndarray, region: Region,

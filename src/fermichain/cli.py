@@ -223,7 +223,7 @@ def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region, full=state)
     product = product_check(phi, region)
-    bound = 2.0 * abs(cfg.beta) * local_hamiltonian(potential, region).element.norm()
+    bound = 2.0 * abs(cfg.beta) * local_hamiltonian(potential, region).norm()
     forward = relative_entropy(state, phi).value
     backward = relative_entropy(phi, state).value
     slack = bound - max(forward, backward)

@@ -6,14 +6,14 @@ stored as a pair of length-``N`` arrays ``(perm, val)`` meaning
 
     m |s> = val[s] |perm[s]>          (perm[s] == -1, val[s] == 0 when m|s> = 0)
 
-with ``N = 2**L``.  All hot operations on monomials — composing them,
-taking traces against a density matrix, projecting a dense operator onto a
+with ``N = 2**L``.  The operations on monomials — composing them, taking
+traces against a density matrix, projecting a dense operator onto a
 monomial basis, and re-assembling a dense matrix from coefficients — then
 become gather/scatter loops over ``s``, never full matrix products.
 
-The package computes conditional expectations without these tables (see
-:mod:`fermichain.car`); the kernels serve the monomial basis, which only
-the tests use, as an independent oracle.
+The package builds generators, terms and conditional expectations without
+these tables (see :mod:`fermichain.car`); the kernels serve only the
+monomial basis, which the tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ import numpy as np
 # the kernels exist in this one numpy implementation; the name stays for
 # environment stamps that record it
 BACKEND = "python"
-
-
-def compose(p1, v1, p2, v2):
-    """Encoding of ``m1 @ m2`` (``m2`` acts first)."""
-    dead2 = p2 < 0
-    t = np.where(dead2, 0, p2)
-    p = p1[t]
-    v = v1[t] * v2
-    dead = dead2 | (p < 0)
-    p = np.where(dead, -1, p)
-    v = np.where(dead, 0.0 + 0.0j, v)
-    return p, v
 
 
 def compose_batch(P1, V1, p2, v2):

@@ -19,6 +19,11 @@ The local Hamiltonian of a region collects every term whose support meets it,
 so ``H(I)`` generally extends beyond ``I``.  Dropping exactly those terms
 (:func:`prune`) leaves the surface-free remainder ``H~`` with
 ``H(whole chain) = H(I) + H~(whole chain)``.
+
+Each term ``Phi(K)`` is stored as its ``2**|K|``-square small representation
+(:func:`car.small_representation`): site ``K[k]`` is site ``k`` of a chain of
+``|K|`` sites, on which terms are built, standardized and validated.  Only
+``H(I)`` and ``H`` are ``2**L``-square.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import car, kernels
+from . import car
 from .car import AlgebraElement
 from .regions import Region
 
@@ -42,19 +47,20 @@ def _region_sort_key(region: Region):
 
 @dataclass
 class Potential:
-    """Finitely many interaction terms, keyed by their support region."""
+    """Finitely many interaction terms, keyed by their support region; each
+    term is the ``2**|K| x 2**|K|`` small representation of ``Phi(K)``."""
 
     lattice_size: int
     terms: dict[Region, np.ndarray]
 
     def __post_init__(self) -> None:
-        n = car.dim(self.lattice_size)
         for region, term in self.terms.items():
             if region.lattice_size != self.lattice_size:
                 raise ValueError(f"term region {region} not on chain of {self.lattice_size}")
             if region.is_empty:
                 raise ValueError("potential terms must have nonempty support")
-            if term.shape != (n, n):
+            m = car.dim(len(region))
+            if term.shape != (m, m):
                 raise ValueError(f"term for {region.sites} has shape {term.shape}")
 
     def regions(self) -> list[Region]:
@@ -64,15 +70,17 @@ class Potential:
 def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
     """Bring raw interaction terms to standard form.
 
-    Each raw term must be self-adjoint, even, and supported in its region
-    (all three are checked).  Its standardized pieces are
+    Each raw term is a dense ``2**L``-square matrix and must be
+    self-adjoint, even, and supported in its region (all three are checked).
+    Its standardized pieces are
 
         contribution to J  =  sum over K below J of (-1)^(|J| - |K|) E_K(term)
 
     for the nonempty subregions ``J`` of its support; the empty-region piece
-    (a multiple of the identity) is dropped.  The pieces add back to the raw
-    term minus its trace, and each piece is annihilated by the conditional
-    expectation onto any region not containing it.
+    (a multiple of the identity) is dropped.  The sum runs on the support's
+    own chain.  The pieces add back to the raw term minus its trace, and
+    each piece is annihilated by the conditional expectation onto any region
+    not containing it.
     """
     if not raw:
         raise ValueError("no raw terms given")
@@ -81,46 +89,35 @@ def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
     for region, term in raw.items():
         mat = term.matrix if isinstance(term, AlgebraElement) else np.asarray(term,
                                                                               dtype=np.complex128)
-        elem = AlgebraElement(mat, region)
         scale = max(1.0, float(np.max(np.abs(mat))))
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * scale:
             raise ValueError(f"raw term on {region.sites} is not self-adjoint")
         if np.max(np.abs(mat - car.theta_matrix(mat, lattice))) > 1e-12 * scale:
             raise ValueError(f"raw term on {region.sites} is not even")
-        if car.support_residual(elem) > 1e-12 * scale:
+        if car.support_residual(AlgebraElement(mat, region)) > 1e-12 * scale:
             raise ValueError(f"raw term on {region.sites} is not supported in its region")
 
-        projections = {sub.sites: car.conditional_expectation_matrix(mat, sub)
-                       for sub in region.subregions()}
-        for sub in region.subregions(include_empty=False):
-            contrib = np.zeros_like(mat)
-            for inner in sub.subregions():
-                sign = (-1) ** (len(sub) - len(inner))
+        small = car.small_representation(mat, region)
+        chain = Region.full(len(region))   # position k holds site region.sites[k]
+        projections = {j.sites: car.conditional_expectation_matrix(small, j)
+                       for j in chain.subregions()}
+        for j in chain.subregions(include_empty=False):
+            contrib = np.zeros_like(small)
+            for inner in j.subregions():
+                sign = (-1) ** (len(j) - len(inner))
                 contrib += sign * projections[inner.sites]
             if np.max(np.abs(contrib)) <= _TERM_DROP_TOL * scale:
                 continue
-            if sub in out:
-                out[sub] = out[sub] + contrib
-            else:
-                out[sub] = contrib
+            sub = Region(tuple(region.sites[k] for k in j.sites), lattice)
+            out[sub] = out.get(sub, 0) + car.small_representation(contrib, j)
     out = {r: t for r, t in out.items() if np.max(np.abs(t)) > _TERM_DROP_TOL}
     out = {r: out[r] for r in sorted(out.keys(), key=_region_sort_key)}
     return Potential(lattice_size=lattice, terms=out)
 
 
-@dataclass
-class LocalHamiltonian:
-    """``H(I)``: the sum of potential terms whose support meets ``I``."""
-
-    region: Region
-    element: AlgebraElement
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.element.matrix
-
-
-def local_hamiltonian(potential: Potential, region: Region) -> LocalHamiltonian:
+def local_hamiltonian(potential: Potential, region: Region) -> AlgebraElement:
+    """``H(I)``: the sum of the terms whose support meets ``region``, as an
+    element supported on the union of those supports."""
     if region.is_empty:
         raise ValueError("local Hamiltonian of the empty region is not defined")
     n = car.dim(potential.lattice_size)
@@ -128,14 +125,14 @@ def local_hamiltonian(potential: Potential, region: Region) -> LocalHamiltonian:
     support = Region.empty(potential.lattice_size)
     for k in potential.regions():
         if k.intersects(region):
-            total += potential.terms[k]
+            car.add_embedded(total, potential.terms[k], k)
             support = support.union(k)
-    return LocalHamiltonian(region=region, element=AlgebraElement(total, support))
+    return AlgebraElement(total, support)
 
 
 def total_hamiltonian(potential: Potential) -> AlgebraElement:
     """``H`` of the whole chain (every term contributes)."""
-    return local_hamiltonian(potential, Region.full(potential.lattice_size)).element
+    return local_hamiltonian(potential, Region.full(potential.lattice_size))
 
 
 def prune(potential: Potential, region: Region) -> Potential:
@@ -164,25 +161,26 @@ class PotentialReport:
 def validate_potential(potential: Potential) -> PotentialReport:
     """Check support, self-adjointness, evenness, and standardness of all terms.
 
-    Standardness is checked against the co-atoms of each support (drop one
-    site at a time) plus the empty region; by the tower property of the
-    conditional expectations this covers every region not containing the
-    support.
+    Every check runs on the support's own chain.  Standardness is checked
+    against the co-atoms of each support (drop one site at a time) plus the
+    empty region; by the tower property of the conditional expectations this
+    covers every region not containing the support.  A term stored on its
+    support fails ``support`` only through non-finite entries.
     """
-    lattice = potential.lattice_size
     res = {"support": 0.0, "self_adjoint": 0.0, "even": 0.0, "standard": 0.0}
     for region in potential.regions():
         term = potential.terms[region]
+        chain = Region.full(len(region))
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         res["self_adjoint"] = np.maximum(res["self_adjoint"],
                                          np.max(np.abs(term - term.conj().T)))
         res["even"] = np.maximum(res["even"], np.max(np.abs(
-            term - car.theta_matrix(term, lattice))))
+            term - car.theta_matrix(term, len(region)))))
         res["support"] = np.maximum(res["support"],
-                                    car.support_residual(AlgebraElement(term, region)))
+                                    0.0 if np.isfinite(term).all() else np.nan)
         res["standard"] = np.maximum(res["standard"], abs(car.tau(term)))
-        for site in region.sites:
-            sub = region.difference(Region((site,), lattice))
+        for k in chain.sites:
+            sub = chain.difference(Region((k,), len(region)))
             proj = car.conditional_expectation_matrix(term, sub)
             res["standard"] = np.maximum(res["standard"], np.max(np.abs(proj)))
     return PotentialReport(residuals={k: float(v) for k, v in res.items()})
@@ -195,24 +193,23 @@ def validate_potential(potential: Potential) -> PotentialReport:
 
 def _build_term(name: str, sites: list[int], coefficient: float,
                 lattice_size: int) -> tuple[Region, np.ndarray]:
+    """A named term's region and its small representation there."""
+    region = Region.of(sites, lattice_size)
+    chain = len(region)
+    a = {s: car.annihilator(k, chain).matrix for k, s in enumerate(region.sites)}
+    eye = np.eye(car.dim(chain))
     if name == "hop":
         i, j = sites
-        hop = car.encoding_dense(*kernels.compose(
-            *car.creator_encoding(i, lattice_size),
-            *car.annihilator_encoding(j, lattice_size)))
-        return Region((i, j), lattice_size), coefficient * (hop + hop.conj().T)
+        hop = a[i].conj().T @ a[j]
+        return region, coefficient * (hop + hop.conj().T)
     if name in ("num", "num_raw"):
         (i,) = sites
-        n_i = car.number_operator(i, lattice_size).matrix
-        if name == "num":
-            n_i = n_i - 0.5 * np.eye(car.dim(lattice_size))
-        return Region((i,), lattice_size), coefficient * n_i
+        n_i = a[i].conj().T @ a[i]
+        return region, coefficient * (n_i - 0.5 * eye if name == "num" else n_i)
     if name == "nn":
         i, j = sites
-        # both centered number operators are diagonal
-        n_i = np.diagonal(car.number_operator(i, lattice_size).matrix) - 0.5
-        n_j = np.diagonal(car.number_operator(j, lattice_size).matrix) - 0.5
-        return Region((i, j), lattice_size), coefficient * np.diag(n_i * n_j)
+        n_i, n_j = (a[s].conj().T @ a[s] - 0.5 * eye for s in (i, j))
+        return region, coefficient * (n_i @ n_j)
     raise ValueError(f"unknown term name: {name!r}")
 
 
@@ -229,10 +226,7 @@ def potential_from_records(records: list[dict], lattice_size: int) -> Potential:
     for rec in records:
         region, mat = _build_term(rec["term"], list(rec["sites"]),
                                   float(rec["coefficient"]), lattice_size)
-        if region in terms:
-            terms[region] = terms[region] + mat
-        else:
-            terms[region] = mat
+        terms[region] = terms.get(region, 0) + mat
     terms = {r: terms[r] for r in sorted(terms.keys(), key=_region_sort_key)}
     return Potential(lattice_size=lattice_size, terms=terms)
 

@@ -482,7 +482,7 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     rest_defect = max(restrict(psi, comp).max_difference(rest_ref),
                       restrict(psi_t, comp).max_difference(rest_ref))
 
-    h_tilde_i = local_hamiltonian(prune(potential, region), region).element
+    h_tilde_i = local_hamiltonian(prune(potential, region), region)
     hi_defect = h_tilde_i.norm()
     for state in (phi_p, psi, psi_t):
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0

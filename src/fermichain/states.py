@@ -277,38 +277,35 @@ def kms_residual(omega: DensityState, hamiltonian, beta: float, pairs) -> float:
 
 
 def perturbed_state(potential: Potential, beta: float, region: Region,
-                    validate: bool = True,
                     full: DensityState | None = None) -> DensityState:
     """Gibbs state of the potential with every term meeting ``region`` removed.
 
     The result is even and lies in the algebra of the complement, so it
     factorizes against the region as ``omega(AB) = tau(A) omega(B)``; its
     Hamiltonian is diagonalized in the complement's small representation.
-    When ``validate`` is set, its relative-entropy distance to the full
-    Gibbs state (``full`` if the caller has built it, built here otherwise)
-    is checked against the analytic bound ``2 * |beta| * ||H(region)||`` in
-    both orderings.  Both states are Gibbs states, so both relative
-    entropies come from their closed-form logs and are finite at any
-    temperature.
+    Its relative-entropy distance to the full Gibbs state (``full`` if the
+    caller has built it, built here otherwise) is checked against the
+    analytic bound ``2 * |beta| * ||H(region)||`` in both orderings.  Both
+    states are Gibbs states, so both relative entropies come from their
+    closed-form logs and are finite at any temperature.
     """
+    from . import entropy  # deferred: entropy builds on states
+
     remainder = total_hamiltonian(prune(potential, region))
     state = gibbs_state(remainder, beta,
                         label=f"perturbed(beta={beta:g}, I={region.label()})",
                         region=region.complement())
-    if validate:
-        from . import entropy  # deferred: entropy builds on states
-
-        if full is None:
-            full = gibbs_state(total_hamiltonian(potential), beta)
-        bound = 2.0 * abs(beta) * local_hamiltonian(potential, region).element.norm()
-        slack = 1e-8
-        fwd = entropy.relative_entropy(full, state)
-        bwd = entropy.relative_entropy(state, full)
-        if not (fwd.value <= bound + slack and bwd.value <= bound + slack):
-            raise ValueError(
-                f"perturbed state failed the entropy bound: {fwd.value:.3e} / "
-                f"{bwd.value:.3e} vs {bound:.3e}"
-            )
+    if full is None:
+        full = gibbs_state(total_hamiltonian(potential), beta)
+    bound = 2.0 * abs(beta) * local_hamiltonian(potential, region).norm()
+    slack = 1e-8
+    fwd = entropy.relative_entropy(full, state)
+    bwd = entropy.relative_entropy(state, full)
+    if not (fwd.value <= bound + slack and bwd.value <= bound + slack):
+        raise ValueError(
+            f"perturbed state failed the entropy bound: {fwd.value:.3e} / "
+            f"{bwd.value:.3e} vs {bound:.3e}"
+        )
     return state
 
 

@@ -47,8 +47,10 @@ def _anticommutator_residual(enc_a, enc_b, delta):
     is the worst per-column deviation from ``delta`` on the diagonal and
     ``0`` elsewhere.  Dead columns carry permutation ``-1`` and weight ``0``.
     """
-    pa, va = kernels.compose(enc_a[0], enc_a[1], enc_b[0], enc_b[1])
-    pb, vb = kernels.compose(enc_b[0], enc_b[1], enc_a[0], enc_a[1])
+    (pa,), (va,) = kernels.compose_batch(enc_a[0][None], enc_a[1][None],
+                                         enc_b[0], enc_b[1])
+    (pb,), (vb,) = kernels.compose_batch(enc_b[0][None], enc_b[1][None],
+                                         enc_a[0], enc_a[1])
     idx = np.arange(pa.shape[0])
     same = pa == pb
     tot = va + vb

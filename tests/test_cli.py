@@ -299,19 +299,42 @@ def test_resolve_config_handles_region_from_file(tmp_path):
     assert cfg.command == "lts"
 
 
-def test_module_entry_point_runs(tmp_path):
+def run_module(argv, address_space=None):
+    """``python -m fermichain`` in a child that imports the package from
+    where this process did, under an address-space cap when one is given."""
     import os
+    import resource
     import subprocess
     import sys
     from pathlib import Path
 
-    # the child imports the package from where this process did
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "fermichain", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=None if address_space is None else cap)
+
+
+def test_module_entry_point_runs(tmp_path):
     out = tmp_path / "report.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fermichain", "validate", "--length", "3",
-         "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_module(["validate", "--length", "3", "--out", str(out)])
     assert proc.returncode == 0
     assert read_records(out)
+
+
+def test_validate_at_twelve_sites_fits_in_one_gib(tmp_path):
+    # the terms live on their supports, so checking the potential never
+    # forms a 2**12 x 2**12 matrix (256 MiB each)
+    out = tmp_path / "report.jsonl"
+    proc = run_module(["validate", "--length", "12", "--out", str(out)],
+                      address_space=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    records = read_records(out)
+    assert [r["check"] for r in records] == ["support", "self_adjoint",
+                                              "even", "standard"]
+    assert all(r["pass"] for r in records)

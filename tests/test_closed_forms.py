@@ -64,7 +64,7 @@ def check_closed_forms(lattice, model, beta, sites):
     assert restrict(phi, comp).log is not None
     assert close(got.value, want.value), (got.value, want.value)
 
-    for element in (local_hamiltonian(potential, region).element,
+    for element in (local_hamiltonian(potential, region),
                     odd_direction(region)):
         assert close(element.norm(), float(np.linalg.norm(element.matrix, 2)))
 
@@ -128,7 +128,7 @@ def test_closed_form_logs_keep_low_temperature_entropies_finite():
     phi = perturbed_state(potential, beta, region)
     # the spectral route loses the kernel condition at this temperature
     assert not relative_entropy_matrices(full.density, phi.density).kernel_ok
-    bound = 2.0 * beta * local_hamiltonian(potential, region).element.norm()
+    bound = 2.0 * beta * local_hamiltonian(potential, region).norm()
     for value in (relative_entropy(full, phi), relative_entropy(phi, full),
                   restricted_relative_entropy(phi, full, region.complement())):
         assert value.finite and 0.0 <= value.value <= bound

@@ -41,15 +41,6 @@ def payload():
 
 
 @pytest.mark.parametrize("k", BACKENDS, ids=lambda m: m.BACKEND)
-def test_compose_matches_matrix_product(k, payload):
-    p1, v1, p2, v2, _, _ = payload
-    # compose(a, b) must encode the product (dense a) @ (dense b)
-    pc, vc = k.compose(p1[0], v1[0], p2[0], v2[0])
-    want = encoding_dense(p1[0], v1[0]) @ encoding_dense(p2[0], v2[0])
-    assert np.max(np.abs(encoding_dense(pc, vc) - want)) < 1e-13
-
-
-@pytest.mark.parametrize("k", BACKENDS, ids=lambda m: m.BACKEND)
 def test_compose_batch_matches_matrix_products(k, payload):
     p1, v1, p2, v2, _, _ = payload
     pc, vc = k.compose_batch(p1, v1, p2[3], v2[3])
@@ -100,8 +91,8 @@ def test_dead_columns_stay_dead(k):
     val = np.zeros(n, dtype=np.complex128)
     live = np.arange(n, dtype=np.int64)
     ones = np.ones(n, dtype=np.complex128)
-    pc, vc = k.compose(perm, val, live, ones)
+    pc, vc = k.compose_batch(perm[None, :], val[None, :], live, ones)
     assert np.all(pc == -1) and np.all(vc == 0)
-    pc, vc = k.compose(live, ones, perm, val)
+    pc, vc = k.compose_batch(live[None, :], ones[None, :], perm, val)
     assert np.all(pc == -1) and np.all(vc == 0)
     assert not np.any(k.scatter(perm[None, :], val[None, :], np.ones(1)))

@@ -36,15 +36,16 @@ def test_hopping_hamiltonian_matches_kron_oracle():
 
 
 def dense_term(name, sites, coefficient, lattice):
-    """A named term as products of dense creators and annihilators."""
+    """A named term as products of the oracle's dense generators."""
     eye = np.eye(car.dim(lattice))
 
     def number(i):
-        return car.creator(i, lattice).matrix @ car.annihilator(i, lattice).matrix
+        a = oracle_annihilator(i, lattice)
+        return a.conj().T @ a
 
     if name == "hop":
         i, j = sites
-        hop = car.creator(i, lattice).matrix @ car.annihilator(j, lattice).matrix
+        hop = oracle_annihilator(i, lattice).conj().T @ oracle_annihilator(j, lattice)
         return coefficient * (hop + hop.conj().T)
     if name == "num_raw":
         return coefficient * number(sites[0])
@@ -61,17 +62,22 @@ MODEL_TERMS = (("hop", 2, -1.0), ("num", 1, -0.5), ("num_raw", 1, -0.5),
 
 @pytest.mark.parametrize("lattice", range(1, 7))
 def test_column_map_terms_equal_the_dense_products(lattice):
-    for name, width, coefficient in MODEL_TERMS:
-        for first in range(lattice - width + 1):
-            sites = list(range(first, first + width))
-            region, term = _build_term(name, sites, coefficient, lattice)
-            assert region.sites == tuple(sites)
-            want = dense_term(name, sites, coefficient, lattice)
-            assert term.dtype == want.dtype
-            assert np.array_equal(term, want)
+    # every named term, plus a non-adjacent hop written in reverse order
+    cases = [(name, list(range(first, first + width)), coefficient)
+             for name, width, coefficient in MODEL_TERMS
+             for first in range(lattice - width + 1)]
+    if lattice >= 4:
+        cases.append(("hop", [3, 0], -1.0))
+    for name, sites, coefficient in cases:
+        region, term = _build_term(name, sites, coefficient, lattice)
+        assert region.sites == tuple(sorted(sites))
+        assert term.shape == (car.dim(len(sites)),) * 2
+        want = dense_term(name, sites, coefficient, lattice)
+        assert np.array_equal(car.embed(term, region), want)
     for i in range(lattice):
-        want = car.creator(i, lattice).matrix @ car.annihilator(i, lattice).matrix
-        assert np.array_equal(car.number_operator(i, lattice).matrix, want)
+        a = oracle_annihilator(i, lattice)
+        assert np.array_equal(car.number_operator(i, lattice).matrix,
+                              a.conj().T @ a)
 
 
 def test_preset_models_are_standard():
@@ -104,7 +110,8 @@ def test_nan_terms_fail_validation():
 def test_standardize_repairs_raw_model_and_shifts_by_scalar():
     lattice = 4
     raw = raw_number_model(lattice, mu=0.8)
-    fixed = standardize(raw.terms)
+    fixed = standardize({region: car.embed(term, region)
+                         for region, term in raw.terms.items()})
     assert validate_potential(fixed).passed
     diff = (total_hamiltonian(raw).matrix
             - total_hamiltonian(fixed).matrix)
@@ -121,10 +128,34 @@ def test_standardize_telescopes_back_to_centered_term():
     term = car.random_element(region, rng, parity=0, hermitian=True)
     pot = standardize({region: term})
     rebuilt = np.zeros((2 ** lattice,) * 2, dtype=complex)
-    for piece in pot.terms.values():
-        rebuilt = rebuilt + piece
+    for support, piece in pot.terms.items():
+        rebuilt = rebuilt + car.embed(piece, support)
     centered = term.matrix - term.tau() * np.eye(2 ** lattice)
     assert np.max(np.abs(rebuilt - centered)) < 1e-12
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_standardize_matches_the_full_chain_sweep(lattice, data):
+    # the sweep on the support's own chain against the same sweep on the
+    # whole chain, for contiguous and scattered supports
+    sites = data.draw(st.sets(st.integers(min_value=0, max_value=lattice - 1),
+                              min_size=1, max_size=min(lattice, 3)))
+    region = Region.of(sites, lattice)
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+    term = car.random_element(region, np.random.default_rng(seed), parity=0,
+                              hermitian=True)
+    pot = standardize({region: term})
+    projections = {sub.sites: car.conditional_expectation_matrix(term.matrix, sub)
+                   for sub in region.subregions()}
+    want = {}
+    for sub in region.subregions(include_empty=False):
+        want[sub] = sum((-1) ** (len(sub) - len(inner)) * projections[inner.sites]
+                        for inner in sub.subregions())
+    assert set(pot.terms) == {sub for sub, w in want.items()
+                              if np.max(np.abs(w)) > 1e-13}
+    for sub, piece in pot.terms.items():
+        assert piece.shape == (car.dim(len(sub)),) * 2
+        assert np.max(np.abs(car.embed(piece, sub) - want[sub])) < 1e-12
 
 
 def test_standardize_rejects_bad_raw_terms():
@@ -156,13 +187,27 @@ def test_local_hamiltonian_collects_meeting_terms():
     manual = np.zeros((2 ** lattice,) * 2, dtype=complex)
     for support, term in pot.terms.items():
         if support.intersects(region):
-            manual = manual + term
+            manual = manual + car.embed(term, support)
     got = local_hamiltonian(pot, region)
     assert np.max(np.abs(got.matrix - manual)) == 0.0
     # support of H(I) is the union of the meeting supports
-    assert got.region == region
-    assert got.element.support.sites == (1, 2, 3)
-    assert car.support_residual(got.element) < 1e-12
+    assert got.support.sites == (1, 2, 3)
+    assert car.support_residual(got) < 1e-12
+
+
+def test_hamiltonians_of_scattered_terms_match_the_oracle():
+    # on a scattered support the reordering signs of an even term do not
+    # cancel, so the sum must carry them
+    lattice = 5
+    records = [("hop", [3, 0], -1.0), ("nn", [4, 1], 0.8), ("num", [2], -0.5),
+               ("hop", [1, 2], 0.3)]
+    pot = potential_from_records([{"sites": s, "coefficient": c, "term": n}
+                                  for n, s, c in records], lattice)
+    dense = [dense_term(n, s, c, lattice) for n, s, c in records]
+    assert np.array_equal(total_hamiltonian(pot).matrix, sum(dense))
+    local = local_hamiltonian(pot, Region.of([0], lattice))
+    assert local.support.sites == (0, 3)
+    assert np.array_equal(local.matrix, dense[0])
 
 
 def test_total_is_local_of_full_chain():
@@ -202,3 +247,9 @@ def test_potential_terms_are_validated():
     bad_region = Region.of([0], lattice)
     with pytest.raises(ValueError):
         Potential(lattice_size=4, terms={bad_region: np.eye(8)})
+    # terms are stored on their support: a dense 2**L term is refused
+    with pytest.raises(ValueError):
+        Potential(lattice_size=lattice, terms={bad_region: np.eye(8)})
+    with pytest.raises(ValueError):
+        Potential(lattice_size=lattice,
+                  terms={Region.of([0, 2], lattice): np.eye(2)})

@@ -310,7 +310,7 @@ def test_product_check_vanishes_on_decoupled_states(lattice, data):
                               min_size=1, max_size=lattice - 1))
     region = Region.of(sites, lattice)
     beta = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
-    phi = perturbed_state(hopping_model(lattice), beta, region, validate=False)
+    phi = perturbed_state(hopping_model(lattice), beta, region)
     assert product_check(phi, region) <= 1e-12
 
 
