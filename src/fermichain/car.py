@@ -88,6 +88,14 @@ def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
     return float(np.sum(ev) if trace else np.max(ev))
 
 
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Spectral norm of a matrix ``a``: the square root of the top
+    eigenvalue of ``a* a``, one ``eigvalsh`` instead of an SVD.  Rounding
+    below zero is clipped away, so the zero matrix gives 0.0."""
+    top = np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1]
+    return float(np.sqrt(max(float(top), 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # column-map encodings (the monomial basis's tables)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ chain it is the unique state satisfying the KMS boundary condition
 
     omega(A e^(-beta H) B e^(beta H)) = omega(B A),
 
-which :func:`kms_residual` checks directly in the eigenbasis of ``H``.
+which :func:`kms_residual` checks directly in the eigenbasis of ``H``.  Its
+random pairs (:func:`random_pair_panel`) are drawn as matrices in that
+eigenbasis: the panel's law, complex Ginibre matrices scaled to unit spectral
+norm, is unchanged by the basis change ``a -> u* a u``, because the Ginibre
+law and the spectral norm are both unitarily invariant.
 
 Removing from a potential every term that meets a region ``I`` and taking
 the Gibbs state of the remainder yields the *decoupled* equilibrium state:
@@ -243,32 +247,44 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
 def random_pair_panel(lattice_size: int, count: int,
                       rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Random operator pairs of unit spectral norm, for KMS residual panels,
-    drawn one at a time as the panel is consumed (``list`` it to reuse it)."""
+    drawn one at a time as the panel is consumed (``list`` it to reuse it).
+
+    Each matrix is complex Ginibre (real and imaginary parts standard
+    normal, drawn in the order Re a, Im a, Re b, Im b) scaled by its
+    :func:`car.spectral_norm`.  :func:`kms_residual` reads the pairs as
+    matrices in the eigenbasis of ``H``; since the Ginibre law and the
+    spectral norm are unitarily invariant, that is the same law as drawing
+    them in the standard basis and changing basis.
+    """
     n = car.dim(lattice_size)
     for _ in range(count):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        yield a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2)
+        yield a / car.spectral_norm(a), b / car.spectral_norm(b)
 
 
 def kms_residual(omega: DensityState, hamiltonian, beta: float, pairs) -> float:
     """Worst deviation from the KMS boundary condition over the given pairs.
 
-    Both sides are evaluated in the eigenbasis of ``H``, where the analytic
-    continuation of the dynamics is entrywise multiplication by
+    Each pair ``(a, b)`` holds the matrices of ``A`` and ``B`` in the
+    eigenbasis of ``H``, that is ``A = u a u*`` with ``u`` the eigenvectors
+    from this function's ``eigh`` of ``H``, so an ``AlgebraElement`` (a
+    standard-basis operator) is refused.  There the analytic continuation
+    of the dynamics is entrywise multiplication by
     ``exp(-beta (eps_k - eps_l))``; no inverse of ``e^(-beta H)`` is formed.
-    Each trace ``Tr(X Y Z)`` is the elementwise product of the matmul
-    ``X @ Y`` with ``Z.T``, summed: O(N^3) per pair, all of it in BLAS.
+    The density is carried into the eigenbasis once; each trace
+    ``Tr(X Y Z)`` is then the elementwise product of the matmul ``X @ Y``
+    with ``Z.T``, summed: two ``N x N`` matmuls per pair, in BLAS.
     """
     h = _as_matrix(hamiltonian)
     eps, u = np.linalg.eigh(h)
-    u_h = u.conj().T
-    d_t = u_h @ omega.density @ u
+    d_t = u.conj().T @ omega.density @ u
     weight = np.exp(-beta * (eps[:, None] - eps[None, :]))
     worst = 0.0
-    for a, b in pairs:
-        a_t = u_h @ _as_matrix(a) @ u
-        b_t = u_h @ _as_matrix(b) @ u
+    for a_t, b_t in pairs:
+        if isinstance(a_t, AlgebraElement) or isinstance(b_t, AlgebraElement):
+            raise TypeError("kms_residual takes pairs as matrices in the "
+                            "eigenbasis of H, not AlgebraElements")
         lhs = np.sum((d_t @ a_t) * (b_t * weight).T)
         rhs = np.sum((d_t @ b_t) * a_t.T)
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0

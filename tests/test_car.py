@@ -172,6 +172,34 @@ def test_element_tau_and_norm():
     assert abs(x.norm() - np.linalg.norm(x.matrix, 2)) < 1e-12
 
 
+def gaussian_test_matrix(kind, n, rng):
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.complex128)
+    if kind == "real":
+        return rng.standard_normal((n, n))
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n))
+    if kind == "rank one":
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.outer(u, v.conj())
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@given(st.integers(min_value=1, max_value=128),
+       st.sampled_from(["real", "complex", "diagonal", "rank one", "zero"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_spectral_norm_matches_the_svd(n, kind, seed):
+    a = gaussian_test_matrix(kind, n, np.random.default_rng(seed))
+    got = car.spectral_norm(a)
+    want = float(np.linalg.norm(a, 2))
+    assert isinstance(got, float)
+    if kind == "zero":
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_random_element_honours_constraints():
     lattice = 4
     region = Region.of([1, 2], lattice)

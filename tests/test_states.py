@@ -94,10 +94,15 @@ def test_kms_residual_matches_dense_oracle(lattice, beta, model, seed):
     rng = np.random.default_rng(seed)
     h = total_hamiltonian(model(lattice)).matrix
     pairs = list(random_pair_panel(lattice, 4, rng))
+    # the pairs are matrices in the eigenbasis of H: carry them back to the
+    # standard basis with the eigenvectors of the same eigh call on the
+    # same complex128 H that kms_residual diagonalizes
+    _, u = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
+    operators = [(u @ a @ u.conj().T, u @ b @ u.conj().T) for a, b in pairs]
     gibbs = gibbs_state(h, beta)
     for omega in (random_density(lattice, rng), gibbs):
         traces = [dense_kms_traces(omega.density, h, beta, a, b)
-                  for a, b in pairs]
+                  for a, b in operators]
         want = max(abs(lhs - rhs) for lhs, rhs, _ in traces)
         got = kms_residual(omega, h, beta, pairs)
         if omega is gibbs:
@@ -108,6 +113,32 @@ def test_kms_residual_matches_dense_oracle(lattice, beta, model, seed):
             assert got <= 1e-12 * scale and want <= 1e-12 * scale
         else:
             assert abs(got - want) <= 1e-12 * want
+
+
+def test_kms_residual_refuses_standard_basis_elements():
+    lattice = 2
+    h = total_hamiltonian(hopping_model(lattice))
+    a = car.annihilator(0, lattice)
+    with pytest.raises(TypeError, match="eigenbasis"):
+        kms_residual(gibbs_state(h, 1.0), h, 1.0, [(a, a.dagger())])
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_random_pair_panel_scales_a_direct_redraw(lattice, count, seed):
+    panel = list(random_pair_panel(lattice, count, np.random.default_rng(seed)))
+    assert len(panel) == count
+    rng = np.random.default_rng(seed)
+    n = car.dim(lattice)
+    for pair in panel:
+        for got in pair:
+            real = rng.standard_normal((n, n))
+            imag = rng.standard_normal((n, n))
+            draw = real + 1j * imag
+            want = draw / np.linalg.norm(draw, 2)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert abs(np.linalg.norm(got, 2) - 1.0) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
