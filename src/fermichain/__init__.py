@@ -6,14 +6,16 @@ the occupation basis.  The layers, bottom to top:
 
 - :mod:`fermichain.regions` — site subsets of a chain, the index language
   every other layer speaks;
-- :mod:`fermichain.car` — creation and annihilation operators with the
+- :mod:`fermichain.car` — local elements held on their support as small
+  (``2**|S|``-square) representations, with the dense matrix as a view and
+  one checked constructor for dense input; annihilators with the
   anticommutation relations, the fermion grading, and local structure
   through one fermionic mode reordering: small representations (partial
   traces), their inverse embeddings, conditional expectations onto local
   algebras; trace-orthogonal monomial bases, kept as the tests' oracle;
 - :mod:`fermichain.potentials` — interactions as local terms held on their
   supports, their standard form, local and total Hamiltonians;
-- :mod:`fermichain.states` — density states: tracial, Gibbs, decoupled
+- :mod:`fermichain.states` — density states: Gibbs, decoupled
   equilibria, restrictions, noneven perturbations, and a vector state that
   is even outside one site yet maximally noneven on it;
 - :mod:`fermichain.entropy` — relative and conditional entropy;
@@ -30,11 +32,9 @@ Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the column-map
 gather/scatter operations of the monomial oracle, which only the tests use.
 """
 
-from .car import (AlgebraElement, GradedSplit, Monomial, MonomialBasis,
-                  annihilator, creator, embed, even_odd_split,
-                  grading_unitary, mode_reordering, monomial_basis,
-                  number_operator, random_element, small_representation,
-                  theta)
+from .car import (AlgebraElement, Monomial, MonomialBasis, annihilator,
+                  embed, mode_reordering, monomial_basis, number_operator,
+                  random_element, small_representation, theta)
 from .entropy import (EntropyValue, conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
@@ -54,19 +54,19 @@ from .states import (DensityState, RestrictedState, gibbs_state,
                      kms_residual, max_perturbation_strength,
                      noneven_perturbation, odd_direction, perturbed_state,
                      product_check, random_pair_panel, remark2_construct,
-                     remark2_restriction_defect, restrict, tracial_state)
+                     remark2_restriction_defect, restrict)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
-    "EntropyValue", "FeasibleFamily", "GradedSplit", "MAX_SITES", "MODELS",
+    "EntropyValue", "FeasibleFamily", "MAX_SITES", "MODELS",
     "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region", "RestrictedState",
     "StabilityReport", "annihilator", "build_model",
-    "cluster_coefficient", "conditional_entropy", "creator", "embed",
-    "even_odd_split", "feasible_sampler", "free_energy", "gibbs_state",
-    "grading_asymmetry", "grading_unitary", "hopping_model",
+    "cluster_coefficient", "conditional_entropy", "embed",
+    "feasible_sampler", "free_energy", "gibbs_state",
+    "grading_asymmetry", "hopping_model",
     "kms_residual", "local_hamiltonian", "lts_check",
     "max_perturbation_strength", "mode_reordering", "monomial_basis",
     "noneven_perturbation", "number_operator", "odd_direction",
@@ -76,5 +76,5 @@ __all__ = [
     "relative_entropy", "remark2_construct", "remark2_restriction_defect",
     "restrict", "restricted_relative_entropy", "scan_odd_correlations",
     "small_representation", "standardize", "theta", "total_hamiltonian",
-    "tracial_state", "tv_model", "validate_potential", "__version__",
+    "tv_model", "validate_potential", "__version__",
 ]

@@ -29,8 +29,8 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
 
 - :func:`small_representation` is the normalized fermionic partial trace
   over the complement (Friis, Lee & Bruschi, PRA 87, 022338 (2013));
-- :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``; it makes the
-  generators from ``2 x 2`` matrices, and :func:`add_embedded` sums terms;
+- :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``, and
+  :func:`add_embedded` sums terms;
 - :func:`local_times` multiplies a matrix by ``embed(S)`` on the left
   through ``S`` alone;
 - the tau-preserving conditional expectation onto ``A_R`` is
@@ -40,6 +40,13 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
 
 Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
+
+A local element (:class:`AlgebraElement`) is held on its support ``S`` as
+its ``2**|S|``-square small representation; the generators are the
+single-site ``2 x 2`` matrices.  Its dense matrix is a view formed on
+request, dense input enters through the one checked constructor
+:meth:`AlgebraElement.from_matrix`, and sums and products run on the chain
+of the union of the supports.
 
 Monomials in the generators are "column maps" (each occupation state is sent
 to at most one occupation state); the encoding (:mod:`fermichain.kernels`)
@@ -178,93 +185,105 @@ def encoding_dense(perm: np.ndarray, val: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AlgebraElement:
-    """A dense operator together with its claimed support region.
+    """An element of the local algebra ``A_support``, held as its small
+    representation: the ``2**|support|``-square matrix ``small`` on a chain
+    whose site ``k`` is ``support.sites[k]``.
 
-    The support claim is checked (via the conditional expectation) in
-    :func:`support_residual`; arithmetic tracks supports by set union.
+    The type guarantees the support claim, so nothing re-checks it: dense
+    input enters only through :meth:`from_matrix`, which refuses a matrix
+    outside the support's algebra.  :attr:`matrix` is the dense
+    ``2**L``-square view, and arithmetic tracks supports by set union.
     """
 
-    matrix: np.ndarray
+    small: np.ndarray
     support: Region
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-        n = dim(self.support.lattice_size)
-        if self.matrix.shape != (n, n):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match chain of "
-                f"{self.support.lattice_size} sites"
-            )
+        self.small = np.asarray(self.small, dtype=np.complex128)
+        m = dim(len(self.support))
+        if self.small.shape != (m, m):
+            raise ValueError(f"small matrix of shape {self.small.shape} does "
+                             f"not represent support {self.support.sites}")
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, support: Region) -> "AlgebraElement":
+        """The element with the dense ``matrix``, refusing (``ValueError``) a
+        matrix that does not lie in the algebra of ``support``."""
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        n = dim(support.lattice_size)
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix shape {matrix.shape} does not match "
+                             f"chain of {support.lattice_size} sites")
+        small = small_representation(matrix, support)
+        scale = max(1.0, float(np.max(np.abs(matrix))))
+        if np.max(np.abs(embed(small, support) - matrix)) > 1e-12 * scale:
+            raise ValueError(f"matrix does not lie in the algebra of its "
+                             f"support {support.sites}")
+        return cls(small, support)
 
     @property
-    def lattice_size(self) -> int:
-        return self.support.lattice_size
+    def matrix(self) -> np.ndarray:
+        """The dense ``2**L``-square matrix; ``small`` itself, not a copy,
+        when the support is the whole chain."""
+        if len(self.support) == self.support.lattice_size:
+            return self.small
+        return embed(self.small, self.support)
+
+    def small_on(self, region: Region) -> np.ndarray:
+        """Small representation in ``A_region`` for a ``region`` containing
+        the support, on the chain of the region's own sites."""
+        if self.support == region:
+            return self.small
+        return embed(self.small, self.support.positions_in(region))
 
     def dagger(self) -> "AlgebraElement":
-        return AlgebraElement(self.matrix.conj().T, self.support)
+        return AlgebraElement(self.small.conj().T, self.support)
 
     def tau(self) -> complex:
-        return tau(self.matrix)
+        return tau(self.small)
 
     def norm(self) -> float:
-        """Operator (spectral) norm, read from the small representation of
-        the support, which preserves it on ``A_support``: an SVD of
-        ``2**|support|`` rows instead of ``2**L``."""
-        return float(np.linalg.norm(small_representation(self.matrix, self.support), 2))
+        """Operator (spectral) norm, which the small representation
+        preserves: an SVD of ``2**|support|`` rows instead of ``2**L``."""
+        return float(np.linalg.norm(self.small, 2))
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        return bool(np.max(np.abs(self.small - self.small.conj().T)) <= tol)
+
+    def _binary(self, other: "AlgebraElement", op) -> "AlgebraElement":
+        union = self.support.union(other.support)
+        return AlgebraElement(op(self.small_on(union), other.small_on(union)), union)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.matrix + other.matrix, self.support.union(other.support))
+        return self._binary(other, np.add)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.matrix - other.matrix, self.support.union(other.support))
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(-self.matrix, self.support)
+        return self._binary(other, np.subtract)
 
     def __mul__(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, AlgebraElement):
             raise TypeError("'*' is scalar multiplication; use '@' for "
                             "operator products")
-        return AlgebraElement(self.matrix * scalar, self.support)
+        return AlgebraElement(self.small * scalar, self.support)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.matrix @ other.matrix, self.support.union(other.support))
+        return self._binary(other, np.matmul)
 
 
 # a on a chain of one site: |0><1|
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def _on_site(small: np.ndarray, site: int, lattice_size: int) -> AlgebraElement:
-    region = Region((site,), lattice_size)
-    return AlgebraElement(embed(small, region), region)
-
-
 def annihilator(site: int, lattice_size: int) -> AlgebraElement:
     """``a_site`` as an element supported on the single site."""
-    return _on_site(_LOWER, site, lattice_size)
-
-
-def creator(site: int, lattice_size: int) -> AlgebraElement:
-    return _on_site(_LOWER.T, site, lattice_size)
+    return AlgebraElement(_LOWER, Region((site,), lattice_size))
 
 
 def number_operator(site: int, lattice_size: int) -> AlgebraElement:
     """``a_site* a_site``."""
-    return _on_site(_LOWER.T @ _LOWER, site, lattice_size)
-
-
-def grading_unitary(region: Region) -> AlgebraElement:
-    """``v_R``: self-adjoint unitary implementing the grading inside ``A_R``."""
-    if region.is_empty:
-        raise ValueError("grading unitary of the empty region is not defined")
-    p, v = grading_encoding(region)
-    return AlgebraElement(np.diag(v), region)
+    return AlgebraElement(_LOWER.T @ _LOWER, Region((site,), lattice_size))
 
 
 @lru_cache(maxsize=16)
@@ -281,27 +300,21 @@ def theta_matrix(matrix: np.ndarray, lattice_size: int) -> np.ndarray:
 
 
 def theta(element: AlgebraElement) -> AlgebraElement:
-    """Grading automorphism; support is preserved."""
-    return AlgebraElement(theta_matrix(element.matrix, element.lattice_size), element.support)
+    """Grading automorphism; support is preserved.  On ``A_S`` it is
+    conjugation by ``v_S``, which the reordering carries to the parity of
+    the support's own chain."""
+    return AlgebraElement(theta_matrix(element.small, len(element.support)),
+                          element.support)
 
 
-@dataclass
-class GradedSplit:
-    """Even/odd decomposition ``A = even + odd`` under the grading."""
-
-    even: AlgebraElement
-    odd: AlgebraElement
-
-    def reassemble(self) -> AlgebraElement:
-        return self.even + self.odd
-
-
-def even_odd_split(element: AlgebraElement) -> GradedSplit:
-    """Split by averaging with the grading image: ``A_± = (A ± theta(A)) / 2``."""
-    th = theta_matrix(element.matrix, element.lattice_size)
-    even = AlgebraElement((element.matrix + th) / 2.0, element.support)
-    odd = AlgebraElement((element.matrix - th) / 2.0, element.support)
-    return GradedSplit(even=even, odd=odd)
+def require_odd_self_adjoint(element: AlgebraElement, name: str) -> None:
+    """Refuse (``ValueError``) an element that is not self-adjoint and odd,
+    to ``1e-12`` of its largest entry."""
+    scale = max(1.0, float(np.max(np.abs(element.small))))
+    if not element.is_self_adjoint(1e-12 * scale):
+        raise ValueError(f"{name} is not self-adjoint")
+    if np.max(np.abs((element + theta(element)).small)) > 1e-12 * scale:
+        raise ValueError(f"{name} is not odd")
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +468,6 @@ def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     twisted = sign * np.where(odd[None, :], block_grading[:, None], 1.0)
     twisted.flags.writeable = False
     return index, twisted
-
-
-def support_residual(element: AlgebraElement) -> float:
-    """How far the matrix is from actually lying in its claimed support algebra."""
-    proj = conditional_expectation_matrix(element.matrix, element.support)
-    proj -= element.matrix
-    return float(np.max(np.abs(proj)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,4 +640,4 @@ def random_element(region: Region, rng: np.random.Generator, *,
         mat -= tau(mat) * np.eye(dim(r))
     if hermitian:
         mat = (mat + mat.conj().T) / 2.0
-    return AlgebraElement(embed(mat, region), region)
+    return AlgebraElement(mat, region)

@@ -10,7 +10,8 @@ configuration and seed reproduce the report byte for byte.
 Exit status: 0 when every emitted check passes (or none are emitted), 1
 when any check fails or a computation breaks down or runs out of memory
 (the report then carries a diagnostic record and the exception class and
-reason go to stderr), 2 on usage errors.
+reason go to stderr), 2 on usage errors, an unwritable ``--out`` path
+among them (checked before the verb runs).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -74,6 +76,14 @@ class RunConfig:
             raise UsageError(f"beta must be finite, got {self.beta}")
         if self.samples < 0:
             raise UsageError("samples must be nonnegative")
+        if self.output_path is not None:
+            # checked before the verb runs, so a run never ends unwritten
+            folder = os.path.dirname(self.output_path) or "."
+            if os.path.isdir(self.output_path):
+                raise UsageError(f"output path {self.output_path!r} is a directory")
+            if not os.access(folder, os.W_OK):
+                raise UsageError(f"output directory {folder!r} is missing or "
+                                 "not writable")
         if self.region_sites is not None:
             bad = [s for s in self.region_sites
                    if not 0 <= s < self.lattice_size]
@@ -335,7 +345,7 @@ def run_remark2(cfg: RunConfig) -> list[ReportRecord]:
     defect = remark2_restriction_defect(state, vector_state)
 
     u = odd_direction(site0)
-    odd_expectation = float(np.real(vector_state.expectation(u.matrix)))
+    odd_expectation = float(np.real(vector_state.expectation(u)))
     asym = grading_asymmetry(vector_state, site0).quantity
 
     label = site0.label()

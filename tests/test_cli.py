@@ -226,6 +226,24 @@ def test_empty_record_list_counts_as_success(monkeypatch, capsys):
     assert "0/0 checks passed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_path_exits_two_before_the_run(where, tmp_path,
+                                                      monkeypatch, capsys):
+    def must_not_run(cfg):
+        raise AssertionError("the verb ran before the output path was checked")
+
+    monkeypatch.setitem(cli.DISPATCH, "validate", must_not_run)
+    out = tmp_path / "absent" / "r.jsonl" if where == "missing directory" \
+        else tmp_path
+    assert run(["validate", "--length", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fermichain: error: ")
+    assert captured.err.count("\n") == 1
+    assert str(out.parent if where == "missing directory" else out) \
+        in captured.err
+
+
 def test_dispatch_usage_error_exits_two(monkeypatch, capsys):
     def needs_more(cfg):
         raise UsageError("this verb wants something else")

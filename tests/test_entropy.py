@@ -16,7 +16,7 @@ from fermichain.potentials import (hopping_model, local_hamiltonian,
 from fermichain.regions import Region
 from fermichain.stability import free_energy
 from fermichain.states import (DensityState, gibbs_state, perturbed_state,
-                               restrict, tracial_state)
+                               restrict)
 
 
 def random_density_matrix(n, rng):
@@ -47,7 +47,7 @@ def test_relative_entropy_pure_vs_tracial_oracle():
     pure = np.zeros((n, n), dtype=complex)
     pure[0, 0] = 1.0
     # reference = normalized trace: S(tau, pure) = log(dim) = L log 2
-    result = relative_entropy(tracial_state(lattice), DensityState(pure))
+    result = relative_entropy(DensityState(np.eye(n) / n), DensityState(pure))
     assert result.finite
     assert abs(result.value - lattice * math.log(2)) < 1e-12
 

@@ -85,7 +85,8 @@ def test_cluster_coefficient_vanishes_for_product_states():
     d /= np.trace(d).real
     inside = Region.of([0, 1], lattice)
     ext = DensityState(car.conditional_expectation_matrix(d, inside))
-    obs = car.AlgebraElement(car.number_operator(0, lattice).matrix, inside)
+    obs = car.AlgebraElement.from_matrix(car.number_operator(0, lattice).matrix,
+                                         inside)
     result = cluster_coefficient(ext, obs, Region.of([4, 5], lattice))
     assert result.quantity < 1e-12
 
@@ -94,8 +95,7 @@ def test_cluster_coefficient_decays_for_local_gibbs_states():
     lattice = 6
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
     n0 = car.number_operator(0, lattice)
-    centered = car.AlgebraElement(
-        n0.matrix - n0.tau() * np.eye(car.dim(lattice)), Region.of([0], lattice))
+    centered = car.AlgebraElement(n0.small - n0.tau() * np.eye(2), n0.support)
     near = cluster_coefficient(gibbs, centered, Region.of([1], lattice)).quantity
     mid = cluster_coefficient(gibbs, centered, Region.of([3], lattice)).quantity
     far = cluster_coefficient(gibbs, centered, Region.of([5], lattice)).quantity
@@ -106,8 +106,7 @@ def test_cluster_coefficient_decays_for_local_gibbs_states():
 def test_cluster_coefficient_requires_disjoint_supports():
     lattice = 4
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    obs = car.AlgebraElement(car.number_operator(1, lattice).matrix,
-                             Region.of([1], lattice))
+    obs = car.number_operator(1, lattice)
     with pytest.raises(ValueError):
         cluster_coefficient(gibbs, obs, Region.of([1, 2], lattice))
 
@@ -134,8 +133,7 @@ def test_the_imaginary_part_is_genuinely_nonzero():
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
     a = odd_direction(Region.of([0], lattice))
     ann = car.annihilator(1, lattice)
-    b = car.AlgebraElement(1j * (ann.matrix - ann.matrix.conj().T),
-                           Region.of([1], lattice))
+    b = 1j * (ann - ann.dagger())
     assert purely_imaginary_check(gibbs, a, b) < 1e-13
     corr = gibbs.expectation(a.matrix @ b.matrix)
     assert abs(corr.imag) > 0.4
@@ -149,8 +147,7 @@ def test_purely_imaginary_check_validates_inputs():
         purely_imaginary_check(gibbs, a, odd_direction(Region.of([0, 1], lattice)))
     with pytest.raises(ValueError):        # not self-adjoint
         purely_imaginary_check(gibbs, a, car.annihilator(2, lattice))
-    even = car.AlgebraElement(car.number_operator(2, lattice).matrix,
-                              Region.of([2], lattice))
+    even = car.number_operator(2, lattice)
     with pytest.raises(ValueError):        # not odd
         purely_imaginary_check(gibbs, a, even)
 
@@ -220,8 +217,7 @@ def test_probe_result_carries_its_region():
     lattice = 4
     region = Region.of([3], lattice)
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    obs = car.AlgebraElement(car.number_operator(0, lattice).matrix,
-                             Region.of([0], lattice))
+    obs = car.number_operator(0, lattice)
     result = cluster_coefficient(gibbs, obs, region)
     assert isinstance(result, ProbeResult)
     assert result.region == region
@@ -318,19 +314,13 @@ def test_scan_counts_the_cases_of_a_generator():
     assert scan_odd_correlations(iter([]))["cases"] == 0
 
 
-def test_probes_refuse_an_element_outside_its_declared_support():
+def test_an_element_outside_its_declared_support_cannot_be_built():
     # a_1 + a_1* labelled as living on site 0: every product the probes form
-    # through the declared support would be wrong, so they refuse it
+    # through the declared support would be wrong, so the checked
+    # constructor refuses it before any probe sees it
     lattice = 4
-    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    mislabelled = car.AlgebraElement(
-        odd_direction(Region.of([1], lattice)).matrix, Region.of([0], lattice))
-    b = odd_direction(Region.of([2], lattice))
-    with pytest.raises(ValueError, match="support"):
-        scan_odd_correlations([(gibbs, mislabelled, b)])
-    with pytest.raises(ValueError, match="support"):
-        scan_odd_correlations([(gibbs, b, mislabelled)])
-    with pytest.raises(ValueError, match="support"):
-        purely_imaginary_check(gibbs, mislabelled, b)
-    with pytest.raises(ValueError, match="support"):
-        cluster_coefficient(gibbs, mislabelled, Region.of([3], lattice))
+    dense = odd_direction(Region.of([1], lattice)).matrix
+    with pytest.raises(ValueError, match=r"support \(0,\)"):
+        car.AlgebraElement.from_matrix(dense, Region.of([0], lattice))
+    honest = car.AlgebraElement.from_matrix(dense, Region.of([0, 1], lattice))
+    assert np.array_equal(honest.matrix, dense)

@@ -86,7 +86,7 @@ def commutant_oracle(matrix, region):
     """``E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd)``, spelled out."""
     comp = region.complement()
     graded = car.theta_matrix(matrix, region.lattice_size)
-    v = car.grading_unitary(region).matrix
+    v = np.diag(car.grading_encoding(region)[1])
     even = car.conditional_expectation_matrix((matrix + graded) / 2.0, comp)
     odd = car.conditional_expectation_matrix(v @ (matrix - graded) / 2.0, comp)
     return even + v @ odd
@@ -184,7 +184,7 @@ def oracle_expand(x, region, mode):
     if mode == "lts":
         return car.embed(x, comp)
     odd = odd_entries(x.shape[0])
-    v = car.grading_unitary(region).matrix
+    v = np.diag(car.grading_encoding(region)[1])
     return car.embed(np.where(odd, 0.0, x), comp) \
         + v @ car.embed(np.where(odd, x, 0.0), comp)
 
@@ -196,7 +196,8 @@ def oracle_compress(g, region, mode):
     small = car.small_representation(g, comp)
     if mode == "lts":
         return small
-    twisted = car.small_representation(car.grading_unitary(region).matrix @ g, comp)
+    v = np.diag(car.grading_encoding(region)[1])
+    twisted = car.small_representation(v @ g, comp)
     return np.where(odd_entries(small.shape[0]), twisted, small)
 
 

@@ -14,8 +14,7 @@ from fermichain.states import (DensityState, gibbs_state, kms_residual,
                                max_perturbation_strength,
                                noneven_perturbation, odd_direction,
                                perturbed_state, product_check,
-                               random_pair_panel, remark2_construct, restrict,
-                               tracial_state)
+                               random_pair_panel, remark2_construct, restrict)
 
 
 def random_density(lattice, rng):
@@ -55,7 +54,7 @@ def test_gibbs_limits_and_invariance():
     pot = tv_model(4)
     h = total_hamiltonian(pot)
     assert np.max(np.abs(gibbs_state(h, 0.0).density
-                         - tracial_state(4).density)) < 1e-14
+                         - np.eye(16) / 16)) < 1e-14
     g = gibbs_state(h, 1.3)
     assert np.max(np.abs(g.density @ h.matrix - h.matrix @ g.density)) < 1e-13
     assert g.is_even()
@@ -72,7 +71,7 @@ def test_kms_condition_separates_gibbs_from_tracial():
     pairs = list(random_pair_panel(lattice, 40, np.random.default_rng(0)))
     assert kms_residual(gibbs_state(h, beta), h, beta, pairs) < 1e-10
     # the tracial state satisfies the condition only at beta = 0
-    tau = tracial_state(lattice)
+    tau = DensityState(np.eye(car.dim(lattice)) / car.dim(lattice))
     assert kms_residual(tau, h, 0.0, pairs) < 1e-12
     assert kms_residual(tau, h, beta, pairs) > 1e-3
 
@@ -262,7 +261,7 @@ def test_max_perturbation_strength_guarantees_positivity():
         noneven_perturbation(omega, region, strength=2.0 * lam)
     with pytest.raises(ValueError):
         noneven_perturbation(omega, region, strength=0.0)
-    zero = car.AlgebraElement(np.zeros_like(omega.density), region)
+    zero = car.AlgebraElement(np.zeros((2, 2)), region)
     with pytest.raises(ValueError):
         max_perturbation_strength(omega, zero)
 
@@ -289,8 +288,7 @@ def test_noneven_perturbation_validates_direction():
     pot = hopping_model(lattice)
     region = Region.of([1], lattice)
     phi = perturbed_state(pot, 1.0, region)
-    even_dir = car.AlgebraElement(car.number_operator(1, lattice).matrix,
-                                  region)
+    even_dir = car.number_operator(1, lattice)
     with pytest.raises(ValueError):
         noneven_perturbation(phi, region, direction=even_dir)
     not_sa = car.annihilator(1, lattice)
@@ -327,8 +325,7 @@ def test_remark2_rejects_bad_unitaries():
     with pytest.raises(ValueError):
         remark2_construct(outer, u=car.annihilator(0, lattice))  # not s.a.
     with pytest.raises(ValueError):
-        remark2_construct(outer, u=car.AlgebraElement(
-            car.number_operator(0, lattice).matrix, site0))      # even
+        remark2_construct(outer, u=car.number_operator(0, lattice))  # even
     odd_not_unitary = 0.5 * odd_direction(site0)
     with pytest.raises(ValueError):
         remark2_construct(outer, u=odd_not_unitary)
