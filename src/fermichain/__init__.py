@@ -50,7 +50,7 @@ from .regions import MAX_SITES, Region
 from .stability import (ConstraintProjection, FeasibleFamily, MaximizerInfo,
                         StabilityReport, feasible_sampler, free_energy,
                         lts_check, prop4_pipeline)
-from .states import (DensityState, RestrictedState, gibbs_state,
+from .states import (DensityState, FactorState, RestrictedState, gibbs_state,
                      kms_residual, max_perturbation_strength,
                      noneven_perturbation, odd_direction, perturbed_state,
                      product_check, random_pair_panel, remark2_construct,
@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
-    "EntropyValue", "FeasibleFamily", "MAX_SITES", "MODELS",
+    "EntropyValue", "FactorState", "FeasibleFamily", "MAX_SITES", "MODELS",
     "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region", "RestrictedState",
     "StabilityReport", "annihilator", "build_model",

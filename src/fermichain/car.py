@@ -614,6 +614,24 @@ def monomial_basis(region: Region) -> MonomialBasis:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _element_tables(r: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """What :func:`random_element` needs of a region of ``r`` sites: the
+    entry scale ``sqrt(2**(r - flips))``, ``flips[i, j] = popcount(i ^ j)``,
+    and for each parity ``p`` the mask of the entries outside it, which an
+    element of parity ``p`` has zero."""
+    states = np.arange(dim(r), dtype=np.int64)
+    differ = states[:, None] ^ states[None, :]
+    flips = np.zeros_like(differ)
+    for k in range(r):
+        flips += (differ >> k) & 1
+    scale = np.sqrt(2.0 ** (r - flips))
+    outside = (flips % 2 != 0, flips % 2 != 1)
+    for table in (scale, *outside):
+        table.flags.writeable = False
+    return scale, outside
+
+
 def random_element(region: Region, rng: np.random.Generator, *,
                    parity: int | None = None, hermitian: bool = False,
                    include_identity: bool = True) -> AlgebraElement:
@@ -625,17 +643,19 @@ def random_element(region: Region, rng: np.random.Generator, *,
     ``E|M_ij|^2 = 2 * 2**(number of sites where i and j agree)``, and entry
     ``(i, j)`` has parity ``popcount(i ^ j) mod 2``.  With ``hermitian`` the
     result is averaged with its adjoint, which preserves the parity
-    constraint (the grading commutes with the adjoint).
+    constraint (the grading commutes with the adjoint).  The scale and the
+    parity masks depend only on ``|region|`` and are cached.
     """
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
     r = len(region)
-    states = np.arange(dim(r), dtype=np.int64)
-    differ = states[:, None] ^ states[None, :]
-    flips = sum((differ >> k) & 1 for k in range(r))
-    shape = flips.shape
-    mat = np.sqrt(2.0 ** (r - flips)) * (rng.standard_normal(shape)
-                                         + 1j * rng.standard_normal(shape))
+    scale, outside = _element_tables(r)
+    mat = np.empty(scale.shape, dtype=np.complex128)
+    mat.real = rng.standard_normal(scale.shape)
+    mat.imag = rng.standard_normal(scale.shape)
+    mat *= scale
     if parity is not None:
-        mat = np.where(flips % 2 == parity, mat, 0.0)
+        mat[outside[parity]] = 0.0
     if not include_identity:
         mat -= tau(mat) * np.eye(dim(r))
     if hermitian:

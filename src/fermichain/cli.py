@@ -35,7 +35,7 @@ from .probes import (cluster_coefficient, grading_asymmetry,
 from .regions import MAX_SITES, Region
 from .reporting import ReportRecord, all_passed, emit_report, from_checks
 from .stability import lts_check, prop4_pipeline
-from .states import (gibbs_state, kms_residual, odd_direction,
+from .states import (FactorState, gibbs_state, kms_residual, odd_direction,
                      perturbed_state, product_check, random_pair_panel,
                      remark2_construct, remark2_restriction_defect)
 
@@ -316,17 +316,14 @@ def run_ssb_probe(cfg: RunConfig) -> list[ReportRecord]:
                                     1e-12, decay <= 1e-12, cfg.seed))
 
         # the scan pairs odd elements of disjoint supports: the region and
-        # its outside; cases are drawn one at a time, so only one is held
+        # its outside; cases are drawn one at a time, so only one is held,
+        # and each random even state is held by its Gaussian factor
         rng = np.random.default_rng(cfg.seed)
 
         def cases():
             for _ in range(50):
-                raw = rng.standard_normal((car.dim(cfg.lattice_size),) * 2)
-                raw = raw + 1j * rng.standard_normal(raw.shape)
-                dens = raw @ raw.conj().T
-                dens = dens / float(np.real(np.trace(dens)))
-                dens = 0.5 * (dens + car.theta_matrix(dens, cfg.lattice_size))
-                even_state = type(state)(dens, label="scan-even", validate=False)
+                even_state = FactorState.gaussian(cfg.lattice_size, rng,
+                                                  label="scan-even")
                 a = car.random_element(region, rng, parity=1, hermitian=True)
                 b = car.random_element(outside, rng, parity=1, hermitian=True)
                 yield even_state, a, b

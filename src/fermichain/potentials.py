@@ -136,11 +136,20 @@ def local_hamiltonian(potential: Potential, region: Region) -> AlgebraElement:
     return _sum_terms(potential, meeting, support)
 
 
-def total_hamiltonian(potential: Potential) -> AlgebraElement:
+def total_hamiltonian(potential: Potential,
+                      support: Region | None = None) -> AlgebraElement:
     """``H`` of the whole chain (every term contributes), held on the whole
-    chain: its ``2**L``-square small representation is its matrix."""
-    return _sum_terms(potential, potential.regions(),
-                      Region.full(potential.lattice_size))
+    chain, where its ``2**L``-square small representation is its matrix,
+    or on ``support`` if given, which must contain every term: the pruned
+    potential of a region sums on the chain of the region's complement."""
+    if support is None:
+        support = Region.full(potential.lattice_size)
+    outside = [k.sites for k in potential.regions()
+               if not k.is_subregion(support)]
+    if outside:
+        raise ValueError(f"terms on {outside} do not lie in the support "
+                         f"{support.sites}")
+    return _sum_terms(potential, potential.regions(), support)
 
 
 def prune(potential: Potential, region: Region) -> Potential:

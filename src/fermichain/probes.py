@@ -30,6 +30,17 @@ skew-adjoint and the real part of its expectation vanishes for every
 state.  The scan in :func:`scan_odd_correlations` confirms this together
 with the Cauchy-Schwarz envelope; a genuine violation would mean a
 functional outside the graded framework altogether.
+
+The two odd-correlation probes take any functional with one method,
+``odd_pair(a, b)``, returning ``(omega(A B), omega(A* A), omega(B* B))``
+for odd self-adjoint ``A`` and ``B`` on disjoint supports; it is their
+one spelling of ``omega(A B)``.  A :class:`states.DensityState` lets ``A``
+act on the dense ``B``.  A :class:`states.FactorState`, the even part of
+``G G* / ||G||**2`` held by ``G`` alone, is exact through ``G``: ``A B``,
+``A* A`` and ``B* B`` are even, and on even ``X`` the state is
+``<G, X G> / ||G||**2``, so the three values are ``<A G, B G>``,
+``||A G||**2`` and ``||B G||**2`` over ``||G||**2``, from one product of
+each factor with ``G``.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import numpy as np
 from . import car
 from .car import AlgebraElement
 from .regions import Region
-from .states import DensityState
+from .states import DensityState, FactorState
 
 
 @dataclass
@@ -108,8 +119,8 @@ def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
     return ProbeResult(quantity=float(value), region=region, witness=witness)
 
 
-def purely_imaginary_check(omega: DensityState, a: AlgebraElement,
-                           b: AlgebraElement) -> float:
+def purely_imaginary_check(omega: DensityState | FactorState,
+                           a: AlgebraElement, b: AlgebraElement) -> float:
     """``|Re omega(A B)|`` for odd self-adjoint elements on disjoint regions.
 
     Zero identically: the adjoint of the product is ``B A = -A B``, so the
@@ -122,7 +133,7 @@ def purely_imaginary_check(omega: DensityState, a: AlgebraElement,
         raise ValueError("elements must have disjoint supports")
     car.require_odd_self_adjoint(a, "first element")
     car.require_odd_self_adjoint(b, "second element")
-    corr = omega.expectation(car.local_times(a.small, a.support, b.matrix))
+    corr, _, _ = omega.odd_pair(a, b)
     return float(abs(np.real(corr)))
 
 
@@ -138,6 +149,14 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
     disjoint supports, so a case whose supports overlap is refused with
     ``ValueError``.  ``cases`` may be any iterable, a generator included;
     the count of cases scanned is reported.
+
+    The three values of a case come from one call, ``omega.odd_pair(a, b)``
+    (the module's functional protocol).  A :class:`states.FactorState`
+    answers it through its factor ``G``: the state is even, so it gives
+    every element the value of its even part, and ``A B``, ``A* A`` and
+    ``B* B`` of odd ``A`` and ``B`` are even already; on those it is
+    ``<G, X G> / ||G||**2`` exactly, and ``A G`` and ``B G`` are formed once
+    each, ``O(N**2 m)`` instead of the ``O(N**3)`` of a density.
     """
     count = 0
     violations = 0
@@ -149,9 +168,7 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
             raise ValueError(f"odd elements on {a.support.sites} and "
                              f"{b.support.sites} overlap; the scan needs "
                              "disjoint supports")
-        corr = omega.expectation(car.local_times(a.small, a.support, b.matrix))
-        aa = omega.expectation(a.dagger() @ a)
-        bb = omega.expectation(b.dagger() @ b)
+        corr, aa, bb = omega.odd_pair(a, b)
         envelope = np.sqrt(max(np.real(aa), 0.0) * max(np.real(bb), 0.0))
         real_part = abs(np.real(corr))
         excess = abs(corr) - envelope

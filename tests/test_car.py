@@ -267,6 +267,48 @@ def test_random_element_honours_constraints():
     assert abs(no_id.tau()) < 1e-12
 
 
+def uncached_random_element(region, rng, *, parity=None, hermitian=False,
+                            include_identity=True):
+    """The draw of ``car.random_element`` with its tables rebuilt per call."""
+    r = len(region)
+    states = np.arange(car.dim(r), dtype=np.int64)
+    differ = states[:, None] ^ states[None, :]
+    flips = sum((differ >> k) & 1 for k in range(r))
+    shape = flips.shape
+    mat = np.sqrt(2.0 ** (r - flips)) * (rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape))
+    if parity is not None:
+        mat = np.where(flips % 2 == parity, mat, 0.0)
+    if not include_identity:
+        mat -= car.tau(mat) * np.eye(car.dim(r))
+    if hermitian:
+        mat = (mat + mat.conj().T) / 2.0
+    return mat
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_random_element_is_bit_identical_to_the_uncached_draw(r):
+    region = Region.full(r)
+    for parity in (None, 0, 1):
+        for hermitian in (False, True):
+            for include_identity in (True, False):
+                options = dict(parity=parity, hermitian=hermitian,
+                               include_identity=include_identity)
+                seed = 100 * r + 10 * (parity or 0) + hermitian
+                got = car.random_element(region, np.random.default_rng(seed),
+                                         **options)
+                want = uncached_random_element(
+                    region, np.random.default_rng(seed), **options)
+                # bytes, so that signed zeros count too
+                assert got.small.tobytes() == want.tobytes(), options
+
+
+def test_random_element_refuses_an_unknown_parity():
+    region = Region.of([0], 2)
+    with pytest.raises(ValueError, match="parity"):
+        car.random_element(region, np.random.default_rng(0), parity=2)
+
+
 # ---------------------------------------------------------------------------
 # monomial bases
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fermichain import car, cli
 from fermichain.entropy import (conditional_entropy, relative_entropy,
                                 relative_entropy_matrices,
                                 restricted_relative_entropy)
-from fermichain.potentials import (build_model, local_hamiltonian,
+from fermichain.potentials import (build_model, local_hamiltonian, prune,
                                    total_hamiltonian)
 from fermichain.regions import Region
 from fermichain.states import (DensityState, gibbs_state, odd_direction,
@@ -87,6 +87,18 @@ def test_gibbs_state_rejects_a_hamiltonian_outside_its_region():
     h = total_hamiltonian(build_model("hopping", lattice))
     with pytest.raises(ValueError, match="algebra of region"):
         gibbs_state(h, 1.0, region=Region.of([0, 1], lattice))
+
+
+def test_gibbs_state_takes_an_element_held_on_its_region():
+    # no dense check: the element's support lies in the region by its type
+    lattice = 5
+    region = Region.of([0, 1, 3], lattice)
+    pruned = prune(build_model("tv", lattice), region.complement())
+    held = total_hamiltonian(pruned, support=region)
+    via_element = gibbs_state(held, 1.0, region=region)
+    via_dense = gibbs_state(held.matrix, 1.0, region=region)
+    assert np.array_equal(via_element.log.h, held.small)
+    assert np.max(np.abs(via_element.density - via_dense.density)) < 1e-15
 
 
 def test_restriction_to_another_region_has_no_closed_form():

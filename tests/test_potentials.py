@@ -233,6 +233,18 @@ def test_prune_removes_exactly_the_meeting_terms():
         assert np.max(np.abs(h @ mono - mono @ h)) < 1e-12
 
 
+@pytest.mark.parametrize("sites", [[0], [2, 3], [1, 4]])
+def test_pruned_total_sums_on_the_complement(sites):
+    lattice = 6
+    region = Region.of(sites, lattice)
+    pruned = prune(tv_model(lattice), region)
+    held = total_hamiltonian(pruned, support=region.complement())
+    assert held.support == region.complement()
+    assert np.array_equal(held.matrix, total_hamiltonian(pruned).matrix)
+    with pytest.raises(ValueError, match="do not lie in the support"):
+        total_hamiltonian(tv_model(lattice), support=region.complement())
+
+
 def test_build_model_rejects_unknown_names():
     with pytest.raises(ValueError):
         build_model("heisenberg", 4)

@@ -9,7 +9,7 @@ from fermichain.probes import (ProbeResult, cluster_coefficient,
                                grading_asymmetry, purely_imaginary_check,
                                scan_odd_correlations)
 from fermichain.regions import Region
-from fermichain.states import (DensityState, gibbs_state,
+from fermichain.states import (DensityState, FactorState, gibbs_state,
                                noneven_perturbation, odd_direction,
                                perturbed_state, remark2_construct)
 
@@ -180,6 +180,9 @@ def test_scan_counts_fabricated_violations():
         def expectation(self, matrix):
             return 1.0
 
+        def odd_pair(self, a, b):
+            return 1.0, 1.0, 1.0
+
     lattice = 3
     a = odd_direction(Region.of([0], lattice))
     b = odd_direction(Region.of([2], lattice))
@@ -192,6 +195,9 @@ def test_scan_counts_nan_cases_as_violations():
     class NaNFunctional:
         def expectation(self, matrix):
             return complex(np.nan, np.nan)
+
+        def odd_pair(self, a, b):
+            return (complex(np.nan, np.nan),) * 3
 
     lattice = 3
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
@@ -230,16 +236,17 @@ def test_probe_result_carries_its_region():
 
 
 class Recording:
-    """Passes every expectation on to ``omega`` and keeps the values."""
+    """Passes every ``odd_pair`` on to ``omega`` and keeps its three
+    values: ``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)``."""
 
     def __init__(self, omega):
         self.omega = omega
         self.values = []
 
-    def expectation(self, matrix):
-        value = self.omega.expectation(matrix)
-        self.values.append(value)
-        return value
+    def odd_pair(self, a, b):
+        values = self.omega.odd_pair(a, b)
+        self.values.extend(values)
+        return values
 
 
 @st.composite
@@ -283,7 +290,7 @@ def test_purely_imaginary_check_takes_the_dense_correlation(case):
     omega, a, b = case
     recorder = Recording(omega)
     purely_imaginary_check(recorder, a, b)
-    [corr] = recorder.values
+    corr, _, _ = recorder.values
     assert_relative(corr, omega.expectation(a.matrix @ b.matrix))
 
 
@@ -324,3 +331,106 @@ def test_an_element_outside_its_declared_support_cannot_be_built():
         car.AlgebraElement.from_matrix(dense, Region.of([0], lattice))
     honest = car.AlgebraElement.from_matrix(dense, Region.of([0, 1], lattice))
     assert np.array_equal(honest.matrix, dense)
+
+
+# ---------------------------------------------------------------------------
+# the factor state against the density it stands for
+# ---------------------------------------------------------------------------
+
+
+def factor_and_density(lattice, rng):
+    """A Gaussian factor state and the ``DensityState`` of the
+    grading-symmetrized ``G G* / Tr(G G*)`` it stands for."""
+    factor = FactorState.gaussian(lattice, rng)
+    g = factor.factor
+    d = g @ g.conj().T
+    d /= np.trace(d).real
+    sym = 0.5 * (d + car.theta_matrix(d, lattice))
+    return factor, DensityState(sym, label="factor-oracle")
+
+
+def draw_region(data, lattice):
+    sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1,
+                              max_size=lattice))
+    return Region.of(sites, lattice)
+
+
+def assert_within(got, want, scale, tol=1e-13):
+    assert abs(got - want) <= tol * scale, (got, want, scale)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_factor_state_expectations_match_the_symmetrized_density(lattice,
+                                                                 data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    factor, density = factor_and_density(lattice, rng)
+    for parity in (0, 1, None):
+        x = car.random_element(draw_region(data, lattice), rng, parity=parity,
+                               hermitian=data.draw(st.booleans()))
+        # |omega(X)| <= ||X||, so the norm is the scale of the values
+        scale = x.norm()
+        assert_within(factor.expectation(x), density.expectation(x), scale)
+        if parity == 1:
+            assert factor.expectation(x) == 0.0
+
+
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_factor_state_pair_values_match_the_symmetrized_density(lattice, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    first = draw_region(data, lattice)
+    rest = first.complement()
+    if rest.is_empty:
+        first, rest = (Region.of(first.sites[:-1], lattice),
+                       Region.of(first.sites[-1:], lattice))
+    sites = data.draw(st.sets(st.sampled_from(rest.sites), min_size=1))
+    second = Region.of(sites, lattice)
+    factor, density = factor_and_density(lattice, rng)
+    a = car.random_element(first, rng, parity=1, hermitian=True)
+    b = car.random_element(second, rng, parity=1, hermitian=True)
+    got = factor.odd_pair(a, b)
+    want = density.odd_pair(a, b)
+    scales = (a.norm() * b.norm(), a.norm() ** 2, b.norm() ** 2)
+    for g, w, scale in zip(got, want, scales):
+        assert_within(g, w, scale)
+    assert_relative(got[0], density.expectation(a.matrix @ b.matrix), 1e-13)
+
+
+def test_factor_state_pair_refuses_elements_that_are_not_odd_self_adjoint():
+    lattice = 4
+    factor = FactorState.gaussian(lattice, np.random.default_rng(0))
+    a = odd_direction(Region.of([0], lattice))
+    b = odd_direction(Region.of([2], lattice))
+    not_adjoint = car.annihilator(2, lattice)
+    even = car.number_operator(2, lattice)
+    for bad, reason in ((not_adjoint, "not self-adjoint"), (even, "not odd")):
+        with pytest.raises(ValueError, match=reason):
+            factor.odd_pair(a, bad)
+        with pytest.raises(ValueError, match=reason):
+            factor.odd_pair(bad, b)
+
+
+def test_scan_and_check_take_factor_states():
+    lattice = 5
+    rng = np.random.default_rng(7)
+    region, outside = Region.of([1, 2], lattice), Region.of([0, 3, 4], lattice)
+    cases = [(FactorState.gaussian(lattice, rng),
+              odd_hermitian(region, rng), odd_hermitian(outside, rng))
+             for _ in range(10)]
+    report = scan_odd_correlations(cases)
+    assert report["cases"] == 10
+    assert report["violations"] == 0
+    assert report["worst_real_part"] < 1e-14
+    omega, a, b = cases[0]
+    assert purely_imaginary_check(omega, a, b) < 1e-14
+
+
+def test_factor_state_draws_real_parts_first():
+    # the order of the draws is the law of the ssb-probe scan: the factor
+    # is the complex Ginibre matrix re + 1j * im, re drawn first
+    lattice = 3
+    n = car.dim(lattice)
+    rng = np.random.default_rng(11)
+    want = rng.standard_normal((n, n))
+    want = want + 1j * rng.standard_normal((n, n))
+    got = FactorState.gaussian(lattice, np.random.default_rng(11)).factor
+    assert got.tobytes() == want.tobytes()
