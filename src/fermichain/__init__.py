@@ -47,9 +47,9 @@ from .potentials import (MODELS, Potential, PotentialReport, build_model,
 from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .stability import (ConstraintProjection, FeasibleFamily, MaximizerInfo,
-                        StabilityReport, feasible_sampler, free_energy,
-                        lts_check, prop4_pipeline)
+from .stability import (ConstraintProjection, MaximizerInfo, StabilityReport,
+                        feasible_sampler, free_energy, lts_check,
+                        prop4_pipeline)
 from .states import (DensityState, FactorState, RestrictedState, gibbs_state,
                      kms_residual, max_perturbation_strength,
                      noneven_perturbation, odd_direction, perturbed_state,
@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
-    "EntropyValue", "FactorState", "FeasibleFamily", "MAX_SITES", "MODELS",
+    "EntropyValue", "FactorState", "MAX_SITES", "MODELS",
     "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region", "RestrictedState",
     "StabilityReport", "annihilator", "build_model",

@@ -13,13 +13,13 @@ grading-twisted odd elements.
 :func:`lts_check` runs two independent tests.  It compares the free energy
 against the competitors :func:`feasible_sampler` draws, random density
 perturbations orthogonal to the constraint algebra that change nothing any
-constrained observable can see; and against the exact constrained maximizer,
-solved for through the convex dual of the slice problem (exponential-family
-form, Newton's method in the small representation of the constraint
-algebra).  For a Gibbs state of the generating potential both margins must
-come back nonnegative: on a finite chain the Gibbs state is the exact
-constrained maximizer, and each competitor loses by its relative entropy
-from it.
+constrained observable can see, each scored as it is drawn and then
+dropped; and against the exact constrained maximizer, solved for through
+the convex dual of the slice problem (exponential-family form, Newton's
+method in the small representation of the constraint algebra).  For a
+Gibbs state of the generating potential both margins must come back
+nonnegative: on a finite chain the Gibbs state is the exact constrained
+maximizer, and each competitor loses by its relative entropy from it.
 
 :func:`prop4_pipeline` runs the free-energy comparison that kills noneven
 states: the decoupled state and its odd perturbations agree on everything
@@ -30,6 +30,7 @@ relative entropy from the even one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -106,40 +107,20 @@ def _free_energy(omega: DensityState, project: ConstraintProjection,
 
 
 # ---------------------------------------------------------------------------
-# feasible families
+# feasible competitors
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FeasibleFamily:
-    """A base state plus density perturbations invisible to the constraints."""
-
-    base: DensityState
-    region: Region
-    mode: str
-    members: list[DensityState]
-    seed: int | None = None
-
-    def constraint_residual(self) -> float:
-        """Worst disagreement with the base on the constraint algebra: the
-        largest entry of the density difference's small representation."""
-        project = constraint_family(self.region, self.mode)
-        worst = 0.0
-        for member in self.members:
-            # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
-            worst = np.maximum(worst, np.max(np.abs(
-                project.compress(member.density - self.base.density))))
-        return float(worst)
-
-
 def feasible_sampler(omega: DensityState, region: Region, mode: str,
-                     count: int, seed: int | None = 0) -> FeasibleFamily:
-    """Random feasible competitors of a faithful base state.
+                     count: int, seed: int | None = 0) -> Iterator[DensityState]:
+    """Random feasible competitors of a faithful base state, drawn one at a
+    time as they are consumed, so only the one in use is held.
 
-    Each member is ``D + Y`` with ``Y`` self-adjoint, traceless, orthogonal
-    to the constraint algebra, and of spectral norm below half the smallest
-    eigenvalue of ``D`` — so every member is a genuine density with exactly
-    the base state's constrained expectations.
+    Each competitor is ``D + Y`` with ``Y`` self-adjoint, traceless,
+    orthogonal to the constraint algebra, and of spectral norm below half
+    the smallest eigenvalue of ``D`` — so every one is a genuine density
+    with exactly the base state's constrained expectations.  The probe and
+    the base are checked when the sampler is called, before any draw.
     """
     project = constraint_family(region, mode)
     lam_half = 0.5 * omega.lambda_min()
@@ -147,21 +128,19 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
         raise ValueError("base state must be faithful (strictly positive density)")
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
-    members: list[DensityState] = []
-    while len(members) < count:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = (g + g.conj().T) / 2.0
-        y = g - project(g)
-        y = (y + y.conj().T) / 2.0
-        nrm = car.hermitian_norm(y)
-        if nrm < 1e-12:
-            continue
+
+    def draw(k: int) -> DensityState:
+        nrm = 0.0
+        while nrm < 1e-12:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g = (g + g.conj().T) / 2.0
+            y = g - project(g)
+            y = (y + y.conj().T) / 2.0
+            nrm = car.hermitian_norm(y)
         t = float(rng.uniform(0.3, 1.0)) * lam_half
-        density = omega.density + (t / nrm) * y
-        members.append(DensityState(density, label=f"feasible-{len(members)}",
-                                    validate=False))
-    return FeasibleFamily(base=omega, region=region, mode=mode,
-                          members=members, seed=seed)
+        return DensityState(omega.density + (t / nrm) * y,
+                            label=f"feasible-{k}", validate=False)
+    return (draw(k) for k in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +363,41 @@ class StabilityReport:
         return self.verdict == "pass"
 
 
+# how far a competitor or the maximizer may beat the base before its margin
+# fails
+_MARGIN_TOL = 1e-9
+
+
+def _score(competitors: Iterator[DensityState], base: DensityState,
+           project: ConstraintProjection, h_i: np.ndarray,
+           beta: float) -> tuple[float, list[float]]:
+    """The worst disagreement of the competitors with the base on the
+    constraint algebra (the largest entry of the density difference's small
+    representation), and their free energies.  A function of its own so
+    that no competitor outlives its scoring: a loop variable of
+    :func:`lts_check` would hold the last one through the maximizer."""
+    worst, energies = 0.0, []
+    for member in competitors:
+        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+        worst = np.maximum(worst, np.max(np.abs(
+            project.compress(member.density - base.density))))
+        energies.append(_free_energy(member, project, h_i, beta))
+    return float(worst), energies
+
+
 def lts_check(omega: DensityState, potential: Potential, region: Region,
-              beta: float, mode: str = "lts", samples=200, seed: int = 0,
-              tolerance: float = 1e-9) -> StabilityReport:
+              beta: float, mode: str = "lts", samples: int = 200,
+              seed: int = 0) -> StabilityReport:
     """Variational stability test of a state against feasible competitors.
 
-    ``samples`` is either a prebuilt :class:`FeasibleFamily` or a count to
-    draw afresh.  The margin is the base free energy minus the best
-    competitor (samples and, when it certifies convergence, the constrained
-    maximizer); the verdict passes when the margin is no worse than
-    ``-tolerance``.
+    ``samples`` competitors are drawn by :func:`feasible_sampler` and scored
+    in one pass as they are drawn (their ``feasible_residual`` and free
+    energy), so no more than one is held.  The margin is the base free
+    energy minus the best competitor (samples and, when it certifies
+    convergence, the constrained maximizer); the verdict passes when the
+    margin is no worse than ``-1e-9``.
     """
-    if isinstance(samples, FeasibleFamily):
-        family = samples
-        if family.region != region or family.mode != mode:
-            raise ValueError("feasible family was built for a different probe")
-        if float(np.max(np.abs(family.base.density - omega.density))) > 1e-12:
-            raise ValueError("feasible family was built for a different base state")
-    else:
-        family = feasible_sampler(omega, region, mode, int(samples), seed)
-
+    competitors = feasible_sampler(omega, region, mode, int(samples), seed)
     project = constraint_family(region, mode)
     h_i = local_hamiltonian(potential, region).matrix
     f_base = _free_energy(omega, project, h_i, beta)
@@ -411,19 +405,17 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     notes: list[str] = []
     free_energies = {"base": f_base}
 
-    feas = family.constraint_residual()
+    feas, f_members = _score(competitors, omega, project, h_i, beta)
     checks.append(CheckRecord("feasible_residual", feas, 1e-10, feas <= 1e-10))
 
     margins = []
-    if family.members:
-        f_members = [_free_energy(m, project, h_i, beta)
-                     for m in family.members]
+    if f_members:
         best = max(f_members)
         free_energies["best_sample"] = best
         margin_samples = f_base - best
         margins.append(margin_samples)
-        checks.append(CheckRecord("margin_samples", margin_samples, tolerance,
-                                  margin_samples >= -tolerance))
+        checks.append(CheckRecord("margin_samples", margin_samples, _MARGIN_TOL,
+                                  margin_samples >= -_MARGIN_TOL))
 
     try:
         density, info = _maximize(project, project(omega.density), h_i, beta)
@@ -437,8 +429,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
         if info.converged:
             margin_max = f_base - f_max
             margins.append(margin_max)
-            checks.append(CheckRecord("margin_maximizer", margin_max, tolerance,
-                                      margin_max >= -tolerance))
+            checks.append(CheckRecord("margin_maximizer", margin_max,
+                                      _MARGIN_TOL, margin_max >= -_MARGIN_TOL))
             notes.append(
                 f"maximizer certified after {info.iterations} iterations "
                 f"(spread {info.certificate_spread:.2e})"

@@ -12,10 +12,9 @@ from fermichain.entropy import (conditional_entropy, relative_entropy,
 from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
-from fermichain.stability import (FeasibleFamily, MaximizerInfo,
-                                  StabilityReport, constraint_family,
-                                  feasible_sampler, free_energy, lts_check,
-                                  prop4_pipeline)
+from fermichain.stability import (MaximizerInfo, StabilityReport,
+                                  constraint_family, feasible_sampler,
+                                  free_energy, lts_check, prop4_pipeline)
 from fermichain.states import (DensityState, gibbs_state,
                                noneven_perturbation, perturbed_state)
 
@@ -296,32 +295,58 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
 # ---------------------------------------------------------------------------
 
 
+def redraw(omega, region, mode, count, seed):
+    """The competitor densities drawn directly, in the sampler's RNG order:
+    ``g``, then ``t``, with ``g`` redrawn when its feasible part vanishes."""
+    project = constraint_family(region, mode)
+    lam_half = 0.5 * omega.lambda_min()
+    n = omega.density.shape[0]
+    rng = np.random.default_rng(seed)
+    densities = []
+    while len(densities) < count:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = (g + g.conj().T) / 2.0
+        y = g - project(g)
+        y = (y + y.conj().T) / 2.0
+        nrm = car.hermitian_norm(y)
+        if nrm < 1e-12:
+            continue
+        t = float(rng.uniform(0.3, 1.0)) * lam_half
+        densities.append(omega.density + (t / nrm) * y)
+    return densities
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_feasible_sampler_streams_the_direct_draws(mode):
+    lattice = 4
+    region = Region.of([1, 2], lattice)
+    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    stream = feasible_sampler(omega, region, mode, 6, seed=7)
+    got = [member.density for member in stream]
+    want = redraw(omega, region, mode, 6, seed=7)
+    assert len(got) == len(want) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("mode", ["lts", "lts_prime"])
 def test_feasible_sampler_produces_genuine_competitors(mode):
     lattice, beta = 4, 1.0
     region = Region.of([1, 2], lattice)
     omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
-    family = feasible_sampler(omega, region, mode, 25, seed=7)
-    assert len(family.members) == 25
-    assert family.constraint_residual() < 1e-12
-    for member in family.members:
+    project = constraint_family(region, mode)
+    members = list(feasible_sampler(omega, region, mode, 25, seed=7))
+    assert len(members) == 25
+    residual = max(float(np.max(np.abs(
+        project.compress(m.density - omega.density)))) for m in members)
+    assert residual < 1e-12
+    for member in members:
         evals = np.linalg.eigvalsh(member.density)
         assert evals.min() > -1e-12
         assert abs(np.trace(member.density).real - 1.0) < 1e-12
         # competitors genuinely differ from the base inside the region
     worst = max(float(np.max(np.abs(m.density - omega.density)))
-                for m in family.members)
+                for m in members)
     assert worst > 1e-4
-
-
-def test_constraint_residual_keeps_a_nan():
-    lattice = 3
-    region = Region.of([1], lattice)
-    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    family = feasible_sampler(omega, region, "lts", 2, seed=3)
-    broken = DensityState(np.full_like(omega.density, np.nan), validate=False)
-    family.members.insert(1, broken)
-    assert np.isnan(family.constraint_residual())
 
 
 def test_feasible_sampler_requires_a_faithful_base():
@@ -341,8 +366,7 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
     f_gibbs = free_energy(gibbs, pot, region, beta)
-    family = feasible_sampler(gibbs, region, "lts", 10, seed=11)
-    for member in family.members:
+    for member in feasible_sampler(gibbs, region, "lts", 10, seed=11):
         loss = f_gibbs - free_energy(member, pot, region, beta)
         rel = relative_entropy(gibbs, member).value
         assert abs(loss - rel) < 1e-10
@@ -479,21 +503,79 @@ def test_check_builds_its_local_hamiltonian_once(monkeypatch):
     assert calls == [region]
 
 
-def test_check_accepts_a_prebuilt_family_and_rejects_mismatches():
+def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
+    # the residual is a running maximum over the stream, and a NaN must
+    # survive it where max(0.0, nan) would return 0.0
+    lattice, beta = 3, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    sampler, energy = stability.feasible_sampler, stability._free_energy
+
+    def broken(omega, region, mode, count, seed):
+        competitors = sampler(omega, region, mode, count, seed)
+        yield next(competitors)
+        yield DensityState(np.full_like(omega.density, np.nan), validate=False)
+        yield from competitors
+
+    def scored(omega, project, h_i, beta):
+        # the spectrum of a NaN density does not converge; score it as NaN
+        if np.isnan(omega.density).any():
+            return math.nan
+        return energy(omega, project, h_i, beta)
+
+    monkeypatch.setattr(stability, "feasible_sampler", broken)
+    monkeypatch.setattr(stability, "_free_energy", scored)
+    report = lts_check(gibbs, pot, region, beta, samples=3, seed=3)
+    record = next(c for c in report.checks if c.check == "feasible_residual")
+    assert math.isnan(record.value)
+    assert not record.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("drawn_for", ["region", "mode", "base"])
+def test_feasible_residual_fails_a_competitor_drawn_for_another_probe(
+        monkeypatch, drawn_for):
     lattice, beta = 4, 1.0
     pot = hopping_model(lattice)
     region = Region.of([1], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    family = feasible_sampler(gibbs, region, "lts", 20, seed=2)
-    report = lts_check(gibbs, pot, region, beta, samples=family)
+    # lts competitors are orthogonal to the complement's algebra only, so
+    # they move the grading-twisted odd constraints that lts_prime adds
+    mode = "lts_prime" if drawn_for == "mode" else "lts"
+    base, probe = gibbs, region
+    if drawn_for == "region":
+        probe = Region.of([2], lattice)
+    if drawn_for == "base":
+        base = gibbs_state(total_hamiltonian(pot), 2.0)
+    sampler = stability.feasible_sampler
+    monkeypatch.setattr(stability, "feasible_sampler",
+                        lambda omega, region, mode, count, seed:
+                        sampler(base, probe, "lts", count, seed))
+    report = lts_check(gibbs, pot, region, beta, mode=mode, samples=20, seed=2)
+    record = next(c for c in report.checks if c.check == "feasible_residual")
+    assert record.value > 1e-6
+    assert not record.passed
+    assert not report.passed
+
+
+def test_check_holds_one_competitor_at_a_time():
+    # each competitor is scored as it is drawn and then dropped, so 200 of
+    # them at L = 7 cost a few N x N arrays, not 200
+    lattice, beta = 7, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = lts_check(gibbs, pot, region, beta, samples=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = car.dim(lattice)
     assert report.passed
-    with pytest.raises(ValueError):    # family built for another region
-        lts_check(gibbs, pot, Region.of([2], lattice), beta, samples=family)
-    with pytest.raises(ValueError):    # family built for another mode
-        lts_check(gibbs, pot, region, beta, mode="lts_prime", samples=family)
-    other = gibbs_state(total_hamiltonian(pot), 2.0)
-    with pytest.raises(ValueError):    # family built for another base state
-        lts_check(other, pot, region, beta, samples=family)
+    assert peak < 32 * n * n * 16
 
 
 def test_check_survives_a_nonconverging_maximizer(monkeypatch):
