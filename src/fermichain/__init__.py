@@ -28,7 +28,7 @@ the occupation basis.  The layers, bottom to top:
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
 
-Everything is NumPy and SciPy; :mod:`fermichain.kernels` holds the column-map
+The only dependency is NumPy; :mod:`fermichain.kernels` holds the column-map
 gather/scatter operations of the monomial oracle, which only the tests use.
 """
 

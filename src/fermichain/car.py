@@ -633,8 +633,8 @@ def _element_tables(r: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 def random_element(region: Region, rng: np.random.Generator, *,
-                   parity: int | None = None, hermitian: bool = False,
-                   include_identity: bool = True) -> AlgebraElement:
+                   parity: int | None = None,
+                   hermitian: bool = False) -> AlgebraElement:
     """Random element of ``A_region`` with optional fixed parity / adjointness.
 
     The law is that of standard complex Gaussian coefficients over the
@@ -656,8 +656,6 @@ def random_element(region: Region, rng: np.random.Generator, *,
     mat *= scale
     if parity is not None:
         mat[outside[parity]] = 0.0
-    if not include_identity:
-        mat -= tau(mat) * np.eye(dim(r))
     if hermitian:
         mat = (mat + mat.conj().T) / 2.0
     return AlgebraElement(mat, region)

@@ -311,8 +311,7 @@ def random_standard_potential(lattice_size: int, rng: np.random.Generator,
         j = int(rng.integers(i + 2, lattice_size))
         regions.append(Region((i, j), lattice_size))
     for region in regions:
-        elem = car.random_element(region, rng, parity=0, hermitian=True,
-                                  include_identity=True)
+        elem = car.random_element(region, rng, parity=0, hermitian=True)
         nrm = elem.norm()
         if nrm < 1e-12:
             continue

@@ -54,6 +54,9 @@ from .car import AlgebraElement
 from .regions import Region
 from .states import DensityState, FactorState
 
+# Bound on |Re omega(A B)| and on the Cauchy-Schwarz excess in the odd scan
+_REAL_TOL = 1e-12
+
 
 @dataclass
 class ProbeResult:
@@ -137,11 +140,11 @@ def purely_imaginary_check(omega: DensityState | FactorState,
     return float(abs(np.real(corr)))
 
 
-def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
+def scan_odd_correlations(cases) -> dict:
     """Check every (even state, odd A, odd B) case for impossible correlations.
 
     A case is a violation if the real part of ``omega(AB)`` exceeds
-    ``real_tol``, if ``|omega(AB)|`` breaks the Cauchy-Schwarz envelope
+    ``_REAL_TOL``, if ``|omega(AB)|`` breaks the Cauchy-Schwarz envelope
     ``sqrt(omega(A*A) omega(B*B))``, or if either value is NaN.  Returns the
     violation count and the worst observed values (NaN if any case gave
     NaN); a nonzero count would exhibit a state outside the even-state
@@ -175,7 +178,7 @@ def scan_odd_correlations(cases, real_tol: float = 1e-12) -> dict:
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         worst_real = np.maximum(worst_real, real_part)
         worst_excess = np.maximum(worst_excess, excess)
-        if not (real_part <= real_tol and excess <= real_tol):
+        if not (real_part <= _REAL_TOL and excess <= _REAL_TOL):
             violations += 1
     return {
         "cases": count,

@@ -51,7 +51,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import car
 from .car import AlgebraElement
@@ -76,7 +75,7 @@ def spectral_entropy(eigenvalues: np.ndarray) -> float:
     """Von Neumann entropy ``-sum p log p`` of a spectrum; rounding below
     zero is clipped away."""
     p = np.clip(eigenvalues, 0.0, None)
-    return -float(np.sum(xlogy(p, p)))
+    return -float(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)))
 
 
 @dataclass(frozen=True)

@@ -263,12 +263,9 @@ def test_random_element_honours_constraints():
     assert np.max(np.abs(herm.matrix - herm.matrix.conj().T)) == 0.0
     checked = car.AlgebraElement.from_matrix(herm.matrix, region)
     assert np.array_equal(checked.small, herm.small)
-    no_id = car.random_element(region, rng, include_identity=False)
-    assert abs(no_id.tau()) < 1e-12
 
 
-def uncached_random_element(region, rng, *, parity=None, hermitian=False,
-                            include_identity=True):
+def uncached_random_element(region, rng, *, parity=None, hermitian=False):
     """The draw of ``car.random_element`` with its tables rebuilt per call."""
     r = len(region)
     states = np.arange(car.dim(r), dtype=np.int64)
@@ -279,8 +276,6 @@ def uncached_random_element(region, rng, *, parity=None, hermitian=False,
                                          + 1j * rng.standard_normal(shape))
     if parity is not None:
         mat = np.where(flips % 2 == parity, mat, 0.0)
-    if not include_identity:
-        mat -= car.tau(mat) * np.eye(car.dim(r))
     if hermitian:
         mat = (mat + mat.conj().T) / 2.0
     return mat
@@ -291,16 +286,14 @@ def test_random_element_is_bit_identical_to_the_uncached_draw(r):
     region = Region.full(r)
     for parity in (None, 0, 1):
         for hermitian in (False, True):
-            for include_identity in (True, False):
-                options = dict(parity=parity, hermitian=hermitian,
-                               include_identity=include_identity)
-                seed = 100 * r + 10 * (parity or 0) + hermitian
-                got = car.random_element(region, np.random.default_rng(seed),
-                                         **options)
-                want = uncached_random_element(
-                    region, np.random.default_rng(seed), **options)
-                # bytes, so that signed zeros count too
-                assert got.small.tobytes() == want.tobytes(), options
+            options = dict(parity=parity, hermitian=hermitian)
+            seed = 100 * r + 10 * (parity or 0) + hermitian
+            got = car.random_element(region, np.random.default_rng(seed),
+                                     **options)
+            want = uncached_random_element(
+                region, np.random.default_rng(seed), **options)
+            # bytes, so that signed zeros count too
+            assert got.small.tobytes() == want.tobytes(), options
 
 
 def test_random_element_refuses_an_unknown_parity():

@@ -317,9 +317,9 @@ def test_resolve_config_handles_region_from_file(tmp_path):
     assert cfg.command == "lts"
 
 
-def run_module(argv, address_space=None):
-    """``python -m fermichain`` in a child that imports the package from
-    where this process did, under an address-space cap when one is given."""
+def run_python(args, address_space=None):
+    """``python *args`` in a child that imports the package from where this
+    process did, under an address-space cap when one is given."""
     import os
     import resource
     import subprocess
@@ -333,9 +333,14 @@ def run_module(argv, address_space=None):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-m", "fermichain", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           preexec_fn=None if address_space is None else cap)
+
+
+def run_module(argv, address_space=None):
+    """``python -m fermichain *argv`` in a child (see :func:`run_python`)."""
+    return run_python(["-m", "fermichain", *argv], address_space)
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -356,3 +361,41 @@ def test_validate_at_twelve_sites_fits_in_one_gib(tmp_path):
     assert [r["check"] for r in records] == ["support", "self_adjoint",
                                               "even", "standard"]
     assert all(r["pass"] for r in records)
+
+
+# Runs every verb at L = 4 in one child and prints the exit statuses and
+# whether scipy was imported; with "block" as the first argument scipy is
+# made unimportable before the package is.
+ALL_VERBS_WITHOUT_SCIPY = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from fermichain import cli
+statuses = {}
+for verb in cli.COMMANDS:
+    argv = [verb, "--length", "4", "--out", f"{sys.argv[2]}/{verb}.jsonl"]
+    if verb in ("perturb", "entropy", "lts", "prop4", "ssb-probe"):
+        argv += ["--region", "1,2"]
+    if verb == "lts":
+        argv += ["--samples", "20"]
+    statuses[verb] = cli.main(argv)
+imported = sys.modules.get("scipy") is not None
+print(json.dumps({"statuses": statuses, "scipy": imported}))
+"""
+
+
+def test_every_verb_runs_with_scipy_unimportable(tmp_path):
+    reports = {}
+    for mode in ("block", "allow"):
+        out = tmp_path / mode
+        out.mkdir()
+        proc = run_python(["-c", ALL_VERBS_WITHOUT_SCIPY, mode, str(out)])
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["statuses"] == {verb: 0 for verb in cli.COMMANDS}, \
+            proc.stderr
+        assert not result["scipy"]
+        reports[mode] = {verb: (out / f"{verb}.jsonl").read_bytes()
+                         for verb in cli.COMMANDS}
+    assert reports["block"] == reports["allow"]
+    assert all(reports["block"].values())

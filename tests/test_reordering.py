@@ -269,15 +269,6 @@ def test_random_element_has_the_monomial_coefficient_law(r, parity):
     assert np.max(np.abs(np.abs(small.ravel()) ** 2 - np.diag(cov).real)) <= 1e-12
 
 
-def test_random_element_without_identity_is_traceless_in_law():
-    region = Region.of([0, 2], 4)
-    drawn = car.random_element(region, UnitDraws(), include_identity=False)
-    small = car.small_representation(drawn.matrix, region)
-    assert abs(np.trace(small)) <= 1e-12
-    coeffs = car.monomial_basis(region).coefficients(drawn.matrix)
-    assert abs(coeffs[0]) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # the product certificate
 # ---------------------------------------------------------------------------

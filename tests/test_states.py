@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,7 +15,8 @@ from fermichain.states import (DensityState, gibbs_state, kms_residual,
                                max_perturbation_strength,
                                noneven_perturbation, odd_direction,
                                perturbed_state, product_check,
-                               random_pair_panel, remark2_construct, restrict)
+                               random_pair_panel, remark2_construct, restrict,
+                               spectral_entropy)
 
 
 def random_density(lattice, rng):
@@ -138,6 +140,40 @@ def test_random_pair_panel_scales_a_direct_redraw(lattice, count, seed):
             want = draw / np.linalg.norm(draw, 2)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert abs(np.linalg.norm(got, 2) - 1.0) <= 1e-13
+
+
+def awkward_spectrum(n, rng):
+    """A spectrum of length ``n`` in ``[0, 1]``, with exact zeros, rounding
+    below zero and subnormal weights mixed in."""
+    p = rng.uniform(size=n) ** 3
+    k = np.arange(n)
+    negative, subnormal = k % 7 == 2, k % 11 == 3
+    p[k % 5 == 1] = 0.0
+    p[negative] = -rng.uniform(0.0, 1e-15, size=np.count_nonzero(negative))
+    p[subnormal] = rng.uniform(0.0, 2.2e-308, size=np.count_nonzero(subnormal))
+    p[k % 13 == 4] = 5e-324
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 255, 1000, 4096])
+def test_spectral_entropy_matches_the_xlogy_oracle(n):
+    rng = np.random.default_rng(n)
+    awkward = awkward_spectrum(n, rng)
+    for p in (awkward, awkward / awkward.sum(), np.full(n, 1.0 / n),
+              np.zeros(n)):
+        clipped = np.clip(p, 0.0, None)
+        want = scipy.special.xlogy(clipped, clipped)
+        # a spectrum of one entry gives that entry's term of the sum
+        got = np.array([-spectral_entropy(p[i:i + 1]) for i in range(n)])
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert np.all(got[clipped == 0.0] == 0.0)
+        assert spectral_entropy(p) == pytest.approx(-np.sum(want), rel=1e-14,
+                                                    abs=0.0)
+
+
+def test_spectral_entropy_keeps_a_nan():
+    for spectrum in ([np.nan], [0.5, np.nan, 0.5], [np.nan, 0.0, -1e-17]):
+        assert math.isnan(spectral_entropy(np.array(spectrum)))
 
 
 # ---------------------------------------------------------------------------
