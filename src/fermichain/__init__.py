@@ -33,8 +33,8 @@ gather/scatter operations of the monomial oracle, which only the tests use.
 """
 
 from .car import (AlgebraElement, Monomial, MonomialBasis, annihilator,
-                  embed, mode_reordering, monomial_basis, number_operator,
-                  random_element, small_representation, theta)
+                  embed, mode_reordering, monomial_basis, random_element,
+                  small_representation, theta)
 from .entropy import (EntropyValue, conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
@@ -69,7 +69,7 @@ __all__ = [
     "grading_asymmetry", "hopping_model",
     "kms_residual", "local_hamiltonian", "lts_check",
     "max_perturbation_strength", "mode_reordering", "monomial_basis",
-    "noneven_perturbation", "number_operator", "odd_direction",
+    "noneven_perturbation", "odd_direction",
     "perturbed_state", "potential_from_records", "product_check",
     "prop4_pipeline", "prune", "purely_imaginary_check", "random_element",
     "random_pair_panel", "random_standard_potential", "raw_number_model",

@@ -98,7 +98,9 @@ def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
 def spectral_norm(matrix: np.ndarray) -> float:
     """Spectral norm of a matrix ``a``: the square root of the top
     eigenvalue of ``a* a``, one ``eigvalsh`` instead of an SVD.  Rounding
-    below zero is clipped away, so the zero matrix gives 0.0."""
+    below zero is clipped away, so the zero matrix gives 0.0.  No verb
+    calls it: it scales :func:`states.random_pair_panel`, the tests' oracle
+    for the KMS condition."""
     top = np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1]
     return float(np.sqrt(max(float(top), 0.0)))
 
@@ -279,11 +281,6 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
 def annihilator(site: int, lattice_size: int) -> AlgebraElement:
     """``a_site`` as an element supported on the single site."""
     return AlgebraElement(_LOWER, Region((site,), lattice_size))
-
-
-def number_operator(site: int, lattice_size: int) -> AlgebraElement:
-    """``a_site* a_site``."""
-    return AlgebraElement(_LOWER.T @ _LOWER, Region((site,), lattice_size))
 
 
 @lru_cache(maxsize=16)

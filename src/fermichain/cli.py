@@ -38,8 +38,8 @@ from .regions import MAX_SITES, Region
 from .reporting import ReportRecord, all_passed, emit_report, from_checks
 from .stability import lts_check, prop4_pipeline
 from .states import (FactorState, gibbs_state, kms_residual, odd_direction,
-                     perturbed_state, product_check, random_pair_panel,
-                     remark2_construct, remark2_restriction_defect)
+                     perturbed_state, product_check, remark2_construct,
+                     remark2_restriction_defect)
 
 COMMANDS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
             "ssb-probe", "remark2")
@@ -217,9 +217,7 @@ def run_validate(cfg: RunConfig) -> list[ReportRecord]:
 
 def run_gibbs(cfg: RunConfig) -> list[ReportRecord]:
     state, potential = _gibbs(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    pairs = random_pair_panel(cfg.lattice_size, 100, rng)
-    kms = kms_residual(state, total_hamiltonian(potential), cfg.beta, pairs)
+    kms = kms_residual(state, total_hamiltonian(potential), cfg.beta)
     even = state.evenness_defect()
     label = Region.full(cfg.lattice_size).label()
     return [

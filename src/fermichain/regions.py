@@ -69,14 +69,6 @@ class Region:
     def is_empty(self) -> bool:
         return not self.sites
 
-    @property
-    def mask(self) -> int:
-        """Bit mask with bit ``i`` set for each site ``i`` in the region."""
-        m = 0
-        for s in self.sites:
-            m |= 1 << s
-        return m
-
     def _require_same_chain(self, other: "Region") -> None:
         if self.lattice_size != other.lattice_size:
             raise ValueError(
@@ -88,10 +80,6 @@ class Region:
     def union(self, other: "Region") -> "Region":
         self._require_same_chain(other)
         return Region(tuple(set(self.sites) | set(other.sites)), self.lattice_size)
-
-    def intersection(self, other: "Region") -> "Region":
-        self._require_same_chain(other)
-        return Region(tuple(set(self.sites) & set(other.sites)), self.lattice_size)
 
     def difference(self, other: "Region") -> "Region":
         self._require_same_chain(other)
@@ -111,9 +99,6 @@ class Region:
     def is_subregion(self, other: "Region") -> bool:
         self._require_same_chain(other)
         return set(self.sites) <= set(other.sites)
-
-    def __le__(self, other: "Region") -> bool:
-        return self.is_subregion(other)
 
     def intersects(self, other: "Region") -> bool:
         return not self.is_orthogonal(other)

@@ -21,7 +21,7 @@ from fermichain.regions import Region
 from fermichain.stability import lts_check, prop4_pipeline
 from fermichain.states import (DensityState, gibbs_state, kms_residual,
                                odd_direction, perturbed_state, product_check,
-                               random_pair_panel, remark2_construct, restrict)
+                               remark2_construct, restrict)
 
 
 def _random_density(lattice, rng, even=False):
@@ -243,8 +243,7 @@ def test_criterion_6_kms_and_pruned_commutation():
     potential = hopping_model(lattice)
     h_full = total_hamiltonian(potential)
     gibbs = gibbs_state(h_full, beta)
-    pairs = random_pair_panel(lattice, 100, np.random.default_rng(6))
-    kms = kms_residual(gibbs, h_full, beta, pairs)
+    kms = kms_residual(gibbs, h_full, beta)
     assert kms <= 1e-10
 
     region = Region.of([2, 3], lattice)

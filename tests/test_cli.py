@@ -7,7 +7,9 @@ import pytest
 
 from fermichain import car, cli
 from fermichain.cli import UsageError, main, resolve_config
+from fermichain.potentials import build_model, total_hamiltonian
 from fermichain.reporting import KEY_ORDER, ReportRecord
+from fermichain.states import gibbs_state, kms_residual
 
 
 def run(argv):
@@ -43,15 +45,31 @@ def test_failing_check_exits_one(capsys):
     assert abs(standard[0]["value"] - 0.25) < 1e-12
 
 
-def test_nan_check_value_fails(capsys):
-    # at beta = 150 the KMS weights exp(-beta (eps_k - eps_l)) overflow and
-    # every pair residual is NaN: the check must fail, not read 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["gibbs", "--length", "6", "--beta", "150"]) == 1
+def test_nan_check_value_fails(monkeypatch, capsys):
+    # a density with a NaN entry has a NaN Gibbs defect: the check must
+    # fail, not read 0.0
+    lattice, beta = 4, 1.0
+    h = total_hamiltonian(build_model("hopping", lattice))
+    state = gibbs_state(h, beta)
+    state.density[1, 2] = np.nan
+    assert math.isnan(kms_residual(state, h, beta))
+    monkeypatch.setattr(cli, "gibbs_state", lambda *args, **kwargs: state)
+    assert run(["gibbs", "--length", str(lattice)]) == 1
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()
              if l.strip()]
     kms = [rec for rec in lines if rec["check"] == "kms_residual"]
     assert kms and math.isnan(kms[0]["value"]) and not kms[0]["pass"]
+
+
+@pytest.mark.parametrize("length, beta", [("6", "100"), ("6", "150"),
+                                          ("8", "5")])
+def test_gibbs_passes_at_low_temperature(length, beta, capsys):
+    # the Gibbs defect carries no exponential weight, so an exact Gibbs
+    # state passes at any temperature
+    assert run(["gibbs", "--length", length, "--beta", beta]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()
+             if l.strip()]
+    assert [rec["check"] for rec in lines] == ["kms_residual", "evenness"]
 
 
 def test_unknown_verb_is_an_argparse_error():
@@ -292,9 +310,9 @@ def test_entropy_verb_passes(tmp_path):
     assert names == {"relative_entropy", "conditional_entropy", "monotonicity"}
 
 
-def test_gibbs_draws_its_pair_panel_one_pair_at_a_time():
-    # the KMS panel is 100 pairs of dense N x N matrices, 200 N**2 complex
-    # entries if held at once
+def test_gibbs_holds_a_few_dense_matrices():
+    # the state, H, its eigenvectors and the check's change of basis: a few
+    # N x N complex arrays at a time
     lattice = 6
     tracemalloc.start()
     try:
@@ -305,7 +323,7 @@ def test_gibbs_draws_its_pair_panel_one_pair_at_a_time():
         tracemalloc.stop()
     assert [r.check for r in records] == ["kms_residual", "evenness"]
     assert all(r.passed for r in records)
-    assert peak < 64 * car.dim(lattice) ** 2 * 16
+    assert peak <= 8 * car.dim(lattice) ** 2 * 16
 
 
 def test_resolve_config_handles_region_from_file(tmp_path):

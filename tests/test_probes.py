@@ -14,6 +14,12 @@ from fermichain.states import (DensityState, FactorState, gibbs_state,
                                perturbed_state, remark2_construct)
 
 
+def number(site, lattice):
+    """``a* a`` on one site."""
+    a = car.annihilator(site, lattice)
+    return a.dagger() @ a
+
+
 def random_even_state(lattice, rng):
     n = car.dim(lattice)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -85,7 +91,7 @@ def test_cluster_coefficient_vanishes_for_product_states():
     d /= np.trace(d).real
     inside = Region.of([0, 1], lattice)
     ext = DensityState(car.conditional_expectation_matrix(d, inside))
-    obs = car.AlgebraElement.from_matrix(car.number_operator(0, lattice).matrix,
+    obs = car.AlgebraElement.from_matrix(number(0, lattice).matrix,
                                          inside)
     result = cluster_coefficient(ext, obs, Region.of([4, 5], lattice))
     assert result.quantity < 1e-12
@@ -94,7 +100,7 @@ def test_cluster_coefficient_vanishes_for_product_states():
 def test_cluster_coefficient_decays_for_local_gibbs_states():
     lattice = 6
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    n0 = car.number_operator(0, lattice)
+    n0 = number(0, lattice)
     centered = car.AlgebraElement(n0.small - n0.tau() * np.eye(2), n0.support)
     near = cluster_coefficient(gibbs, centered, Region.of([1], lattice)).quantity
     mid = cluster_coefficient(gibbs, centered, Region.of([3], lattice)).quantity
@@ -106,7 +112,7 @@ def test_cluster_coefficient_decays_for_local_gibbs_states():
 def test_cluster_coefficient_requires_disjoint_supports():
     lattice = 4
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    obs = car.number_operator(1, lattice)
+    obs = number(1, lattice)
     with pytest.raises(ValueError):
         cluster_coefficient(gibbs, obs, Region.of([1, 2], lattice))
 
@@ -147,7 +153,7 @@ def test_purely_imaginary_check_validates_inputs():
         purely_imaginary_check(gibbs, a, odd_direction(Region.of([0, 1], lattice)))
     with pytest.raises(ValueError):        # not self-adjoint
         purely_imaginary_check(gibbs, a, car.annihilator(2, lattice))
-    even = car.number_operator(2, lattice)
+    even = number(2, lattice)
     with pytest.raises(ValueError):        # not odd
         purely_imaginary_check(gibbs, a, even)
 
@@ -223,7 +229,7 @@ def test_probe_result_carries_its_region():
     lattice = 4
     region = Region.of([3], lattice)
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    obs = car.number_operator(0, lattice)
+    obs = number(0, lattice)
     result = cluster_coefficient(gibbs, obs, region)
     assert isinstance(result, ProbeResult)
     assert result.region == region
@@ -401,7 +407,7 @@ def test_factor_state_pair_refuses_elements_that_are_not_odd_self_adjoint():
     a = odd_direction(Region.of([0], lattice))
     b = odd_direction(Region.of([2], lattice))
     not_adjoint = car.annihilator(2, lattice)
-    even = car.number_operator(2, lattice)
+    even = number(2, lattice)
     for bad, reason in ((not_adjoint, "not self-adjoint"), (even, "not odd")):
         with pytest.raises(ValueError, match=reason):
             factor.odd_pair(a, bad)

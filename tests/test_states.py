@@ -19,6 +19,12 @@ from fermichain.states import (DensityState, gibbs_state, kms_residual,
                                spectral_entropy)
 
 
+def number(site, lattice):
+    """``a* a`` on one site."""
+    a = car.annihilator(site, lattice)
+    return a.dagger() @ a
+
+
 def random_density(lattice, rng):
     n = car.dim(lattice)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -59,7 +65,7 @@ def test_gibbs_limits_and_invariance():
                          - np.eye(16) / 16)) < 1e-14
     g = gibbs_state(h, 1.3)
     assert np.max(np.abs(g.density @ h.matrix - h.matrix @ g.density)) < 1e-13
-    assert g.is_even()
+    assert g.evenness_defect() <= 1e-12
     with pytest.raises(ValueError):
         gibbs_state(h, math.inf)
     skew = car.annihilator(0, 4).matrix
@@ -70,21 +76,18 @@ def test_gibbs_limits_and_invariance():
 def test_kms_condition_separates_gibbs_from_tracial():
     lattice, beta = 4, 1.1
     h = total_hamiltonian(hopping_model(lattice))
-    pairs = list(random_pair_panel(lattice, 40, np.random.default_rng(0)))
-    assert kms_residual(gibbs_state(h, beta), h, beta, pairs) < 1e-10
-    # the tracial state satisfies the condition only at beta = 0
+    assert kms_residual(gibbs_state(h, beta), h, beta) < 1e-10
+    # the tracial state is the Gibbs state only at beta = 0
     tau = DensityState(np.eye(car.dim(lattice)) / car.dim(lattice))
-    assert kms_residual(tau, h, 0.0, pairs) < 1e-12
-    assert kms_residual(tau, h, beta, pairs) > 1e-3
+    assert kms_residual(tau, h, 0.0) < 1e-12
+    assert kms_residual(tau, h, beta) > 1e-3
 
 
-def dense_kms_traces(density, h, beta, a, b):
-    """``Tr(D A e^(-beta H) B e^(beta H))`` and ``Tr(D B A)``, evaluated
-    directly with dense exponentials and no eigenbasis, and the spectral
-    norm of ``e^(-beta H) B e^(beta H)``."""
-    evolved = scipy.linalg.expm(-beta * h) @ b @ scipy.linalg.expm(beta * h)
-    return (np.trace(density @ a @ evolved), np.trace(density @ b @ a),
-            np.linalg.norm(evolved, 2))
+def dense_gibbs_defect(density, h, beta):
+    """``||D - e^(-beta H) / Tr e^(-beta H)||_F`` from a dense exponential,
+    with no eigenbasis."""
+    weight = scipy.linalg.expm(-beta * h)
+    return np.linalg.norm(density - weight / np.trace(weight))
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -92,36 +95,63 @@ def dense_kms_traces(density, h, beta, a, b):
        st.sampled_from([hopping_model, tv_model]),
        st.integers(min_value=0, max_value=10_000))
 def test_kms_residual_matches_dense_oracle(lattice, beta, model, seed):
-    rng = np.random.default_rng(seed)
     h = total_hamiltonian(model(lattice)).matrix
-    pairs = list(random_pair_panel(lattice, 4, rng))
-    # the pairs are matrices in the eigenbasis of H: carry them back to the
-    # standard basis with the eigenvectors of the same eigh call on the
-    # same complex128 H that kms_residual diagonalizes
-    _, u = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
-    operators = [(u @ a @ u.conj().T, u @ b @ u.conj().T) for a, b in pairs]
-    gibbs = gibbs_state(h, beta)
-    for omega in (random_density(lattice, rng), gibbs):
-        traces = [dense_kms_traces(omega.density, h, beta, a, b)
-                  for a, b in operators]
-        want = max(abs(lhs - rhs) for lhs, rhs, _ in traces)
-        got = kms_residual(omega, h, beta, pairs)
-        if omega is gibbs:
-            # the residual vanishes up to rounding on the scale of its
-            # terms: for a density D and ||A|| = 1, the left trace is at
-            # most ||e^(-beta H) B e^(beta H)||, up to e^(2 |beta| ||H||)
-            scale = max(norm for _, _, norm in traces)
-            assert got <= 1e-12 * scale and want <= 1e-12 * scale
-        else:
-            assert abs(got - want) <= 1e-12 * want
+    for omega in (random_density(lattice, np.random.default_rng(seed)),
+                  gibbs_state(h, beta)):
+        want = dense_gibbs_defect(omega.density, h, beta)
+        got = kms_residual(omega, h, beta)
+        assert abs(got - want) <= max(1e-12 * want, 1e-13)
 
 
-def test_kms_residual_refuses_standard_basis_elements():
-    lattice = 2
+def kms_controls(h, beta):
+    """The exact Gibbs state at ``beta > 0`` and two states near it: the
+    Gibbs state at ``beta (1 + 1e-6)``, and the Gibbs density with the
+    eigenbasis entry between its two largest weights and its mirror moved
+    by 1e-8."""
+    exact = gibbs_state(h, beta)
+    _, u = np.linalg.eigh(h.matrix)
+    shift = np.outer(u[:, 0], u[:, 1].conj())
+    moved = exact.density + 1e-8 * (shift + shift.conj().T)
+    return (exact, gibbs_state(h, beta * (1 + 1e-6)),
+            DensityState(moved, label="moved"))
+
+
+@pytest.mark.parametrize("lattice", [4, 6, 8])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 5.0])
+def test_kms_residual_fails_states_near_gibbs(lattice, beta):
     h = total_hamiltonian(hopping_model(lattice))
-    a = car.annihilator(0, lattice)
-    with pytest.raises(TypeError, match="eigenbasis"):
-        kms_residual(gibbs_state(h, 1.0), h, 1.0, [(a, a.dagger())])
+    exact, *controls = kms_controls(h, beta)
+    assert kms_residual(exact, h, beta) <= 1e-12
+    for control in controls:
+        assert kms_residual(control, h, beta) >= 1e-8
+
+
+def panel_kms_residual(omega, h, beta, pairs):
+    """The KMS boundary condition by its definition: the worst
+    ``|omega(A e^(-beta H) B e^(beta H)) - omega(B A)|`` over the pairs,
+    read as matrices in the eigenbasis of ``H``, where conjugation by
+    ``e^(-beta H)`` multiplies entry ``(k, l)`` by
+    ``exp(-beta (eps_k - eps_l))``."""
+    eps, u = np.linalg.eigh(h)
+    d_t = u.conj().T @ omega.density @ u
+    weight = np.exp(-beta * (eps[:, None] - eps[None, :]))
+    return max(abs(np.sum((d_t @ a) * (b * weight).T)
+                   - np.sum((d_t @ b) * a.T)) for a, b in pairs)
+
+
+@pytest.mark.parametrize("lattice", [4, 6])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_kms_residual_agrees_with_the_pair_panel(lattice, beta):
+    # the panel is well conditioned at this size and temperature: its
+    # weights stay below e^(beta * width of H)
+    h = total_hamiltonian(hopping_model(lattice))
+    rng = np.random.default_rng(lattice)
+    pairs = list(random_pair_panel(lattice, 20, rng))
+    states = kms_controls(h, beta)
+    by_panel = [panel_kms_residual(omega, h.matrix, beta, pairs) <= 1e-10
+                for omega in states]
+    by_defect = [kms_residual(omega, h, beta) <= 1e-10 for omega in states]
+    assert by_panel == by_defect == [True, False, False]
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -198,7 +228,7 @@ def test_restriction_evaluate_and_errors():
     region = Region.of([0, 1], lattice)
     omega = random_density(lattice, np.random.default_rng(2))
     rest = restrict(omega, region)
-    num = car.number_operator(0, lattice)
+    num = number(0, lattice)
     small_num = car.small_representation(num.matrix, region)
     assert abs(np.trace(rest.rho @ small_num)
                - omega.expectation(num.matrix)) < 1e-12
@@ -229,7 +259,7 @@ def test_small_density_represents_the_restriction():
     evals = np.linalg.eigvalsh(small)
     assert evals.min() > -1e-12 and abs(np.trace(small).real - 1.0) < 1e-12
     # expectation of a region element through the small copy
-    num = car.number_operator(1, lattice)
+    num = number(1, lattice)
     small_num = car.small_representation(num.matrix, region)
     assert abs(np.trace(small @ small_num)
                - omega.expectation(num.matrix)) < 1e-12
@@ -246,7 +276,7 @@ def test_perturbed_state_has_exact_product_property():
     region = Region.of([2], lattice)
     phi = perturbed_state(pot, beta, region)
     assert product_check(phi, region) < 1e-13
-    assert phi.is_even()
+    assert phi.evenness_defect() <= 1e-12
     # the density lies in the complement algebra
     comp = region.complement()
     assert np.max(np.abs(car.conditional_expectation_matrix(phi.density, comp)
@@ -324,7 +354,7 @@ def test_noneven_perturbation_validates_direction():
     pot = hopping_model(lattice)
     region = Region.of([1], lattice)
     phi = perturbed_state(pot, 1.0, region)
-    even_dir = car.number_operator(1, lattice)
+    even_dir = number(1, lattice)
     with pytest.raises(ValueError):
         noneven_perturbation(phi, region, direction=even_dir)
     not_sa = car.annihilator(1, lattice)
@@ -361,7 +391,7 @@ def test_remark2_rejects_bad_unitaries():
     with pytest.raises(ValueError):
         remark2_construct(outer, u=car.annihilator(0, lattice))  # not s.a.
     with pytest.raises(ValueError):
-        remark2_construct(outer, u=car.number_operator(0, lattice))  # even
+        remark2_construct(outer, u=number(0, lattice))  # even
     odd_not_unitary = 0.5 * odd_direction(site0)
     with pytest.raises(ValueError):
         remark2_construct(outer, u=odd_not_unitary)
