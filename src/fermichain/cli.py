@@ -4,7 +4,11 @@ Verbs: ``validate``, ``gibbs``, ``perturb``, ``entropy``, ``lts``,
 ``prop4``, ``ssb-probe``, ``remark2``.  Settings come from an INI-style
 config file (section ``[run]`` for the run parameters, section ``[model]``
 for model coefficients), with command-line flags taking precedence over
-file values.  Reports are JSON lines with a fixed key order; identical
+file values; ``_RUN_KEYS`` declares each ``[run]`` key with its flag, and
+:class:`RunConfig` holds every default.  Each ``run_<verb>`` returns its
+region label and checks; :func:`main` writes them with
+:func:`reporting.emit_report` and takes the exit status from the same
+list.  Reports are JSON lines with a fixed key order; identical
 configuration, seed and BLAS thread count reproduce the report byte for
 byte (``ssb-probe --length 8 --region 2,3`` reports ``grading_asymmetry``
 7.3e-17 with one OpenBLAS thread and 4.0e-17 with two).
@@ -12,8 +16,8 @@ byte (``ssb-probe --length 8 --region 2,3`` reports ``grading_asymmetry``
 Exit status: 0 when every emitted check passes (or none are emitted), 1
 when any check fails or a computation breaks down or runs out of memory
 (the report then carries a diagnostic record and the exception class and
-reason go to stderr), 2 on usage errors, an unwritable ``--out`` path
-among them (checked before the verb runs).
+reason go to stderr), 2 on usage errors, an unwritable ``--out`` path and
+a negative seed among them (checked before the verb runs).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .potentials import (MODELS, build_model, local_hamiltonian,
 from .probes import (cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .reporting import ReportRecord, all_passed, emit_report, from_checks
+from .reporting import CheckRecord, emit_report
 from .stability import lts_check, prop4_pipeline
 from .states import (FactorState, gibbs_state, kms_residual, odd_direction,
                      perturbed_state, product_check, remark2_construct,
@@ -43,10 +47,6 @@ from .states import (FactorState, gibbs_state, kms_residual, odd_direction,
 
 COMMANDS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
             "ssb-probe", "remark2")
-
-_RUN_KEYS = ("command", "length", "model", "beta", "region", "seed", "out",
-             "samples")
-
 
 class UsageError(Exception):
     """Configuration problem; reported on stderr with exit status 2."""
@@ -78,6 +78,8 @@ class RunConfig:
             raise UsageError(f"beta must be finite, got {self.beta}")
         if self.samples < 0:
             raise UsageError("samples must be nonnegative")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if self.output_path is not None:
             # checked before the verb runs, so a run never ends unwritten
             folder = os.path.dirname(self.output_path) or "."
@@ -115,6 +117,20 @@ def _parse_region_text(text: str) -> tuple[int, ...]:
                          f"got {text!r}") from None
 
 
+# each [run] key, which is also the name of its flag: the RunConfig field
+# it sets and the parser of its text
+_RUN_KEYS = {
+    "command": ("command", str),
+    "length": ("lattice_size", int),
+    "model": ("model", str),
+    "beta": ("beta", float),
+    "region": ("region_sites", _parse_region_text),
+    "seed": ("seed", int),
+    "out": ("output_path", str),
+    "samples": ("samples", int),
+}
+
+
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     if not parser.read(path):
@@ -137,55 +153,25 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _as_int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and flags (flags win) into a RunConfig."""
+    """Merge config-file values and flags (flags win) into a RunConfig;
+    a setting given in neither keeps its ``RunConfig`` default."""
     values = _load_config_file(args.config) if args.config else {}
-
-    command = args.command or values.get("command")
-    if command is None:
+    merged = {"model_params": values.get("model_params", {})}
+    for key, (name, parse) in _RUN_KEYS.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = values.get(key)
+        if raw is None:
+            continue
+        try:
+            merged[name] = parse(raw)
+        except ValueError:
+            raise UsageError(f"{key} must be of type {parse.__name__}, "
+                             f"got {raw!r}") from None
+    if "command" not in merged:
         raise UsageError("no command given (positional argument or "
                          "'command = ...' in the config file)")
-
-    merged = {
-        "command": str(command),
-        "lattice_size": _as_int(values.get("length", 6), "length"),
-        "model": str(values.get("model", "hopping")),
-        "model_params": dict(values.get("model_params", {})),
-        "beta": _as_float(values.get("beta", 1.0), "beta"),
-        "seed": _as_int(values.get("seed", 0), "seed"),
-        "output_path": values.get("out"),
-        "samples": _as_int(values.get("samples", 200), "samples"),
-        "region_sites": (_parse_region_text(values["region"])
-                         if "region" in values else None),
-    }
-    if args.length is not None:
-        merged["lattice_size"] = args.length
-    if args.model is not None:
-        merged["model"] = args.model
-    if args.beta is not None:
-        merged["beta"] = args.beta
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.out is not None:
-        merged["output_path"] = args.out
-    if args.samples is not None:
-        merged["samples"] = args.samples
-    if args.region is not None:
-        merged["region_sites"] = _parse_region_text(args.region)
     return RunConfig(**merged)
 
 
@@ -207,28 +193,24 @@ def _gibbs(cfg: RunConfig):
     return gibbs_state(total_hamiltonian(potential), cfg.beta), potential
 
 
-def run_validate(cfg: RunConfig) -> list[ReportRecord]:
+def run_validate(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     report = validate_potential(_model(cfg))
-    label = Region.full(cfg.lattice_size).label()
-    return [ReportRecord(name, label, cfg.beta, value, report.tolerance,
-                         value <= report.tolerance, cfg.seed)
-            for name, value in report.residuals.items()]
+    return Region.full(cfg.lattice_size).label(), [
+        CheckRecord(name, value, report.tolerance, value <= report.tolerance)
+        for name, value in report.residuals.items()]
 
 
-def run_gibbs(cfg: RunConfig) -> list[ReportRecord]:
+def run_gibbs(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     state, potential = _gibbs(cfg)
     kms = kms_residual(state, total_hamiltonian(potential), cfg.beta)
     even = state.evenness_defect()
-    label = Region.full(cfg.lattice_size).label()
-    return [
-        ReportRecord("kms_residual", label, cfg.beta, kms, 1e-10,
-                     kms <= 1e-10, cfg.seed),
-        ReportRecord("evenness", label, cfg.beta, even, 1e-12,
-                     even <= 1e-12, cfg.seed),
+    return Region.full(cfg.lattice_size).label(), [
+        CheckRecord("kms_residual", kms, 1e-10, kms <= 1e-10),
+        CheckRecord("evenness", even, 1e-12, even <= 1e-12),
     ]
 
 
-def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
+def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region, full=state)
@@ -238,18 +220,14 @@ def run_perturb(cfg: RunConfig) -> list[ReportRecord]:
     backward = relative_entropy(phi, state).value
     slack = bound - max(forward, backward)
     even = phi.evenness_defect()
-    label = region.label()
-    return [
-        ReportRecord("decoupled_even", label, cfg.beta, even, 1e-12,
-                     even <= 1e-12, cfg.seed),
-        ReportRecord("product_property", label, cfg.beta, product, 1e-9,
-                     product <= 1e-9, cfg.seed),
-        ReportRecord("entropy_bound", label, cfg.beta, slack, 1e-8,
-                     slack >= -1e-8, cfg.seed),
+    return region.label(), [
+        CheckRecord("decoupled_even", even, 1e-12, even <= 1e-12),
+        CheckRecord("product_property", product, 1e-9, product <= 1e-9),
+        CheckRecord("entropy_bound", slack, 1e-8, slack >= -1e-8),
     ]
 
 
-def run_entropy(cfg: RunConfig) -> list[ReportRecord]:
+def run_entropy(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region, full=state)
@@ -258,48 +236,38 @@ def run_entropy(cfg: RunConfig) -> list[ReportRecord]:
     restricted = restricted_relative_entropy(phi, state,
                                              region.complement()).value
     mono = rel - restricted
-    label = region.label()
-    return [
-        ReportRecord("relative_entropy", label, cfg.beta, rel, 1e-12,
-                     rel >= -1e-12, cfg.seed),
-        ReportRecord("conditional_entropy", label, cfg.beta, sc, 1e-12,
-                     sc <= 1e-12, cfg.seed),
-        ReportRecord("monotonicity", label, cfg.beta, mono, 1e-10,
-                     mono >= -1e-10, cfg.seed),
+    return region.label(), [
+        CheckRecord("relative_entropy", rel, 1e-12, rel >= -1e-12),
+        CheckRecord("conditional_entropy", sc, 1e-12, sc <= 1e-12),
+        CheckRecord("monotonicity", mono, 1e-10, mono >= -1e-10),
     ]
 
 
-def run_lts(cfg: RunConfig) -> list[ReportRecord]:
+def run_lts(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
     report = lts_check(state, potential, region, cfg.beta,
                        samples=cfg.samples, seed=cfg.seed)
-    return from_checks(report.checks, region.label(), cfg.beta, cfg.seed)
+    return region.label(), report.checks
 
 
-def run_prop4(cfg: RunConfig) -> list[ReportRecord]:
+def run_prop4(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
-    report = prop4_pipeline(_model(cfg), cfg.beta, region)
-    return from_checks(report.checks, region.label(), cfg.beta, cfg.seed)
+    return region.label(), prop4_pipeline(_model(cfg), cfg.beta, region).checks
 
 
-def run_ssb_probe(cfg: RunConfig) -> list[ReportRecord]:
+def run_ssb_probe(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, _ = _gibbs(cfg)
-    label = region.label()
-    records = []
-
     asym = grading_asymmetry(state, region).quantity
-    records.append(ReportRecord("grading_asymmetry", label, cfg.beta, asym,
-                                1e-10, asym <= 1e-10, cfg.seed))
+    checks = [CheckRecord("grading_asymmetry", asym, 1e-10, asym <= 1e-10)]
 
     outside = region.complement()
     if not outside.is_empty:
         real_part = purely_imaginary_check(state, odd_direction(region),
                                            odd_direction(outside))
-        records.append(ReportRecord("odd_correlation_real", label, cfg.beta,
-                                    real_part, 1e-12, real_part <= 1e-12,
-                                    cfg.seed))
+        checks.append(CheckRecord("odd_correlation_real", real_part, 1e-12,
+                                  real_part <= 1e-12))
 
         # clustering: correlations of a region observable should not grow
         # with distance; compare the nearest and farthest outside sites
@@ -312,8 +280,8 @@ def run_ssb_probe(cfg: RunConfig) -> list[ReportRecord]:
         c_near = cluster_coefficient(state, observable, near).quantity
         c_far = cluster_coefficient(state, observable, far).quantity
         decay = c_far - c_near
-        records.append(ReportRecord("cluster_decay", label, cfg.beta, decay,
-                                    1e-12, decay <= 1e-12, cfg.seed))
+        checks.append(CheckRecord("cluster_decay", decay, 1e-12,
+                                  decay <= 1e-12))
 
         # the scan pairs odd elements of disjoint supports: the region and
         # its outside; cases are drawn one at a time, so only one is held,
@@ -328,14 +296,13 @@ def run_ssb_probe(cfg: RunConfig) -> list[ReportRecord]:
                 b = car.random_element(outside, rng, parity=1, hermitian=True)
                 yield even_state, a, b
 
-        scan = scan_odd_correlations(cases())
-        count = float(scan["violations"])
-        records.append(ReportRecord("odd_scan", label, cfg.beta, count, 0.0,
-                                    scan["violations"] == 0, cfg.seed))
-    return records
+        violations = scan_odd_correlations(cases())["violations"]
+        checks.append(CheckRecord("odd_scan", float(violations), 0.0,
+                                  violations == 0))
+    return region.label(), checks
 
 
-def run_remark2(cfg: RunConfig) -> list[ReportRecord]:
+def run_remark2(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     state, _ = _gibbs(cfg)
     site0 = Region.of([0], cfg.lattice_size)
     vector_state = remark2_construct(state)
@@ -344,15 +311,12 @@ def run_remark2(cfg: RunConfig) -> list[ReportRecord]:
     u = odd_direction(site0)
     odd_expectation = float(np.real(vector_state.expectation(u)))
     asym = grading_asymmetry(vector_state, site0).quantity
-
-    label = site0.label()
-    return [
-        ReportRecord("restriction_residual", label, cfg.beta, defect, 1e-10,
-                     defect <= 1e-10, cfg.seed),
-        ReportRecord("odd_expectation", label, cfg.beta, odd_expectation,
-                     1e-10, abs(odd_expectation - 1.0) <= 1e-10, cfg.seed),
-        ReportRecord("vector_asymmetry", label, cfg.beta, asym, 1e-10,
-                     abs(asym - 1.0) <= 1e-10, cfg.seed),
+    return site0.label(), [
+        CheckRecord("restriction_residual", defect, 1e-10, defect <= 1e-10),
+        CheckRecord("odd_expectation", odd_expectation, 1e-10,
+                    abs(odd_expectation - 1.0) <= 1e-10),
+        CheckRecord("vector_asymmetry", asym, 1e-10,
+                    abs(asym - 1.0) <= 1e-10),
     ]
 
 
@@ -382,17 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="INI config file with [run] and [model] sections")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="seed for every randomized panel (default 0)")
+                        help="seed for every randomized panel, at least 0 "
+                        f"(default {RunConfig.seed})")
     parser.add_argument("--beta", type=float, metavar="X",
-                        help="inverse temperature (default 1.0)")
+                        help=f"inverse temperature (default {RunConfig.beta})")
     parser.add_argument("--region", metavar="\"i,j,...\"",
                         help="probed sites, comma separated")
     parser.add_argument("--length", type=int, metavar="L",
-                        help=f"chain length, at most {MAX_SITES} (default 6)")
+                        help=f"chain length, at most {MAX_SITES} "
+                        f"(default {RunConfig.lattice_size})")
     parser.add_argument("--model", metavar="NAME",
                         help="model preset: " + ", ".join(sorted(MODELS)))
     parser.add_argument("--samples", type=int, metavar="N",
-                        help="sample count for the lts verb (default 200)")
+                        help="sample count for the lts verb "
+                        f"(default {RunConfig.samples})")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     return parser
@@ -407,8 +374,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        records = DISPATCH[cfg.command](cfg)
-        status = 0 if all_passed(records) else 1
+        label, checks = DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"fermichain: error: {exc}", file=sys.stderr)
         return 2
@@ -417,16 +383,14 @@ def main(argv=None) -> int:
         # computation broke down (or ran out of memory): deterministic
         # diagnostic record in the report, the reason on stderr
         label = ",".join(str(s) for s in cfg.region_sites or ())
-        records = [ReportRecord("error", label, cfg.beta, 0.0, 0.0, False,
-                                cfg.seed)]
+        checks = [CheckRecord("error", 0.0, 0.0, False)]
         print(f"fermichain: error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        status = 1
 
-    text = emit_report(records, cfg.output_path)
+    text = emit_report(checks, label, cfg.beta, cfg.seed, cfg.output_path)
     if cfg.output_path is None:
         sys.stdout.write(text)
-    passed = sum(1 for r in records if r.passed)
-    print(f"fermichain: {cfg.command}: {passed}/{len(records)} checks passed",
+    passed = sum(1 for c in checks if c.passed)
+    print(f"fermichain: {cfg.command}: {passed}/{len(checks)} checks passed",
           file=sys.stderr)
-    return status
+    return 0 if passed == len(checks) else 1

@@ -1,10 +1,13 @@
 """Deterministic JSON-lines reports for check results.
 
-A report is a stream of records, one line per check, with a fixed key
-order.  Rerunning the same configuration with the same seed must reproduce
-the output byte for byte, so records are reduced to plain Python scalars
-before serialization and the serializer is pinned (no indentation choices,
-explicit separators, newline-terminated lines).
+A check is a :class:`CheckRecord`: its name, measured value, tolerance and
+verdict.  A report is a stream of lines, one per check, each carrying the
+check's fields and the run's (the region label, ``beta`` and the seed) in
+the fixed key order :data:`KEY_ORDER`.  Rerunning the same configuration
+with the same seed must reproduce the output byte for byte, so fields are
+reduced to plain Python scalars before serialization and the serializer is
+pinned (no indentation choices, explicit separators, newline-terminated
+lines).
 """
 
 from __future__ import annotations
@@ -17,54 +20,32 @@ KEY_ORDER = ("check", "region", "beta", "value", "tolerance", "pass", "seed")
 
 
 @dataclass
-class ReportRecord:
-    """One check outcome; ``region`` is a site-list label such as ``"2,3"``."""
+class CheckRecord:
+    """One check outcome."""
 
     check: str
-    region: str
-    beta: float
     value: float
     tolerance: float
     passed: bool
-    seed: int
-
-    def as_line(self) -> str:
-        payload = {
-            "check": str(self.check),
-            "region": str(self.region),
-            "beta": float(self.beta),
-            "value": float(self.value),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-            "seed": int(self.seed),
-        }
-        return json.dumps(payload, separators=(", ", ": "))
 
 
-def from_checks(checks, region_label: str, beta: float,
-                seed: int) -> list[ReportRecord]:
-    """Records from the stability module's check objects."""
-    return [ReportRecord(c.check, region_label, beta, c.value, c.tolerance,
-                         c.passed, seed) for c in checks]
+def emit_report(checks: Iterable[CheckRecord], region: str, beta: float,
+                seed: int, path: str | None = None) -> str:
+    """Serialize one line per check, stamped with the run's ``region``
+    label (such as ``"2,3"``), ``beta`` and ``seed``; write the text to
+    ``path`` when given.
 
-
-def render_report(records: Iterable[ReportRecord]) -> str:
-    return "".join(record.as_line() + "\n" for record in records)
-
-
-def emit_report(records: Iterable[ReportRecord],
-                path: str | None = None) -> str:
-    """Serialize records; write them to ``path`` when given.
-
-    Returns the serialized text either way.  An empty record list yields an
+    Returns the serialized text either way.  An empty check list yields an
     empty file.
     """
-    text = render_report(records)
+    lines = []
+    for c in checks:
+        fields = (str(c.check), str(region), float(beta), float(c.value),
+                  float(c.tolerance), bool(c.passed), int(seed))
+        lines.append(json.dumps(dict(zip(KEY_ORDER, fields)),
+                                separators=(", ", ": ")) + "\n")
+    text = "".join(lines)
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     return text
-
-
-def all_passed(records: Iterable[ReportRecord]) -> bool:
-    return all(record.passed for record in records)

@@ -41,6 +41,7 @@ from . import car
 from .entropy import compressed_conditional_entropy, relative_entropy
 from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
+from .reporting import CheckRecord
 from .states import (DensityState, noneven_perturbation, perturbed_state,
                      restrict)
 
@@ -340,27 +341,18 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
 
 
 @dataclass
-class CheckRecord:
-    check: str
-    value: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass
 class StabilityReport:
-    mode: str
-    region: Region
-    beta: float
+    """The checks of a stability test, with its free energies, margin and
+    notes; it passes when every check does."""
+
     free_energies: dict[str, float]
     margin: float
-    verdict: str                      # "pass" | "fail"
     checks: list[CheckRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return all(c.passed for c in self.checks)
 
 
 # how far a competitor or the maximizer may beat the base before its margin
@@ -394,8 +386,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     in one pass as they are drawn (their ``feasible_residual`` and free
     energy), so no more than one is held.  The margin is the base free
     energy minus the best competitor (samples and, when it certifies
-    convergence, the constrained maximizer); the verdict passes when the
-    margin is no worse than ``-1e-9``.
+    convergence, the constrained maximizer); the report passes when every
+    check does, each margin no worse than ``-1e-9``.
     """
     competitors = feasible_sampler(omega, region, mode, int(samples), seed)
     project = constraint_family(region, mode)
@@ -443,10 +435,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
             )
 
     margin = min(margins) if margins else math.inf
-    verdict = "pass" if all(c.passed for c in checks) else "fail"
-    return StabilityReport(mode=mode, region=region, beta=beta,
-                           free_energies=free_energies, margin=margin,
-                           verdict=verdict, checks=checks, notes=notes)
+    return StabilityReport(free_energies=free_energies, margin=margin,
+                           checks=checks, notes=notes)
 
 
 def prop4_pipeline(potential: Potential, beta: float, region: Region,
@@ -504,7 +494,6 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
         CheckRecord("gap_identity", abs(gap - rel), 1e-10, abs(gap - rel) <= 1e-10),
         CheckRecord("violate", gap, 1e-6, gap > 1e-6),
     ]
-    verdict = "pass" if all(c.passed for c in checks) else "fail"
     notes = [
         "The noneven perturbations agree with the decoupled state on every "
         "observable outside the region, yet their local free energy is "
@@ -515,7 +504,6 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
         "of the observable algebra at infinity, and finite matrix algebras "
         "have trivial center.",
     ]
-    return StabilityReport(mode="lts", region=region, beta=beta,
-                           free_energies={"perturbed": f_p, "noneven": f_psi,
+    return StabilityReport(free_energies={"perturbed": f_p, "noneven": f_psi,
                                           "noneven_theta": f_psi_t},
-                           margin=gap, verdict=verdict, checks=checks, notes=notes)
+                           margin=gap, checks=checks, notes=notes)

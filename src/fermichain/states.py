@@ -332,8 +332,13 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
     w = np.exp(exponent)
     total = float(np.sum(w))
     w /= total
-    density = (u * w[None, :]) @ u.conj().T
-    density = (density + density.conj().T) / 2.0
+    # U diag(w) U*, then symmetrized; conjugating U in place and dropping it
+    # before the symmetrization holds three N x N arrays at most
+    scaled = u * w[None, :]
+    density = scaled @ np.conjugate(u, out=u).T
+    del scaled, u
+    density += density.conj().T
+    density *= 0.5
     log = GibbsLog(h, region, float(beta), shift, math.log(total),
                    exponent - math.log(total))
     if region is not None:

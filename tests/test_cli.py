@@ -8,7 +8,7 @@ import pytest
 from fermichain import car, cli
 from fermichain.cli import UsageError, main, resolve_config
 from fermichain.potentials import build_model, total_hamiltonian
-from fermichain.reporting import KEY_ORDER, ReportRecord
+from fermichain.reporting import KEY_ORDER
 from fermichain.states import gibbs_state, kms_residual
 
 
@@ -86,6 +86,7 @@ def test_unknown_verb_is_an_argparse_error():
     [],                                                # no command anywhere
     ["validate", "--model", "bogus"],                  # unknown model
     ["validate", "--config", "/no/such/file.ini"],     # missing config
+    ["lts", "--length", "3", "--region", "1", "--seed", "-1"],  # seed < 0
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert run(argv) == 2
@@ -112,6 +113,19 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     config.write_text("[run]\ncommand = validate\ncolour = blue\n")
     assert run(["--config", str(config)]) == 2
     assert "colour" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text", [("length", "four"), ("beta", "hot"),
+                                       ("seed", "1.5"), ("samples", "many"),
+                                       ("region", "1,x"), ("seed", "-1")])
+def test_bad_config_value_exits_two(key, text, tmp_path, capsys):
+    values = {"command": "lts", "length": "3", "region": "1", key: text}
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\n" + "".join(f"{k} = {v}\n"
+                                          for k, v in values.items()))
+    assert run(["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
 
 
 def test_nonnumeric_model_parameter_exits_two(tmp_path):
@@ -239,7 +253,7 @@ def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
 
 
 def test_empty_record_list_counts_as_success(monkeypatch, capsys):
-    monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: [])
+    monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: ("", []))
     assert run(["gibbs", "--length", "3"]) == 0
     assert "0/0 checks passed" in capsys.readouterr().err
 
@@ -317,7 +331,8 @@ def test_gibbs_holds_a_few_dense_matrices():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = cli.run_gibbs(cli.RunConfig("gibbs", lattice_size=lattice))
+        _, records = cli.run_gibbs(cli.RunConfig("gibbs",
+                                                 lattice_size=lattice))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -5,9 +5,10 @@ building one, reading its norm and taking its expectation in a state cost
 at most ``O(N 2**|S|)`` memory.  At L = 10 a single N x N complex128 array
 takes 16 MiB; the peak traced allocation of each path must stay below it.
 
-Two paths hold an N x N array by design and are bounded by a count of
-them: the decoupled state, whose density is one, and a case of the
-``ssb-probe`` scan, whose even state is held by its N x N Gaussian factor.
+Three paths hold an N x N array by design and are bounded by a count of
+them: the Gibbs state of the whole chain and the decoupled state, whose
+density is one, and a case of the ``ssb-probe`` scan, whose even state is
+held by its N x N Gaussian factor.
 """
 
 import tracemalloc
@@ -55,6 +56,16 @@ def test_element_paths_stay_below_one_dense_array():
     }
     peaks = {name: peak_bytes(path) for name, path in paths.items()}
     assert all(peak < DENSE_BYTES for peak in peaks.values()), peaks
+
+
+def test_gibbs_state_holds_three_dense_arrays():
+    # at most three at a time: the eigenvectors U, U diag(w) and their
+    # product, then the density and its adjoint for the symmetrization
+    lattice = 8
+    dense = car.dim(lattice) ** 2 * np.dtype(np.complex128).itemsize
+    h = total_hamiltonian(hopping_model(lattice))
+    peak = peak_bytes(lambda: gibbs_state(h, 1.0))
+    assert peak <= 3.2 * dense, peak / dense
 
 
 def test_decoupled_state_holds_one_dense_density():
