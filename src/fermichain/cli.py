@@ -133,17 +133,23 @@ _RUN_KEYS = {
 
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise UsageError(f"config file {path!r} not found or unreadable")
+    try:
+        if not parser.read(path):
+            raise UsageError(f"config file {path!r} not found or unreadable")
+        run = parser.items("run") if parser.has_section("run") else []
+        model = parser.items("model") if parser.has_section("model") else None
+    except configparser.Error as exc:
+        # a repeated key, a missing section header, a bad interpolation
+        reason = " ".join(str(exc).split())
+        raise UsageError(f"config file {path!r} is malformed: {reason}") from None
     values: dict = {}
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key not in _RUN_KEYS:
-                raise UsageError(f"unknown config key {key!r} in [run]")
-            values[key] = raw
-    if parser.has_section("model"):
+    for key, raw in run:
+        if key not in _RUN_KEYS:
+            raise UsageError(f"unknown config key {key!r} in [run]")
+        values[key] = raw
+    if model is not None:
         params = {}
-        for key, raw in parser.items("model"):
+        for key, raw in model:
             try:
                 params[key] = float(raw)
             except ValueError:

@@ -72,24 +72,31 @@ def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
     entropic terms use every positive eigenvalue (the function ``x log x``
     extends continuously by zero, so spectral dust is harmless), while the
     kernel condition is decided with a relative cutoff on the spectrum.
-    """
-    lam1, u1 = np.linalg.eigh((d1 + d1.conj().T) / 2.0)
-    lam2 = np.linalg.eigvalsh((d2 + d2.conj().T) / 2.0)
-    cut1 = _KERNEL_CUTOFF * max(float(np.max(lam1)), _KERNEL_CUTOFF)
-    support1 = lam1 > cut1
 
-    if not np.all(support1):
-        kernel_vecs = u1[:, ~support1]
-        leak = float(np.real(np.vdot(kernel_vecs, d2 @ kernel_vecs)))
-        if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
-            return EntropyValue(value=math.inf, kernel_ok=False)
+    ``D1`` is decomposed by :func:`car.eigh`, so for an even ``D1`` its
+    eigenbasis is block diagonal in the parity order and the kernel leak
+    and the diagonal of ``U1* D2 U1`` read only the diagonal blocks of
+    ``D2``.
+    """
+    decomposition = car.eigh((d1 + d1.conj().T) / 2.0)
+    lam1 = np.concatenate([lam for _, lam, _ in decomposition])
+    lam2 = car.eigvalsh((d2 + d2.conj().T) / 2.0)
+    cut1 = _KERNEL_CUTOFF * max(float(np.max(lam1)), _KERNEL_CUTOFF)
+
+    leak, cross = 0.0, 0.0
+    for states, lam, u1 in decomposition:
+        block2 = car.diagonal_block(d2, states)
+        support1 = lam > cut1
+        if not np.all(support1):
+            kernel_vecs = u1[:, ~support1]
+            leak += float(np.real(np.vdot(kernel_vecs, block2 @ kernel_vecs)))
+        # diagonal of u1* d2 u1: column i is sum_j conj(u1_ji) (d2 u1)_ji
+        diag2 = np.real(np.sum(u1.conj() * (block2 @ u1), axis=0))
+        cross += float(np.sum(np.log(lam[support1]) * diag2[support1]))
+    if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
+        return EntropyValue(value=math.inf, kernel_ok=False)
 
     ent2 = -spectral_entropy(lam2)
-
-    # diagonal of u1* d2 u1: column i is sum_j conj(u1_ji) (d2 u1)_ji
-    diag2 = np.real(np.sum(u1.conj() * (d2 @ u1), axis=0))
-    cross = float(np.sum(np.log(lam1[support1]) * diag2[support1]))
-
     return _nonnegative(ent2 - cross)
 
 
@@ -135,7 +142,7 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
 
 def _entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix."""
-    return spectral_entropy(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0))
+    return spectral_entropy(car.eigvalsh((matrix + matrix.conj().T) / 2.0))
 
 
 def compressed_conditional_entropy(omega: DensityState, small: np.ndarray) -> float:

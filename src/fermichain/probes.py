@@ -112,11 +112,12 @@ def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
     diff = omega.density - car.theta_matrix(omega.density, omega.lattice_size)
     small = car.small_representation(diff, region)
     small = (small + small.conj().T) / 2.0
-    evals, vecs = np.linalg.eigh(small)
+    decomposition = car.eigh(small)
+    evals = np.concatenate([block for _, block, _ in decomposition])
     value = 0.5 * (n / m) * float(np.sum(np.abs(evals)))
 
-    signs = np.where(evals >= 0.0, 1.0, -1.0)
-    opt = AlgebraElement((vecs * signs[None, :]) @ vecs.conj().T, region)
+    signs = [np.where(block >= 0.0, 1.0, -1.0) for _, block, _ in decomposition]
+    opt = AlgebraElement(car.spectral_map(decomposition, signs), region)
     odd = 0.5 * (opt - car.theta(opt))
     witness = 0.5 * (odd + odd.dagger())
     return ProbeResult(quantity=float(value), region=region, witness=witness)

@@ -39,7 +39,11 @@ that gets diagonalized.  Its entropy, smallest eigenvalue and every trace
 ``Tr(rho log D)`` then follow from the exact weights and one trace against
 ``H``, without decomposing ``D``.  Any other state computes its eigenvalues
 once, on first use, and validation, ``lambda_min`` and its entropy all read
-that computation.
+that computation.  Every decomposition goes through
+:func:`car.spectral_blocks`: an even real ``H`` (every preset) is
+diagonalized as its two real parity blocks, and so are the even real
+densities built from it; a noneven or complex matrix is decomposed whole.
+Densities themselves stay ``N x N`` complex128 arrays.
 Local elements are held on their support (:class:`car.AlgebraElement`):
 ``omega(A)`` reads the state's block diagonal there, and a noneven direction
 is checked on its small representation and added on its support.
@@ -189,11 +193,11 @@ class DensityState:
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum of the density, ascending: exact for a Gibbs state,
-        otherwise one ``eigvalsh``, kept for every later call."""
+        otherwise one :func:`car.eigvalsh`, kept for every later call."""
         if self.log is not None:
             return self.log.eigenvalues(self.density.shape[0])
         if self._spectrum is None:
-            self._spectrum = np.linalg.eigvalsh(self.density)
+            self._spectrum = car.eigvalsh(self.density)
             self._spectrum.flags.writeable = False
         return self._spectrum
 
@@ -309,6 +313,12 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
     ``h`` through ``small_on``, and its type guarantees the claim; any other
     ``H`` is made dense, compressed and checked against its compression.
     The state records its log in closed form (:class:`GibbsLog`).
+
+    ``h`` is decomposed by :func:`car.eigh`: an even real ``h`` as its two
+    real parity blocks.  The shift ``E0``, ``Z`` and the log come from the
+    two block spectra together, and the density is assembled block by block
+    into the complex128 output, so besides it only a few half-size real
+    arrays are held.
     """
     dense = not (region is not None
                  and isinstance(hamiltonian, AlgebraElement)
@@ -325,20 +335,15 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
         if np.max(np.abs(car.embed(h, region) - full)) > 1e-12 * scale:
             raise ValueError("Hamiltonian does not lie in the algebra of "
                              f"region {region.sites}")
-    eps, u = np.linalg.eigh(h)
+    decomposition = car.eigh(h)
+    eps = np.concatenate([block_eps for _, block_eps, _ in decomposition])
     # shift the spectrum so the largest weight is 1 before normalizing
     shift = float(np.min(eps) if beta >= 0 else np.max(eps))
-    exponent = -beta * (eps - shift)
-    w = np.exp(exponent)
-    total = float(np.sum(w))
-    w /= total
-    # U diag(w) U*, then symmetrized; conjugating U in place and dropping it
-    # before the symmetrization holds three N x N arrays at most
-    scaled = u * w[None, :]
-    density = scaled @ np.conjugate(u, out=u).T
-    del scaled, u
-    density += density.conj().T
-    density *= 0.5
+    exponents = [-beta * (block_eps - shift) for _, block_eps, _ in decomposition]
+    exponent = np.concatenate(exponents)
+    total = float(np.sum(np.exp(exponent)))
+    density = car.spectral_map(decomposition,
+                               [np.exp(block) / total for block in exponents])
     log = GibbsLog(h, region, float(beta), shift, math.log(total),
                    exponent - math.log(total))
     if region is not None:
@@ -372,23 +377,43 @@ def kms_residual(omega: DensityState, hamiltonian, beta: float) -> float:
 
     On a finite chain the ``(tau, beta)``-KMS state is unique and equals the
     Gibbs state, so the departure from the KMS condition is measured
-    directly.  ``(eps, U)`` come from this function's own ``eigh`` of ``H``,
-    kept apart from the one in :func:`gibbs_state` so that the weights,
-    their normalization and the assembly of the density are checked
-    independently; ``w = e^(-beta (eps - E0)) / sum`` with ``E0`` the
+    directly.  ``(eps, U)`` come from this function's own decomposition of
+    ``H``, kept apart from the one in :func:`gibbs_state` so that the
+    weights, their normalization and the assembly of the density are
+    checked independently; ``w = e^(-beta (eps - E0)) / sum`` with ``E0`` the
     smallest eigenvalue for ``beta >= 0`` and the largest otherwise, so no
     exponent is positive.  The Frobenius norm is unitarily invariant, so
     the defect is ``||D - e^(-beta H) / Z||_F`` in every basis: whatever
     basis ``eigh`` picks in a degenerate eigenspace, where the Gibbs
     density is a multiple of the identity, gives the same value.  A NaN
     entry of ``D`` gives NaN.
+
+    The decomposition is :func:`car.eigh`'s: for an even ``H`` the eigenbasis
+    is block diagonal in the parity order, ``U = diag(U_+, U_-)``, and the
+    defect squared is
+
+        sum_b ||U_b* D_bb U_b - diag(w_b)||_F**2 + ||D_+-||_F**2 + ||D_-+||_F**2,
+
+    so the parity-changing blocks of ``D``, which the Gibbs density has
+    zero, enter as they are and a noneven ``D`` still shows.
     """
-    eps, u = np.linalg.eigh(_as_matrix(hamiltonian))
+    decomposition = car.eigh(_as_matrix(hamiltonian))
+    eps = np.concatenate([block_eps for _, block_eps, _ in decomposition])
     shift = np.min(eps) if beta >= 0 else np.max(eps)
-    w = np.exp(-beta * (eps - shift))
-    defect = u.conj().T @ omega.density @ u
-    defect[np.diag_indices_from(defect)] -= w / np.sum(w)
-    return float(np.linalg.norm(defect))
+    total = np.sum(np.exp(-beta * (eps - shift)))
+    density = omega.density
+    squares = 0.0
+    for states, block_eps, u in decomposition:
+        defect = u.conj().T @ car.diagonal_block(density, states) @ u
+        weights = np.exp(-beta * (block_eps - shift)) / total
+        defect[np.diag_indices_from(defect)] -= weights
+        squares += np.vdot(defect, defect).real
+    if len(decomposition) == 2:
+        (even, _, _), (odd, _, _) = decomposition
+        for rows, cols in ((even, odd), (odd, even)):
+            off = density[np.ix_(rows, cols)]
+            squares += np.vdot(off, off).real
+    return float(np.sqrt(squares))
 
 
 def perturbed_state(potential: Potential, beta: float, region: Region,
@@ -567,9 +592,9 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     # square root of its 2**(L-1)-dimensional small representation
     extended = car.small_representation(outer.density, comp)
     extended = (extended + extended.conj().T) / 2.0
-    evals, vecs = np.linalg.eigh(extended)
-    evals = np.clip(evals, 0.0, None)
-    root = car.embed((vecs * np.sqrt(evals)[None, :]) @ vecs.conj().T,
+    decomposition = car.eigh(extended)
+    roots = [np.sqrt(np.clip(evals, 0.0, None)) for _, evals, _ in decomposition]
+    root = car.embed(car.spectral_map(decomposition, roots),
                      comp)  # Hilbert-Schmidt vector
     xi = (root + car.local_times(u.small, u.support, root)) / np.sqrt(2.0)
     weight = float(np.trace(xi @ xi.conj().T).real)

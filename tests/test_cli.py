@@ -128,6 +128,20 @@ def test_bad_config_value_exits_two(key, text, tmp_path, capsys):
     assert key in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\ncommand = validate\nlength = 3\nlength = 4\n",   # repeated key
+    "command = validate\nlength = 3\n",                       # no section
+    "[run]\ncommand = validate\nout = 50%.jsonl\n",           # bad interpolation
+])
+def test_malformed_config_file_exits_two_and_names_it(text, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    assert run(["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert str(config) in captured.err and "malformed" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_nonnumeric_model_parameter_exits_two(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[run]\ncommand = validate\n[model]\nt = fast\n")

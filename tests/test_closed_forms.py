@@ -152,16 +152,19 @@ def test_closed_form_logs_keep_low_temperature_entropies_finite():
 # ---------------------------------------------------------------------------
 
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
-# verb -> most N x N eigh / eigvalsh / svd calls at L = 6 on region 2,3:
-# eigh(H) for the full Gibbs state, shared by the verb and the validation
-# of the decoupled state, plus one eigvalsh each for the trace norm in
-# product_check (perturb), for psi and for theta(psi) (prop4; theta(psi)
-# keeps its own spectrum so that FpsiTheta and ScImin compare independent
-# numbers) and for the positivity check of the remark2 vector state
-BUDGET = {"perturb": 2, "entropy": 1, "prop4": 3, "remark2": 2}
+# verb -> most N x N eigh / eigvalsh / svd calls at L = 6 on region 2,3.
+# Every even operator is decomposed by its two N/2 x N/2 parity blocks
+# (car.spectral_blocks), so perturb, entropy and gibbs take none; prop4
+# takes one eigvalsh each for psi and theta(psi), which are real but not
+# even (theta(psi) keeps its own spectrum so that FpsiTheta and ScImin
+# compare independent numbers), and remark2 one for the positivity check of
+# its vector state
+BUDGET = {"perturb": 0, "entropy": 0, "gibbs": 0, "prop4": 2, "remark2": 1}
 
 
-def counting(monkeypatch, n):
+def counting(monkeypatch, n, kinds=None):
+    """Names of the decompositions of ``n x n`` matrices, in call order;
+    with ``kinds``, the dtype kind of each such matrix is appended to it."""
     calls = []
     # numpy.linalg.norm reaches svd through the private module namespace
     modules = [np.linalg, scipy.linalg]
@@ -174,6 +177,8 @@ def counting(monkeypatch, n):
             def counted(a, *args, _original=original, _name=name, **kwargs):
                 if np.shape(a) == (n, n):
                     calls.append(_name)
+                    if kinds is not None:
+                        kinds.append(np.asarray(a).dtype.kind)
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -183,24 +188,32 @@ def counting(monkeypatch, n):
 @pytest.mark.parametrize("verb", sorted(BUDGET))
 def test_each_verb_stays_within_its_decomposition_budget(verb, monkeypatch):
     lattice = 6
-    calls = counting(monkeypatch, car.dim(lattice))
+    n = car.dim(lattice)
+    calls = counting(monkeypatch, n)
+    blocks = counting(monkeypatch, n // 2)
     argv = [verb, "--length", str(lattice)]
-    if verb != "remark2":
+    if verb not in ("gibbs", "remark2"):
         argv += ["--region", "2,3"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert calls, "the counter saw no decomposition at all"
+    # every verb builds the full Gibbs state from the blocks of H
+    assert blocks, "the counter saw no block decomposition at all"
     assert len(calls) <= BUDGET[verb], calls
 
 
-def test_gibbs_takes_two_eigh_and_nothing_else(monkeypatch):
-    # eigh(H) in gibbs_state and again, on purpose, in kms_residual, which
-    # checks the state against its own decomposition
+def test_gibbs_takes_four_real_block_eigh_and_nothing_else(monkeypatch):
+    # eigh of both parity blocks of H in gibbs_state and again, on purpose,
+    # in kms_residual, which checks the state against its own decomposition
     lattice = 6
-    calls = counting(monkeypatch, car.dim(lattice))
+    n = car.dim(lattice)
+    calls = counting(monkeypatch, n)
+    kinds = []
+    blocks = counting(monkeypatch, n // 2, kinds)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gibbs", "--length", str(lattice)]) == 0
-    assert calls == ["eigh", "eigh"]
+    assert calls == []
+    assert blocks == ["eigh"] * 4
+    assert kinds == ["f"] * 4
 
 
 def test_the_counter_sees_numpy_norm_and_scipy(monkeypatch):
