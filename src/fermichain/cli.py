@@ -207,8 +207,9 @@ def run_validate(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
 
 
 def run_gibbs(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    state, potential = _gibbs(cfg)
-    kms = kms_residual(state, total_hamiltonian(potential), cfg.beta)
+    hamiltonian = total_hamiltonian(_model(cfg))
+    state = gibbs_state(hamiltonian, cfg.beta)
+    kms = kms_residual(state, hamiltonian, cfg.beta)
     even = state.evenness_defect()
     return Region.full(cfg.lattice_size).label(), [
         CheckRecord("kms_residual", kms, 1e-10, kms <= 1e-10),
@@ -219,7 +220,7 @@ def run_gibbs(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
 def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
-    phi = perturbed_state(potential, cfg.beta, region, full=state)
+    phi = perturbed_state(potential, cfg.beta, region)
     product = product_check(phi, region)
     bound = 2.0 * abs(cfg.beta) * local_hamiltonian(potential, region).norm()
     forward = relative_entropy(state, phi).value
@@ -236,7 +237,7 @@ def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
 def run_entropy(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
-    phi = perturbed_state(potential, cfg.beta, region, full=state)
+    phi = perturbed_state(potential, cfg.beta, region)
     rel = relative_entropy(phi, state).value
     sc = conditional_entropy(state, region)
     restricted = restricted_relative_entropy(phi, state,

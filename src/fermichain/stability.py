@@ -98,13 +98,21 @@ def free_energy(omega: DensityState, potential: Potential, region: Region,
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra of the chosen mode."""
     return _free_energy(omega, constraint_family(region, mode),
-                        local_hamiltonian(potential, region).matrix, beta)
+                        local_hamiltonian(potential, region), beta)
+
+
+def _entropy_and_energy(omega: DensityState, project: ConstraintProjection,
+                        h_i: car.AlgebraElement) -> tuple[float, float]:
+    """``Sc_I(omega)`` and ``omega(H(I))``, the energy read on the support
+    of ``H(I)`` (:meth:`DensityState.expectation`)."""
+    sc = compressed_conditional_entropy(omega, project.compress(omega.density))
+    return sc, float(np.real(omega.expectation(h_i)))
 
 
 def _free_energy(omega: DensityState, project: ConstraintProjection,
-                 h_i: np.ndarray, beta: float) -> float:
-    sc = compressed_conditional_entropy(omega, project.compress(omega.density))
-    return sc - beta * float(np.real(np.einsum("ij,ji->", omega.density, h_i)))
+                 h_i: car.AlgebraElement, beta: float) -> float:
+    sc, energy = _entropy_and_energy(omega, project, h_i)
+    return sc - beta * energy
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +198,26 @@ class _Dual:
 
         g(X) = log Tr exp(K) - Tr(Lam rho0),   K = log rho0 - beta H_I + Lam,
 
-    over Hermitian ``m x m`` matrices ``X``, ``Lam = expand(X)``.  In the
+    over Hermitian ``m x m`` matrices ``X``, ``Lam = expand(X)``.  The
+    anchor is given by its small representation ``compress(rho0)``, so
+    ``Tr(Lam rho0)`` is ``multiplicity * <X, compress(rho0)>``.  In the
     metric ``expand`` induces (``multiplicity`` times Hilbert-Schmidt) the
     gradient is ``compress(D - rho0)``, ``D = exp(K) / Tr exp(K)``, and the
     Hessian maps ``Y`` to ``compress`` of the derivative of ``D`` along
     ``expand(Y)``.
     """
 
-    def __init__(self, project: ConstraintProjection, anchor: np.ndarray,
+    def __init__(self, project: ConstraintProjection, small_anchor: np.ndarray,
                  h_i: np.ndarray, beta: float):
-        self.project, self.anchor = project, _hermitian(anchor)
-        self.small_anchor = _hermitian(project.compress(self.anchor))
+        self.project = project
+        self.small_anchor = _hermitian(small_anchor)
         ev0, u0 = np.linalg.eigh(self.small_anchor)
         if float(np.min(ev0)) <= 1e-13:
             raise ValueError("constraint values must come from a faithful state")
         log_anchor = project.expand((u0 * np.log(ev0)) @ u0.conj().T)
         self.drive = log_anchor - beta * h_i
         # Tr(expand(Y) G) = multiplicity * <Y, compress(G)>
-        self.multiplicity = anchor.shape[0] / self.small_anchor.shape[0]
+        self.multiplicity = h_i.shape[0] / small_anchor.shape[0]
 
     def point(self, x: np.ndarray) -> _DualPoint:
         lam = self.project.expand(x)
@@ -215,7 +225,8 @@ class _Dual:
         p = np.exp(w - np.max(w))
         density = (u * (p / np.sum(p))) @ u.conj().T
         grad = _hermitian(self.project.compress(density)) - self.small_anchor
-        value = float(np.max(w) + np.log(np.sum(p))) - _inner(lam, self.anchor)
+        value = (float(np.max(w) + np.log(np.sum(p)))
+                 - self.multiplicity * _inner(x, self.small_anchor))
         return _DualPoint(x, value, grad, float(np.max(np.abs(grad))),
                           density, w, u)
 
@@ -276,8 +287,8 @@ def _newton_direction(hessp, grad: np.ndarray) -> np.ndarray:
     return y
 
 
-def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray,
-              beta: float) -> tuple[np.ndarray, MaximizerInfo]:
+def _maximize(project: ConstraintProjection, small_anchor: np.ndarray,
+              h_i: np.ndarray, beta: float) -> tuple[np.ndarray, MaximizerInfo]:
     """Maximize the free energy over a constrained slice via its dual problem.
 
     On the slice of states with the given constraint expectations, the free
@@ -286,7 +297,9 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
         D = exp(log rho0 - beta H_I + Lam) / Z,     Lam in the constraint algebra,
 
     with ``rho0`` the anchor of the slice: the projection of any state of
-    the slice onto the constraint algebra, which is itself in the slice.
+    the slice onto the constraint algebra, which is itself in the slice,
+    given as its ``m x m`` small representation ``compress(rho0)``.
+    ``h_i`` is ``H(I)`` as a dense ``N x N`` matrix.
     Finding ``Lam`` is the smooth convex dual problem of :class:`_Dual`,
     solved by Newton's method: one eigendecomposition per step, the step
     from conjugate gradients on Hessian products (no array beyond
@@ -295,7 +308,7 @@ def _maximize(project: ConstraintProjection, anchor: np.ndarray, h_i: np.ndarray
     feasible and exactly of maximizing form, so the gradient's largest
     entry doubles as a convergence certificate.
     """
-    dual = _Dual(project, anchor, h_i, beta)
+    dual = _Dual(project, small_anchor, h_i, beta)
     current = best = dual.point(np.zeros_like(dual.small_anchor))
     history = [current.value]  # dual values at accepted iterates only
     iterations = 0
@@ -361,7 +374,7 @@ _MARGIN_TOL = 1e-9
 
 
 def _score(competitors: Iterator[DensityState], base: DensityState,
-           project: ConstraintProjection, h_i: np.ndarray,
+           project: ConstraintProjection, h_i: car.AlgebraElement,
            beta: float) -> tuple[float, list[float]]:
     """The worst disagreement of the competitors with the base on the
     constraint algebra (the largest entry of the density difference's small
@@ -391,7 +404,7 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     """
     competitors = feasible_sampler(omega, region, mode, int(samples), seed)
     project = constraint_family(region, mode)
-    h_i = local_hamiltonian(potential, region).matrix
+    h_i = local_hamiltonian(potential, region)
     f_base = _free_energy(omega, project, h_i, beta)
     checks: list[CheckRecord] = []
     notes: list[str] = []
@@ -410,7 +423,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
                                   margin_samples >= -_MARGIN_TOL))
 
     try:
-        density, info = _maximize(project, project(omega.density), h_i, beta)
+        density, info = _maximize(project, project.compress(omega.density),
+                                  h_i.matrix, beta)
     except ValueError as exc:
         notes.append(f"maximizer skipped: {exc}")
     else:
@@ -448,7 +462,11 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     three agree outside the region, that the decoupled state has vanishing
     conditional entropy and local energy, and that the noneven states lose
     the free-energy comparison by exactly their relative entropy from the
-    even one — strictly, so neither can be locally thermally stable.
+    even one — strictly, so neither can be locally thermally stable.  The
+    full-chain Gibbs state is never built.  Each state's conditional
+    entropy ``Sc`` and local energy ``E = omega(H(I))`` are taken once, the
+    energy on the support of ``H(I)``, and its free energy is
+    ``Sc - beta E``.
 
     The strict loss is a finite-chain fact with no infinite-volume escape
     hatch here: the mechanism that would rescue a noneven equilibrium state
@@ -471,16 +489,14 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
         hi_defect = np.maximum(hi_defect, abs(state.expectation(h_tilde_i)))
 
     project = constraint_family(region, "lts")
-    h_i = local_hamiltonian(potential, region).matrix
-    f_p = _free_energy(phi_p, project, h_i, beta)
-    f_psi = _free_energy(psi, project, h_i, beta)
-    f_psi_t = _free_energy(psi_t, project, h_i, beta)
+    h_i = local_hamiltonian(potential, region)
+    (sc_p, e_p), (sc_psi, e_psi), (sc_psi_t, e_psi_t) = (
+        _entropy_and_energy(state, project, h_i) for state in (phi_p, psi, psi_t))
+    f_p = sc_p - beta * e_p
+    f_psi = sc_psi - beta * e_psi
+    f_psi_t = sc_psi_t - beta * e_psi_t
     gap = f_p - f_psi
     rel = relative_entropy(phi_p, psi).value
-
-    sc_p = f_p + beta * float(np.real(phi_p.expectation(h_i)))
-    sc_psi = f_psi + beta * float(np.real(psi.expectation(h_i)))
-    sc_psi_t = f_psi_t + beta * float(np.real(psi_t.expectation(h_i)))
 
     checks = [
         CheckRecord("RESTIc", rest_defect, 1e-12, rest_defect <= 1e-12),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermichain import car, cli
+from fermichain import car, cli, states
 from fermichain.cli import UsageError, main, resolve_config
 from fermichain.potentials import build_model, total_hamiltonian
 from fermichain.reporting import KEY_ORDER
@@ -244,6 +244,30 @@ def test_low_temperature_runs_report_their_checks(verb, tmp_path):
     assert records and all(r["check"] != "error" for r in records)
     if verb != "prop4":
         assert status == 0 and all(r["pass"] for r in records)
+
+
+def test_a_violated_entropy_bound_is_a_failed_check(monkeypatch, tmp_path):
+    # with H(I) read as zero the bound 2 |beta| ||H(I)|| is 0, below both
+    # relative entropies: perturb reports entropy_bound as failed beside
+    # its other checks, not an error record.  The states module is patched
+    # too (where it has the name), so no guard there can raise first.
+    real = cli.local_hamiltonian
+
+    def zero(potential, region):
+        return 0.0 * real(potential, region)
+
+    monkeypatch.setattr(cli, "local_hamiltonian", zero)
+    monkeypatch.setattr(states, "local_hamiltonian", zero, raising=False)
+    out = tmp_path / "report.jsonl"
+    assert run(["perturb", "--length", "4", "--region", "1,2",
+                "--out", str(out)]) == 1
+    by_name = {rec["check"]: rec for rec in read_records(out)}
+    assert list(by_name) == ["decoupled_even", "product_property",
+                             "entropy_bound"]
+    assert by_name["decoupled_even"]["pass"]
+    assert by_name["product_property"]["pass"]
+    assert not by_name["entropy_bound"]["pass"]
+    assert by_name["entropy_bound"]["value"] < -1e-8
 
 
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,

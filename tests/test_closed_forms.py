@@ -154,12 +154,15 @@ def test_closed_form_logs_keep_low_temperature_entropies_finite():
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 # verb -> most N x N eigh / eigvalsh / svd calls at L = 6 on region 2,3.
 # Every even operator is decomposed by its two N/2 x N/2 parity blocks
-# (car.spectral_blocks), so perturb, entropy and gibbs take none; prop4
-# takes one eigvalsh each for psi and theta(psi), which are real but not
-# even (theta(psi) keeps its own spectrum so that FpsiTheta and ScImin
-# compare independent numbers), and remark2 one for the positivity check of
-# its vector state
-BUDGET = {"perturb": 0, "entropy": 0, "gibbs": 0, "prop4": 2, "remark2": 1}
+# (car.spectral_blocks), so perturb, entropy and gibbs take none, and
+# remark2 takes one for the positivity check of its vector state.  prop4 is
+# checked exactly, on its own (PROP4_CALLS).
+BUDGET = {"perturb": 0, "entropy": 0, "gibbs": 0, "remark2": 1}
+# prop4 builds no full-chain Gibbs state, so it takes no N/2 x N/2 block
+# decomposition, and one N x N eigvalsh each for psi and theta(psi), which
+# are real but not even (theta(psi) keeps its own spectrum so that
+# FpsiTheta and ScImin compare independent numbers)
+PROP4_CALLS = ["eigvalsh", "eigvalsh"]
 
 
 def counting(monkeypatch, n, kinds=None):
@@ -185,7 +188,7 @@ def counting(monkeypatch, n, kinds=None):
     return calls
 
 
-@pytest.mark.parametrize("verb", sorted(BUDGET))
+@pytest.mark.parametrize("verb", sorted([*BUDGET, "prop4"]))
 def test_each_verb_stays_within_its_decomposition_budget(verb, monkeypatch):
     lattice = 6
     n = car.dim(lattice)
@@ -196,7 +199,10 @@ def test_each_verb_stays_within_its_decomposition_budget(verb, monkeypatch):
         argv += ["--region", "2,3"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    # every verb builds the full Gibbs state from the blocks of H
+    if verb == "prop4":
+        assert calls == PROP4_CALLS and blocks == [], (calls, blocks)
+        return
+    # every other verb builds the full Gibbs state from the blocks of H
     assert blocks, "the counter saw no block decomposition at all"
     assert len(calls) <= BUDGET[verb], calls
 

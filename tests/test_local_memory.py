@@ -74,8 +74,7 @@ def test_decoupled_state_holds_one_dense_density():
     # dense remainder, its embedding check and the density took three
     pot = hopping_model(LATTICE)
     region = Region.of([2, 3], LATTICE)
-    full = gibbs_state(total_hamiltonian(pot), 1.0)
-    peak = peak_bytes(lambda: perturbed_state(pot, 1.0, region, full=full))
+    peak = peak_bytes(lambda: perturbed_state(pot, 1.0, region))
     assert peak < 2 * DENSE_BYTES, peak
 
 

@@ -214,7 +214,7 @@ def test_block_hessian_product_matches_the_dense_formula(lattice, data, mode, se
     rng = np.random.default_rng(seed)
     pot = hopping_model(lattice)
     project = constraint_family(region, mode)
-    anchor = project(random_state(lattice, rng).density)
+    anchor = project.compress(random_state(lattice, rng).density)
     dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
                            1.0)
     m = car.dim(lattice - len(region))
@@ -246,7 +246,7 @@ def test_hessian_product_matches_finite_differences_of_the_gradient(mode):
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
     project = constraint_family(region, mode)
-    anchor = project(random_state(lattice, np.random.default_rng(3)).density)
+    anchor = project.compress(random_state(lattice, np.random.default_rng(3)).density)
     dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
                            beta)
     rng = np.random.default_rng(4)
@@ -275,7 +275,7 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
     region = Region.of([2, 3, 4], lattice)
     project = constraint_family(region, mode)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    anchor = project(gibbs.density)
+    anchor = project.compress(gibbs.density)
     h_i = local_hamiltonian(pot, region).matrix
     tracemalloc.start()
     try:
@@ -382,7 +382,7 @@ def maximize(pot, region, omega, beta):
     """The constrained maximizer of ``lts_check``, anchored at ``omega``."""
     project = constraint_family(region, "lts")
     h_i = local_hamiltonian(pot, region).matrix
-    density, info = stability._maximize(project, project(omega.density),
+    density, info = stability._maximize(project, project.compress(omega.density),
                                         h_i, beta)
     return DensityState(density), info
 
