@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermichain import car, cli, states
+from fermichain import car, cli, stability, states
 from fermichain.cli import UsageError, main, resolve_config
 from fermichain.potentials import build_model, total_hamiltonian
 from fermichain.reporting import KEY_ORDER
@@ -268,6 +268,23 @@ def test_a_violated_entropy_bound_is_a_failed_check(monkeypatch, tmp_path):
     assert by_name["product_property"]["pass"]
     assert not by_name["entropy_bound"]["pass"]
     assert by_name["entropy_bound"]["value"] < -1e-8
+
+
+def test_an_uncertified_maximizer_is_a_failed_check(monkeypatch, tmp_path):
+    # one scaling step cannot reach the certificate: lts reports the
+    # maximizer's final gradient norm as a failed record and exits 1
+    monkeypatch.setattr(stability, "_STEPS", 1)
+    out = tmp_path / "report.jsonl"
+    assert run(["lts", "--length", "4", "--region", "1,2", "--samples", "5",
+                "--out", str(out)]) == 1
+    by_name = {rec["check"]: rec for rec in read_records(out)}
+    assert list(by_name) == ["feasible_residual", "margin_samples",
+                             "maximizer_certified"]
+    assert by_name["feasible_residual"]["pass"]
+    assert by_name["margin_samples"]["pass"]
+    record = by_name["maximizer_certified"]
+    assert not record["pass"]
+    assert record["value"] > record["tolerance"] == 1e-10
 
 
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,

@@ -12,6 +12,7 @@ from fermichain.entropy import (conditional_entropy, relative_entropy,
 from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
+from fermichain.reporting import CheckRecord
 from fermichain.stability import (MaximizerInfo, StabilityReport,
                                   constraint_family, feasible_sampler,
                                   free_energy, lts_check, prop4_pipeline)
@@ -171,77 +172,8 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
     assert abs(got - (oracle - beta * energy)) <= 1e-12
 
 
-def odd_entries(m):
-    parity = np.array([bin(i).count("1") % 2 for i in range(m)])
-    return parity[:, None] != parity[None, :]
-
-
-def oracle_expand(x, region, mode):
-    """``expand`` spelled out: the complement's embedding, with the odd
-    part multiplied by ``v_I`` in mode ``lts_prime``."""
-    comp = region.complement()
-    if mode == "lts":
-        return car.embed(x, comp)
-    odd = odd_entries(x.shape[0])
-    v = np.diag(car.grading_encoding(region)[1])
-    return car.embed(np.where(odd, 0.0, x), comp) \
-        + v @ car.embed(np.where(odd, x, 0.0), comp)
-
-
-def oracle_compress(g, region, mode):
-    """``compress`` spelled out: the complement's small representation, its
-    odd entries taken from that of ``v_I g`` in mode ``lts_prime``."""
-    comp = region.complement()
-    small = car.small_representation(g, comp)
-    if mode == "lts":
-        return small
-    v = np.diag(car.grading_encoding(region)[1])
-    twisted = car.small_representation(v @ g, comp)
-    return np.where(odd_entries(small.shape[0]), twisted, small)
-
-
-@given(st.integers(min_value=1, max_value=6), st.data(),
-       st.sampled_from(stability.MODES), st.integers(0, 10_000))
-def test_block_hessian_product_matches_the_dense_formula(lattice, data, mode, seed):
-    sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1))
-    region = Region.of(sites, lattice)
-    # the lts_prime frame carries v_I as one sign per block, which needs
-    # v_I to be constant on each block row of the complement's reordering
-    index, _ = car.mode_reordering(region.complement())
-    v_blocks = car.grading_encoding(region)[1].real[index]
-    assert np.all(v_blocks == v_blocks[:, :1])
-
-    rng = np.random.default_rng(seed)
-    pot = hopping_model(lattice)
-    project = constraint_family(region, mode)
-    anchor = project.compress(random_state(lattice, rng).density)
-    dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
-                           1.0)
-    m = car.dim(lattice - len(region))
-    point = dual.point(0.3 * hermitian(m, rng))
-    delta = hermitian(m, rng)
-    delta -= np.trace(delta) / m * np.eye(m)
-
-    # compress(U (phi o (U* expand(delta) U)) U* - D Tr(D expand(delta))),
-    # phi the divided differences of exp at the eigenvalues, over Z
-    w, u = point.w, point.u
-    e = np.exp(w - np.max(w))
-    gap = w[:, None] - w[None, :]
-    ratio = np.ones_like(gap)
-    ratio[gap != 0.0] = np.expm1(gap[gap != 0.0]) / gap[gap != 0.0]
-    phi = e[None, :] * ratio / np.sum(e)
-    lam = oracle_expand(delta, region, mode)
-    dense = (u @ (phi * (u.conj().T @ lam @ u)) @ u.conj().T
-             - point.density * np.trace(point.density @ lam))
-    want = oracle_compress(dense, region, mode)
-    want = (want + want.conj().T) / 2.0
-    want -= np.trace(want) / m * np.eye(m)
-    got = dual.hessp(point)(delta)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 @pytest.mark.parametrize("mode", stability.MODES)
-def test_hessian_product_matches_finite_differences_of_the_gradient(mode):
+def test_dual_gradient_matches_finite_differences_of_the_value(mode):
     lattice, beta = 5, 1.0
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
@@ -261,9 +193,6 @@ def test_hessian_product_matches_finite_differences_of_the_gradient(mode):
     slope = (plus.value - minus.value) / (2.0 * h)
     assert abs(slope - dual.multiplicity * np.real(np.vdot(point.grad, delta))) \
         <= 1e-8 * abs(slope)
-    fd = (plus.grad - minus.grad) / (2.0 * h)
-    got = dual.hessp(point)(delta)
-    assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("mode", stability.MODES)
@@ -286,8 +215,49 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
         tracemalloc.stop()
     n = car.dim(lattice)
     assert info.converged
+    assert info.iterations <= 25
     assert np.max(np.abs(density - gibbs.density)) < 1e-11
     assert peak < 64 * n * n * 16
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_maximizer_decomposes_only_real_parity_blocks(mode, monkeypatch):
+    # the anchor and the exponent are even and real, so car.eigh splits
+    # each into its two real parity blocks: nothing N x N, nothing complex
+    lattice, beta = 6, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3], lattice)
+    project = constraint_family(region, mode)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    anchor = project.compress(gibbs.density)
+    h_i = local_hamiltonian(pot, region).matrix
+    seen, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape[0], a.dtype.kind))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    _, info = stability._maximize(project, anchor, h_i, beta)
+    assert info.converged
+    n, m = car.dim(lattice), car.dim(lattice - len(region))
+    assert set(seen) == {(n // 2, "f"), (m // 2, "f")}
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_maximizer_takes_one_step_on_a_product_anchor(mode):
+    # without hopping the Gibbs state is a product and already of maximizing
+    # form at the zero multiplier, so the first step lands on rounding
+    lattice, beta = 5, 1.0
+    pot = hopping_model(lattice, t=0.0)
+    region = Region.of([1, 2], lattice)
+    project = constraint_family(region, mode)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    _, info = stability._maximize(project, project.compress(gibbs.density),
+                                  local_hamiltonian(pot, region).matrix, beta)
+    assert info.converged
+    assert info.iterations == 1
+    assert info.gradient_norm <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +380,18 @@ def test_maximum_matches_the_onsite_closed_form():
     state, _ = maximize(pot, region, gibbs, beta)
     oracle = len(region) * math.log(math.cosh(beta * mu / 2.0))
     assert abs(free_energy(state, pot, region, beta) - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("beta,sites", [(5.0, [0]), (5.0, [1]), (5.0, [1, 2]),
+                                        (10.0, [1, 2])])
+def test_maximizer_certifies_at_low_temperature(beta, sites):
+    lattice = 6
+    pot = hopping_model(lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    report = lts_check(gibbs, pot, Region.of(sites, lattice), beta, samples=5)
+    by_name = {c.check: c for c in report.checks}
+    assert report.passed
+    assert abs(by_name["margin_maximizer"].value) <= 1e-13
 
 
 def test_maximizer_requires_a_faithful_constraint():
@@ -591,10 +573,15 @@ def test_check_survives_a_nonconverging_maximizer(monkeypatch):
 
     monkeypatch.setattr(stability, "_maximize", stalled)
     report = lts_check(gibbs, pot, region, beta, samples=30, seed=4)
-    # the samples still certify; the maximizer margin is simply absent
-    assert all(c.check != "margin_maximizer" for c in report.checks)
+    # the samples still certify; the maximizer fails its own check, with
+    # its final gradient norm, instead of contributing a margin
+    by_name = {c.check: c for c in report.checks}
+    assert "margin_maximizer" not in by_name
+    assert by_name["margin_samples"].passed
+    assert by_name["maximizer_certified"] == CheckRecord(
+        "maximizer_certified", 1.0, 1e-10, False)
     assert any("did not certify" in note for note in report.notes)
-    assert report.passed
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
