@@ -51,10 +51,9 @@ from .stability import (ConstraintProjection, MaximizerInfo, StabilityReport,
                         feasible_sampler, free_energy, lts_check,
                         prop4_pipeline)
 from .states import (DensityState, FactorState, RestrictedState, gibbs_state,
-                     kms_residual, max_perturbation_strength,
-                     noneven_perturbation, odd_direction, perturbed_state,
-                     product_check, random_pair_panel, remark2_construct,
-                     remark2_restriction_defect, restrict)
+                     kms_residual, noneven_perturbation, odd_direction,
+                     perturbed_state, product_check, random_pair_panel,
+                     remark2_construct, remark2_restriction_defect, restrict)
 
 __version__ = "0.1.0"
 
@@ -68,7 +67,7 @@ __all__ = [
     "feasible_sampler", "free_energy", "gibbs_state",
     "grading_asymmetry", "hopping_model",
     "kms_residual", "local_hamiltonian", "lts_check",
-    "max_perturbation_strength", "mode_reordering", "monomial_basis",
+    "mode_reordering", "monomial_basis",
     "noneven_perturbation", "odd_direction",
     "perturbed_state", "potential_from_records", "product_check",
     "prop4_pipeline", "prune", "purely_imaginary_check", "random_element",

@@ -53,9 +53,15 @@ thread, the two real half-size blocks of the ``hopping`` Hamiltonian
 decompose 6.6 times faster than the complex whole at ``N = 256`` and 17
 times faster at ``N = 1024``.
 
+Arrays keep the dtype of their data (:func:`as_float`): float64 for real
+data, complex128 for complex data, decided by the dtype alone.  Every
+preset's operators and states are real, so they are held and multiplied in
+real arithmetic, at half the memory of complex; complex enters only with
+complex data, such as :func:`random_element`'s draws.
+
 A local element (:class:`AlgebraElement`) is held on its support ``S`` as
 its ``2**|S|``-square small representation; the generators are the
-single-site ``2 x 2`` matrices.  Its dense matrix is a view formed on
+single-site ``2 x 2`` real matrices.  Its dense matrix is a view formed on
 request, dense input enters through the one checked constructor
 :meth:`AlgebraElement.from_matrix`, and sums and products run on the chain
 of the union of the supports.
@@ -95,9 +101,25 @@ def dim(lattice_size: int) -> int:
     return 1 << lattice_size
 
 
+def as_float(array) -> np.ndarray:
+    """``array`` as float64, or as complex128 when its dtype is complex: the
+    rule every density and element follows.  It reads the dtype only, never
+    the values, so real data stays real and complex data stays complex."""
+    array = np.asarray(array)
+    return array.astype(np.result_type(array, np.float64), copy=False)
+
+
 def tau(matrix: np.ndarray) -> complex:
     """Normalized trace ``Tr(matrix) / N`` (the unique tracial state)."""
     return complex(np.trace(matrix)) / matrix.shape[0]
+
+
+def hermitian_defect(matrix: np.ndarray) -> float:
+    """Largest entry modulus of ``matrix - matrix*``, with one square
+    temporary for real data (the moduli are taken in place)."""
+    diff = matrix - matrix.conj().T
+    return float(np.max(np.abs(diff, out=None if np.iscomplexobj(diff)
+                                else diff)))
 
 
 def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
@@ -183,9 +205,9 @@ def diagonal_block(matrix: np.ndarray, states: np.ndarray | None) -> np.ndarray:
 
 def spectral_map(decomposition, values) -> np.ndarray:
     """``sum_b U_b diag(values[b]) U_b*`` for the blocks ``(states, _, U_b)``
-    of :func:`eigh`, each placed on its states and symmetrized, as a
-    complex128 matrix.  The eigenvectors are conjugated in place, so the
-    decomposition is spent."""
+    of :func:`eigh`, each placed on its states and symmetrized, in the
+    dtype of the blocks: real for real blocks and real values.  The
+    eigenvectors are conjugated in place, so the decomposition is spent."""
     parts = []
     for (states, _, u), vals in zip(decomposition, values):
         scaled = u * vals[None, :]
@@ -195,9 +217,9 @@ def spectral_map(decomposition, values) -> np.ndarray:
         part *= 0.5
         parts.append((states, part))
     if len(parts) == 1 and parts[0][0] is None:
-        return parts[0][1].astype(np.complex128, copy=False)
+        return parts[0][1]
     n = sum(part.shape[0] for _, part in parts)
-    out = np.zeros((n, n), dtype=np.complex128)
+    out = np.zeros((n, n), dtype=np.result_type(*(part for _, part in parts)))
     for states, part in parts:
         out[np.ix_(states, states)] = part
     return out
@@ -299,7 +321,7 @@ class AlgebraElement:
     support: Region
 
     def __post_init__(self) -> None:
-        self.small = np.asarray(self.small, dtype=np.complex128)
+        self.small = as_float(self.small)
         m = dim(len(self.support))
         if self.small.shape != (m, m):
             raise ValueError(f"small matrix of shape {self.small.shape} does "
@@ -309,7 +331,7 @@ class AlgebraElement:
     def from_matrix(cls, matrix: np.ndarray, support: Region) -> "AlgebraElement":
         """The element with the dense ``matrix``, refusing (``ValueError``) a
         matrix that does not lie in the algebra of ``support``."""
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = as_float(matrix)
         n = dim(support.lattice_size)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match "
@@ -389,9 +411,12 @@ def parity_signs(lattice_size: int) -> np.ndarray:
 
 
 def theta_matrix(matrix: np.ndarray, lattice_size: int) -> np.ndarray:
-    """Grading automorphism on a dense matrix: conjugation by the chain parity."""
+    """Grading automorphism on a dense matrix: conjugation by the chain
+    parity, in the matrix's dtype and with no second square array."""
     signs = parity_signs(lattice_size)
-    return matrix * np.outer(signs, signs)
+    out = matrix * signs[:, None]
+    out *= signs[None, :]
+    return out
 
 
 def theta(element: AlgebraElement) -> AlgebraElement:
@@ -464,19 +489,33 @@ def block_average(matrix: np.ndarray,
     return blocks.sum(axis=0) / index.shape[0]
 
 
-def block_embed(small: np.ndarray,
-                reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``U* (1 (x) small) U``, the inverse of :func:`block_average` on the
-    block-diagonal matrices."""
+def _signed_blocks(small: np.ndarray,
+                   reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The ``(N/m) x m x m`` diagonal blocks of ``U* (1 (x) small) U``,
+    ``sign[y, i] small[i, j] sign[y, j]``, in ``small``'s dtype (float64 at
+    least): one copy of ``small`` per block row, with the signs multiplied
+    in place."""
     index, sign = reordering
     m = index.shape[1]
     if small.shape != (m, m):
         raise ValueError(f"small matrix of shape {small.shape} does not "
                          f"represent a block of size {m}")
-    n = index.size
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[index[:, :, None], index[:, None, :]] = \
-        small[None] * (sign[:, :, None] * sign[:, None, :])
+    blocks = np.empty((index.shape[0], m, m),
+                      dtype=np.result_type(small, np.float64))
+    blocks[...] = small
+    blocks *= sign[:, :, None]
+    blocks *= sign[:, None, :]
+    return blocks
+
+
+def block_embed(small: np.ndarray,
+                reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``U* (1 (x) small) U``, the inverse of :func:`block_average` on the
+    block-diagonal matrices, in ``small``'s dtype (float64 at least)."""
+    index, _ = reordering
+    blocks = _signed_blocks(small, reordering)
+    out = np.zeros((index.size, index.size), dtype=blocks.dtype)
+    out[index[:, :, None], index[:, None, :]] = blocks
     return out
 
 
@@ -500,10 +539,17 @@ def embed(small: np.ndarray, region: Region) -> np.ndarray:
 
 def add_embedded(out: np.ndarray, small: np.ndarray, region: Region) -> None:
     """``out += embed(small, region)`` in place, touching only the
-    ``2**L * 2**|R|`` entries the embedding fills (each exactly once)."""
-    index, sign = mode_reordering(region)
-    out[index[:, :, None], index[:, None, :]] += \
-        small[None] * (sign[:, :, None] * sign[:, None, :])
+    ``2**L * 2**|R|`` entries the embedding fills (each exactly once).
+
+    A complex ``small`` into a real ``out`` is refused (``TypeError``):
+    numpy would drop its imaginary part with only a warning."""
+    if np.iscomplexobj(small) and not np.iscomplexobj(out):
+        raise TypeError("cannot add a complex element into a real matrix; "
+                        "make the matrix complex first")
+    reordering = mode_reordering(region)
+    index, _ = reordering
+    out[index[:, :, None], index[:, None, :]] += _signed_blocks(small,
+                                                                reordering)
 
 
 def local_times(small: np.ndarray, region: Region,

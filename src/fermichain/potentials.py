@@ -117,8 +117,10 @@ def standardize(raw: Mapping[Region, AlgebraElement]) -> Potential:
 def _sum_terms(potential: Potential, regions: list[Region],
                support: Region) -> AlgebraElement:
     """The sum of the terms on ``regions``, all inside ``support``, summed
-    in place on the chain of the support's own sites."""
-    total = np.zeros((car.dim(len(support)),) * 2, dtype=np.complex128)
+    in place on the chain of the support's own sites, in the terms' dtype:
+    real for every preset."""
+    dtype = np.result_type(np.float64, *(potential.terms[k] for k in regions))
+    total = np.zeros((car.dim(len(support)),) * 2, dtype=dtype)
     for k in regions:
         car.add_embedded(total, potential.terms[k], k.positions_in(support))
     return AlgebraElement(total, support)

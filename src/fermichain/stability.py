@@ -169,6 +169,14 @@ class MaximizerInfo:
 # beta = 5 and 320 at beta = 10; the cap only bounds a stalled run
 _STEPS = 500
 
+# The residual's entries are those of two unit-trace-bounded matrices, so
+# below _FLOOR a full step that fails to shrink it has hit rounding.  Above
+# it, at slow rates (about 0.92 per step at beta = 10) rounding can hide one
+# step's progress, and only _STALL steps in a row without a new best
+# residual stop the loop.
+_FLOOR = 4.0 * np.finfo(float).eps
+_STALL = 10
+
 
 class _DualPoint(NamedTuple):
     x: np.ndarray
@@ -272,7 +280,7 @@ def _maximize(project: ConstraintProjection, small_anchor: np.ndarray,
     dual = _Dual(project, small_anchor, h_i, beta)
     current = best = dual.point(np.zeros_like(dual.small_anchor))
     history = [current.value]  # dual values at accepted iterates only
-    iterations = 0
+    iterations = best_iteration = 0
     while iterations < _STEPS:
         step = dual.step(current)
         slope = dual.multiplicity * _inner(current.grad, step)
@@ -291,10 +299,11 @@ def _maximize(project: ConstraintProjection, small_anchor: np.ndarray,
         previous, current = current, trial
         iterations += 1
         history.append(current.value)
-        best = min(best, current, key=lambda point: point.residual)
-        # convergence is linear, so a full step that no longer shrinks the
-        # residual has hit rounding
-        if t == 1.0 and current.residual >= previous.residual:
+        if current.residual < best.residual:
+            best, best_iteration = current, iterations
+        at_rounding = (t == 1.0 and current.residual >= previous.residual
+                       and current.residual <= _FLOOR)
+        if at_rounding or iterations - best_iteration >= _STALL:
             break
 
     gnorm = best.residual

@@ -21,11 +21,11 @@ it is even, lies in the algebra of the complement, and factorizes exactly as
     omega(A B) = tau(A) omega(B),   A supported in I, B in the complement,
 
 with ``tau`` the normalized trace (:func:`product_check` measures this).
-Adding to its density a small odd direction supported in ``I``
-(:func:`noneven_perturbation`) produces a noneven state with the *same*
-restriction to the complement — the two are indistinguishable outside ``I``
-yet differ globally, which is the engine behind the free-energy comparisons
-in :mod:`fermichain.stability`.
+Multiplying its density by ``1 + lam X`` for an odd self-adjoint ``X``
+supported in ``I`` (:func:`noneven_perturbation`) produces a noneven state
+with the *same* restriction to the complement — the two are
+indistinguishable outside ``I`` yet differ globally, which is the engine
+behind the free-energy comparisons in :mod:`fermichain.stability`.
 
 Every spectrum is taken once.  A Gibbs state carries its logarithm in closed
 form (:class:`GibbsLog`),
@@ -43,10 +43,14 @@ that computation.  Every decomposition goes through
 :func:`car.spectral_blocks`: an even real ``H`` (every preset) is
 diagonalized as its two real parity blocks, and so are the even real
 densities built from it; a noneven or complex matrix is decomposed whole.
-Densities themselves stay ``N x N`` complex128 arrays.
+Densities are ``N x N`` arrays in the dtype of their data
+(:func:`car.as_float`, which reads the dtype only): float64 for the Gibbs,
+decoupled, perturbed and site-0 vector states of every preset, complex128
+only where complex data enters, as in the ``lts`` competitors and the
+Gaussian factor of a :class:`FactorState`.
 Local elements are held on their support (:class:`car.AlgebraElement`):
 ``omega(A)`` reads the state's block diagonal there, and a noneven direction
-is checked on its small representation and added on its support.
+is checked on its small representation and applied through it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +78,7 @@ _FACTOR_COLUMNS = 64
 
 
 def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, AlgebraElement) else np.asarray(op, dtype=np.complex128)
+    return op.matrix if isinstance(op, AlgebraElement) else car.as_float(op)
 
 
 def spectral_entropy(eigenvalues: np.ndarray) -> float:
@@ -152,13 +157,13 @@ class DensityState:
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.density = np.asarray(self.density, dtype=np.complex128)
+        self.density = car.as_float(self.density)
         n = self.density.shape[0]
         if self.density.shape != (n, n) or n & (n - 1):
             raise ValueError(f"density shape {self.density.shape} is not (2**L, 2**L)")
         if self.validate:
             scale = max(1.0, float(np.max(np.abs(self.density))))
-            if np.max(np.abs(self.density - self.density.conj().T)) > _HERM_TOL * scale:
+            if car.hermitian_defect(self.density) > _HERM_TOL * scale:
                 raise ValueError(f"density of {self.label!r} is not self-adjoint")
             if abs(np.trace(self.density).real - 1.0) > _TRACE_TOL or \
                     abs(np.trace(self.density).imag) > _TRACE_TOL:
@@ -236,11 +241,11 @@ class FactorState:
     products ``A B``, ``A* A = A**2`` and ``B* B`` are even, which gives
     ``omega(A B) = <A G, B G> / ||G||**2`` and the squared norms of ``A G``
     and ``B G`` for the other two (:meth:`odd_pair`).  A local factor acts
-    on ``G`` through its small representation (:func:`car.local_times`):
-    ``O(N k m)`` for a support of ``m = 2**|S|`` states, with no ``N x N``
-    product and no grading of an ``N x N`` matrix.  :meth:`odd_pair` takes
-    ``G`` in blocks of :data:`_FACTOR_COLUMNS` columns, so besides ``G`` it
-    holds a few ``N x 64`` arrays.
+    on ``G`` through its small representation: ``O(N k m)`` for a support
+    of ``m = 2**|S|`` states, with no ``N x N`` product and no grading of
+    an ``N x N`` matrix.  :meth:`odd_pair` gathers ``G`` once per block of
+    :data:`_FACTOR_COLUMNS` columns into the modes of both supports, so
+    besides ``G`` it holds a few ``N x 64`` arrays.
     """
 
     factor: np.ndarray
@@ -283,18 +288,78 @@ class FactorState:
                  b: AlgebraElement) -> tuple[complex, complex, complex]:
         """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` from ``A G``
         and ``B G``, each formed once.  The identities need ``A`` and ``B``
-        odd and self-adjoint, so anything else is refused
-        (``ValueError``)."""
+        odd and self-adjoint on disjoint supports, so anything else is
+        refused (``ValueError``).
+
+        The three values are inner products, which a signed permutation of
+        the rows keeps, so each column block of ``G`` is gathered once by
+        :func:`_pair_gather` into modes ordered ``supp A``, ``supp B``, the
+        rest, and ``A G`` and ``B G`` are formed there with no scatter.  In
+        the parity order an odd element is off-diagonal, so each acts by
+        its two off-diagonal blocks, half the flops of the whole.  ``B``'s
+        modes follow ``A``'s, so its Jordan-Wigner strings cross them: the
+        product with the odd ``B`` carries ``supp A``'s grading sign
+        ``(-1)**(|A| - popcount(x))`` on row ``x``.
+        """
         car.require_odd_self_adjoint(a, "first element")
         car.require_odd_self_adjoint(b, "second element")
+        if not a.support.is_orthogonal(b.support):
+            raise ValueError("elements must have disjoint supports")
+        index, sign = _pair_gather(a.support, b.support)
+        (a_eo, a_oe), (b_eo, b_oe) = _odd_blocks(a), _odd_blocks(b)
+        ha, hb = a_eo.shape[0], b_eo.shape[0]
+        grading = (-1.0) ** len(a.support)    # on even x; -grading on odd x
         sums = np.zeros(3, dtype=np.complex128)
         for start in range(0, self.factor.shape[1], _FACTOR_COLUMNS):
-            block = self.factor[:, start:start + _FACTOR_COLUMNS]
-            ag = car.local_times(a.small, a.support, block)
-            bg = car.local_times(b.small, b.support, block)
+            g = self.factor[:, start:start + _FACTOR_COLUMNS][index]
+            g *= sign[..., None]
+            g = g.reshape(index.shape[0], index.shape[1], -1)
+            ag = np.empty((g.shape[0], g[0].size),
+                          dtype=np.result_type(a.small, g))
+            np.matmul(a_eo, g[ha:].reshape(ha, -1), out=ag[:ha])
+            np.matmul(a_oe, g[:ha].reshape(ha, -1), out=ag[ha:])
+            bg = np.empty(g.shape, dtype=np.result_type(b.small, g))
+            np.matmul(b_eo, g[:, hb:], out=bg[:, :hb])
+            np.matmul(b_oe, g[:, :hb], out=bg[:, hb:])
+            bg[:ha] *= grading
+            bg[ha:] *= -grading
             sums += (np.vdot(ag, bg), np.vdot(ag, ag), np.vdot(bg, bg))
         corr, aa, bb = sums / self._weight
         return complex(corr), complex(aa), complex(bb)
+
+
+def _odd_blocks(element: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of an odd element's small representation with even rows
+    and odd columns, and with odd rows and even columns, in the
+    :func:`car.parity_order`; its two diagonal blocks are zero."""
+    even, odd = car.parity_order(len(element.support))
+    return element.small[np.ix_(even, odd)], element.small[np.ix_(odd, even)]
+
+
+@lru_cache(maxsize=64)
+def _pair_gather(first: Region,
+                 second: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The signed gather of the rows of a chain's matrix into the modes
+    ordered ``first``, ``second`` (disjoint from it), then the rest, with
+    the states of each support in the :func:`car.parity_order`.
+
+    Returns ``(index, sign)`` of shape ``(2**|first|, 2**|second|,
+    2**(L - |first| - |second|))``: row ``[x, w, z]`` of the gathered matrix
+    is ``sign[x, w, z]`` times row ``index[x, w, z]``.  It composes two
+    :func:`car.mode_reordering` tables: ``first``'s, and on the chain of
+    ``first``'s complement that of ``second``'s positions there, which
+    renumbers only the modes after ``first``'s.
+    """
+    index_a, sign_a = car.mode_reordering(first)            # [y, x]
+    index_b, sign_b = car.mode_reordering(
+        second.positions_in(first.complement()))            # [z, w] -> y
+    order_a = np.concatenate(car.parity_order(len(first)))[:, None, None]
+    order_b = np.concatenate(car.parity_order(len(second)))
+    y = index_b[:, order_b].T[None]                          # [., w, z]
+    index = index_a[y, order_a]
+    sign = sign_a[y, order_a] * sign_b[:, order_b].T[None]
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +382,15 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
     ``h`` is decomposed by :func:`car.eigh`: an even real ``h`` as its two
     real parity blocks.  The shift ``E0``, ``Z`` and the log come from the
     two block spectra together, and the density is assembled block by block
-    into the complex128 output, so besides it only a few half-size real
-    arrays are held.
+    into an output of the blocks' dtype, real for a real ``h``, so besides
+    it only a few half-size real arrays are held.
     """
     dense = not (region is not None
                  and isinstance(hamiltonian, AlgebraElement)
                  and hamiltonian.support.is_subregion(region))
     h = _as_matrix(hamiltonian) if dense else hamiltonian.small_on(region)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+    if car.hermitian_defect(h) > 1e-12 * scale:
         raise ValueError("Hamiltonian is not self-adjoint")
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
@@ -505,28 +570,31 @@ def odd_direction(region: Region) -> AlgebraElement:
     return a + a.dagger()
 
 
-def max_perturbation_strength(omega: DensityState, direction: AlgebraElement) -> float:
-    """Largest coefficient keeping ``D + lam X`` positive by the spectral bound
-    ``lam <= lambda_min(D) / (2 ||X||)``; the norm of the local ``X`` is read
-    from the small representation of its support."""
-    nrm = direction.norm()
-    if nrm == 0.0:
-        raise ValueError("zero direction")
-    return 0.5 * omega.lambda_min() / nrm
-
-
 def noneven_perturbation(omega: DensityState, region: Region,
                          direction: AlgebraElement | None = None,
                          strength: float | None = None) -> DensityState:
-    """Add an odd direction supported in ``region`` to the density of ``omega``.
+    """The noneven state ``D (1 + lam X)`` for an odd direction ``X``
+    supported in ``region``.
 
     The direction must be self-adjoint and odd (both checked on its small
-    representation); an odd element of the region's algebra is then
-    orthogonal to the complement's algebra, since ``E_{I^c}`` sends it to
-    ``tau(X) 1 = 0``.  The default is ``a_i + a_i*`` at the region's first
-    site.  The strength defaults to its largest safe value, half of
-    ``lambda_min / ||X||``.  The result restricts to the complement exactly as
-    ``omega`` does, its even part is ``omega`` itself, and it is noneven.
+    representation); the default is ``a_i + a_i*`` at the region's first
+    site.  For a density ``D`` that is even and lies in the complement's
+    algebra, as the decoupled state's does, ``D`` and ``X`` commute by
+    graded locality, so
+
+        D (1 + lam X) = D**(1/2) (1 + lam X) D**(1/2) >= (1 - lam ||X||) D,
+
+    a faithful density for every ``lam`` in ``(0, 1/||X||)``, whatever the
+    smallest eigenvalue of ``D``; the default is ``1/(2 ||X||)``.  It is the
+    product of the noneven state ``tau(. (1 + lam X))`` on the region with
+    ``omega`` outside it, so it restricts to the complement exactly as
+    ``omega`` does (``E_{I^c}(D X) = tau(X) D = 0``), its even part is
+    ``omega`` itself, and its relative entropy from ``omega`` is
+    ``tau((1 + lam X) log(1 + lam X))``: for a direction with eigenvalues
+    ``+-1``, ``((1 + lam) log(1 + lam) + (1 - lam) log(1 - lam)) / 2``.
+    ``X D`` is one :func:`car.local_times`, with no ``N x N`` product; a
+    density that does not commute with ``X`` gives a product that is not
+    self-adjoint, which validation refuses (``ValueError``).
     """
     x = odd_direction(region) if direction is None else direction
     if x.support.lattice_size != omega.lattice_size:
@@ -535,14 +603,16 @@ def noneven_perturbation(omega: DensityState, region: Region,
         raise ValueError(f"direction supported on {x.support.sites}, not inside "
                          f"{region.sites}")
     car.require_odd_self_adjoint(x, "direction")
-
-    lam_max = max_perturbation_strength(omega, x)
-    lam = lam_max if strength is None else float(strength)
-    if not 0.0 < lam <= lam_max * (1.0 + 1e-12):
-        raise ValueError(f"strength {lam} outside (0, {lam_max}]")
-    density = omega.density.copy()
-    car.add_embedded(density, lam * x.small, x.support)
-    return DensityState(density, label=f"{omega.label}+{lam:.3e}*odd", validate=True)
+    nrm = x.norm()
+    if nrm == 0.0:
+        raise ValueError("zero direction")
+    lam = 0.5 / nrm if strength is None else float(strength)
+    if not 0.0 < lam * nrm < 1.0:
+        raise ValueError(f"strength {lam} outside (0, {1.0 / nrm})")
+    density = car.local_times(lam * x.small, x.support, omega.density)
+    density += omega.density
+    return DensityState(density, label=f"{omega.label}*(1+{lam:.3e}*odd)",
+                        validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +651,13 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     roots = [np.sqrt(np.clip(evals, 0.0, None)) for _, evals, _ in decomposition]
     root = car.embed(car.spectral_map(decomposition, roots),
                      comp)  # Hilbert-Schmidt vector
-    xi = (root + car.local_times(u.small, u.support, root)) / np.sqrt(2.0)
+    xi = car.local_times(u.small, u.support, root)
+    xi += root
+    xi /= np.sqrt(2.0)
+    del root
     density = xi @ xi.conj().T
     density /= float(np.vdot(xi, xi).real)   # Tr(Xi Xi*) = ||Xi||_F**2
+    del xi   # validation holds the density and its temporaries only
     return DensityState(density, label="site0-vector-state", validate=True)
 
 

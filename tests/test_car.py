@@ -512,3 +512,42 @@ def test_small_representation_is_an_isomorphism():
     assert abs(np.linalg.norm(sx, 2) - np.linalg.norm(x.matrix, 2)) < 1e-11
     big_trace = np.trace(x.matrix)
     assert abs(big_trace - (car.dim(lattice) / m) * np.trace(sx)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# arrays keep the dtype of their data
+# ---------------------------------------------------------------------------
+
+
+def test_real_data_stays_real_and_complex_data_complex():
+    lattice = 4
+    region = Region.of([1, 2], lattice)
+    a = car.annihilator(1, lattice)
+    assert a.small.dtype == np.float64 and a.matrix.dtype == np.float64
+    assert (a + a.dagger()).small.dtype == np.float64
+    assert (1j * a).small.dtype == np.complex128
+    assert car.AlgebraElement(np.eye(2, dtype=int), a.support).small.dtype \
+        == np.float64
+    z = car.random_element(region, np.random.default_rng(0))
+    assert z.small.dtype == np.complex128
+    for small in (np.eye(4), np.eye(4) + 0j):
+        assert car.embed(small, region).dtype == small.dtype
+        assert car.theta_matrix(car.embed(small, region), lattice).dtype \
+            == small.dtype
+
+
+def test_add_embedded_refuses_complex_into_real():
+    # numpy would drop the imaginary part with only a warning
+    lattice = 4
+    region = Region.of([1, 2], lattice)
+    small = car.random_element(region, np.random.default_rng(2)).small
+    out = np.zeros((16, 16))
+    with pytest.raises(TypeError, match="complex"):
+        car.add_embedded(out, small, region)
+    assert not np.any(out)
+    # a complex matrix takes it, and a real element goes into either
+    wide = out.astype(np.complex128)
+    car.add_embedded(wide, small, region)
+    assert np.array_equal(wide, car.embed(small, region))
+    car.add_embedded(out, small.real, region)
+    assert np.array_equal(out, car.embed(small.real, region))

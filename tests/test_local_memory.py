@@ -2,8 +2,11 @@
 
 An element is held on its support ``S`` as a ``2**|S|``-square matrix, so
 building one, reading its norm and taking its expectation in a state cost
-at most ``O(N 2**|S|)`` memory.  At L = 10 a single N x N complex128 array
-takes 16 MiB; the peak traced allocation of each path must stay below it.
+at most ``O(N 2**|S|)`` memory.  Every bound is a count of N x N arrays in
+the dtype of the data: float64 for the preset's real Hamiltonian and its
+Gibbs and decoupled states (8 MiB at L = 10), complex128 for the complex
+Gaussian factor of an ``ssb-probe`` case.  The peak traced allocation of
+each element path must stay below one array.
 
 Three paths hold an N x N array by design and are bounded by a count of
 them: the Gibbs state of the whole chain and the decoupled state, whose
@@ -20,12 +23,15 @@ from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
                                    total_hamiltonian)
 from fermichain.probes import scan_odd_correlations
 from fermichain.regions import Region
-from fermichain.states import (FactorState, gibbs_state,
-                               max_perturbation_strength, odd_direction,
+from fermichain.states import (FactorState, gibbs_state, odd_direction,
                                perturbed_state)
 
 LATTICE = 10
-DENSE_BYTES = car.dim(LATTICE) ** 2 * np.dtype(np.complex128).itemsize
+
+
+def dense_bytes(lattice: int, dtype) -> int:
+    """The bytes of one N x N array of ``dtype``."""
+    return car.dim(lattice) ** 2 * np.dtype(dtype).itemsize
 
 
 def peak_bytes(path) -> int:
@@ -43,6 +49,7 @@ def test_element_paths_stay_below_one_dense_array():
     # the decoupled state: its spectrum is known from its 2**|I^c| Hamiltonian
     phi = gibbs_state(total_hamiltonian(prune(pot, region)), 1.0,
                       region=region.complement())
+    assert phi.density.dtype == np.float64
     element = car.random_element(region, np.random.default_rng(1), parity=1,
                                  hermitian=True)
     paths = {
@@ -50,32 +57,39 @@ def test_element_paths_stay_below_one_dense_array():
         "odd_direction": lambda: odd_direction(region),
         "random_element": lambda: car.random_element(
             region, np.random.default_rng(0), parity=1, hermitian=True),
-        "max_perturbation_strength": lambda: max_perturbation_strength(
-            phi, odd_direction(region)),
         "expectation": lambda: phi.expectation(element),
     }
     peaks = {name: peak_bytes(path) for name, path in paths.items()}
-    assert all(peak < DENSE_BYTES for peak in peaks.values()), peaks
+    dense = dense_bytes(LATTICE, np.float64)
+    assert all(peak < dense for peak in peaks.values()), peaks
 
 
 def test_gibbs_state_holds_three_dense_arrays():
-    # at most three at a time: the eigenvectors U, U diag(w) and their
-    # product, then the density and its adjoint for the symmetrization
+    # the Hamiltonian and the density are real: the self-adjointness check
+    # of H forms two N x N temporaries, and the density is assembled from
+    # its half-size parity blocks, so the peak stays below two and a half
+    # real N x N arrays (it was about four and a quarter when the density
+    # was complex)
     lattice = 8
-    dense = car.dim(lattice) ** 2 * np.dtype(np.complex128).itemsize
     h = total_hamiltonian(hopping_model(lattice))
+    state = gibbs_state(h, 1.0)
+    assert state.density.dtype == np.float64
+    dense = dense_bytes(lattice, np.float64)
     peak = peak_bytes(lambda: gibbs_state(h, 1.0))
-    assert peak <= 3.2 * dense, peak / dense
+    assert peak <= 2.5 * dense, peak / dense
 
 
 def test_decoupled_state_holds_one_dense_density():
-    # the pruned terms are summed on the complement's chain: the density and
-    # the temporaries of its embedding stay below two N x N arrays, where a
-    # dense remainder, its embedding check and the density took three
+    # the pruned terms are summed on the complement's chain, and the signs
+    # of the embedding are multiplied into its blocks in place: the real
+    # density and a quarter-size array of those blocks stay below one and a
+    # half real N x N arrays (three with a complex density)
     pot = hopping_model(LATTICE)
     region = Region.of([2, 3], LATTICE)
+    assert perturbed_state(pot, 1.0, region).density.dtype == np.float64
+    dense = dense_bytes(LATTICE, np.float64)
     peak = peak_bytes(lambda: perturbed_state(pot, 1.0, region))
-    assert peak < 2 * DENSE_BYTES, peak
+    assert peak < 1.5 * dense, peak / dense
 
 
 def test_scan_case_holds_its_factor_and_column_blocks():
@@ -84,7 +98,7 @@ def test_scan_case_holds_its_factor_and_column_blocks():
     # one, AG and BG are formed in blocks of columns, and no density,
     # grading image or embedded B is formed (that path held five arrays)
     lattice = 9
-    dense = car.dim(lattice) ** 2 * np.dtype(np.complex128).itemsize
+    dense = dense_bytes(lattice, np.complex128)
     for sites in ([2, 3], [0]):
         region = Region.of(sites, lattice)
         rng = np.random.default_rng(0)

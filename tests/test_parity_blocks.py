@@ -5,7 +5,8 @@ into its two parity blocks and decomposes anything else whole.  Every
 spectrum, eigenbasis and function of the matrix it gives must agree with
 ``np.linalg`` on the whole matrix to ``1e-13`` relative; and every verb must
 report the same verdicts, with values within ``1e-13``, when the helper is
-made to hand over the whole complex matrix instead.
+made to hand over the whole complex matrix instead, and when every density
+and element is forced to complex128 instead of keeping its real dtype.
 """
 
 import math
@@ -16,10 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car, cli
-from fermichain.potentials import hopping_model, total_hamiltonian
+from fermichain.potentials import (build_model, hopping_model,
+                                   total_hamiltonian)
 from fermichain.regions import Region
-from fermichain.states import (DensityState, gibbs_state, kms_residual,
-                               odd_direction)
+from fermichain.stability import feasible_sampler
+from fermichain.states import (DensityState, FactorState, gibbs_state,
+                               kms_residual, noneven_perturbation,
+                               odd_direction, perturbed_state,
+                               remark2_construct)
 
 TOL = 1e-13
 
@@ -96,11 +101,14 @@ def test_block_spectra_match_the_whole_matrix(lattice, seed, kind):
             placed[states] = vecs
         assert np.max(np.abs(a @ placed - placed * eps)) <= TOL * scale
 
-    # a function of the matrix comes out the same either way
+    # a function of the matrix comes out the same either way, in the dtype
+    # of the blocks: real for real data, even when it is stored as complex
     f = [np.exp(-eps / scale) for _, eps, _ in car.eigh(a)]
     got = car.spectral_map(car.eigh(a), f)
     expected = (u * np.exp(-want / scale)) @ u.conj().T
-    assert got.dtype == np.complex128
+    blocks = [block for _, block in car.spectral_blocks(a)]
+    assert got.dtype == np.result_type(*blocks)
+    assert got.dtype == (np.complex128 if np.any(a.imag) else np.float64)
     assert np.max(np.abs(got - expected)) <= TOL
 
 
@@ -174,3 +182,47 @@ def test_verbs_agree_with_the_whole_complex_decomposition(
     assert [r.passed for r in blocks] == [r.passed for r in whole]
     for split, full in zip(blocks, whole):
         assert agree(split.value, full.value), (split, full)
+
+
+@pytest.mark.parametrize("verb, lattice, sites, beta, extra", VERB_RUNS)
+def test_verbs_agree_with_complex_densities(verb, lattice, sites, beta,
+                                            extra, monkeypatch):
+    # every preset's densities and elements are real; forced to complex128
+    # (as they were stored before they kept their dtype) every verb must
+    # give the same verdicts and values
+    cfg = cli.RunConfig(verb, lattice_size=lattice, region_sites=sites,
+                        beta=beta, **extra)
+    label, real = cli.DISPATCH[verb](cfg)
+    seen = []
+
+    def complex_(array):
+        array = np.asarray(array, dtype=np.complex128)
+        seen.append(array.shape)
+        return array
+
+    with monkeypatch.context() as patch:
+        patch.setattr(car, "as_float", complex_)
+        complex_label, forced = cli.DISPATCH[verb](cfg)
+    assert seen
+    assert label == complex_label
+    assert [r.check for r in real] == [r.check for r in forced]
+    assert [r.passed for r in real] == [r.passed for r in forced]
+    for kept, cast in zip(real, forced):
+        assert agree(kept.value, cast.value), (kept, cast)
+
+
+@pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
+def test_every_preset_state_is_real(model):
+    lattice = 5
+    region = Region.of([1, 2], lattice)
+    potential = build_model(model, lattice)
+    gibbs = gibbs_state(total_hamiltonian(potential), 1.0)
+    phi = perturbed_state(potential, 1.0, region)
+    states = (gibbs, phi, noneven_perturbation(phi, region),
+              remark2_construct(gibbs))
+    assert [s.density.dtype for s in states] == [np.float64] * 4
+    # complex enters with complex data only
+    rng = np.random.default_rng(0)
+    assert FactorState.gaussian(lattice, rng).factor.dtype == np.complex128
+    competitor = next(feasible_sampler(gibbs, region, "lts", 1))
+    assert competitor.density.dtype == np.complex128

@@ -613,3 +613,52 @@ def test_prop4_pipeline_respects_a_weaker_perturbation():
     weak = prop4_pipeline(pot, 1.0, region, strength=0.5 * lam)
     assert weak.passed
     assert 0.0 < weak.margin < full.margin
+
+
+def closed_form_gap(lam):
+    """``S(psi, phi_p)`` for ``psi = phi_p (1 + lam X)`` with ``X`` of
+    eigenvalues ``+-1``: the relative entropy of ``tau(. (1 + lam X))``
+    from ``tau`` on the region, whatever the chain, beta or model."""
+    return 0.5 * ((1.0 + lam) * math.log1p(lam)
+                  + (1.0 - lam) * math.log1p(-lam))
+
+
+@pytest.mark.parametrize("lattice", [4, 6, 8, 10,
+                                     pytest.param(12, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("sites", [[0], [1], [2, 3]])
+def test_prop4_gap_has_its_closed_form(lattice, beta, sites):
+    # the default direction a_i + a_i* at strength 1/2: the gap does not
+    # shrink with the decoupled state's smallest eigenvalue
+    report = prop4_pipeline(hopping_model(lattice), beta,
+                            Region.of(sites, lattice))
+    want = closed_form_gap(0.5)
+    assert report.passed, [c for c in report.checks if not c.passed]
+    assert abs(report.margin - want) <= 1e-12 * want
+    by_name = {c.check: c for c in report.checks}
+    assert by_name["violate"].value == report.margin
+
+
+def test_prop4_gap_follows_the_strength():
+    for lam in (0.1, 0.9):
+        report = prop4_pipeline(tv_model(6), 2.0, Region.of([1], 6),
+                                strength=lam)
+        assert report.passed
+        assert abs(report.margin - closed_form_gap(lam)) \
+            <= 1e-12 * closed_form_gap(lam)
+
+
+def test_violate_fails_when_psi_is_the_decoupled_state(monkeypatch):
+    # negative control: with psi = phi_p itself the gap is zero, and the
+    # check that the noneven state loses free energy must fail
+    lattice, beta = 6, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3], lattice)
+    phi_p = perturbed_state(pot, beta, region)
+    monkeypatch.setattr(stability, "noneven_perturbation",
+                        lambda omega, region, strength=None: phi_p)
+    report = prop4_pipeline(pot, beta, region)
+    by_name = {c.check: c for c in report.checks}
+    assert abs(by_name["violate"].value) <= 1e-12
+    assert not by_name["violate"].passed
+    assert not report.passed

@@ -12,7 +12,6 @@ from fermichain.potentials import (hopping_model, prune, total_hamiltonian,
                                    tv_model)
 from fermichain.regions import Region
 from fermichain.states import (DensityState, gibbs_state, kms_residual,
-                               max_perturbation_strength,
                                noneven_perturbation, odd_direction,
                                perturbed_state, product_check,
                                random_pair_panel, remark2_construct, restrict,
@@ -312,24 +311,26 @@ def test_odd_direction_properties():
         odd_direction(Region.empty(lattice))
 
 
-def test_max_perturbation_strength_guarantees_positivity():
+def test_perturbation_strength_keeps_the_state_faithful():
+    # D (1 + lam X) >= (1 - lam ||X||) D for every lam in (0, 1 / ||X||),
+    # whatever the smallest eigenvalue of D
     lattice = 3
-    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    x = odd_direction(Region.of([0], lattice))
-    lam = max_perturbation_strength(omega, x)
-    assert lam > 0.0
-    # the spectral bound keeps half of the smallest eigenvalue in reserve
-    onto = omega.density + lam * x.matrix
-    assert np.linalg.eigvalsh(onto).min() >= 0.5 * omega.lambda_min() - 1e-13
-    # strengths past the bound are refused rather than risked
     region = Region.of([0], lattice)
-    with pytest.raises(ValueError):
-        noneven_perturbation(omega, region, strength=2.0 * lam)
-    with pytest.raises(ValueError):
-        noneven_perturbation(omega, region, strength=0.0)
+    phi = perturbed_state(hopping_model(lattice), 1.0, region)
+    for lam in (0.5, 0.99):
+        psi = noneven_perturbation(phi, region, strength=lam)
+        assert psi.lambda_min() >= (1.0 - lam) * phi.lambda_min() - 1e-13
+    # strengths outside the interval are refused rather than risked
+    for lam in (1.0, 2.0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="outside"):
+            noneven_perturbation(phi, region, strength=lam)
     zero = car.AlgebraElement(np.zeros((2, 2)), region)
-    with pytest.raises(ValueError):
-        max_perturbation_strength(omega, zero)
+    with pytest.raises(ValueError, match="zero direction"):
+        noneven_perturbation(phi, region, direction=zero)
+    # a density that does not commute with the direction gives no state
+    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        noneven_perturbation(gibbs, region)
 
 
 def test_noneven_perturbation_is_invisible_outside():
