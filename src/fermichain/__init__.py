@@ -50,8 +50,8 @@ from .regions import MAX_SITES, Region
 from .stability import (ConstraintProjection, MaximizerInfo, StabilityReport,
                         feasible_sampler, free_energy, lts_check,
                         prop4_pipeline)
-from .states import (DensityState, FactorState, RestrictedState, gibbs_state,
-                     kms_residual, noneven_perturbation, odd_direction,
+from .states import (DensityState, FactorState, gibbs_state, kms_residual,
+                     noneven_perturbation, odd_direction,
                      perturbed_state, product_check, random_pair_panel,
                      remark2_construct, remark2_restriction_defect, restrict)
 
@@ -61,7 +61,7 @@ __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
     "EntropyValue", "FactorState", "MAX_SITES", "MODELS",
     "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
-    "PotentialReport", "ProbeResult", "Region", "RestrictedState",
+    "PotentialReport", "ProbeResult", "Region",
     "StabilityReport", "annihilator", "build_model",
     "cluster_coefficient", "conditional_entropy", "embed",
     "feasible_sampler", "free_energy", "gibbs_state",

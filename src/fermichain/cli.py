@@ -297,11 +297,10 @@ def run_ssb_probe(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
 
         def cases():
             for _ in range(50):
-                even_state = FactorState.gaussian(cfg.lattice_size, rng,
-                                                  label="scan-even")
-                a = car.random_element(region, rng, parity=1, hermitian=True)
-                b = car.random_element(outside, rng, parity=1, hermitian=True)
-                yield even_state, a, b
+                yield (FactorState.gaussian(cfg.lattice_size, rng,
+                                            label="scan-even"),
+                       car.random_element(region, rng, parity=1, hermitian=True),
+                       car.random_element(outside, rng, parity=1, hermitian=True))
 
         violations = scan_odd_correlations(cases())["violations"]
         checks.append(CheckRecord("odd_scan", float(violations), 0.0,

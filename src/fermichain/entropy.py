@@ -44,7 +44,7 @@ import numpy as np
 
 from . import car
 from .regions import Region
-from .states import DensityState, GibbsLog, restrict, spectral_entropy
+from .states import DensityState, restrict, spectral_entropy
 
 # Relative spectral cutoff separating genuine kernel directions from dust.
 _KERNEL_CUTOFF = 1e-12
@@ -110,34 +110,24 @@ def _nonnegative(value: float) -> EntropyValue:
     return EntropyValue(value=value, kernel_ok=True)
 
 
-def _against_gibbs(log: GibbsLog, density: np.ndarray,
-                   entropy: float) -> EntropyValue:
-    """``S = -S(D2) - Tr(D2 log D1)`` for a Gibbs reference ``D1``, whose
-    closed-form log makes it faithful: the kernel condition always holds."""
-    return _nonnegative(-entropy - log.trace_log(density))
-
-
 def relative_entropy(omega1: DensityState, omega2: DensityState) -> EntropyValue:
     """``S(omega1, omega2)``; finite only if ``omega2`` lives on the support
-    of ``omega1``, which holds whenever ``omega1`` is a Gibbs state."""
+    of ``omega1``, which holds whenever ``omega1`` is a Gibbs state: then
+    ``S = -S(D2) - Tr(D2 log D1)`` from the closed-form log, and the
+    kernel condition holds with no spectral cutoff."""
     if omega1.log is None:
         return relative_entropy_matrices(omega1.density, omega2.density)
-    return _against_gibbs(omega1.log, omega2.density, omega2.entropy())
+    return _nonnegative(-omega2.entropy() - omega1.log.trace_log(omega2.density))
 
 
 def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
                                 region: Region) -> EntropyValue:
-    """Relative entropy of the two restrictions to a region.
-
-    Both states are restricted and transferred to the standard matrix copy of
-    the region's algebra; monotonicity guarantees the result never exceeds
-    the global relative entropy.  A Gibbs state restricted to the region its
-    Hamiltonian lies in keeps its closed-form log.
-    """
-    rest1, rest2 = restrict(omega1, region), restrict(omega2, region)
-    if rest1.log is None:
-        return relative_entropy_matrices(rest1.rho, rest2.rho)
-    return _against_gibbs(rest1.log, rest2.rho, _entropy(rest2.rho))
+    """Relative entropy of the two restrictions to a region, each a state of
+    the region's own chain (:func:`states.restrict`); monotonicity
+    guarantees the result never exceeds the global relative entropy.  A
+    Gibbs state restricted to the region its Hamiltonian lies in keeps its
+    closed-form log."""
+    return relative_entropy(restrict(omega1, region), restrict(omega2, region))
 
 
 def _entropy(matrix: np.ndarray) -> float:

@@ -206,7 +206,7 @@ def validate_potential(potential: Potential) -> PotentialReport:
 
 
 # ---------------------------------------------------------------------------
-# named terms, models, and text serialization
+# named terms, potentials from term records, and models
 # ---------------------------------------------------------------------------
 
 

@@ -3,26 +3,26 @@
 Spontaneous breaking of the fermion grading would require a state with a
 nonzero odd expectation; these probes quantify how close a state comes.
 
-All three probes reduce questions about a restricted functional to finite
-linear algebra through the same device: a linear functional on the algebra
-of a region ``R``, written as ``B -> Tr(K B)`` with ``K`` in that algebra,
-has operator-norm dual
+Every probe asks about a few sites ``U`` and is answered on the
+restriction of the state to them (:func:`states.restrict`), a state of
+``U``'s own chain with a ``2**|U| x 2**|U|`` density read from the block
+diagonal in ``O(N 2**|U|)``: no probe forms an ``N x N`` array.  An element
+held on ``S`` inside ``U`` (:class:`car.AlgebraElement`, whose type
+guarantees the support claim) acts on the restriction as the element on
+``S.positions_in(U)``.  A functional on the algebra of a region ``R``,
+written as ``B -> Tr(K B)`` with ``K`` a ``2**|U|``-square matrix on
+``U``'s chain, ``R`` inside ``U``, has operator-norm dual
 
     sup { |Tr(K B)| : B in A_R, ||B|| <= 1 }
-        = (N / m) * (trace norm of the small representation of K),
+        = (2**|U| / m) * (trace norm of the small representation of K),
 
-where ``m = 2**|R|`` and ``N/m`` is the multiplicity of the embedding.  The
-small representation is the normalized partial trace, so it compresses any
-``K`` onto the region's algebra on its own: no separate conditional
-expectation is needed.
-
-Elements are held on their supports (:class:`car.AlgebraElement`), whose
-type guarantees the support claim (``from_matrix`` checks dense input once),
-so no probe re-checks it.  Products with a local factor never multiply two
-``2**L``-dimensional matrices: the factor acts through its small
-representation and the mode reordering (:func:`car.local_times`), in
-``O(N**2 m)`` for a factor on ``m = 2**|R|`` states, and ``omega(A* A)`` is
-the expectation of the ``m x m`` product.
+where ``m = 2**|R|`` and ``2**|U| / m`` is the multiplicity of the
+embedding.  The small representation is the normalized partial trace, so
+it compresses any ``K`` onto the region's algebra on its own: no separate
+conditional expectation is needed.  :func:`grading_asymmetry` is half the
+dual norm of ``K = rho - theta(rho)`` on ``U = R``; the grading commutes
+with the restriction exactly, so ``theta(rho)`` is the restriction of the
+grading image.  :func:`cluster_coefficient` takes ``U = supp A | R``.
 
 Odd self-adjoint elements supported on disjoint regions can only be
 correlated imaginarily: they anticommute, so their product is
@@ -34,13 +34,13 @@ functional outside the graded framework altogether.
 The two odd-correlation probes take any functional with one method,
 ``odd_pair(a, b)``, returning ``(omega(A B), omega(A* A), omega(B* B))``
 for odd self-adjoint ``A`` and ``B`` on disjoint supports; it is their
-one spelling of ``omega(A B)``.  A :class:`states.DensityState` lets ``A``
-act on the dense ``B``.  A :class:`states.FactorState`, the even part of
-``G G* / ||G||**2`` held by ``G`` alone, is exact through ``G``: ``A B``,
-``A* A`` and ``B* B`` are even, and on even ``X`` the state is
-``<G, X G> / ||G||**2``, so the three values are ``<A G, B G>``,
-``||A G||**2`` and ``||B G||**2`` over ``||G||**2``, from one product of
-each factor with ``G``.
+one spelling of ``omega(A B)``.  A :class:`states.DensityState` reads
+each of the three on the restriction to its product's support.  A
+:class:`states.FactorState`, the even part of ``G G* / ||G||**2`` held by
+``G`` alone, is exact through ``G``: ``A B``, ``A* A`` and ``B* B`` are
+even, and on even ``X`` the state is ``<G, X G> / ||G||**2``, so the three
+values are ``<A G, B G>``, ``||A G||**2`` and ``||B G||**2`` over
+``||G||**2``, from one product of each factor with ``G``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from . import car
 from .car import AlgebraElement
 from .regions import Region
-from .states import DensityState, FactorState
+from .states import DensityState, FactorState, restrict
 
 # Bound on |Re omega(A B)| and on the Cauchy-Schwarz excess in the odd scan
 _REAL_TOL = 1e-12
@@ -79,20 +79,19 @@ def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
 
     For a Gibbs state of a local potential this decays as the region recedes
     from the support of ``A``; a floor persisting at all distances signals
-    long-range order.
+    long-range order.  Both ``A`` and every ``B`` lie in the algebra of
+    ``U = supp A | R``, so the functional is ``B -> Tr(K B)`` on the
+    restriction ``rho_U`` with ``K = rho_U (A - omega(A))``, and its norm
+    is the dual norm of the module docstring on ``U``'s chain.
     """
     if not observable.support.is_orthogonal(region):
         raise ValueError("cluster probe region must be disjoint from the observable")
-    n = car.dim(omega.lattice_size)
-    m = car.dim(len(region))
-    mean = omega.expectation(observable)
-    # D A = (A^T D^T)^T, and embed commutes with the transpose (the
-    # reordering is real), so the local factor acts on the left
-    density = omega.density
-    hand = car.local_times(observable.small.T, observable.support,
-                           density.T).T - mean * density
-    small = car.small_representation(hand, region)
-    value = (n / m) * _trace_norm(small)
+    union = observable.support.union(region)
+    rest = restrict(omega, union)
+    local = observable.small_on(union)
+    hand = rest.density @ local - rest.expectation(local) * rest.density
+    small = car.small_representation(hand, region.positions_in(union))
+    value = car.dim(len(union)) / car.dim(len(region)) * _trace_norm(small)
     return ProbeResult(quantity=float(value), region=region)
 
 
@@ -100,21 +99,19 @@ def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
     """``sup |omega(W)|`` over odd self-adjoint ``W`` in the region's algebra
     of unit norm, with an attaining witness.
 
-    Equals half the norm distance between the state and its grading image on
-    the region, hence lies in ``[0, 1]``; it vanishes iff the state is even
-    there.  The witness is extracted from the spectral decomposition of the
-    compressed difference functional and then reduced to its odd part, which
-    changes nothing: even elements cannot see the difference of a state and
-    its grading image.
+    Equals half the trace-norm distance ``||rho - theta(rho)||_1 / 2``
+    between the restriction ``rho`` to the region and its grading image,
+    hence lies in ``[0, 1]``; it vanishes iff the state is even there.  The
+    witness is extracted from the ``m x m`` spectral decomposition of the
+    difference and then reduced to its odd part, which changes nothing:
+    even elements cannot see the difference of a state and its grading
+    image.
     """
-    n = car.dim(omega.lattice_size)
-    m = car.dim(len(region))
-    diff = omega.density - car.theta_matrix(omega.density, omega.lattice_size)
-    small = car.small_representation(diff, region)
-    small = (small + small.conj().T) / 2.0
-    decomposition = car.eigh(small)
+    rest = restrict(omega, region)
+    diff = rest.density - rest.theta().density
+    decomposition = car.eigh((diff + diff.conj().T) / 2.0)
     evals = np.concatenate([block for _, block, _ in decomposition])
-    value = 0.5 * (n / m) * float(np.sum(np.abs(evals)))
+    value = 0.5 * float(np.sum(np.abs(evals)))
 
     signs = [np.where(block >= 0.0, 1.0, -1.0) for _, block, _ in decomposition]
     opt = AlgebraElement(car.spectral_map(decomposition, signs), region)
@@ -173,6 +170,9 @@ def scan_odd_correlations(cases) -> dict:
                              f"{b.support.sites} overlap; the scan needs "
                              "disjoint supports")
         corr, aa, bb = omega.odd_pair(a, b)
+        # the next case is drawn before the loop rebinds omega: drop this
+        # state first, so a generator's cases are held one at a time
+        del omega
         envelope = np.sqrt(max(np.real(aa), 0.0) * max(np.real(bb), 0.0))
         real_part = abs(np.real(corr))
         excess = abs(corr) - envelope

@@ -226,8 +226,11 @@ class _Dual:
         self.project = project
         self.small_anchor = _hermitian(small_anchor)
         decomposition = car.eigh(self.small_anchor)
-        if min(float(np.min(w)) for _, w, _ in decomposition) <= 1e-13:
-            raise ValueError("constraint values must come from a faithful state")
+        smallest = min(float(np.min(w)) for _, w, _ in decomposition)
+        if smallest <= 1e-13:
+            raise ValueError("constraint values must come from a faithful "
+                             f"state: the anchor's smallest eigenvalue "
+                             f"{smallest:.3e} is not above 1e-13")
         self.log_anchor = _log(decomposition)
         self.drive = project.expand(self.log_anchor) - beta * h_i
         # Tr(expand(Y) G) = multiplicity * <Y, compress(G)>
@@ -372,7 +375,9 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     energy minus the best competitor (samples and the constrained
     maximizer); the report passes when every check does, each margin no
     worse than ``-1e-9``.  A maximizer that does not certify convergence
-    fails ``maximizer_certified``, with its final gradient norm as value.
+    fails ``maximizer_certified``, with its final gradient norm as value;
+    an anchor the maximizer refuses (not faithful to ``1e-13``) raises
+    ``ValueError``, which the command reports as an ``error`` record.
     """
     competitors = feasible_sampler(omega, region, mode, int(samples), seed)
     project = constraint_family(region, mode)
@@ -395,32 +400,28 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
         checks.append(CheckRecord("margin_samples", margin_samples, _MARGIN_TOL,
                                   margin_samples >= -_MARGIN_TOL))
 
-    try:
-        density, info = _maximize(project, small_base, h_i.matrix, beta)
-    except ValueError as exc:
-        notes.append(f"maximizer skipped: {exc}")
+    density, info = _maximize(project, small_base, h_i.matrix, beta)
+    f_max = _free_energy(DensityState(density, label="maximizer",
+                                      validate=False),
+                         project, h_i, beta)
+    free_energies["maximizer"] = f_max
+    if info.converged:
+        margin_max = f_base - f_max
+        margins.append(margin_max)
+        checks.append(CheckRecord("margin_maximizer", margin_max,
+                                  _MARGIN_TOL, margin_max >= -_MARGIN_TOL))
+        notes.append(
+            f"maximizer certified after {info.iterations} iterations "
+            f"(spread {info.certificate_spread:.2e})"
+        )
     else:
-        f_max = _free_energy(DensityState(density, label="maximizer",
-                                          validate=False),
-                             project, h_i, beta)
-        free_energies["maximizer"] = f_max
-        if info.converged:
-            margin_max = f_base - f_max
-            margins.append(margin_max)
-            checks.append(CheckRecord("margin_maximizer", margin_max,
-                                      _MARGIN_TOL, margin_max >= -_MARGIN_TOL))
-            notes.append(
-                f"maximizer certified after {info.iterations} iterations "
-                f"(spread {info.certificate_spread:.2e})"
-            )
-        else:
-            checks.append(CheckRecord("maximizer_certified", info.gradient_norm,
-                                      1e-10, False))
-            notes.append(
-                f"maximizer did not certify convergence "
-                f"({info.iterations} iterations, spread "
-                f"{info.certificate_spread:.2e}); margin uses samples only"
-            )
+        checks.append(CheckRecord("maximizer_certified", info.gradient_norm,
+                                  1e-10, False))
+        notes.append(
+            f"maximizer did not certify convergence "
+            f"({info.iterations} iterations, spread "
+            f"{info.certificate_spread:.2e}); margin uses samples only"
+        )
 
     margin = min(margins) if margins else math.inf
     return StabilityReport(free_energies=free_energies, margin=margin,
@@ -452,9 +453,10 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     psi_t = psi.theta()
     comp = region.complement()
 
-    rest_ref = restrict(phi_p, comp)
-    rest_defect = max(restrict(psi, comp).max_difference(rest_ref),
-                      restrict(psi_t, comp).max_difference(rest_ref))
+    rest_ref = restrict(phi_p, comp).density
+    rest_defect = max(
+        float(np.max(np.abs(restrict(state, comp).density - rest_ref)))
+        for state in (psi, psi_t))
 
     h_tilde_i = local_hamiltonian(prune(potential, region), region)
     hi_defect = h_tilde_i.norm()

@@ -188,11 +188,10 @@ class DensityState:
     def odd_pair(self, a: AlgebraElement,
                  b: AlgebraElement) -> tuple[complex, complex, complex]:
         """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` for ``A`` and
-        ``B`` on disjoint supports.  ``A`` acts on the dense ``B`` through
-        its small representation (:func:`car.local_times`), ``O(N**2 m)``
-        for ``m = 2**|supp A|``; the squares are read on their supports."""
-        product = car.local_times(a.small, a.support, b.matrix)
-        return (self.expectation(product),
+        ``B`` on disjoint supports, each read on the restriction to its
+        product's support (:meth:`expectation`): ``O(N 2**|U|)`` for
+        ``U = supp A | supp B``, with no ``N x N`` array formed."""
+        return (self.expectation(a @ b),
                 self.expectation(a.dagger() @ a),
                 self.expectation(b.dagger() @ b))
 
@@ -505,38 +504,30 @@ def perturbed_state(potential: Potential, beta: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RestrictedState:
-    """A state restricted to a region, held as its small density.
+def restrict(omega: DensityState, region: Region) -> DensityState:
+    """The restriction of ``omega`` to ``region``, as a state of the
+    region's own chain (site ``k`` is ``region.sites[k]``).
 
-    ``rho`` is the ``2**|R|``-dimensional density of the restriction on the
-    standard copy of the region's algebra (see :func:`car.small_representation`):
-    ``omega(B) = Tr(rho S)`` for every ``B`` in the region's algebra with
-    small representation ``S``.  The restriction of a Gibbs state to the
-    region its Hamiltonian lies in is the small Gibbs density, and ``log``
-    then holds its closed-form log.
+    Its density is the normalized fermionic partial trace of ``omega``'s
+    over the complement times ``2**(L - |R|)`` (Friis, Lee & Bruschi, Phys.
+    Rev. A 87, 022338 (2013)), so ``omega(B) = Tr(rho S)`` for every ``B``
+    in the region's algebra with small representation ``S``: an element
+    held on ``S`` inside the region is read on the restriction as the
+    element on ``S.positions_in(region)``.  It is read from the block
+    diagonal in the region's reordering, ``O(N 2**|R|)``.  The restriction
+    of a Gibbs state to the region its Hamiltonian lies in is the small
+    Gibbs density and keeps the closed-form log.  The grading commutes with
+    it exactly: the parity signs are ``+-1`` and, on each block, those of
+    the traced-out modes cancel, so ``restrict(omega.theta(), R)`` equals
+    ``restrict(omega, R).theta()``.
     """
-
-    region: Region
-    rho: np.ndarray
-    log: GibbsLog | None = None
-
-    def max_difference(self, other: "RestrictedState") -> float:
-        """Largest entry of the difference of the two small densities."""
-        if other.region != self.region:
-            raise ValueError("restrictions live on different regions")
-        return float(np.max(np.abs(self.rho - other.rho)))
-
-
-def restrict(omega: DensityState, region: Region) -> RestrictedState:
-    """The restriction of ``omega`` to ``region``: the fermionic partial
-    trace of its density over the complement."""
     multiplicity = car.dim(omega.lattice_size - len(region))
     rho = multiplicity * car.small_representation(omega.density, region)
     log = None
     if omega.log is not None and omega.log.region == region:
         log = replace(omega.log, region=None)
-    return RestrictedState(region=region, rho=rho, log=log)
+    return DensityState(rho, label=f"{omega.label}|{region.label()}",
+                        validate=False, log=log)
 
 
 def product_check(omega: DensityState, region: Region) -> float:
@@ -663,8 +654,11 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
 
 def remark2_restriction_defect(outer: DensityState, state: DensityState) -> float:
     """Largest entry of the difference between the restriction of ``state``
-    outside site 0 and that of the even average of ``outer``."""
+    outside site 0 and the even average ``(rho + theta(rho)) / 2`` of the
+    restriction ``rho`` of ``outer`` there.  The grading commutes with the
+    restriction (:func:`restrict`), so this is the restriction of the even
+    average of ``outer``, with no ``N x N`` average formed."""
     comp = Region((0,), outer.lattice_size).complement()
-    target = DensityState(0.5 * (outer.density + outer.theta().density),
-                          label="even-average", validate=False)
-    return restrict(state, comp).max_difference(restrict(target, comp))
+    rho = restrict(outer, comp)
+    target = 0.5 * (rho.density + rho.theta().density)
+    return float(np.max(np.abs(restrict(state, comp).density - target)))

@@ -289,7 +289,7 @@ def test_criterion_8_single_site_vector_state():
     target = 0.5 * (outer.density + car.theta_matrix(outer.density, lattice))
     expected = car.monomial_basis(comp).expectations(target)
     got = car.monomial_basis(Region.full(len(comp))).expectations(
-        restrict(state, comp).rho)
+        restrict(state, comp).density)
     defect = float(np.max(np.abs(expected - got)))
     assert defect <= 1e-10
 

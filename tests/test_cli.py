@@ -287,6 +287,20 @@ def test_an_uncertified_maximizer_is_a_failed_check(monkeypatch, tmp_path):
     assert record["value"] > record["tolerance"] == 1e-10
 
 
+def test_a_refused_maximizer_is_an_error_record(tmp_path, capsys):
+    # at beta = 50 the anchor of the slice has an eigenvalue below 1e-13, so
+    # the maximizer refuses it: the run ends in one error record and exit 1,
+    # not in a pass on the samples alone
+    out = tmp_path / "report.jsonl"
+    assert run(["lts", "--length", "4", "--region", "1", "--beta", "50",
+                "--samples", "20", "--out", str(out)]) == 1
+    records = read_records(out)
+    assert [r["check"] for r in records] == ["error"]
+    assert not records[0]["pass"]
+    err = capsys.readouterr().err
+    assert "smallest eigenvalue" in err and "1e-13" in err
+
+
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
                                                  capsys):
     def exhausted(cfg):

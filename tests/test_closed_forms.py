@@ -59,8 +59,8 @@ def check_closed_forms(lattice, model, beta, sites):
 
     comp = region.complement()
     got = restricted_relative_entropy(phi, full, comp)
-    want = relative_entropy_matrices(restrict(phi, comp).rho,
-                                     restrict(full, comp).rho)
+    want = relative_entropy_matrices(restrict(phi, comp).density,
+                                     restrict(full, comp).density)
     assert restrict(phi, comp).log is not None
     assert close(got.value, want.value), (got.value, want.value)
 

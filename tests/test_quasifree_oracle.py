@@ -43,7 +43,7 @@ def test_gibbs_two_point_matrix(case):
 def test_entropies_of_restrictions(case):
     region, _, state, c = case
     for part in (region, region.complement()):
-        rho = restrict(state, part).rho
+        rho = restrict(state, part).density
         got = spectral_entropy(car.eigvalsh(rho))
         want = oracle.entropy(oracle.restricted(c, part.sites))
         assert close(got, want), (part.sites, got, want)

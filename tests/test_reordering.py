@@ -181,8 +181,8 @@ def test_restriction_values_and_labels_match_the_tables(region, seed):
     rest = restrict(omega, region)
     basis = car.monomial_basis(region)
     # the small density of an empty region is the 1 x 1 matrix of Tr(D)
-    values = (car.monomial_basis(Region.full(len(region))).expectations(rest.rho)
-              if len(region) else rest.rho[0])
+    values = (car.monomial_basis(Region.full(len(region))).expectations(rest.density)
+              if len(region) else rest.density[0])
     assert np.max(np.abs(values - basis.expectations(omega.density))) <= TOL
 
 

@@ -216,7 +216,7 @@ def test_restriction_values_match_dense_traces():
     omega = random_density(lattice, np.random.default_rng(1))
     rest = restrict(omega, region)
     basis = car.monomial_basis(region)
-    values = car.monomial_basis(Region.full(len(region))).expectations(rest.rho)
+    values = car.monomial_basis(Region.full(len(region))).expectations(rest.density)
     for k in range(len(basis)):
         want = np.trace(omega.density @ basis[k].dense())
         assert abs(values[k] - want) < 1e-12
@@ -229,11 +229,24 @@ def test_restriction_evaluate_and_errors():
     rest = restrict(omega, region)
     num = number(0, lattice)
     small_num = car.small_representation(num.matrix, region)
-    assert abs(np.trace(rest.rho @ small_num)
+    assert abs(np.trace(rest.density @ small_num)
                - omega.expectation(num.matrix)) < 1e-12
-    other = restrict(omega, Region.of([0], lattice))
-    with pytest.raises(ValueError):
-        rest.max_difference(other)
+
+
+@pytest.mark.parametrize("lattice, sites", [
+    (1, (0,)), (3, (0, 2)), (4, (1, 2)), (5, (0, 3, 4)), (6, (2, 5)),
+    (6, (0, 1, 2, 3, 4, 5))])
+def test_restriction_commutes_with_the_grading_exactly(lattice, sites):
+    # the parity signs are +-1, and on each block of the reordering those of
+    # the traced-out modes cancel: restricting the grading image and
+    # grading the restriction give equal entries, with no rounding
+    omega = random_density(lattice, np.random.default_rng(lattice))
+    assert omega.evenness_defect() > 1e-3
+    region = Region.of(sites, lattice)
+    got = restrict(omega.theta(), region)
+    want = restrict(omega, region).theta()
+    assert got.lattice_size == len(region)
+    assert np.array_equal(got.density, want.density)
 
 
 def test_product_extension_factorizes_through_tau():
@@ -243,7 +256,8 @@ def test_product_extension_factorizes_through_tau():
     ext = DensityState(car.conditional_expectation_matrix(omega.density,
                                                           region))
     # reproduces the restriction ...
-    assert restrict(ext, region).max_difference(restrict(omega, region)) < 1e-12
+    assert np.max(np.abs(restrict(ext, region).density
+                         - restrict(omega, region).density)) < 1e-12
     # ... and factorizes against the complement
     assert product_check(ext, region.complement()) < 1e-12
 
@@ -252,7 +266,7 @@ def test_small_density_represents_the_restriction():
     lattice = 4
     region = Region.of([1, 2], lattice)
     omega = random_density(lattice, np.random.default_rng(4))
-    small = restrict(omega, region).rho
+    small = restrict(omega, region).density
     m = car.dim(len(region))
     assert small.shape == (m, m)
     evals = np.linalg.eigvalsh(small)
@@ -341,7 +355,8 @@ def test_noneven_perturbation_is_invisible_outside():
     psi = noneven_perturbation(phi, region)
     comp = region.complement()
     # exactly the same restriction outside ...
-    assert restrict(psi, comp).max_difference(restrict(phi, comp)) == 0.0
+    assert np.max(np.abs(restrict(psi, comp).density
+                         - restrict(phi, comp).density)) == 0.0
     # ... yet genuinely different and noneven
     assert np.max(np.abs(psi.density - phi.density)) > 1e-4
     assert psi.evenness_defect() > 1e-4
@@ -381,7 +396,7 @@ def test_remark2_vector_state():
     target = 0.5 * (outer.density + outer.theta().density)
     expected = car.monomial_basis(comp).expectations(target)
     got = car.monomial_basis(Region.full(len(comp))).expectations(
-        restrict(state, comp).rho)
+        restrict(state, comp).density)
     assert np.max(np.abs(expected - got)) < 1e-10
 
 
