@@ -12,18 +12,22 @@ the occupation basis.  The layers, bottom to top:
   anticommutation relations, the fermion grading, and local structure
   through one fermionic mode reordering: small representations (partial
   traces), their inverse embeddings, conditional expectations onto local
-  algebras; trace-orthogonal monomial bases, kept as the tests' oracle;
+  algebras; Hermitian decompositions, real or complex by dtype alone and
+  by parity block for real even data; the validator of the odd pairs the
+  probes take; trace-orthogonal monomial bases, kept as the tests' oracle;
 - :mod:`fermichain.potentials` — interactions as local terms held on their
   supports, their standard form, local and total Hamiltonians;
-- :mod:`fermichain.states` — density states: Gibbs, decoupled
-  equilibria, restrictions, noneven perturbations, and a vector state that
-  is even outside one site yet maximally noneven on it;
-- :mod:`fermichain.entropy` — relative and conditional entropy;
+- :mod:`fermichain.states` — density states: Gibbs (of the whole chain, or
+  of an element held inside a region), decoupled equilibria, restrictions,
+  noneven perturbations, and a vector state that is even outside one site
+  yet maximally noneven on it;
+- :mod:`fermichain.entropy` — relative and conditional entropy as floats
+  (``inf`` when the kernel condition fails);
 - :mod:`fermichain.stability` — the local free energy, projections onto
   the constraint algebras (the complement's algebra and the region's
   commutant), variational checks of local thermal stability with the
-  constrained free-energy maximizer, and the pipeline showing noneven
-  states lose free energy strictly;
+  constrained free-energy maximizer, certified by its gradient norm alone,
+  and the pipeline showing noneven states lose free energy strictly;
 - :mod:`fermichain.probes` — symmetry probes: clustering, grading
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
@@ -35,7 +39,7 @@ gather/scatter operations of the monomial oracle, which only the tests use.
 from .car import (AlgebraElement, Monomial, MonomialBasis, annihilator,
                   embed, mode_reordering, monomial_basis, random_element,
                   small_representation, theta)
-from .entropy import (EntropyValue, conditional_entropy, relative_entropy,
+from .entropy import (conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
 from .potentials import (MODELS, Potential, PotentialReport, build_model,
@@ -59,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
-    "EntropyValue", "FactorState", "MAX_SITES", "MODELS",
+    "FactorState", "MAX_SITES", "MODELS",
     "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region",
     "StabilityReport", "annihilator", "build_model",

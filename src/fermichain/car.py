@@ -44,10 +44,11 @@ in the reordered basis, never the whole matrix.
 Every Hermitian decomposition of the package goes through one helper,
 :func:`spectral_blocks`.  An even operator commutes with the grading, so in
 the parity order (:func:`parity_order`: even-popcount states, then odd) it
-is ``diag(X_+, X_-)``, and every preset is real.  The helper hands a real
-matrix whose parity-changing blocks are exactly zero over as its two real
-``2**L / 2``-square blocks, any other real matrix whole and real, and a
-matrix with a nonzero imaginary part whole and as it is.  :func:`eigvalsh`,
+is ``diag(X_+, X_-)``, and every preset is real.  The helper decides by
+the dtype alone, as :func:`as_float` does: it hands a real matrix whose
+parity-changing blocks are exactly zero over as its two real
+``2**L / 2``-square blocks, any other real matrix whole, and a complex
+matrix whole and as it is.  :func:`eigvalsh`,
 :func:`eigh` and :func:`spectral_map` are its thin users.  With one BLAS
 thread, the two real half-size blocks of the ``hopping`` Hamiltonian
 decompose 6.6 times faster than the complex whole at ``N = 256`` and 17
@@ -162,25 +163,22 @@ def spectral_blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | None,
     each with the occupation states of its rows and columns (``None`` for
     the whole matrix).
 
-    Complex data whose imaginary part is not exactly zero is returned whole,
-    as it is: no copy and no parity test.  Otherwise only the real part is
-    decomposed, and when both parity-changing blocks of it are exactly zero
-    (the matrix commutes with the grading, as every even operator does), it
-    splits into the two real blocks of :func:`parity_order`; a single
-    nonzero parity-changing entry keeps the whole real matrix.  The branch
-    reads only the data, and every branch gives the same spectrum: the
+    A complex matrix is returned whole, as it is: the dtype alone decides,
+    as in :func:`as_float`, so there is no copy and no parity test.  A real
+    matrix whose parity-changing blocks are both exactly zero (it commutes
+    with the grading, as every even operator does) splits into the two real
+    blocks of :func:`parity_order`; a single nonzero parity-changing entry
+    keeps the whole matrix.  Every branch gives the same spectrum: the
     blocks' spectra together are the matrix's.
     """
-    if np.iscomplexobj(matrix) and np.any(matrix.imag):
+    n = matrix.shape[0]
+    if np.iscomplexobj(matrix) or n < 2 or n & (n - 1):
         return [(None, matrix)]
-    real = matrix.real
-    n = real.shape[0]
-    if n < 2 or n & (n - 1):
-        return [(None, real)]
     even, odd = parity_order(n.bit_length() - 1)
-    if np.any(real[np.ix_(even, odd)]) or np.any(real[np.ix_(odd, even)]):
-        return [(None, real)]
-    return [(even, real[np.ix_(even, even)]), (odd, real[np.ix_(odd, odd)])]
+    if np.any(matrix[np.ix_(even, odd)]) or np.any(matrix[np.ix_(odd, even)]):
+        return [(None, matrix)]
+    return [(even, matrix[np.ix_(even, even)]),
+            (odd, matrix[np.ix_(odd, odd)])]
 
 
 def eigvalsh(matrix: np.ndarray) -> np.ndarray:
@@ -435,6 +433,19 @@ def require_odd_self_adjoint(element: AlgebraElement, name: str) -> None:
         raise ValueError(f"{name} is not self-adjoint")
     if np.max(np.abs((element + theta(element)).small)) > 1e-12 * scale:
         raise ValueError(f"{name} is not odd")
+
+
+def require_odd_pair(a: AlgebraElement, b: AlgebraElement) -> None:
+    """Refuse (``ValueError``) what the odd-pair protocol does not take:
+    an element that is not odd and self-adjoint
+    (:func:`require_odd_self_adjoint`), or two elements whose supports
+    overlap."""
+    require_odd_self_adjoint(a, "first element")
+    require_odd_self_adjoint(b, "second element")
+    if not a.support.is_orthogonal(b.support):
+        raise ValueError(f"odd elements on {a.support.sites} and "
+                         f"{b.support.sites} overlap; the pair needs "
+                         "disjoint supports")
 
 
 # ---------------------------------------------------------------------------

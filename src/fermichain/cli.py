@@ -223,8 +223,8 @@ def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     phi = perturbed_state(potential, cfg.beta, region)
     product = product_check(phi, region)
     bound = 2.0 * abs(cfg.beta) * local_hamiltonian(potential, region).norm()
-    forward = relative_entropy(state, phi).value
-    backward = relative_entropy(phi, state).value
+    forward = relative_entropy(state, phi)
+    backward = relative_entropy(phi, state)
     slack = bound - max(forward, backward)
     even = phi.evenness_defect()
     return region.label(), [
@@ -238,10 +238,9 @@ def run_entropy(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     region = cfg.region()
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region)
-    rel = relative_entropy(phi, state).value
+    rel = relative_entropy(phi, state)
     sc = conditional_entropy(state, region)
-    restricted = restricted_relative_entropy(phi, state,
-                                             region.complement()).value
+    restricted = restricted_relative_entropy(phi, state, region.complement())
     mono = rel - restricted
     return region.label(), [
         CheckRecord("relative_entropy", rel, 1e-12, rel >= -1e-12),

@@ -7,9 +7,9 @@ Conventions.  For two states the relative entropy is ordered so that the
 
 finite exactly when the kernel of ``D1`` sits inside the kernel of ``D2``
 (equivalently, the support of ``D2`` inside that of ``D1``); otherwise the
-value is ``+inf`` and the returned object says so.  It is jointly convex,
-vanishes only at equal states, and can only shrink under restriction to a
-subregion.
+value is ``+inf``; every relative entropy is a plain float.  It is jointly
+convex, vanishes only at equal states, and can only shrink under
+restriction to a subregion.
 
 The conditional entropy of a state on a region ``I`` measures how far the
 state is from factorizing through the normalized trace on ``I``:
@@ -38,7 +38,6 @@ spectral route for references with no closed-form log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +52,9 @@ _KERNEL_CUTOFF = 1e-12
 _NEGATIVE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """A relative-entropy value together with its kernel-condition verdict."""
-
-    value: float
-    kernel_ok: bool
-
-    @property
-    def finite(self) -> bool:
-        return self.kernel_ok and math.isfinite(self.value)
-
-
-def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
-    """Relative entropy from raw density matrices (first argument = reference).
+def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> float:
+    """Relative entropy from raw density matrices (first argument = reference),
+    ``inf`` when the kernel condition fails.
 
     Values are computed entirely on the support of the reference: the
     entropic terms use every positive eigenvalue (the function ``x log x``
@@ -94,23 +82,23 @@ def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> EntropyValue:
         diag2 = np.real(np.sum(u1.conj() * (block2 @ u1), axis=0))
         cross += float(np.sum(np.log(lam[support1]) * diag2[support1]))
     if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
-        return EntropyValue(value=math.inf, kernel_ok=False)
+        return math.inf
 
     ent2 = -spectral_entropy(lam2)
     return _nonnegative(ent2 - cross)
 
 
-def _nonnegative(value: float) -> EntropyValue:
+def _nonnegative(value: float) -> float:
     """A computed relative entropy, with rounding below zero clipped away."""
     if value < 0.0:
         if value < -_NEGATIVE_SLACK:
             raise RuntimeError(f"relative entropy came out {value:.3e} < 0; "
                                "inputs are not valid densities")
         value = 0.0
-    return EntropyValue(value=value, kernel_ok=True)
+    return value
 
 
-def relative_entropy(omega1: DensityState, omega2: DensityState) -> EntropyValue:
+def relative_entropy(omega1: DensityState, omega2: DensityState) -> float:
     """``S(omega1, omega2)``; finite only if ``omega2`` lives on the support
     of ``omega1``, which holds whenever ``omega1`` is a Gibbs state: then
     ``S = -S(D2) - Tr(D2 log D1)`` from the closed-form log, and the
@@ -121,7 +109,7 @@ def relative_entropy(omega1: DensityState, omega2: DensityState) -> EntropyValue
 
 
 def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
-                                region: Region) -> EntropyValue:
+                                region: Region) -> float:
     """Relative entropy of the two restrictions to a region, each a state of
     the region's own chain (:func:`states.restrict`); monotonicity
     guarantees the result never exceeds the global relative entropy.  A

@@ -33,8 +33,9 @@ functional outside the graded framework altogether.
 
 The two odd-correlation probes take any functional with one method,
 ``odd_pair(a, b)``, returning ``(omega(A B), omega(A* A), omega(B* B))``
-for odd self-adjoint ``A`` and ``B`` on disjoint supports; it is their
-one spelling of ``omega(A B)``.  A :class:`states.DensityState` reads
+for odd self-adjoint ``A`` and ``B`` on disjoint supports and refusing
+anything else through one validator, :func:`car.require_odd_pair`; it is
+their one spelling of ``omega(A B)``.  A :class:`states.DensityState` reads
 each of the three on the restriction to its product's support.  A
 :class:`states.FactorState`, the even part of ``G G* / ||G||**2`` held by
 ``G`` alone, is exact through ``G``: ``A B``, ``A* A`` and ``B* B`` are
@@ -127,13 +128,9 @@ def purely_imaginary_check(omega: DensityState | FactorState,
     Zero identically: the adjoint of the product is ``B A = -A B``, so the
     expectation equals minus its own conjugate and its real part vanishes
     for every state — the correlation of disjoint odd observables can only
-    be imaginary.  Inputs are validated; the return value is the raw
-    residual.
+    be imaginary.  ``omega.odd_pair`` refuses other inputs
+    (:func:`car.require_odd_pair`); the return value is the raw residual.
     """
-    if not a.support.is_orthogonal(b.support):
-        raise ValueError("elements must have disjoint supports")
-    car.require_odd_self_adjoint(a, "first element")
-    car.require_odd_self_adjoint(b, "second element")
     corr, _, _ = omega.odd_pair(a, b)
     return float(abs(np.real(corr)))
 
@@ -147,9 +144,10 @@ def scan_odd_correlations(cases) -> dict:
     violation count and the worst observed values (NaN if any case gave
     NaN); a nonzero count would exhibit a state outside the even-state
     framework the probes assume.  The bound on the real part holds only for
-    disjoint supports, so a case whose supports overlap is refused with
-    ``ValueError``.  ``cases`` may be any iterable, a generator included;
-    the count of cases scanned is reported.
+    odd self-adjoint elements on disjoint supports, so ``omega.odd_pair``
+    refuses any other case (:func:`car.require_odd_pair`).  ``cases`` may
+    be any iterable, a generator included; the count of cases scanned is
+    reported.
 
     The three values of a case come from one call, ``omega.odd_pair(a, b)``
     (the module's functional protocol).  A :class:`states.FactorState`
@@ -165,10 +163,6 @@ def scan_odd_correlations(cases) -> dict:
     worst_excess = -np.inf
     for omega, a, b in cases:
         count += 1
-        if not a.support.is_orthogonal(b.support):
-            raise ValueError(f"odd elements on {a.support.sites} and "
-                             f"{b.support.sites} overlap; the scan needs "
-                             "disjoint supports")
         corr, aa, bb = omega.odd_pair(a, b)
         # the next case is drawn before the loop rebinds omega: drop this
         # state first, so a generator's cases are held one at a time

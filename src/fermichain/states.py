@@ -187,10 +187,13 @@ class DensityState:
 
     def odd_pair(self, a: AlgebraElement,
                  b: AlgebraElement) -> tuple[complex, complex, complex]:
-        """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` for ``A`` and
-        ``B`` on disjoint supports, each read on the restriction to its
-        product's support (:meth:`expectation`): ``O(N 2**|U|)`` for
-        ``U = supp A | supp B``, with no ``N x N`` array formed."""
+        """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` for odd
+        self-adjoint ``A`` and ``B`` on disjoint supports (anything else is
+        refused by :func:`car.require_odd_pair`), each read on the
+        restriction to its product's support (:meth:`expectation`):
+        ``O(N 2**|U|)`` for ``U = supp A | supp B``, with no ``N x N``
+        array formed."""
+        car.require_odd_pair(a, b)
         return (self.expectation(a @ b),
                 self.expectation(a.dagger() @ a),
                 self.expectation(b.dagger() @ b))
@@ -276,19 +279,12 @@ class FactorState:
     def lattice_size(self) -> int:
         return int(self.factor.shape[0]).bit_length() - 1
 
-    def expectation(self, op: AlgebraElement) -> complex:
-        """``omega(X) = <G, X_even G> / ||G||**2``, with ``X_even`` acting
-        on ``G`` through its small representation."""
-        even = 0.5 * (op + car.theta(op))
-        image = car.local_times(even.small, even.support, self.factor)
-        return complex(np.vdot(self.factor, image)) / self._weight
-
     def odd_pair(self, a: AlgebraElement,
                  b: AlgebraElement) -> tuple[complex, complex, complex]:
         """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` from ``A G``
         and ``B G``, each formed once.  The identities need ``A`` and ``B``
         odd and self-adjoint on disjoint supports, so anything else is
-        refused (``ValueError``).
+        refused by :func:`car.require_odd_pair`.
 
         The three values are inner products, which a signed permutation of
         the rows keeps, so each column block of ``G`` is gathered once by
@@ -300,10 +296,7 @@ class FactorState:
         product with the odd ``B`` carries ``supp A``'s grading sign
         ``(-1)**(|A| - popcount(x))`` on row ``x``.
         """
-        car.require_odd_self_adjoint(a, "first element")
-        car.require_odd_self_adjoint(b, "second element")
-        if not a.support.is_orthogonal(b.support):
-            raise ValueError("elements must have disjoint supports")
+        car.require_odd_pair(a, b)
         index, sign = _pair_gather(a.support, b.support)
         (a_eo, a_oe), (b_eo, b_oe) = _odd_blocks(a), _odd_blocks(b)
         ha, hb = a_eo.shape[0], b_eo.shape[0]
@@ -370,13 +363,13 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
                 region: Region | None = None) -> DensityState:
     """``e^(-beta H) / Z``, computed from the eigendecomposition of ``H``.
 
-    With ``region``, ``H`` must lie in the region's algebra: only its
-    ``2**|region|``-dimensional small representation ``h`` is diagonalized,
-    and the density is ``car.embed(e^(-beta h)) / Z``.  An
-    :class:`car.AlgebraElement` held on a support inside the region gives
-    ``h`` through ``small_on``, and its type guarantees the claim; any other
-    ``H`` is made dense, compressed and checked against its compression.
-    The state records its log in closed form (:class:`GibbsLog`).
+    With ``region``, ``H`` must be a :class:`car.AlgebraElement` held on a
+    support inside the region, whose type guarantees that it lies in the
+    region's algebra; anything else, a dense ``H`` included, is refused
+    (``ValueError``).  Only its ``2**|region|``-dimensional small
+    representation ``h`` (``small_on``) is diagonalized, and the density is
+    ``car.embed(e^(-beta h)) / Z``.  The state records its log in closed
+    form (:class:`GibbsLog`).
 
     ``h`` is decomposed by :func:`car.eigh`: an even real ``h`` as its two
     real parity blocks.  The shift ``E0``, ``Z`` and the log come from the
@@ -384,21 +377,19 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
     into an output of the blocks' dtype, real for a real ``h``, so besides
     it only a few half-size real arrays are held.
     """
-    dense = not (region is not None
-                 and isinstance(hamiltonian, AlgebraElement)
-                 and hamiltonian.support.is_subregion(region))
-    h = _as_matrix(hamiltonian) if dense else hamiltonian.small_on(region)
+    if region is None:
+        h = _as_matrix(hamiltonian)
+    elif (isinstance(hamiltonian, AlgebraElement)
+          and hamiltonian.support.is_subregion(region)):
+        h = hamiltonian.small_on(region)
+    else:
+        raise ValueError("Hamiltonian is not an element held in the algebra "
+                         f"of region {region.sites}")
     scale = max(1.0, float(np.max(np.abs(h))))
     if car.hermitian_defect(h) > 1e-12 * scale:
         raise ValueError("Hamiltonian is not self-adjoint")
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if region is not None and dense:
-        full = h
-        h = car.small_representation(full, region)
-        if np.max(np.abs(car.embed(h, region) - full)) > 1e-12 * scale:
-            raise ValueError("Hamiltonian does not lie in the algebra of "
-                             f"region {region.sites}")
     decomposition = car.eigh(h)
     eps = np.concatenate([block_eps for _, block_eps, _ in decomposition])
     # shift the spectrum so the largest weight is 1 before normalizing

@@ -168,7 +168,7 @@ def test_criterion_3_entropy_bound_and_monotonicity():
             bound = 2.0 * abs(beta) * float(np.linalg.norm(
                 local_hamiltonian(potential, region).matrix, 2))
             for first, second in ((gibbs, phi), (phi, gibbs)):
-                value = relative_entropy(first, second).value
+                value = relative_entropy(first, second)
                 worst_slack = min(worst_slack, bound - value)
     assert worst_slack >= 0.0
 
@@ -180,9 +180,9 @@ def test_criterion_3_entropy_bound_and_monotonicity():
     for k in range(100):
         omega1 = _random_density(lattice, rng)
         omega2 = _random_density(lattice, rng)
-        full = relative_entropy(omega1, omega2).value
+        full = relative_entropy(omega1, omega2)
         part = restricted_relative_entropy(omega1, omega2,
-                                           regions[k % len(regions)]).value
+                                           regions[k % len(regions)])
         worst_gap = min(worst_gap, full - part)
     assert worst_gap >= -1e-10
     print(f"criterion 3 (entropy bound / monotonicity): PASS — slack "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fermichain import car
@@ -36,9 +36,7 @@ def random_state(lattice, rng):
 
 def test_relative_entropy_vanishes_on_the_diagonal():
     omega = random_state(3, np.random.default_rng(0))
-    result = relative_entropy(omega, omega)
-    assert result.kernel_ok
-    assert 0.0 <= result.value < 1e-13
+    assert 0.0 <= relative_entropy(omega, omega) < 1e-13
 
 
 def test_relative_entropy_pure_vs_tracial_oracle():
@@ -48,8 +46,7 @@ def test_relative_entropy_pure_vs_tracial_oracle():
     pure[0, 0] = 1.0
     # reference = normalized trace: S(tau, pure) = log(dim) = L log 2
     result = relative_entropy(DensityState(np.eye(n) / n), DensityState(pure))
-    assert result.finite
-    assert abs(result.value - lattice * math.log(2)) < 1e-12
+    assert abs(result - lattice * math.log(2)) < 1e-12
 
 
 def test_relative_entropy_detects_kernel_violation():
@@ -57,12 +54,14 @@ def test_relative_entropy_detects_kernel_violation():
     pure = np.zeros((n, n), dtype=complex)
     pure[0, 0] = 1.0
     mixed = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    result = relative_entropy_matrices(pure, mixed)
-    assert not result.kernel_ok
-    assert not result.finite
-    assert result.value == math.inf
+    # a kernel leak is a plain float infinity, on every route to the value
+    assert relative_entropy_matrices(pure, mixed) == math.inf
+    pure_state, mixed_state = DensityState(pure), DensityState(mixed)
+    assert relative_entropy(pure_state, mixed_state) == math.inf
+    assert restricted_relative_entropy(pure_state, mixed_state,
+                                       Region.full(2)) == math.inf
     # the opposite ordering is fine: the mixed reference dominates everything
-    assert relative_entropy_matrices(mixed, pure).finite
+    assert math.isfinite(relative_entropy_matrices(mixed, pure))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -70,9 +69,7 @@ def test_relative_entropy_is_nonnegative(seed):
     rng = np.random.default_rng(seed)
     a = random_density_matrix(8, rng)
     b = random_density_matrix(8, rng)
-    result = relative_entropy_matrices(a, b)
-    assert result.kernel_ok
-    assert result.value >= 0.0
+    assert 0.0 <= relative_entropy_matrices(a, b) < math.inf
 
 
 def random_unitary(n, rng):
@@ -84,10 +81,17 @@ def density_with_spectrum(q, spectrum):
     return (q * (spectrum / np.sum(spectrum))) @ q.conj().T
 
 
+def logm_terms(d1, d2):
+    """Oracle: ``Tr(D2 logm D2)`` and ``Tr(D2 logm D1)``, with scipy's
+    matrix logarithm; the relative entropy is their difference."""
+    return tuple(float(np.real(np.trace(d2 @ scipy.linalg.logm(d))))
+                 for d in (d2, d1))
+
+
 def logm_relative_entropy(d1, d2):
-    """Oracle: ``Tr(D2 (logm D2 - logm D1))`` with scipy's matrix logarithm."""
-    return float(np.real(np.trace(
-        d2 @ (scipy.linalg.logm(d2) - scipy.linalg.logm(d1)))))
+    """Oracle: ``Tr(D2 (logm D2 - logm D1))``."""
+    own, cross = logm_terms(d1, d2)
+    return own - cross
 
 
 # The densities below have spectra in [0.01, 1] before normalization.  The
@@ -95,9 +99,15 @@ def logm_relative_entropy(d1, d2):
 # reference, so on nearly singular Wishart samples any floating-point
 # evaluation (this one and logm alike) drifts past 1e-12 relative; bounding
 # the spectrum keeps the comparison about the contraction, not conditioning.
+# The value is a difference of the two terms S(D2) and Tr(D2 log D1), each
+# carrying its own rounding, so it is compared at 1e-12 of their scale: two
+# nearby states give a value far below them (3.5e-4 against terms near
+# -0.69 at lattice=1, seed=1019, where the two routes differ by 3e-16 to
+# 5e-16, more than 1e-12 of the value).
 
-@given(st.integers(min_value=1, max_value=5),
-       st.integers(min_value=0, max_value=10_000))
+@given(lattice=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=10_000))
+@example(lattice=1, seed=1019)
 def test_relative_entropy_matches_logm_oracle(lattice, seed):
     rng = np.random.default_rng(seed)
     n = car.dim(lattice)
@@ -105,9 +115,8 @@ def test_relative_entropy_matches_logm_oracle(lattice, seed):
                                     rng.uniform(0.01, 1.0, n))
               for _ in range(2))
     got = relative_entropy_matrices(d1, d2)
-    want = logm_relative_entropy(d1, d2)
-    assert got.kernel_ok
-    assert abs(got.value - want) <= 1e-12 * abs(want)
+    own, cross = logm_terms(d1, d2)
+    assert abs(got - (own - cross)) <= 1e-12 * max(abs(own), abs(cross))
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -123,9 +132,7 @@ def test_relative_entropy_kernel_leak_oracle(lattice, seed):
     # weight on a kernel vector of the reference: infinite
     d2 = density_with_spectrum(random_unitary(n, rng),
                                rng.uniform(0.01, 1.0, n))
-    leaked = relative_entropy_matrices(d1, d2)
-    assert not leaked.kernel_ok
-    assert leaked.value == math.inf
+    assert relative_entropy_matrices(d1, d2) == math.inf
     # weight only on the reference's support: finite, and equal to the
     # oracle evaluated in a basis of that support
     support = q[:, kernel:]
@@ -134,9 +141,8 @@ def test_relative_entropy_kernel_leak_oracle(lattice, seed):
     d2 = support @ inner @ support.conj().T
     got = relative_entropy_matrices(d1, d2)
     want = logm_relative_entropy(support.conj().T @ d1 @ support, inner)
-    assert got.kernel_ok
     # a one-dimensional support makes both states equal and the value 0
-    assert abs(got.value - want) <= 1e-12 * max(abs(want), 1.0)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 def test_relative_entropy_is_unitarily_invariant():
@@ -145,9 +151,9 @@ def test_relative_entropy_is_unitarily_invariant():
     b = random_density_matrix(8, rng)
     u = np.linalg.qr(rng.standard_normal((8, 8))
                      + 1j * rng.standard_normal((8, 8)))[0]
-    plain = relative_entropy_matrices(a, b).value
+    plain = relative_entropy_matrices(a, b)
     rotated = relative_entropy_matrices(u @ a @ u.conj().T,
-                                        u @ b @ u.conj().T).value
+                                        u @ b @ u.conj().T)
     assert abs(plain - rotated) < 1e-11
 
 
@@ -156,9 +162,9 @@ def test_relative_entropy_adds_over_independent_sites():
     a1, a2 = (random_density_matrix(2, rng) for _ in range(2))
     b1, b2 = (random_density_matrix(2, rng) for _ in range(2))
     # occupation-basis convention: site 0 is the least significant factor
-    joint = relative_entropy_matrices(np.kron(b1, a1), np.kron(b2, a2)).value
-    split = (relative_entropy_matrices(a1, a2).value
-             + relative_entropy_matrices(b1, b2).value)
+    joint = relative_entropy_matrices(np.kron(b1, a1), np.kron(b2, a2))
+    split = (relative_entropy_matrices(a1, a2)
+             + relative_entropy_matrices(b1, b2))
     assert abs(joint - split) < 1e-11
 
 
@@ -173,10 +179,10 @@ def test_restriction_never_increases_relative_entropy(seed):
     rng = np.random.default_rng(200 + seed)
     omega1 = random_state(lattice, rng)
     omega2 = random_state(lattice, rng)
-    full = relative_entropy(omega1, omega2).value
+    full = relative_entropy(omega1, omega2)
     for region in (Region.of([0], lattice), Region.of([1, 2], lattice),
                    Region.of([0, 3], lattice)):
-        part = restricted_relative_entropy(omega1, omega2, region).value
+        part = restricted_relative_entropy(omega1, omega2, region)
         assert part <= full + 1e-10
 
 
@@ -185,9 +191,9 @@ def test_restriction_to_the_full_chain_changes_nothing():
     rng = np.random.default_rng(7)
     omega1 = random_state(lattice, rng)
     omega2 = random_state(lattice, rng)
-    full = relative_entropy(omega1, omega2).value
+    full = relative_entropy(omega1, omega2)
     again = restricted_relative_entropy(omega1, omega2,
-                                        Region.full(lattice)).value
+                                        Region.full(lattice))
     assert abs(full - again) < 1e-10
 
 

@@ -1,12 +1,14 @@
 """Hermitian decompositions by parity block, against the whole matrix.
 
-``car.spectral_blocks`` splits a real matrix that commutes with the grading
-into its two parity blocks and decomposes anything else whole.  Every
-spectrum, eigenbasis and function of the matrix it gives must agree with
-``np.linalg`` on the whole matrix to ``1e-13`` relative; and every verb must
-report the same verdicts, with values within ``1e-13``, when the helper is
-made to hand over the whole complex matrix instead, and when every density
-and element is forced to complex128 instead of keeping its real dtype.
+``car.spectral_blocks`` decides real or complex by the dtype alone: it
+splits a real matrix that commutes with the grading into its two parity
+blocks and decomposes anything else, every complex matrix included, whole.
+Every spectrum, eigenbasis and function of the matrix it gives must agree
+with ``np.linalg`` on the whole matrix to ``1e-13`` relative; and every verb
+must report the same verdicts, with values within ``1e-13``, when the
+helper is made to hand over the whole complex matrix instead, and when
+every density and element is forced to complex128 instead of keeping its
+real dtype.
 """
 
 import math
@@ -30,8 +32,9 @@ TOL = 1e-13
 
 
 def hermitian(lattice, seed, *, complex_, even):
-    """A random Hermitian matrix on the chain, with the parity-changing
-    entries zeroed when ``even``."""
+    """A random Hermitian matrix on the chain, complex128 when ``complex_``
+    and float64 otherwise, with the parity-changing entries zeroed when
+    ``even``."""
     rng = np.random.default_rng(seed)
     n = car.dim(lattice)
     a = rng.standard_normal((n, n))
@@ -41,7 +44,7 @@ def hermitian(lattice, seed, *, complex_, even):
     if even:
         signs = car.parity_signs(lattice)
         a[np.outer(signs, signs) < 0] = 0.0
-    return a.astype(np.complex128)
+    return a
 
 
 KINDS = {"even real": (False, True), "even complex": (True, True),
@@ -66,6 +69,11 @@ def test_only_even_real_data_is_split(kind):
         # whole, as it is: no copy and no parity test
         assert len(blocks) == 1 and blocks[0][0] is None and blocks[0][1] is a
     elif even:
+        # the dtype decides, not the values: real data stored as complex
+        # is complex data, decomposed whole
+        stored = a.astype(np.complex128)
+        whole = car.spectral_blocks(stored)
+        assert len(whole) == 1 and whole[0][1] is stored
         assert [states.size for states, _ in blocks] == [8, 8]
         assert all(block.dtype == np.float64 for _, block in blocks)
     else:
@@ -102,13 +110,13 @@ def test_block_spectra_match_the_whole_matrix(lattice, seed, kind):
         assert np.max(np.abs(a @ placed - placed * eps)) <= TOL * scale
 
     # a function of the matrix comes out the same either way, in the dtype
-    # of the blocks: real for real data, even when it is stored as complex
+    # of the blocks, which is that of the data: complex for complex input
     f = [np.exp(-eps / scale) for _, eps, _ in car.eigh(a)]
     got = car.spectral_map(car.eigh(a), f)
     expected = (u * np.exp(-want / scale)) @ u.conj().T
     blocks = [block for _, block in car.spectral_blocks(a)]
     assert got.dtype == np.result_type(*blocks)
-    assert got.dtype == (np.complex128 if np.any(a.imag) else np.float64)
+    assert got.dtype == (np.complex128 if complex_ else np.float64)
     assert np.max(np.abs(got - expected)) <= TOL
 
 

@@ -163,7 +163,7 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
         projected = car.conditional_expectation_matrix(density, region.complement())
     else:
         projected = commutant_oracle(density, region)
-    oracle = -relative_entropy_matrices(projected, density).value
+    oracle = -relative_entropy_matrices(projected, density)
     if mode == "lts":
         assert abs(conditional_entropy(omega, region) - oracle) <= 1e-12
     pot, beta = hopping_model(lattice), 0.7
@@ -338,7 +338,7 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
     f_gibbs = free_energy(gibbs, pot, region, beta)
     for member in feasible_sampler(gibbs, region, "lts", 10, seed=11):
         loss = f_gibbs - free_energy(member, pot, region, beta)
-        rel = relative_entropy(gibbs, member).value
+        rel = relative_entropy(gibbs, member)
         assert abs(loss - rel) < 1e-10
         assert loss >= 0.0
 
@@ -568,7 +568,7 @@ def test_check_survives_a_nonconverging_maximizer(monkeypatch):
 
     def stalled(project, anchor, h_i, beta):
         info = MaximizerInfo(converged=False, iterations=17,
-                             certificate_spread=1.0, gradient_norm=1.0)
+                             gradient_norm=1.0)
         return gibbs.density, info
 
     monkeypatch.setattr(stability, "_maximize", stalled)
@@ -581,6 +581,27 @@ def test_check_survives_a_nonconverging_maximizer(monkeypatch):
     assert by_name["maximizer_certified"] == CheckRecord(
         "maximizer_certified", 1.0, 1e-10, False)
     assert any("did not certify" in note for note in report.notes)
+    assert not report.passed
+
+
+def test_maximizer_certifies_by_its_gradient_norm_alone(monkeypatch):
+    # stopped after 95 of its 184 scaling steps, the maximizer at L = 4,
+    # beta = 5 has a gradient norm near 1.5e-9, and its dual values have
+    # long stopped moving; the one rule is a norm of at most 1e-10, so it
+    # fails maximizer_certified with that norm
+    lattice, beta = 4, 5.0
+    pot = hopping_model(lattice)
+    region = Region.of([1], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    monkeypatch.setattr(stability, "_STEPS", 95)
+    report = lts_check(gibbs, pot, region, beta, samples=5, seed=0)
+    by_name = {c.check: c for c in report.checks}
+    assert "margin_maximizer" not in by_name
+    record = by_name["maximizer_certified"]
+    assert 1e-10 < record.value <= 1e-8
+    assert record.tolerance == 1e-10 and not record.passed
+    assert any("did not certify convergence (95 iterations" in note
+               for note in report.notes)
     assert not report.passed
 
 

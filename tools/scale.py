@@ -1,0 +1,71 @@
+"""Wall time, peak RSS, exit status and failing checks of every CLI verb at
+scale, each job one child process with one BLAS thread under a 3 GiB
+address-space limit; peak RSS is the child's ``ru_maxrss`` from ``wait4``.
+
+    python tools/scale.py PATH LABEL [--src DIR] [--slow]
+
+runs the ``hopping`` jobs at ``beta = 1``, seed 0, region ``2,3``, against
+the package under ``--src`` (default ``src``), and stores them under
+``LABEL`` in the JSON file ``PATH``, keeping the other labels there.
+``--slow`` adds ``lts --samples 50`` at ``L = 10``.
+"""
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+VERBS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
+         "ssb-probe", "remark2")
+WHOLE_CHAIN = {"validate", "gibbs", "remark2"}    # verbs that take no region
+JOBS = ([(verb, n, ()) for n in (8, 9, 10) for verb in VERBS
+         if (verb, n) != ("lts", 10)]
+        + [(verb, n, ()) for n in (11, 12)
+           for verb in ("gibbs", "perturb", "entropy", "prop4", "remark2")])
+SLOW = [("lts", 10, ("--samples", "50"))]
+LIMIT = 3 << 30
+
+
+def run(verb, length, extra, src):
+    argv = [sys.executable, "-m", "fermichain", verb, "--length", str(length),
+            *(() if verb in WHOLE_CHAIN else ("--region", "2,3")), *extra]
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, preexec_fn=cap, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with child.stdout:
+        report = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return {"argv": argv[3:], "wall_s": round(time.perf_counter() - start, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "status": child.returncode,
+            "failed": [r["check"] for r in map(json.loads, report.splitlines())
+                       if not r["pass"]]}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("path")
+    parser.add_argument("label")
+    parser.add_argument("--src", default="src")
+    parser.add_argument("--slow", action="store_true")
+    args = parser.parse_args()
+    results = {}
+    if os.path.exists(args.path):
+        with open(args.path) as handle:
+            results = json.load(handle)
+    results[args.label] = [run(*job, os.path.abspath(args.src))
+                           for job in JOBS + (SLOW if args.slow else [])]
+    with open(args.path, "w") as handle:
+        json.dump(results, handle, indent=1)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    main()
