@@ -16,9 +16,11 @@ the occupation basis.  The layers, bottom to top:
   by parity block for real even data; the validator of the odd pairs the
   probes take; trace-orthogonal monomial bases, kept as the tests' oracle;
 - :mod:`fermichain.potentials` — interactions as local terms held on their
-  supports, their standard form, local and total Hamiltonians;
-- :mod:`fermichain.states` — density states: Gibbs (of the whole chain, or
-  of an element held inside a region), decoupled equilibria, restrictions,
+  supports, their standard form, local and total Hamiltonians, and the
+  model presets, each term built by element arithmetic from the
+  annihilators;
+- :mod:`fermichain.states` — density states: Gibbs states of an element,
+  diagonalized on its support, decoupled equilibria, restrictions,
   noneven perturbations, and a vector state that is even outside one site
   yet maximally noneven on it;
 - :mod:`fermichain.entropy` — relative and conditional entropy as floats
@@ -43,8 +45,7 @@ from .entropy import (conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
 from .potentials import (MODELS, Potential, PotentialReport, build_model,
-                         hopping_model, local_hamiltonian,
-                         potential_from_records, prune,
+                         hopping_model, local_hamiltonian, prune,
                          random_standard_potential, raw_number_model,
                          standardize, total_hamiltonian, tv_model,
                          validate_potential)
@@ -73,7 +74,7 @@ __all__ = [
     "kms_residual", "local_hamiltonian", "lts_check",
     "mode_reordering", "monomial_basis",
     "noneven_perturbation", "odd_direction",
-    "perturbed_state", "potential_from_records", "product_check",
+    "perturbed_state", "product_check",
     "prop4_pipeline", "prune", "purely_imaginary_check", "random_element",
     "random_pair_panel", "random_standard_potential", "raw_number_model",
     "relative_entropy", "remark2_construct", "remark2_restriction_defect",

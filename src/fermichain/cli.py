@@ -5,8 +5,11 @@ Verbs: ``validate``, ``gibbs``, ``perturb``, ``entropy``, ``lts``,
 config file (section ``[run]`` for the run parameters, section ``[model]``
 for model coefficients), with command-line flags taking precedence over
 file values; ``_RUN_KEYS`` declares each ``[run]`` key with its flag, and
-:class:`RunConfig` holds every default.  Each ``run_<verb>`` returns its
-region label and checks; :func:`main` writes them with
+:class:`RunConfig` holds every default and decides, before the verb
+runs, the region the run reports on: the probed region, the whole chain
+for ``validate`` and ``gibbs``, site 0 for ``remark2``.  Each
+``run_<verb>`` returns its checks; :func:`main` writes them, or the
+``error`` record of a breakdown, under that region's label with
 :func:`reporting.emit_report` and takes the exit status from the same
 list.  Reports are JSON lines with a fixed key order; identical
 configuration, seed and BLAS thread count reproduce the report byte for
@@ -52,6 +55,11 @@ class UsageError(Exception):
     """Configuration problem; reported on stderr with exit status 2."""
 
 
+# the verbs that probe a region given by --region; the others report on
+# the whole chain, or on site 0 (remark2)
+_PROBES = ("perturb", "entropy", "lts", "prop4", "ssb-probe")
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -63,14 +71,13 @@ class RunConfig:
     seed: int = 0
     output_path: str | None = None
     samples: int = 200
+    # the region the run reports on, decided once from the fields above
+    region: Region = field(init=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; "
                              f"expected one of {', '.join(COMMANDS)}")
-        if not 1 <= self.lattice_size <= MAX_SITES:
-            raise UsageError(f"length must be between 1 and {MAX_SITES}, "
-                             f"got {self.lattice_size}")
         if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}; "
                              f"known: {', '.join(sorted(MODELS))}")
@@ -88,22 +95,19 @@ class RunConfig:
             if not os.access(folder, os.W_OK):
                 raise UsageError(f"output directory {folder!r} is missing or "
                                  "not writable")
-        if self.region_sites is not None:
-            bad = [s for s in self.region_sites
-                   if not 0 <= s < self.lattice_size]
-            if bad:
-                raise UsageError(f"region sites {bad} outside the chain "
-                                 f"0..{self.lattice_size - 1}")
-            repeated = sorted({s for s in self.region_sites
-                               if self.region_sites.count(s) > 1})
-            if repeated:
-                raise UsageError(f"region sites {repeated} given more than once")
-
-    def region(self) -> Region:
-        if not self.region_sites:
-            raise UsageError(f"command {self.command!r} needs a region "
-                             "(--region \"i,j,...\")")
-        return Region.of(self.region_sites, self.lattice_size)
+        try:
+            given = Region.of(self.region_sites or (), self.lattice_size)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if self.command in _PROBES:
+            if given.is_empty:
+                raise UsageError(f"command {self.command!r} needs a region "
+                                 "(--region \"i,j,...\")")
+            self.region = given
+        elif self.command == "remark2":
+            self.region = Region((0,), self.lattice_size)
+        else:
+            self.region = Region.full(self.lattice_size)
 
 
 def _parse_region_text(text: str) -> tuple[int, ...]:
@@ -199,26 +203,26 @@ def _gibbs(cfg: RunConfig):
     return gibbs_state(total_hamiltonian(potential), cfg.beta), potential
 
 
-def run_validate(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
+def run_validate(cfg: RunConfig) -> list[CheckRecord]:
     report = validate_potential(_model(cfg))
-    return Region.full(cfg.lattice_size).label(), [
+    return [
         CheckRecord(name, value, report.tolerance, value <= report.tolerance)
         for name, value in report.residuals.items()]
 
 
-def run_gibbs(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
+def run_gibbs(cfg: RunConfig) -> list[CheckRecord]:
     hamiltonian = total_hamiltonian(_model(cfg))
     state = gibbs_state(hamiltonian, cfg.beta)
     kms = kms_residual(state, hamiltonian, cfg.beta)
     even = state.evenness_defect()
-    return Region.full(cfg.lattice_size).label(), [
+    return [
         CheckRecord("kms_residual", kms, 1e-10, kms <= 1e-10),
         CheckRecord("evenness", even, 1e-12, even <= 1e-12),
     ]
 
 
-def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    region = cfg.region()
+def run_perturb(cfg: RunConfig) -> list[CheckRecord]:
+    region = cfg.region
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region)
     product = product_check(phi, region)
@@ -227,43 +231,40 @@ def run_perturb(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
     backward = relative_entropy(phi, state)
     slack = bound - max(forward, backward)
     even = phi.evenness_defect()
-    return region.label(), [
+    return [
         CheckRecord("decoupled_even", even, 1e-12, even <= 1e-12),
         CheckRecord("product_property", product, 1e-9, product <= 1e-9),
         CheckRecord("entropy_bound", slack, 1e-8, slack >= -1e-8),
     ]
 
 
-def run_entropy(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    region = cfg.region()
+def run_entropy(cfg: RunConfig) -> list[CheckRecord]:
+    region = cfg.region
     state, potential = _gibbs(cfg)
     phi = perturbed_state(potential, cfg.beta, region)
     rel = relative_entropy(phi, state)
     sc = conditional_entropy(state, region)
     restricted = restricted_relative_entropy(phi, state, region.complement())
     mono = rel - restricted
-    return region.label(), [
+    return [
         CheckRecord("relative_entropy", rel, 1e-12, rel >= -1e-12),
         CheckRecord("conditional_entropy", sc, 1e-12, sc <= 1e-12),
         CheckRecord("monotonicity", mono, 1e-10, mono >= -1e-10),
     ]
 
 
-def run_lts(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    region = cfg.region()
+def run_lts(cfg: RunConfig) -> list[CheckRecord]:
     state, potential = _gibbs(cfg)
-    report = lts_check(state, potential, region, cfg.beta,
-                       samples=cfg.samples, seed=cfg.seed)
-    return region.label(), report.checks
+    return lts_check(state, potential, cfg.region, cfg.beta,
+                     samples=cfg.samples, seed=cfg.seed).checks
 
 
-def run_prop4(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    region = cfg.region()
-    return region.label(), prop4_pipeline(_model(cfg), cfg.beta, region).checks
+def run_prop4(cfg: RunConfig) -> list[CheckRecord]:
+    return prop4_pipeline(_model(cfg), cfg.beta, cfg.region).checks
 
 
-def run_ssb_probe(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
-    region = cfg.region()
+def run_ssb_probe(cfg: RunConfig) -> list[CheckRecord]:
+    region = cfg.region
     state, _ = _gibbs(cfg)
     asym = grading_asymmetry(state, region).quantity
     checks = [CheckRecord("grading_asymmetry", asym, 1e-10, asym <= 1e-10)]
@@ -304,19 +305,19 @@ def run_ssb_probe(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
         violations = scan_odd_correlations(cases())["violations"]
         checks.append(CheckRecord("odd_scan", float(violations), 0.0,
                                   violations == 0))
-    return region.label(), checks
+    return checks
 
 
-def run_remark2(cfg: RunConfig) -> tuple[str, list[CheckRecord]]:
+def run_remark2(cfg: RunConfig) -> list[CheckRecord]:
     state, _ = _gibbs(cfg)
-    site0 = Region.of([0], cfg.lattice_size)
+    site0 = cfg.region
     vector_state = remark2_construct(state)
     defect = remark2_restriction_defect(state, vector_state)
 
     u = odd_direction(site0)
     odd_expectation = float(np.real(vector_state.expectation(u)))
     asym = grading_asymmetry(vector_state, site0).quantity
-    return site0.label(), [
+    return [
         CheckRecord("restriction_residual", defect, 1e-10, defect <= 1e-10),
         CheckRecord("odd_expectation", odd_expectation, 1e-10,
                     abs(odd_expectation - 1.0) <= 1e-10),
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        label, checks = DISPATCH[cfg.command](cfg)
+        checks = DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"fermichain: error: {exc}", file=sys.stderr)
         return 2
@@ -387,12 +388,11 @@ def main(argv=None) -> int:
             MemoryError) as exc:
         # computation broke down (or ran out of memory): deterministic
         # diagnostic record in the report, the reason on stderr
-        label = ",".join(str(s) for s in cfg.region_sites or ())
         checks = [CheckRecord("error", 0.0, 0.0, False)]
         print(f"fermichain: error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
 
-    text = emit_report(checks, label, cfg.beta, cfg.seed, cfg.output_path)
+    text = emit_report(checks, cfg.region.label(), cfg.beta, cfg.seed, cfg.output_path)
     if cfg.output_path is None:
         sys.stdout.write(text)
     passed = sum(1 for c in checks if c.passed)

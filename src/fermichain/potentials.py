@@ -206,69 +206,53 @@ def validate_potential(potential: Potential) -> PotentialReport:
 
 
 # ---------------------------------------------------------------------------
-# named terms, potentials from term records, and models
+# model presets, built by element arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _build_term(name: str, sites: list[int], coefficient: float,
-                lattice_size: int) -> tuple[Region, np.ndarray]:
-    """A named term's region and its small representation there."""
-    region = Region.of(sites, lattice_size)
-    chain = len(region)
-    a = {s: car.annihilator(k, chain).matrix for k, s in enumerate(region.sites)}
-    eye = np.eye(car.dim(chain))
-    if name == "hop":
-        i, j = sites
-        hop = a[i].conj().T @ a[j]
-        return region, coefficient * (hop + hop.conj().T)
-    if name in ("num", "num_raw"):
-        (i,) = sites
-        n_i = a[i].conj().T @ a[i]
-        return region, coefficient * (n_i - 0.5 * eye if name == "num" else n_i)
-    if name == "nn":
-        i, j = sites
-        n_i, n_j = (a[s].conj().T @ a[s] - 0.5 * eye for s in (i, j))
-        return region, coefficient * (n_i @ n_j)
-    raise ValueError(f"unknown term name: {name!r}")
+def _hop(i: int, j: int, lattice_size: int) -> AlgebraElement:
+    """The symmetrized hopping ``a_i* a_j + a_j* a_i``."""
+    h = car.annihilator(i, lattice_size).dagger() @ car.annihilator(j, lattice_size)
+    return h + h.dagger()
 
 
-def potential_from_records(records: list[dict], lattice_size: int) -> Potential:
-    """Build a potential from named-term records.
+def _number(site: int, lattice_size: int, shift: float) -> AlgebraElement:
+    """The number operator less ``shift``, ``n_site - shift``."""
+    return AlgebraElement(np.diag([-shift, 1.0 - shift]),
+                          Region((site,), lattice_size))
 
-    Each record is ``{"sites": [...], "coefficient": c, "term": name}`` with
-    term names ``hop`` (symmetrized hopping), ``num`` (centered number
-    operator), ``num_raw`` (plain number operator; deliberately non-standard),
-    and ``nn`` (centered density-density coupling).  Records on the same
-    region accumulate.
-    """
-    terms: dict[Region, np.ndarray] = {}
-    for rec in records:
-        region, mat = _build_term(rec["term"], list(rec["sites"]),
-                                  float(rec["coefficient"]), lattice_size)
-        terms[region] = terms.get(region, 0) + mat
-    terms = {r: terms[r] for r in sorted(terms.keys(), key=_region_sort_key)}
-    return Potential(lattice_size=lattice_size, terms=terms)
+
+def _potential(lattice_size: int, terms: list[AlgebraElement]) -> Potential:
+    """The potential whose term on each support is the sum, in the order
+    given, of the elements held there."""
+    summed: dict[Region, np.ndarray] = {}
+    for term in terms:
+        summed[term.support] = summed.get(term.support, 0) + term.small
+    ordered = sorted(summed, key=_region_sort_key)
+    return Potential(lattice_size=lattice_size,
+                     terms={r: summed[r] for r in ordered})
+
+
+def _hopping_terms(lattice_size: int, t: float,
+                   mu: float) -> list[AlgebraElement]:
+    """The hops on every bond, then the centered numbers on every site."""
+    return ([-t * _hop(i, i + 1, lattice_size) for i in range(lattice_size - 1)]
+            + [-mu * _number(i, lattice_size, 0.5) for i in range(lattice_size)])
 
 
 def hopping_model(lattice_size: int, t: float = 1.0, mu: float = 0.5) -> Potential:
     """Nearest-neighbour hopping with a chemical potential, in standard form."""
-    records = [{"sites": [i, i + 1], "coefficient": -t, "term": "hop"}
-               for i in range(lattice_size - 1)]
-    records += [{"sites": [i], "coefficient": -mu, "term": "num"}
-                for i in range(lattice_size)]
-    return potential_from_records(records, lattice_size)
+    return _potential(lattice_size, _hopping_terms(lattice_size, t, mu))
 
 
 def tv_model(lattice_size: int, t: float = 1.0, mu: float = 0.5,
              v: float = 0.8) -> Potential:
     """Hopping plus a centered nearest-neighbour density-density coupling."""
-    records = [{"sites": [i, i + 1], "coefficient": -t, "term": "hop"}
-               for i in range(lattice_size - 1)]
-    records += [{"sites": [i], "coefficient": -mu, "term": "num"}
-                for i in range(lattice_size)]
-    records += [{"sites": [i, i + 1], "coefficient": v, "term": "nn"}
-                for i in range(lattice_size - 1)]
-    return potential_from_records(records, lattice_size)
+    centered = [_number(i, lattice_size, 0.5) for i in range(lattice_size)]
+    couplings = [v * (centered[i] @ centered[i + 1])
+                 for i in range(lattice_size - 1)]
+    return _potential(lattice_size,
+                      _hopping_terms(lattice_size, t, mu) + couplings)
 
 
 def raw_number_model(lattice_size: int, mu: float = 0.5) -> Potential:
@@ -277,9 +261,8 @@ def raw_number_model(lattice_size: int, mu: float = 0.5) -> Potential:
     Each term has a nonzero trace, so the potential is *not* standard; it
     exists to exercise the validation path.
     """
-    records = [{"sites": [i], "coefficient": -mu, "term": "num_raw"}
-               for i in range(lattice_size)]
-    return potential_from_records(records, lattice_size)
+    return _potential(lattice_size, [-mu * _number(i, lattice_size, 0.0)
+                                     for i in range(lattice_size)])
 
 
 MODELS = {

@@ -19,7 +19,7 @@ def _check_lattice_size(lattice_size: int) -> None:
     if not isinstance(lattice_size, int) or isinstance(lattice_size, bool):
         raise TypeError(f"lattice_size must be an int, got {lattice_size!r}")
     if lattice_size < 1 or lattice_size > MAX_SITES:
-        raise ValueError(f"lattice_size must be in 1..{MAX_SITES}, got {lattice_size}")
+        raise ValueError(f"chain length must be in 1..{MAX_SITES}, got {lattice_size}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,13 @@ class Region:
         sites = tuple(self.sites)
         if any(not isinstance(s, int) or isinstance(s, bool) for s in sites):
             raise TypeError(f"sites must be ints, got {sites!r}")
-        if any(s < 0 or s >= self.lattice_size for s in sites):
-            raise ValueError(f"site out of bounds for chain of {self.lattice_size}: {sites}")
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"duplicate sites in {sites}")
+        outside = [s for s in sites if not 0 <= s < self.lattice_size]
+        if outside:
+            raise ValueError(f"sites {outside} outside the chain "
+                             f"0..{self.lattice_size - 1}")
+        repeated = sorted({s for s in sites if sites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"sites {repeated} given more than once")
         object.__setattr__(self, "sites", tuple(sorted(sites)))
 
     # -- constructors ------------------------------------------------------

@@ -97,22 +97,19 @@ def free_energy(omega: DensityState, potential: Potential, region: Region,
                 beta: float, mode: str = "lts") -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra of the chosen mode."""
-    return _free_energy(omega, constraint_family(region, mode),
-                        local_hamiltonian(potential, region), beta)
-
-
-def _entropy_and_energy(omega: DensityState, project: ConstraintProjection,
-                        h_i: car.AlgebraElement) -> tuple[float, float]:
-    """``Sc_I(omega)`` and ``omega(H(I))``, the energy read on the support
-    of ``H(I)`` (:meth:`DensityState.expectation`)."""
-    sc = compressed_conditional_entropy(omega, project.compress(omega.density))
-    return sc, float(np.real(omega.expectation(h_i)))
-
-
-def _free_energy(omega: DensityState, project: ConstraintProjection,
-                 h_i: car.AlgebraElement, beta: float) -> float:
-    sc, energy = _entropy_and_energy(omega, project, h_i)
+    project = constraint_family(region, mode)
+    sc, energy = _entropy_and_energy(omega, project.compress(omega.density),
+                                     local_hamiltonian(potential, region))
     return sc - beta * energy
+
+
+def _entropy_and_energy(omega: DensityState, small: np.ndarray,
+                        h_i: car.AlgebraElement) -> tuple[float, float]:
+    """``Sc_I(omega)``, from ``small``, the compression of ``omega``'s
+    density onto the constraint algebra, and ``omega(H(I))``, read on the
+    support of ``H(I)`` (:meth:`DensityState.expectation`)."""
+    return (compressed_conditional_entropy(omega, small),
+            float(np.real(omega.expectation(h_i))))
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +345,16 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
     """The worst disagreement of the competitors with the base on the
     constraint algebra (the largest entry of the difference of their small
     representations, the base's given as ``small_base``), and their free
-    energies.  A function of its own so that no competitor outlives its
-    scoring: a loop variable of :func:`lts_check` would hold the last one
-    through the maximizer."""
+    energies, each competitor compressed once for both.  A function of its
+    own so that no competitor outlives its scoring: a loop variable of
+    :func:`lts_check` would hold the last one through the maximizer."""
     worst, energies = 0.0, []
     for member in competitors:
+        small = project.compress(member.density)
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
-        worst = np.maximum(worst, np.max(np.abs(
-            project.compress(member.density) - small_base)))
-        energies.append(_free_energy(member, project, h_i, beta))
+        worst = np.maximum(worst, np.max(np.abs(small - small_base)))
+        sc, energy = _entropy_and_energy(member, small, h_i)
+        energies.append(sc - beta * energy)
     return float(worst), energies
 
 
@@ -379,7 +377,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     project = constraint_family(region, mode)
     h_i = local_hamiltonian(potential, region)
     small_base = project.compress(omega.density)
-    f_base = _free_energy(omega, project, h_i, beta)
+    sc_base, e_base = _entropy_and_energy(omega, small_base, h_i)
+    f_base = sc_base - beta * e_base
     checks: list[CheckRecord] = []
     notes: list[str] = []
     free_energies = {"base": f_base}
@@ -397,9 +396,10 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
                                   margin_samples >= -_MARGIN_TOL))
 
     density, info = _maximize(project, small_base, h_i.matrix, beta)
-    f_max = _free_energy(DensityState(density, label="maximizer",
-                                      validate=False),
-                         project, h_i, beta)
+    maximizer = DensityState(density, label="maximizer", validate=False)
+    sc_max, e_max = _entropy_and_energy(maximizer, project.compress(density),
+                                        h_i)
+    f_max = sc_max - beta * e_max
     free_energies["maximizer"] = f_max
     if info.converged:
         margin_max = f_base - f_max
@@ -463,7 +463,8 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     project = constraint_family(region, "lts")
     h_i = local_hamiltonian(potential, region)
     (sc_p, e_p), (sc_psi, e_psi), (sc_psi_t, e_psi_t) = (
-        _entropy_and_energy(state, project, h_i) for state in (phi_p, psi, psi_t))
+        _entropy_and_energy(state, project.compress(state.density), h_i)
+        for state in (phi_p, psi, psi_t))
     f_p = sc_p - beta * e_p
     f_psi = sc_psi - beta * e_psi
     f_psi_t = sc_psi_t - beta * e_psi_t

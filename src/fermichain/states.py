@@ -77,10 +77,6 @@ _PSD_TOL = 1e-11
 _FACTOR_COLUMNS = 64
 
 
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, AlgebraElement) else car.as_float(op)
-
-
 def spectral_entropy(eigenvalues: np.ndarray) -> float:
     """Von Neumann entropy ``-sum p log p`` of a spectrum; rounding below
     zero is clipped away."""
@@ -359,17 +355,15 @@ def _pair_gather(first: Region,
 # ---------------------------------------------------------------------------
 
 
-def gibbs_state(hamiltonian, beta: float, label: str | None = None,
-                region: Region | None = None) -> DensityState:
+def gibbs_state(hamiltonian: AlgebraElement, beta: float,
+                label: str | None = None) -> DensityState:
     """``e^(-beta H) / Z``, computed from the eigendecomposition of ``H``.
 
-    With ``region``, ``H`` must be a :class:`car.AlgebraElement` held on a
-    support inside the region, whose type guarantees that it lies in the
-    region's algebra; anything else, a dense ``H`` included, is refused
-    (``ValueError``).  Only its ``2**|region|``-dimensional small
-    representation ``h`` (``small_on``) is diagonalized, and the density is
-    ``car.embed(e^(-beta h)) / Z``.  The state records its log in closed
-    form (:class:`GibbsLog`).
+    Only the small representation ``h`` of ``H`` on its support is
+    diagonalized, and the density is ``car.embed(e^(-beta h)) / Z`` there,
+    or ``e^(-beta h) / Z`` itself when the support is the whole chain.  The
+    state records its log in closed form (:class:`GibbsLog`), whose region
+    is the support, or ``None`` for the whole chain.
 
     ``h`` is decomposed by :func:`car.eigh`: an even real ``h`` as its two
     real parity blocks.  The shift ``E0``, ``Z`` and the log come from the
@@ -377,14 +371,8 @@ def gibbs_state(hamiltonian, beta: float, label: str | None = None,
     into an output of the blocks' dtype, real for a real ``h``, so besides
     it only a few half-size real arrays are held.
     """
-    if region is None:
-        h = _as_matrix(hamiltonian)
-    elif (isinstance(hamiltonian, AlgebraElement)
-          and hamiltonian.support.is_subregion(region)):
-        h = hamiltonian.small_on(region)
-    else:
-        raise ValueError("Hamiltonian is not an element held in the algebra "
-                         f"of region {region.sites}")
+    h, support = hamiltonian.small, hamiltonian.support
+    region = None if len(support) == support.lattice_size else support
     scale = max(1.0, float(np.max(np.abs(h))))
     if car.hermitian_defect(h) > 1e-12 * scale:
         raise ValueError("Hamiltonian is not self-adjoint")
@@ -427,7 +415,8 @@ def random_pair_panel(lattice_size: int, count: int,
         yield a / car.spectral_norm(a), b / car.spectral_norm(b)
 
 
-def kms_residual(omega: DensityState, hamiltonian, beta: float) -> float:
+def kms_residual(omega: DensityState, hamiltonian: AlgebraElement,
+                 beta: float) -> float:
     """The Gibbs defect ``||U* D U - diag(w)||_F`` of ``omega``.
 
     On a finite chain the ``(tau, beta)``-KMS state is unique and equals the
@@ -452,7 +441,7 @@ def kms_residual(omega: DensityState, hamiltonian, beta: float) -> float:
     so the parity-changing blocks of ``D``, which the Gibbs density has
     zero, enter as they are and a noneven ``D`` still shows.
     """
-    decomposition = car.eigh(_as_matrix(hamiltonian))
+    decomposition = car.eigh(hamiltonian.matrix)
     eps = np.concatenate([block_eps for _, block_eps, _ in decomposition])
     shift = np.min(eps) if beta >= 0 else np.max(eps)
     total = np.sum(np.exp(-beta * (eps - shift)))
@@ -486,8 +475,7 @@ def perturbed_state(potential: Potential, beta: float,
     complement = region.complement()
     remainder = total_hamiltonian(prune(potential, region), support=complement)
     return gibbs_state(remainder, beta,
-                       label=f"perturbed(beta={beta:g}, I={region.label()})",
-                       region=complement)
+                       label=f"perturbed(beta={beta:g}, I={region.label()})")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,16 @@ of that matrix (Peschel, J. Phys. A 36, L205 (2003)):
 
     S = -sum_k [nu_k log nu_k + (1 - nu_k) log(1 - nu_k)].
 
+The relative entropy of a state ``omega2`` from the Gibbs state ``omega1``
+of a one-body matrix ``h1`` (Peschel, as above) is
+
+    S(omega2 || omega1) = -S(C2) + beta Tr(h1 C2)
+                          + sum_k log(1 + e^(-beta eps_k(h1))),
+
+the package's ``relative_entropy(omega1, omega2)``.  The decoupled state of
+a region ``I`` is the Gibbs state of ``h`` with the rows and columns of
+``I`` zeroed: pruning removes every hop and number term that meets ``I``.
+
 The conditional entropy of a region ``I`` is
 ``S(omega) - S(omega|I^c) - |I| log 2``: the package's
 ``S(D) - (N / m) S(small)``, with ``small`` the normalized partial trace of
@@ -60,3 +70,23 @@ def conditional_entropy(c: np.ndarray, region_sites) -> float:
     outside = [s for s in range(c.shape[0]) if s not in set(region_sites)]
     return (entropy(c) - entropy(restricted(c, outside))
             - len(region_sites) * math.log(2.0))
+
+
+def pruned(h: np.ndarray, region_sites) -> np.ndarray:
+    """The one-body matrix of the decoupled state of ``region_sites``:
+    ``h`` with their rows and columns zeroed."""
+    out = h.copy()
+    sites = list(region_sites)
+    out[sites, :] = 0.0
+    out[:, sites] = 0.0
+    return out
+
+
+def relative_entropy_terms(h1: np.ndarray, c2: np.ndarray,
+                           beta: float) -> tuple[float, float, float]:
+    """The three terms of ``S(omega2 || omega1)``, whose sum it is:
+    ``-S(C2)``, ``beta Tr(h1 C2)`` and ``log Z1 = sum_k log(1 + e^(-beta
+    eps_k))``."""
+    eps = np.linalg.eigvalsh(h1)
+    return (-entropy(c2), beta * float(np.sum(h1 * c2)),
+            math.fsum(np.logaddexp(0.0, -beta * eps)))

@@ -301,6 +301,19 @@ def test_a_refused_maximizer_is_an_error_record(tmp_path, capsys):
     assert "smallest eigenvalue" in err and "1e-13" in err
 
 
+def test_an_error_record_names_the_region_of_the_check_records(tmp_path):
+    # the label is decided once per run, before the verb runs: sites given
+    # out of order are reported sorted by an error record too, as the
+    # check records of the same probe are
+    argv = ["lts", "--length", "5", "--region", "2,1", "--samples", "5"]
+    refused, passed = tmp_path / "refused.jsonl", tmp_path / "passed.jsonl"
+    assert run(argv + ["--beta", "50", "--out", str(refused)]) == 1
+    assert run(argv + ["--out", str(passed)]) == 0
+    assert [r["check"] for r in read_records(refused)] == ["error"]
+    labels = {r["region"] for r in read_records(refused) + read_records(passed)}
+    assert labels == {"1,2"}
+
+
 def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
                                                  capsys):
     def exhausted(cfg):
@@ -314,7 +327,8 @@ def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
     assert len(records) == 1
     assert tuple(records[0].keys()) == KEY_ORDER
     assert records[0]["check"] == "error" and not records[0]["pass"]
-    assert records[0]["region"] == "1"
+    # gibbs reports on the whole chain, whatever region is given
+    assert records[0]["region"] == "0,1,2"
     err = capsys.readouterr().err
     assert ("fermichain: error: MemoryError: synthetic allocation failure"
             in err)
@@ -322,7 +336,7 @@ def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
 
 
 def test_empty_record_list_counts_as_success(monkeypatch, capsys):
-    monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: ("", []))
+    monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: [])
     assert run(["gibbs", "--length", "3"]) == 0
     assert "0/0 checks passed" in capsys.readouterr().err
 
@@ -400,8 +414,8 @@ def test_gibbs_holds_a_few_dense_matrices():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, records = cli.run_gibbs(cli.RunConfig("gibbs",
-                                                 lattice_size=lattice))
+        records = cli.run_gibbs(cli.RunConfig("gibbs",
+                                              lattice_size=lattice))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -83,28 +83,19 @@ def test_closed_forms_match_the_spectral_route_at_seven_sites():
     check_closed_forms(7, "tv", -1.7, [2, 3])
 
 
-def test_gibbs_state_rejects_a_hamiltonian_outside_its_region():
-    # with a region, only an element held inside it is taken: one held on
-    # the whole chain is refused, and so is a dense matrix, even one that
-    # lies in the region's algebra
-    lattice = 4
-    region = Region.of([0, 1], lattice)
-    h = total_hamiltonian(build_model("hopping", lattice))
-    inside = total_hamiltonian(prune(build_model("hopping", lattice),
-                                     region.complement()), support=region)
-    for bad in (h, h.matrix, inside.matrix):
-        with pytest.raises(ValueError, match="algebra of region"):
-            gibbs_state(bad, 1.0, region=region)
-
-
 def test_gibbs_state_takes_an_element_held_on_its_region():
-    # no dense check: the element's support lies in the region by its type
+    # only the small representation on the support is diagonalized, and the
+    # log names the support as its region, or None for the whole chain
     lattice = 5
     region = Region.of([0, 1, 3], lattice)
     pruned = prune(build_model("tv", lattice), region.complement())
     held = total_hamiltonian(pruned, support=region)
-    via_element = gibbs_state(held, 1.0, region=region)
+    via_element = gibbs_state(held, 1.0)
     assert np.array_equal(via_element.log.h, held.small)
+    assert via_element.log.region == region
+    whole = gibbs_state(total_hamiltonian(pruned), 1.0)
+    assert whole.log.region is None
+    assert np.max(np.abs(via_element.density - whole.density)) <= 1e-15
 
 
 def test_restriction_to_another_region_has_no_closed_form():

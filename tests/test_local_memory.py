@@ -51,8 +51,7 @@ def test_element_paths_stay_below_one_dense_array():
     region = Region.of([2, 3], LATTICE)
     # the decoupled state: its spectrum is known from its 2**|I^c| Hamiltonian
     phi = gibbs_state(total_hamiltonian(prune(pot, region),
-                                        support=region.complement()), 1.0,
-                      region=region.complement())
+                                        support=region.complement()), 1.0)
     assert phi.density.dtype == np.float64
     element = car.random_element(region, np.random.default_rng(1), parity=1,
                                  hermitian=True)

@@ -4,10 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car
-from fermichain.potentials import (MODELS, Potential, _build_term,
+from fermichain.potentials import (MODELS, Potential, _hop, _number,
                                    build_model, hopping_model,
-                                   local_hamiltonian, potential_from_records,
-                                   prune,
+                                   local_hamiltonian, prune,
                                    random_standard_potential,
                                    raw_number_model, standardize,
                                    total_hamiltonian, tv_model,
@@ -55,9 +54,24 @@ def dense_term(name, sites, coefficient, lattice):
     return coefficient * ((number(i) - 0.5 * eye) @ (number(j) - 0.5 * eye))
 
 
+def element_term(name, sites, coefficient, lattice):
+    """A named term as the presets build it, by element arithmetic."""
+    if name == "hop":
+        return coefficient * _hop(*sites, lattice)
+    if name == "num_raw":
+        return coefficient * _number(sites[0], lattice, 0.0)
+    if name == "num":
+        return coefficient * _number(sites[0], lattice, 0.5)
+    i, j = sites
+    return coefficient * (_number(i, lattice, 0.5) @ _number(j, lattice, 0.5))
+
+
 # every named term the models build, with their default coefficients
 MODEL_TERMS = (("hop", 2, -1.0), ("num", 1, -0.5), ("num_raw", 1, -0.5),
                ("nn", 2, 0.8))
+# the terms of each preset, in the order they are added on a shared support
+PRESET_TERMS = {"hopping": ("hop", "num"), "tv": ("hop", "num", "nn"),
+                "raw-number": ("num_raw",)}
 
 
 @pytest.mark.parametrize("lattice", range(1, 7))
@@ -66,14 +80,25 @@ def test_column_map_terms_equal_the_dense_products(lattice):
     cases = [(name, list(range(first, first + width)), coefficient)
              for name, width, coefficient in MODEL_TERMS
              for first in range(lattice - width + 1)]
-    if lattice >= 4:
-        cases.append(("hop", [3, 0], -1.0))
-    for name, sites, coefficient in cases:
-        region, term = _build_term(name, sites, coefficient, lattice)
-        assert region.sites == tuple(sorted(sites))
-        assert term.shape == (car.dim(len(sites)),) * 2
+    reversed_hop = [("hop", [3, 0], -1.0)] if lattice >= 4 else []
+    for name, sites, coefficient in cases + reversed_hop:
+        term = element_term(name, sites, coefficient, lattice)
+        assert term.support.sites == tuple(sorted(sites))
+        assert term.small.shape == (car.dim(len(sites)),) * 2
         want = dense_term(name, sites, coefficient, lattice)
-        assert np.array_equal(car.embed(term, region), want)
+        assert np.array_equal(term.matrix, want)
+    # each preset stores on every support the sum of its terms there
+    for model, names in PRESET_TERMS.items():
+        want = {}
+        for name, sites, coefficient in cases:
+            if name in names:
+                region = Region.of(sites, lattice)
+                want[region] = (want.get(region, 0)
+                                + dense_term(name, sites, coefficient, lattice))
+        potential = build_model(model, lattice)
+        assert set(potential.terms) == set(want)
+        for region, term in potential.terms.items():
+            assert np.array_equal(car.embed(term, region), want[region])
     for i in range(lattice):
         a = oracle_annihilator(i, lattice)
         ann = car.annihilator(i, lattice)
@@ -201,8 +226,9 @@ def test_hamiltonians_of_scattered_terms_match_the_oracle():
     lattice = 5
     records = [("hop", [3, 0], -1.0), ("nn", [4, 1], 0.8), ("num", [2], -0.5),
                ("hop", [1, 2], 0.3)]
-    pot = potential_from_records([{"sites": s, "coefficient": c, "term": n}
-                                  for n, s, c in records], lattice)
+    terms = [element_term(n, s, c, lattice) for n, s, c in records]
+    pot = Potential(lattice_size=lattice,
+                    terms={term.support: term.small for term in terms})
     dense = [dense_term(n, s, c, lattice) for n, s, c in records]
     assert np.array_equal(total_hamiltonian(pot).matrix, sum(dense))
     local = local_hamiltonian(pot, Region.of([0], lattice))
@@ -249,9 +275,6 @@ def test_pruned_total_sums_on_the_complement(sites):
 def test_build_model_rejects_unknown_names():
     with pytest.raises(ValueError):
         build_model("heisenberg", 4)
-    with pytest.raises(ValueError):
-        potential_from_records([{"sites": [0], "coefficient": 1.0,
-                                 "term": "frobnicate"}], 4)
 
 
 def test_potential_terms_are_validated():

@@ -1,19 +1,25 @@
 """The Gibbs state of the ``hopping`` model at L = 10 against its quasi-free
 closed form (``tests/quasifree_oracle.py``): the two-point matrix, the
 entropies of restrictions and the conditional entropy, each to
-``1e-12 * max(1, |value|)``.  This reaches the parity-block decompositions
-at a size the Kronecker and monomial oracles cannot.
+``1e-12 * max(1, |value|)``; and the relative entropies of the ``perturb``
+and ``entropy`` verbs, to ``1e-12`` of the largest of the closed form's
+three terms.  This reaches the parity-block decompositions at a size the
+Kronecker and monomial oracles cannot.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import quasifree_oracle as oracle
 from fermichain import car
-from fermichain.entropy import conditional_entropy
+from fermichain.entropy import (conditional_entropy, relative_entropy,
+                                restricted_relative_entropy)
 from fermichain.potentials import hopping_model, total_hamiltonian
 from fermichain.regions import Region
-from fermichain.states import gibbs_state, restrict, spectral_entropy
+from fermichain.states import (gibbs_state, perturbed_state, restrict,
+                               spectral_entropy)
 
 LATTICE = 10
 # (region, beta): the regions of the verbs, one of them not contiguous
@@ -55,3 +61,28 @@ def test_conditional_entropy(case):
     want = oracle.conditional_entropy(c, region.sites)
     assert close(got, want), (got, want)
     assert close(state.entropy(), oracle.entropy(c))
+
+
+def test_relative_entropies_of_the_decoupled_state(case):
+    # the forward and backward values perturb bounds, and the restricted
+    # one entropy subtracts; each is a sum of terms that largely cancel
+    # (3.9e-3 from terms between 4 and 9 on 2,3), so each is compared at
+    # the scale of its terms
+    region, beta, state, c = case
+    phi = perturbed_state(hopping_model(LATTICE), beta, region)
+    h = oracle.hopping_one_body(LATTICE)
+    h_phi = oracle.pruned(h, region.sites)
+    outside = region.complement().sites
+    pairs = [
+        (relative_entropy(state, phi),
+         oracle.relative_entropy_terms(h, oracle.two_point(h_phi, beta), beta)),
+        (relative_entropy(phi, state),
+         oracle.relative_entropy_terms(h_phi, c, beta)),
+        (restricted_relative_entropy(phi, state, region.complement()),
+         oracle.relative_entropy_terms(oracle.restricted(h_phi, outside),
+                                       oracle.restricted(c, outside), beta)),
+    ]
+    for got, terms in pairs:
+        want = math.fsum(terms)
+        assert abs(got - want) <= 1e-12 * max(1.0, *map(abs, terms)), \
+            (got, want, terms)

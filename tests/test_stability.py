@@ -492,7 +492,8 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
     pot = hopping_model(lattice)
     region = Region.of([1], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    sampler, energy = stability.feasible_sampler, stability._free_energy
+    sampler = stability.feasible_sampler
+    entropy_and_energy = stability._entropy_and_energy
 
     def broken(omega, region, mode, count, seed):
         competitors = sampler(omega, region, mode, count, seed)
@@ -500,14 +501,14 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
         yield DensityState(np.full_like(omega.density, np.nan), validate=False)
         yield from competitors
 
-    def scored(omega, project, h_i, beta):
+    def scored(omega, small, h_i):
         # the spectrum of a NaN density does not converge; score it as NaN
         if np.isnan(omega.density).any():
-            return math.nan
-        return energy(omega, project, h_i, beta)
+            return math.nan, math.nan
+        return entropy_and_energy(omega, small, h_i)
 
     monkeypatch.setattr(stability, "feasible_sampler", broken)
-    monkeypatch.setattr(stability, "_free_energy", scored)
+    monkeypatch.setattr(stability, "_entropy_and_energy", scored)
     report = lts_check(gibbs, pot, region, beta, samples=3, seed=3)
     record = next(c for c in report.checks if c.check == "feasible_residual")
     assert math.isnan(record.value)
