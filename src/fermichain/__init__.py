@@ -27,9 +27,9 @@ the occupation basis.  The layers, bottom to top:
   (``inf`` when the kernel condition fails);
 - :mod:`fermichain.stability` — the local free energy, projections onto
   the constraint algebras (the complement's algebra and the region's
-  commutant), variational checks of local thermal stability with the
-  constrained free-energy maximizer, certified by its gradient norm alone,
-  and the pipeline showing noneven states lose free energy strictly;
+  commutant), variational checks of local thermal stability against the
+  Gibbs variational bound at the base's own multiplier, and the pipeline
+  showing noneven states lose free energy strictly;
 - :mod:`fermichain.probes` — symmetry probes: clustering, grading
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
@@ -52,7 +52,7 @@ from .potentials import (MODELS, Potential, PotentialReport, build_model,
 from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .stability import (ConstraintProjection, MaximizerInfo, StabilityReport,
+from .stability import (ConstraintProjection, StabilityReport,
                         feasible_sampler, free_energy, lts_check,
                         prop4_pipeline)
 from .states import (DensityState, FactorState, gibbs_state, kms_residual,
@@ -65,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
     "FactorState", "MAX_SITES", "MODELS",
-    "MaximizerInfo", "Monomial", "MonomialBasis", "Potential",
+    "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region",
     "StabilityReport", "annihilator", "build_model",
     "cluster_coefficient", "conditional_entropy", "embed",

@@ -7,7 +7,8 @@ for model coefficients), with command-line flags taking precedence over
 file values; ``_RUN_KEYS`` declares each ``[run]`` key with its flag, and
 :class:`RunConfig` holds every default and decides, before the verb
 runs, the region the run reports on: the probed region, the whole chain
-for ``validate`` and ``gibbs``, site 0 for ``remark2``.  Each
+for ``validate`` and ``gibbs``, site 0 for ``remark2``; those three
+refuse ``--region``, from a flag or a config file, as a usage error.  Each
 ``run_<verb>`` returns its checks; :func:`main` writes them, or the
 ``error`` record of a breakdown, under that region's label with
 :func:`reporting.emit_report` and takes the exit status from the same
@@ -104,6 +105,8 @@ class RunConfig:
                 raise UsageError(f"command {self.command!r} needs a region "
                                  "(--region \"i,j,...\")")
             self.region = given
+        elif self.region_sites is not None:
+            raise UsageError(f"command {self.command!r} takes no region")
         elif self.command == "remark2":
             self.region = Region((0,), self.lattice_size)
         else:
@@ -357,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta", type=float, metavar="X",
                         help=f"inverse temperature (default {RunConfig.beta})")
     parser.add_argument("--region", metavar="\"i,j,...\"",
-                        help="probed sites, comma separated")
+                        help="probed sites, comma separated (not for "
+                        "validate, gibbs or remark2)")
     parser.add_argument("--length", type=int, metavar="L",
                         help=f"chain length, at most {MAX_SITES} "
                         f"(default {RunConfig.lattice_size})")

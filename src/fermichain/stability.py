@@ -14,12 +14,15 @@ grading-twisted odd elements.
 against the competitors :func:`feasible_sampler` draws, random density
 perturbations orthogonal to the constraint algebra that change nothing any
 constrained observable can see, each scored as it is drawn and then
-dropped; and against the exact constrained maximizer, solved for through
-the convex dual of the slice problem (exponential-family form, iterative
-scaling in the small representation of the constraint algebra).  For a
-Gibbs state of the generating potential both margins must come back
-nonnegative: on a finite chain the Gibbs state is the exact constrained
-maximizer, and each competitor loses by its relative entropy from it.
+dropped; and against the Gibbs variational bound on every state of the
+slice, evaluated in closed form at the base's own multiplier
+``M0 = compress(log D + beta H(I))``.  This is the Araki-Sewell argument
+that KMS implies LTS (Araki & Sewell, Commun. Math. Phys. 52, 267
+(1977)): for a Gibbs state of the generating potential ``log D + beta
+H(I)`` lies in the constraint algebra, so the bound is attained at ``M0``
+and both margins come back nonnegative, each competitor losing by its
+relative entropy from the base.  A base that is not the constrained
+maximizer falls short of the bound at every multiplier.
 
 :func:`prop4_pipeline` runs the free-energy comparison that kills noneven
 states: the decoupled state and its odd perturbations agree on everything
@@ -33,7 +36,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
 from .reporting import CheckRecord
 from .states import (DensityState, noneven_perturbation, perturbed_state,
-                     restrict)
+                     restrict, spectral_entropy)
 
 MODES = ("lts", "lts_prime")
 
@@ -150,168 +152,56 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# constrained maximization
+# the Gibbs variational bound
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaximizerInfo:
-    converged: bool
-    iterations: int
-    gradient_norm: float
-
-
-# iterative scaling converges linearly: about 20 steps at beta = 1, 150 at
-# beta = 5 and 320 at beta = 10; the cap only bounds a stalled run
-_STEPS = 500
-
-# The residual's entries are those of two unit-trace-bounded matrices, so
-# below _FLOOR a full step that fails to shrink it has hit rounding.  Above
-# it, at slow rates (about 0.92 per step at beta = 10) rounding can hide one
-# step's progress, and only _STALL steps in a row without a new best
-# residual stop the loop.
-_FLOOR = 4.0 * np.finfo(float).eps
-_STALL = 10
-
-# the dual is smooth and strictly convex with an exact gradient, so a
-# gradient norm at most this certifies the maximizer on its own; the
-# maximizer_certified record reports the norm against it
-_CERTIFIED = 1e-10
-
-
-class _DualPoint(NamedTuple):
-    x: np.ndarray
-    value: float
-    grad: np.ndarray
-    residual: float       # largest entry of grad
-    density: np.ndarray
-    scale: float          # largest eigenvalue modulus of the exponent
-
-
-def _hermitian(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.conj().T) / 2.0
-
-
-def _traceless(matrix: np.ndarray) -> np.ndarray:
-    """Drop the identity component, the one direction the dual ignores."""
-    return matrix - np.trace(matrix) / matrix.shape[0] * np.eye(matrix.shape[0])
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
-
-
-def _log(decomposition) -> np.ndarray:
-    """The logarithm of a positive definite matrix from its
-    :func:`car.eigh`, which it spends."""
+def _log_density(omega: DensityState) -> np.ndarray:
+    """``log D`` as an ``N x N`` matrix: a Gibbs state's closed form
+    (:meth:`GibbsLog.matrix`), or one :func:`car.eigh` of a faithful
+    density."""
+    if omega.log is not None:
+        return omega.log.matrix(omega.density.shape[0])
+    decomposition = car.eigh(omega.density)
     return car.spectral_map(decomposition,
                             [np.log(w) for _, w, _ in decomposition])
 
 
-class _Dual:
-    """The convex dual of the free-energy maximization on one slice,
+def _base_multiplier(omega: DensityState, project: ConstraintProjection,
+                     h_i: car.AlgebraElement, beta: float) -> np.ndarray:
+    """``M0 = compress(log D + beta H(I))``, the multiplier at which the
+    bound of :func:`_dual_bound` is attained when ``omega`` is a faithful
+    constrained maximizer: there ``log D + beta H(I)`` lies in the
+    constraint algebra, so ``K(M0) = log D``."""
+    return (project.compress(_log_density(omega))
+            + beta * project.compress(h_i.matrix))
 
-        g(X) = log Tr exp(K) - Tr(Lam rho0),   K = log rho0 - beta H_I + Lam,
 
-    over Hermitian ``m x m`` matrices ``X``, ``Lam = expand(X)``.  The
-    anchor is given by its small representation ``compress(rho0)``, so
-    ``Tr(Lam rho0)`` is ``multiplicity * <X, compress(rho0)>``.  In the
-    metric ``expand`` induces (``multiplicity`` times Hilbert-Schmidt) the
-    gradient is ``compress(D - rho0)``, ``D = exp(K) / Tr exp(K)``, and it
-    vanishes where ``compress(D) = compress(rho0)``: :meth:`step` moves
-    ``X`` by the difference of the logs of the two sides.
+def _dual_bound(project: ConstraintProjection, small_base: np.ndarray,
+                h_i: car.AlgebraElement, beta: float,
+                multiplier: np.ndarray) -> float:
+    """The Gibbs variational bound on the free energy of the slice
+    ``compress(D) = small_base`` at the Hermitian ``m x m`` multiplier
+    ``M``,
+
+        f_dual(M) = log Tr e^K(M) - (N / m) <M, small_base>
+                    - (N / m) S(small_base),   K(M) = expand(M) - beta H(I).
+
+    Every ``D`` on the slice has ``Tr(D expand(M)) = (N / m) <M,
+    small_base>``, so the Gibbs variational inequality ``S(D) + Tr(D K) <=
+    log Tr e^K`` (Csiszar, Ann. Probab. 3, 146 (1975)) reads ``F(D) <=
+    f_dual(M)``; the gap is ``F(D) - f_dual(M) = -S(D || e^K / Tr e^K)``.
+    ``log Tr e^K`` comes from one :func:`car.eigvalsh` of ``K``, by its
+    real parity blocks when ``K`` is even and real.
     """
-
-    def __init__(self, project: ConstraintProjection, small_anchor: np.ndarray,
-                 h_i: np.ndarray, beta: float):
-        self.project = project
-        self.small_anchor = _hermitian(small_anchor)
-        decomposition = car.eigh(self.small_anchor)
-        smallest = min(float(np.min(w)) for _, w, _ in decomposition)
-        if smallest <= 1e-13:
-            raise ValueError("constraint values must come from a faithful "
-                             f"state: the anchor's smallest eigenvalue "
-                             f"{smallest:.3e} is not above 1e-13")
-        self.log_anchor = _log(decomposition)
-        self.drive = project.expand(self.log_anchor) - beta * h_i
-        # Tr(expand(Y) G) = multiplicity * <Y, compress(G)>
-        self.multiplicity = h_i.shape[0] / small_anchor.shape[0]
-
-    def point(self, x: np.ndarray) -> _DualPoint:
-        decomposition = car.eigh(self.drive + self.project.expand(x))
-        spectrum = np.concatenate([w for _, w, _ in decomposition])
-        top = float(np.max(spectrum))
-        weights = [np.exp(w - top) for _, w, _ in decomposition]
-        z = float(sum(np.sum(part) for part in weights))
-        density = car.spectral_map(decomposition, [part / z for part in weights])
-        grad = self.project.compress(density) - self.small_anchor
-        value = top + math.log(z) - self.multiplicity * _inner(x, self.small_anchor)
-        return _DualPoint(x, value, grad, float(np.max(np.abs(grad))),
-                          density, float(np.max(np.abs(spectrum))))
-
-    def step(self, point: _DualPoint) -> np.ndarray:
-        """The iterative-scaling step ``log compress(rho0) - log compress(D)``
-        (Csiszar, Ann. Probab. 3, 146 (1975)), traceless: a descent
-        direction by the operator monotonicity of the logarithm, and to
-        first order the gradient preconditioned by the inverse BKM metric
-        (Petz & Toth, Lett. Math. Phys. 27, 205 (1993))."""
-        small_density = point.grad + self.small_anchor
-        return _traceless(self.log_anchor - _log(car.eigh(small_density)))
-
-
-def _maximize(project: ConstraintProjection, small_anchor: np.ndarray,
-              h_i: np.ndarray, beta: float) -> tuple[np.ndarray, MaximizerInfo]:
-    """Maximize the free energy over a constrained slice via its dual problem.
-
-    On the slice of states with the given constraint expectations, the free
-    energy is strictly concave and its maximizer has the closed form
-
-        D = exp(log rho0 - beta H_I + Lam) / Z,     Lam in the constraint algebra,
-
-    with ``rho0`` the anchor of the slice: the projection of any state of
-    the slice onto the constraint algebra, which is itself in the slice,
-    given as its ``m x m`` small representation ``compress(rho0)``.
-    ``h_i`` is ``H(I)`` as a dense ``N x N`` matrix.
-    Finding ``Lam`` is the smooth convex dual problem of :class:`_Dual`,
-    solved by iterative scaling: each step adds ``log compress(rho0) -
-    log compress(D)`` to the multiplier, backtracked on the dual value, at
-    one decomposition of the exponent and one of ``compress(D)``, both by
-    :func:`car.eigh` (by real parity blocks when even and real).  Every
-    iterate is a strictly positive density, and at a vanishing dual
-    gradient the state is exactly feasible and exactly of maximizing form,
-    so the gradient's largest entry is the convergence certificate: the
-    maximizer is certified when it is at most ``_CERTIFIED``.
-    """
-    dual = _Dual(project, small_anchor, h_i, beta)
-    current = best = dual.point(np.zeros_like(dual.small_anchor))
-    iterations = best_iteration = 0
-    while iterations < _STEPS:
-        step = dual.step(current)
-        slope = dual.multiplicity * _inner(current.grad, step)
-        # near the optimum the dual moves by less than its rounding, which
-        # is that of the exponent's eigenvalues it is summed from
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(current.value),
-                                                current.scale)
-        t = 1.0
-        while t > 1e-12:
-            trial = dual.point(current.x + t * step)
-            if trial.value <= current.value + 1e-4 * t * slope + slack:
-                break
-            t /= 2.0
-        else:
-            break
-        previous, current = current, trial
-        iterations += 1
-        if current.residual < best.residual:
-            best, best_iteration = current, iterations
-        at_rounding = (t == 1.0 and current.residual >= previous.residual
-                       and current.residual <= _FLOOR)
-        if at_rounding or iterations - best_iteration >= _STALL:
-            break
-
-    info = MaximizerInfo(converged=best.residual <= _CERTIFIED,
-                         iterations=iterations, gradient_norm=best.residual)
-    return best.density, info
+    exponent = project.expand(multiplier)
+    car.add_embedded(exponent, -beta * h_i.small, h_i.support)
+    spectrum = car.eigvalsh(exponent)
+    top = float(spectrum[-1])
+    log_z = top + math.log(float(np.sum(np.exp(spectrum - top))))
+    multiplicity = car.dim(project.region.lattice_size) / small_base.shape[0]
+    return log_z - multiplicity * (float(np.real(np.vdot(multiplier, small_base)))
+                                   + spectral_entropy(car.eigvalsh(small_base)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +237,7 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
     representations, the base's given as ``small_base``), and their free
     energies, each competitor compressed once for both.  A function of its
     own so that no competitor outlives its scoring: a loop variable of
-    :func:`lts_check` would hold the last one through the maximizer."""
+    :func:`lts_check` would hold the last one through the bound."""
     worst, energies = 0.0, []
     for member in competitors:
         small = project.compress(member.density)
@@ -361,17 +251,18 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
 def lts_check(omega: DensityState, potential: Potential, region: Region,
               beta: float, mode: str = "lts", samples: int = 200,
               seed: int = 0) -> StabilityReport:
-    """Variational stability test of a state against feasible competitors.
+    """Variational stability test of a faithful state.
 
     ``samples`` competitors are drawn by :func:`feasible_sampler` and scored
     in one pass as they are drawn (their ``feasible_residual`` and free
-    energy), so no more than one is held.  The margin is the base free
-    energy minus the best competitor (samples and the constrained
-    maximizer); the report passes when every check does, each margin no
-    worse than ``-1e-9``.  A maximizer that does not certify convergence
-    fails ``maximizer_certified``, with its final gradient norm as value;
-    an anchor the maximizer refuses (not faithful to ``1e-13``) raises
-    ``ValueError``, which the command reports as an ``error`` record.
+    energy), so no more than one is held.  The maximizer's margin is the
+    base free energy minus the Gibbs variational bound at the base's own
+    multiplier, ``f_base - f_dual(M0)`` (:func:`_base_multiplier`,
+    :func:`_dual_bound`): the bound holds for every state of the slice,
+    sampled or not, and it is attained exactly when the base is the
+    constrained maximizer.  The margin of the report is the smaller of the
+    two; the report passes when every check does, each margin no worse
+    than ``-1e-9``.
     """
     competitors = feasible_sampler(omega, region, mode, int(samples), seed)
     project = constraint_family(region, mode)
@@ -379,49 +270,27 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     small_base = project.compress(omega.density)
     sc_base, e_base = _entropy_and_energy(omega, small_base, h_i)
     f_base = sc_base - beta * e_base
-    checks: list[CheckRecord] = []
-    notes: list[str] = []
     free_energies = {"base": f_base}
 
     feas, f_members = _score(competitors, small_base, project, h_i, beta)
-    checks.append(CheckRecord("feasible_residual", feas, 1e-10, feas <= 1e-10))
-
-    margins = []
+    checks = [CheckRecord("feasible_residual", feas, 1e-10, feas <= 1e-10)]
+    margin_samples = math.inf
     if f_members:
         best = max(f_members)
         free_energies["best_sample"] = best
         margin_samples = f_base - best
-        margins.append(margin_samples)
         checks.append(CheckRecord("margin_samples", margin_samples, _MARGIN_TOL,
                                   margin_samples >= -_MARGIN_TOL))
 
-    density, info = _maximize(project, small_base, h_i.matrix, beta)
-    maximizer = DensityState(density, label="maximizer", validate=False)
-    sc_max, e_max = _entropy_and_energy(maximizer, project.compress(density),
-                                        h_i)
-    f_max = sc_max - beta * e_max
-    free_energies["maximizer"] = f_max
-    if info.converged:
-        margin_max = f_base - f_max
-        margins.append(margin_max)
-        checks.append(CheckRecord("margin_maximizer", margin_max,
-                                  _MARGIN_TOL, margin_max >= -_MARGIN_TOL))
-        notes.append(
-            f"maximizer certified after {info.iterations} iterations "
-            f"(gradient norm {info.gradient_norm:.2e})"
-        )
-    else:
-        checks.append(CheckRecord("maximizer_certified", info.gradient_norm,
-                                  _CERTIFIED, False))
-        notes.append(
-            f"maximizer did not certify convergence "
-            f"({info.iterations} iterations, gradient norm "
-            f"{info.gradient_norm:.2e}); margin uses samples only"
-        )
-
-    margin = min(margins) if margins else math.inf
-    return StabilityReport(free_energies=free_energies, margin=margin,
-                           checks=checks, notes=notes)
+    bound = _dual_bound(project, small_base, h_i, beta,
+                        _base_multiplier(omega, project, h_i, beta))
+    free_energies["maximizer"] = bound
+    margin_max = f_base - bound
+    checks.append(CheckRecord("margin_maximizer", margin_max, _MARGIN_TOL,
+                              margin_max >= -_MARGIN_TOL))
+    return StabilityReport(free_energies=free_energies,
+                           margin=min(margin_samples, margin_max),
+                           checks=checks)
 
 
 def prop4_pipeline(potential: Potential, beta: float, region: Region,

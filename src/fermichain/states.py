@@ -115,6 +115,14 @@ class GibbsLog:
         weights = np.sort(np.exp(self.log_weights)) / self.multiplicity(n)
         return np.repeat(weights, n // self.h.shape[0])
 
+    def matrix(self, n: int) -> np.ndarray:
+        """``log D`` as an ``n x n`` matrix, from ``h`` with no
+        decomposition."""
+        small = -self.beta * self.h
+        small[np.diag_indices_from(small)] += (
+            self.beta * self.shift - self.log_z - math.log(self.multiplicity(n)))
+        return small if self.region is None else car.embed(small, self.region)
+
     def entropy(self, n: int) -> float:
         """``-Tr(D log D)`` from the exact weights and their logs."""
         return (-float(np.sum(np.exp(self.log_weights) * self.log_weights))

@@ -266,7 +266,7 @@ def test_criterion_7_gibbs_is_locally_thermally_stable():
     report = lts_check(gibbs, potential, region, beta, samples=500, seed=0)
     assert report.passed
     assert report.margin >= -1e-9
-    # the constrained maximizer certified convergence and contributed a margin
+    # the Gibbs variational bound contributed a margin
     assert any(c.check == "margin_maximizer" for c in report.checks)
 
     pruned = prune(potential, region)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermichain import car, cli, stability, states
+from fermichain import car, cli, states
 from fermichain.cli import UsageError, main, resolve_config
 from fermichain.potentials import build_model, total_hamiltonian
 from fermichain.reporting import KEY_ORDER
@@ -270,45 +270,33 @@ def test_a_violated_entropy_bound_is_a_failed_check(monkeypatch, tmp_path):
     assert by_name["entropy_bound"]["value"] < -1e-8
 
 
-def test_an_uncertified_maximizer_is_a_failed_check(monkeypatch, tmp_path):
-    # one scaling step cannot reach the certificate: lts reports the
-    # maximizer's final gradient norm as a failed record and exits 1
-    monkeypatch.setattr(stability, "_STEPS", 1)
-    out = tmp_path / "report.jsonl"
-    assert run(["lts", "--length", "4", "--region", "1,2", "--samples", "5",
-                "--out", str(out)]) == 1
-    by_name = {rec["check"]: rec for rec in read_records(out)}
-    assert list(by_name) == ["feasible_residual", "margin_samples",
-                             "maximizer_certified"]
-    assert by_name["feasible_residual"]["pass"]
-    assert by_name["margin_samples"]["pass"]
-    record = by_name["maximizer_certified"]
-    assert not record["pass"]
-    assert record["value"] > record["tolerance"] == 1e-10
-
-
-def test_a_refused_maximizer_is_an_error_record(tmp_path, capsys):
-    # at beta = 50 the anchor of the slice has an eigenvalue below 1e-13, so
-    # the maximizer refuses it: the run ends in one error record and exit 1,
-    # not in a pass on the samples alone
+def test_lts_passes_at_beta_50_on_one_site(tmp_path):
+    # the slice's smallest weights fall below 1e-13 at beta = 50; the bound
+    # takes the log of the Gibbs state's closed form, not of the slice
     out = tmp_path / "report.jsonl"
     assert run(["lts", "--length", "4", "--region", "1", "--beta", "50",
-                "--samples", "20", "--out", str(out)]) == 1
-    records = read_records(out)
-    assert [r["check"] for r in records] == ["error"]
-    assert not records[0]["pass"]
-    err = capsys.readouterr().err
-    assert "smallest eigenvalue" in err and "1e-13" in err
+                "--samples", "20", "--out", str(out)]) == 0
+    by_name = {r["check"]: r for r in read_records(out)}
+    assert list(by_name) == ["feasible_residual", "margin_samples",
+                             "margin_maximizer"]
+    assert all(r["pass"] for r in by_name.values())
+    assert abs(by_name["margin_maximizer"]["value"]) <= 1e-13
 
 
-def test_an_error_record_names_the_region_of_the_check_records(tmp_path):
+def test_an_error_record_names_the_region_of_the_check_records(monkeypatch,
+                                                               tmp_path):
     # the label is decided once per run, before the verb runs: sites given
     # out of order are reported sorted by an error record too, as the
     # check records of the same probe are
     argv = ["lts", "--length", "5", "--region", "2,1", "--samples", "5"]
     refused, passed = tmp_path / "refused.jsonl", tmp_path / "passed.jsonl"
-    assert run(argv + ["--beta", "50", "--out", str(refused)]) == 1
     assert run(argv + ["--out", str(passed)]) == 0
+
+    def broken(cfg):
+        raise ValueError("synthetic breakdown")
+
+    monkeypatch.setitem(cli.DISPATCH, "lts", broken)
+    assert run(argv + ["--out", str(refused)]) == 1
     assert [r["check"] for r in read_records(refused)] == ["error"]
     labels = {r["region"] for r in read_records(refused) + read_records(passed)}
     assert labels == {"1,2"}
@@ -321,18 +309,31 @@ def test_memory_error_yields_a_diagnostic_record(monkeypatch, tmp_path,
 
     monkeypatch.setitem(cli.DISPATCH, "gibbs", exhausted)
     out = tmp_path / "report.jsonl"
-    assert run(["gibbs", "--length", "3", "--region", "1",
-                "--out", str(out)]) == 1
+    assert run(["gibbs", "--length", "3", "--out", str(out)]) == 1
     records = read_records(out)
     assert len(records) == 1
     assert tuple(records[0].keys()) == KEY_ORDER
     assert records[0]["check"] == "error" and not records[0]["pass"]
-    # gibbs reports on the whole chain, whatever region is given
+    # gibbs reports on the whole chain
     assert records[0]["region"] == "0,1,2"
     err = capsys.readouterr().err
     assert ("fermichain: error: MemoryError: synthetic allocation failure"
             in err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "gibbs", "remark2"])
+def test_a_region_for_a_verb_that_takes_none_exits_two(verb, tmp_path,
+                                                       capsys):
+    # validate and gibbs report on the whole chain and remark2 on site 0, so
+    # a region from a flag or a config file is refused before the run
+    config = tmp_path / "run.ini"
+    config.write_text(f"[run]\ncommand = {verb}\nlength = 3\nregion = 1\n")
+    for argv in ([verb, "--length", "3", "--region", "1"],
+                 ["--config", str(config)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "takes no region" in captured.err and captured.out == ""
 
 
 def test_empty_record_list_counts_as_success(monkeypatch, capsys):

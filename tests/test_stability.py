@@ -3,19 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fermichain import car, stability
 from fermichain.entropy import (conditional_entropy, relative_entropy,
                                 relative_entropy_matrices)
-from fermichain.potentials import (hopping_model, local_hamiltonian, prune,
+from fermichain.potentials import (Potential, hopping_model,
+                                   local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
 from fermichain.reporting import CheckRecord
-from fermichain.stability import (MaximizerInfo, StabilityReport,
-                                  constraint_family, feasible_sampler,
-                                  free_energy, lts_check, prop4_pipeline)
+from fermichain.stability import (StabilityReport, constraint_family,
+                                  feasible_sampler, free_energy, lts_check,
+                                  prop4_pipeline)
 from fermichain.states import (DensityState, gibbs_state,
                                noneven_perturbation, perturbed_state)
 
@@ -172,94 +174,6 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
     assert abs(got - (oracle - beta * energy)) <= 1e-12
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_dual_gradient_matches_finite_differences_of_the_value(mode):
-    lattice, beta = 5, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([1, 2], lattice)
-    project = constraint_family(region, mode)
-    anchor = project.compress(random_state(lattice, np.random.default_rng(3)).density)
-    dual = stability._Dual(project, anchor, local_hamiltonian(pot, region).matrix,
-                           beta)
-    rng = np.random.default_rng(4)
-    m = car.dim(lattice - len(region))
-    x = 0.3 * hermitian(m, rng)
-    delta = hermitian(m, rng)
-    delta -= np.trace(delta) / m * np.eye(m)
-    point = dual.point(x)
-    h = 1e-5
-    plus, minus = dual.point(x + h * delta), dual.point(x - h * delta)
-    # the gradient is that of the dual value in the metric expand induces
-    slope = (plus.value - minus.value) / (2.0 * h)
-    assert abs(slope - dual.multiplicity * np.real(np.vdot(point.grad, delta))) \
-        <= 1e-8 * abs(slope)
-
-
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_maximizer_memory_is_a_few_dense_matrices(mode):
-    # the dual multiplier lives in the 2**|I^c| small representation, so
-    # nothing of size (number of constraints) x N**2 is ever formed
-    lattice, beta = 7, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([2, 3, 4], lattice)
-    project = constraint_family(region, mode)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    anchor = project.compress(gibbs.density)
-    h_i = local_hamiltonian(pot, region).matrix
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        density, info = stability._maximize(project, anchor, h_i, beta)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    n = car.dim(lattice)
-    assert info.converged
-    assert info.iterations <= 25
-    assert np.max(np.abs(density - gibbs.density)) < 1e-11
-    assert peak < 64 * n * n * 16
-
-
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_maximizer_decomposes_only_real_parity_blocks(mode, monkeypatch):
-    # the anchor and the exponent are even and real, so car.eigh splits
-    # each into its two real parity blocks: nothing N x N, nothing complex
-    lattice, beta = 6, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([2, 3], lattice)
-    project = constraint_family(region, mode)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    anchor = project.compress(gibbs.density)
-    h_i = local_hamiltonian(pot, region).matrix
-    seen, eigh = [], np.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        seen.append((a.shape[0], a.dtype.kind))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    _, info = stability._maximize(project, anchor, h_i, beta)
-    assert info.converged
-    n, m = car.dim(lattice), car.dim(lattice - len(region))
-    assert set(seen) == {(n // 2, "f"), (m // 2, "f")}
-
-
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_maximizer_takes_one_step_on_a_product_anchor(mode):
-    # without hopping the Gibbs state is a product and already of maximizing
-    # form at the zero multiplier, so the first step lands on rounding
-    lattice, beta = 5, 1.0
-    pot = hopping_model(lattice, t=0.0)
-    region = Region.of([1, 2], lattice)
-    project = constraint_family(region, mode)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    _, info = stability._maximize(project, project.compress(gibbs.density),
-                                  local_hamiltonian(pot, region).matrix, beta)
-    assert info.converged
-    assert info.iterations == 1
-    assert info.gradient_norm <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # feasible competitors
 # ---------------------------------------------------------------------------
@@ -344,30 +258,62 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
 
 
 # ---------------------------------------------------------------------------
-# the constrained maximizer
+# the Gibbs variational bound
 # ---------------------------------------------------------------------------
 
 
-def maximize(pot, region, omega, beta):
-    """The constrained maximizer of ``lts_check``, anchored at ``omega``."""
-    project = constraint_family(region, "lts")
-    h_i = local_hamiltonian(pot, region).matrix
-    density, info = stability._maximize(project, project.compress(omega.density),
-                                        h_i, beta)
-    return DensityState(density), info
+def bound_parts(omega, pot, region, beta, mode="lts"):
+    """The projection, ``compress(D)``, ``H(I)`` and ``M0`` of ``lts_check``."""
+    project = constraint_family(region, mode)
+    h_i = local_hamiltonian(pot, region)
+    m0 = stability._base_multiplier(omega, project, h_i, beta)
+    return project, project.compress(omega.density), h_i, m0
+
+
+def exponent_state(project, h_i, beta, multiplier):
+    """``e^K / Tr e^K`` for ``K = expand(M) - beta H(I)``, by ``expm``."""
+    weight = scipy.linalg.expm(project.expand(multiplier) - beta * h_i.matrix)
+    return weight / np.trace(weight).real
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+@pytest.mark.parametrize("lattice", [3, 4, 6])
+def test_weak_duality_at_random_multipliers(lattice, mode):
+    # F(D) <= f_dual(M) for every state of the slice and every Hermitian M,
+    # and M0 is the minimum: a traceless step away from it raises the bound
+    beta = 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1, 2], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    project, small, h_i, m0 = bound_parts(gibbs, pot, region, beta, mode)
+    m = m0.shape[0]
+    rng = np.random.default_rng(lattice)
+    at_m0 = stability._dual_bound(project, small, h_i, beta, m0)
+    members = [free_energy(member, pot, region, beta, mode)
+               for member in feasible_sampler(gibbs, region, mode, 10, seed=1)]
+    for _ in range(3):
+        step = hermitian(m, rng)
+        step -= np.trace(step) / m * np.eye(m)
+        for multiplier in (hermitian(m, rng), m0 + 1e-2 * step, m0 + step):
+            bound = stability._dual_bound(project, small, h_i, beta, multiplier)
+            assert max(members) <= bound
+            assert bound > at_m0
+    assert max(members) <= at_m0 + 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
 def test_maximizer_recovers_the_gibbs_state(beta):
+    # the bound's state e^K(M0) / Tr e^K(M0) is the Gibbs state itself, and
+    # the bound is its free energy
     lattice = 4
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    state, info = maximize(pot, region, gibbs, beta)
-    assert info.converged
-    assert np.max(np.abs(state.density - gibbs.density)) < 1e-11
-    assert abs(free_energy(state, pot, region, beta)
-               - free_energy(gibbs, pot, region, beta)) < 1e-9
+    project, small, h_i, m0 = bound_parts(gibbs, pot, region, beta)
+    state = exponent_state(project, h_i, beta, m0)
+    assert np.max(np.abs(state - gibbs.density)) < 1e-11
+    bound = stability._dual_bound(project, small, h_i, beta, m0)
+    assert abs(bound - free_energy(gibbs, pot, region, beta)) < 1e-12
 
 
 def test_maximum_matches_the_onsite_closed_form():
@@ -377,31 +323,129 @@ def test_maximum_matches_the_onsite_closed_form():
     pot = hopping_model(lattice, t=0.0, mu=mu)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    state, _ = maximize(pot, region, gibbs, beta)
+    report = lts_check(gibbs, pot, region, beta, samples=0)
     oracle = len(region) * math.log(math.cosh(beta * mu / 2.0))
-    assert abs(free_energy(state, pot, region, beta) - oracle) < 1e-9
+    assert report.passed
+    assert abs(report.free_energies["maximizer"] - oracle) < 1e-12
 
 
-@pytest.mark.parametrize("beta,sites", [(5.0, [0]), (5.0, [1]), (5.0, [1, 2]),
-                                        (10.0, [1, 2])])
+# at L = 8, beta = 5 on sites 0 and 1 the slice's smallest weights fall below
+# 1e-13 (4.6e-17 and 6.5e-16); the bound takes no log of them
+@pytest.mark.parametrize("beta,sites", [
+    (5.0, Region.of([0], 6)), (5.0, Region.of([1], 6)),
+    (5.0, Region.of([1, 2], 6)), (10.0, Region.of([1, 2], 6)),
+    (5.0, Region.of([0], 8)), (5.0, Region.of([1], 8))])
 def test_maximizer_certifies_at_low_temperature(beta, sites):
-    lattice = 6
-    pot = hopping_model(lattice)
+    pot = hopping_model(sites.lattice_size)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    report = lts_check(gibbs, pot, Region.of(sites, lattice), beta, samples=5)
+    report = lts_check(gibbs, pot, sites, beta, samples=5)
     by_name = {c.check: c for c in report.checks}
     assert report.passed
     assert abs(by_name["margin_maximizer"].value) <= 1e-13
 
 
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_a_maximizer_that_is_no_gibbs_state_passes(mode):
+    # sigma = exp(-beta H(I) + expand(X)) / Z is the constrained maximizer of
+    # its own slice for every Hermitian X; it carries no closed-form log, so
+    # M0 comes from one decomposition of its density.  The raw coupling
+    # n_2 n_4 is not standard: its conditional expectation n_4 / 2 onto the
+    # constraint algebra is no multiple of the identity, so M0 needs its
+    # beta H(I) part, which vanishes for a standard potential
+    lattice, beta = 5, 1.0
+    pot = Potential(lattice, {**hopping_model(lattice).terms,
+                              Region.of([2, 4], lattice): np.diag([0.0, 0.0,
+                                                                   0.0, 1.0])})
+    region = Region.of([1, 2], lattice)
+    project = constraint_family(region, mode)
+    h_i = local_hamiltonian(pot, region)
+    x = 0.5 * hermitian(car.dim(lattice - len(region)),
+                        np.random.default_rng(8))
+    sigma = DensityState(exponent_state(project, h_i, beta, x))
+    assert sigma.log is None
+    report = lts_check(sigma, pot, region, beta, mode=mode, samples=20, seed=2)
+    by_name = {c.check: c for c in report.checks}
+    assert report.passed
+    assert abs(by_name["margin_maximizer"].value) <= 1e-12
+
+
+def test_noneven_margin_is_its_relative_entropy_from_the_bound():
+    # F(psi) - f_dual(M0) = -S(psi || sigma0), sigma0 = e^K(M0) / Tr e^K(M0),
+    # against logm; the bound dominates the decoupled state of psi's slice,
+    # so the margin is at most minus the prop4 gap
+    lattice, beta = 5, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2], lattice)
+    gap = prop4_pipeline(pot, beta, region).margin
+    psi = noneven_perturbation(perturbed_state(pot, beta, region), region)
+    project, _, h_i, m0 = bound_parts(psi, pot, region, beta)
+    sigma0 = exponent_state(project, h_i, beta, m0)
+    oracle = float(np.real(np.trace(psi.density @ (
+        scipy.linalg.logm(psi.density) - scipy.linalg.logm(sigma0)))))
+    report = lts_check(psi, pot, region, beta, samples=0)
+    margin = next(c.value for c in report.checks
+                  if c.check == "margin_maximizer")
+    assert abs(margin + oracle) <= 1e-12 * oracle
+    assert margin <= -gap
+
+
 def test_maximizer_requires_a_faithful_constraint():
+    # the sampler refuses an unfaithful base before any work is done, with
+    # no samples to draw too
     lattice = 3
     n = car.dim(lattice)
     pure = np.zeros((n, n), dtype=complex)
     pure[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        maximize(hopping_model(lattice), Region.of([2], lattice),
-                 DensityState(pure), 1.0)
+    with pytest.raises(ValueError, match="faithful"):
+        lts_check(DensityState(pure), hopping_model(lattice),
+                  Region.of([2], lattice), 1.0, samples=0)
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_maximizer_memory_is_a_few_dense_matrices(mode):
+    # the multiplier lives in the 2**|I^c| small representation, and the
+    # bound takes one spectrum of K: a few N x N arrays at its peak
+    lattice, beta = 7, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3, 4], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = lts_check(gibbs, pot, region, beta, mode=mode, samples=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = car.dim(lattice)
+    assert report.passed
+    assert abs(report.margin) <= 1e-13
+    assert peak < 4 * n * n * 8
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_maximizer_decomposes_only_real_parity_blocks(mode, monkeypatch):
+    # a Gibbs base and its K are even and real, so car.eigvalsh splits each
+    # spectrum into its two real parity blocks: nothing N x N, nothing
+    # complex, and no eigenvectors at all
+    lattice, beta = 6, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape[0], a.dtype.kind))
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    report = lts_check(gibbs, pot, region, beta, mode=mode, samples=0)
+    assert report.passed
+    n, m = car.dim(lattice), car.dim(lattice - len(region))
+    assert set(seen) == {(n // 2, "f"), (m // 2, "f")}
 
 
 def test_maximizer_rejects_an_empty_probe_region():
@@ -559,51 +603,6 @@ def test_check_holds_one_competitor_at_a_time():
     n = car.dim(lattice)
     assert report.passed
     assert peak < 32 * n * n * 16
-
-
-def test_check_survives_a_nonconverging_maximizer(monkeypatch):
-    lattice, beta = 4, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([1], lattice)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-
-    def stalled(project, anchor, h_i, beta):
-        info = MaximizerInfo(converged=False, iterations=17,
-                             gradient_norm=1.0)
-        return gibbs.density, info
-
-    monkeypatch.setattr(stability, "_maximize", stalled)
-    report = lts_check(gibbs, pot, region, beta, samples=30, seed=4)
-    # the samples still certify; the maximizer fails its own check, with
-    # its final gradient norm, instead of contributing a margin
-    by_name = {c.check: c for c in report.checks}
-    assert "margin_maximizer" not in by_name
-    assert by_name["margin_samples"].passed
-    assert by_name["maximizer_certified"] == CheckRecord(
-        "maximizer_certified", 1.0, 1e-10, False)
-    assert any("did not certify" in note for note in report.notes)
-    assert not report.passed
-
-
-def test_maximizer_certifies_by_its_gradient_norm_alone(monkeypatch):
-    # stopped after 95 of its 184 scaling steps, the maximizer at L = 4,
-    # beta = 5 has a gradient norm near 1.5e-9, and its dual values have
-    # long stopped moving; the one rule is a norm of at most 1e-10, so it
-    # fails maximizer_certified with that norm
-    lattice, beta = 4, 5.0
-    pot = hopping_model(lattice)
-    region = Region.of([1], lattice)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    monkeypatch.setattr(stability, "_STEPS", 95)
-    report = lts_check(gibbs, pot, region, beta, samples=5, seed=0)
-    by_name = {c.check: c for c in report.checks}
-    assert "margin_maximizer" not in by_name
-    record = by_name["maximizer_certified"]
-    assert 1e-10 < record.value <= 1e-8
-    assert record.tolerance == 1e-10 and not record.passed
-    assert any("did not certify convergence (95 iterations" in note
-               for note in report.notes)
-    assert not report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ address-space limit; peak RSS is the child's ``ru_maxrss`` from ``wait4``.
 
 runs the ``hopping`` jobs at ``beta = 1``, seed 0, region ``2,3``, against
 the package under ``--src`` (default ``src``), and stores them under
-``LABEL`` in the JSON file ``PATH``, keeping the other labels there.
-``--slow`` adds ``lts --samples 50`` at ``L = 10``.
+``LABEL`` in the JSON file ``PATH``, keeping the other labels there.  The
+jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with ``--samples 200``
+and not at 10), ``gibbs``, ``perturb``, ``entropy``, ``prop4`` and
+``remark2`` at ``L = 11`` and 12, and ``lts --samples 0`` at ``L = 11``
+and 12.  ``--slow`` adds ``lts --samples 50`` at ``L = 10``.
 """
 
 import argparse
@@ -21,10 +24,13 @@ import time
 VERBS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
          "ssb-probe", "remark2")
 WHOLE_CHAIN = {"validate", "gibbs", "remark2"}    # verbs that take no region
-JOBS = ([(verb, n, ()) for n in (8, 9, 10) for verb in VERBS
-         if (verb, n) != ("lts", 10)]
+# lts passes --samples explicitly, so its rows stay comparable when the
+# default changes; at L = 11 and 12 it runs the bound alone
+JOBS = ([(verb, n, ("--samples", "200") if verb == "lts" else ())
+         for n in (8, 9, 10) for verb in VERBS if (verb, n) != ("lts", 10)]
         + [(verb, n, ()) for n in (11, 12)
-           for verb in ("gibbs", "perturb", "entropy", "prop4", "remark2")])
+           for verb in ("gibbs", "perturb", "entropy", "prop4", "remark2")]
+        + [("lts", n, ("--samples", "0")) for n in (11, 12)])
 SLOW = [("lts", 10, ("--samples", "50"))]
 LIMIT = 3 << 30
 
