@@ -5,11 +5,12 @@ Verbs: ``validate``, ``gibbs``, ``perturb``, ``entropy``, ``lts``,
 config file (section ``[run]`` for the run parameters, section ``[model]``
 for model coefficients), with command-line flags taking precedence over
 file values; ``_RUN_KEYS`` declares each ``[run]`` key with its flag, and
-:class:`RunConfig` holds every default and decides, before the verb
-runs, the region the run reports on: the probed region, the whole chain
-for ``validate`` and ``gibbs``, site 0 for ``remark2``; those three
-refuse ``--region``, from a flag or a config file, as a usage error.  Each
-``run_<verb>`` returns its checks; :func:`main` writes them, or the
+:class:`RunConfig` holds every default but :func:`lts_check`'s sample count
+and decides, before the verb runs, the region the run reports on: the
+probed region, the whole chain for ``validate`` and ``gibbs``, site 0 for
+``remark2``; those three refuse ``--region``, and all verbs but ``lts``
+refuse ``--samples``, from a flag or a config file, as a usage error.
+Each ``run_<verb>`` returns its checks; :func:`main` writes them, or the
 ``error`` record of a breakdown, under that region's label with
 :func:`reporting.emit_report` and takes the exit status from the same
 list.  Reports are JSON lines with a fixed key order; identical
@@ -71,7 +72,7 @@ class RunConfig:
     region_sites: tuple[int, ...] | None = None
     seed: int = 0
     output_path: str | None = None
-    samples: int = 200
+    samples: int | None = None      # lts only; None keeps lts_check's
     # the region the run reports on, decided once from the fields above
     region: Region = field(init=False)
 
@@ -84,7 +85,9 @@ class RunConfig:
                              f"known: {', '.join(sorted(MODELS))}")
         if not math.isfinite(self.beta):
             raise UsageError(f"beta must be finite, got {self.beta}")
-        if self.samples < 0:
+        if self.samples is not None and self.command != "lts":
+            raise UsageError(f"command {self.command!r} takes no samples")
+        if self.samples is not None and self.samples < 0:
             raise UsageError("samples must be nonnegative")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
@@ -258,8 +261,9 @@ def run_entropy(cfg: RunConfig) -> list[CheckRecord]:
 
 def run_lts(cfg: RunConfig) -> list[CheckRecord]:
     state, potential = _gibbs(cfg)
-    return lts_check(state, potential, cfg.region, cfg.beta,
-                     samples=cfg.samples, seed=cfg.seed).checks
+    given = {} if cfg.samples is None else {"samples": cfg.samples}
+    return lts_check(state, potential, cfg.region, cfg.beta, seed=cfg.seed,
+                     **given).checks
 
 
 def run_prop4(cfg: RunConfig) -> list[CheckRecord]:
@@ -368,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", metavar="NAME",
                         help="model preset: " + ", ".join(sorted(MODELS)))
     parser.add_argument("--samples", type=int, metavar="N",
-                        help="sample count for the lts verb "
-                        f"(default {RunConfig.samples})")
+                        help="competitor count, for lts only (default 200)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     return parser

@@ -156,25 +156,24 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
 # ---------------------------------------------------------------------------
 
 
-def _log_density(omega: DensityState) -> np.ndarray:
-    """``log D`` as an ``N x N`` matrix: a Gibbs state's closed form
-    (:meth:`GibbsLog.matrix`), or one :func:`car.eigh` of a faithful
-    density."""
-    if omega.log is not None:
-        return omega.log.matrix(omega.density.shape[0])
-    decomposition = car.eigh(omega.density)
-    return car.spectral_map(decomposition,
-                            [np.log(w) for _, w, _ in decomposition])
-
-
 def _base_multiplier(omega: DensityState, project: ConstraintProjection,
                      h_i: car.AlgebraElement, beta: float) -> np.ndarray:
     """``M0 = compress(log D + beta H(I))``, the multiplier at which the
     bound of :func:`_dual_bound` is attained when ``omega`` is a faithful
     constrained maximizer: there ``log D + beta H(I)`` lies in the
-    constraint algebra, so ``K(M0) = log D``."""
-    return (project.compress(_log_density(omega))
-            + beta * project.compress(h_i.matrix))
+    constraint algebra, so ``K(M0) = log D``.  ``log D`` is a Gibbs state's
+    closed form (:meth:`GibbsLog.matrix`) or one :func:`car.eigh` of a
+    faithful density; ``beta H(I)`` is added into it in place from its small
+    representation, in complex arithmetic when ``H(I)`` is complex."""
+    if omega.log is not None:
+        log_d = omega.log.matrix(omega.density.shape[0])
+    else:
+        decomposition = car.eigh(omega.density)
+        log_d = car.spectral_map(decomposition,
+                                 [np.log(w) for _, w, _ in decomposition])
+    log_d = log_d.astype(np.result_type(log_d, h_i.small), copy=False)
+    car.add_embedded(log_d, beta * h_i.small, h_i.support)
+    return project.compress(log_d)
 
 
 def _dual_bound(project: ConstraintProjection, small_base: np.ndarray,

@@ -603,14 +603,16 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     given state there, yet which assigns expectation 1 to an odd unitary.
 
     The given state is first extended from the complement of site 0 as a
-    product with the normalized trace; the vector is built from the square
-    root of that extension's density (a standard purification over the chain
-    algebra itself, with the state read as ``A -> Tr(Xi* A Xi)``) by applying
-    ``(1 + u)/sqrt(2)`` with the odd self-adjoint unitary ``u = a_0 + a_0*``.
-    Its density is ``Xi Xi* / ||Xi||_F**2``, with ``Xi Xi*`` formed once.
-    That it restricts outside site 0 to the even average of the input is
-    measured by :func:`remark2_restriction_defect`, which the ``remark2``
-    verb reports.
+    product with the normalized trace, of density ``E``; the vector is its
+    purification over the chain algebra itself, read as ``A -> Tr(Xi* A
+    Xi)``: ``Xi = (1 + u) R / sqrt(2)`` with ``R = E**(1/2)`` and the odd
+    self-adjoint unitary ``u = a_0 + a_0*``.  ``R`` and ``u`` are
+    self-adjoint, so ``Xi Xi* = (1 + u) E (1 + u) / 2``, formed by two
+    products with ``u`` and divided by its trace, with no root taken.  The
+    odd part of ``E`` cancels in the sum, as ``E + u E u`` is twice its even
+    part (``u**2 = 1``); that the state restricts outside site 0 to the
+    even average of the input is measured by
+    :func:`remark2_restriction_defect`, which the ``remark2`` verb reports.
     """
     site0 = Region((0,), outer.lattice_size)
     comp = site0.complement()
@@ -621,21 +623,16 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     if np.max(np.abs(u.small @ u.small - np.eye(u.small.shape[0]))) > 1e-12 * scale:
         raise ValueError("u is not unitary")
 
-    # the extension lies in A_comp, so its square root is the embedded
-    # square root of its 2**(L-1)-dimensional small representation
-    extended = car.small_representation(outer.density, comp)
-    extended = (extended + extended.conj().T) / 2.0
-    decomposition = car.eigh(extended)
-    roots = [np.sqrt(np.clip(evals, 0.0, None)) for _, evals, _ in decomposition]
-    root = car.embed(car.spectral_map(decomposition, roots),
-                     comp)  # Hilbert-Schmidt vector
-    xi = car.local_times(u.small, u.support, root)
-    xi += root
-    xi /= np.sqrt(2.0)
-    del root
-    density = xi @ xi.conj().T
-    density /= float(np.vdot(xi, xi).real)   # Tr(Xi Xi*) = ||Xi||_F**2
-    del xi   # validation holds the density and its temporaries only
+    extended = car.embed(car.small_representation(outer.density, comp), comp)
+    left = car.local_times(u.small, u.support, extended)
+    left += extended                               # (1 + u) E
+    del extended
+    # E (1 + u), the adjoint of (1 + u) E, as E and u are self-adjoint
+    right = np.conjugate(left, out=left).T
+    density = car.local_times(u.small, u.support, right)
+    density += right                               # (1 + u) E (1 + u)
+    del left, right   # validation holds the density and its temporaries only
+    density /= float(np.trace(density).real)
     return DensityState(density, label="site0-vector-state", validate=True)
 
 

@@ -336,6 +336,21 @@ def test_a_region_for_a_verb_that_takes_none_exits_two(verb, tmp_path,
         assert "takes no region" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("verb", [v for v in cli.COMMANDS if v != "lts"])
+def test_samples_for_a_verb_other_than_lts_exits_two(verb, tmp_path, capsys):
+    # only lts draws competitors, so a sample count from a flag or a config
+    # file is refused before the run, as a region is where none is taken
+    region = ["--region", "1"] if verb in cli._PROBES else []
+    config = tmp_path / "run.ini"
+    config.write_text(f"[run]\ncommand = {verb}\nlength = 3\nsamples = 5\n"
+                      + ("region = 1\n" if region else ""))
+    for argv in ([verb, "--length", "3", *region, "--samples", "5"],
+                 ["--config", str(config)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "takes no samples" in captured.err and captured.out == ""
+
+
 def test_empty_record_list_counts_as_success(monkeypatch, capsys):
     monkeypatch.setitem(cli.DISPATCH, "gibbs", lambda cfg: [])
     assert run(["gibbs", "--length", "3"]) == 0

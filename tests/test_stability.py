@@ -276,6 +276,42 @@ def exponent_state(project, h_i, beta, multiplier):
     return weight / np.trace(weight).real
 
 
+def raw_coupling(lattice, phase):
+    """Hopping plus the raw coupling ``n_2 (phase a_3* a_4 + h.c.)``, which
+    is not standard: its conditional expectation off site 2 is half the
+    hop, so ``compress(H(I))`` is nonzero for the probe ``1,2``."""
+    a = [car.annihilator(k, 3) for k in range(3)]
+    hop = (a[1].dagger() @ a[2]) * phase
+    term = (a[0].dagger() @ a[0]) @ (hop + hop.dagger())
+    return Potential(lattice, {**hopping_model(lattice).terms,
+                               Region.of([2, 3, 4], lattice): term.small})
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+@pytest.mark.parametrize("base, phase", [("gibbs", 1.0), ("random", 1.0),
+                                         ("gibbs", 1j)])
+def test_base_multiplier_matches_the_dense_sum(base, phase, mode):
+    # M0 = compress(log D) + beta compress(H(I)) with log D by eigh and H(I)
+    # dense; the complex coupling on a real Gibbs base needs complex
+    # arithmetic, or the imaginary part of beta H(I) would be lost
+    lattice, beta = 5, 1.3
+    pot = raw_coupling(lattice, phase)
+    region = Region.of([1, 2], lattice)
+    if base == "gibbs":
+        omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
+    else:
+        omega = random_state(lattice, np.random.default_rng(5))
+    project = constraint_family(region, mode)
+    h_i = local_hamiltonian(pot, region)
+    w, v = np.linalg.eigh(omega.density)
+    oracle = (project.compress((v * np.log(w)) @ v.conj().T)
+              + beta * project.compress(h_i.matrix))
+    m0 = stability._base_multiplier(omega, project, h_i, beta)
+    assert np.max(np.abs(m0 - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    if phase == 1j:
+        assert np.max(np.abs(m0.imag)) > 0.1
+
+
 @pytest.mark.parametrize("mode", stability.MODES)
 @pytest.mark.parametrize("lattice", [3, 4, 6])
 def test_weak_duality_at_random_multipliers(lattice, mode):
@@ -420,6 +456,28 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
     assert report.passed
     assert abs(report.margin) <= 1e-13
     assert peak < 4 * n * n * 8
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+@pytest.mark.parametrize("base", ["gibbs", "random"])
+def test_check_forms_no_dense_element(base, mode, monkeypatch):
+    # H(I) and every other element enter lts_check by their small
+    # representations: the dense view is never read
+    lattice, beta = 5, 1.0
+    pot = raw_coupling(lattice, 1j)
+    region = Region.of([1, 2], lattice)
+    if base == "gibbs":
+        omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
+    else:
+        omega = random_state(lattice, np.random.default_rng(6))
+
+    def refused(self):
+        raise AssertionError("AlgebraElement.matrix read")
+
+    monkeypatch.setattr(car.AlgebraElement, "matrix", property(refused))
+    report = lts_check(omega, pot, region, beta, mode=mode, samples=3)
+    assert [c.check for c in report.checks] == [
+        "feasible_residual", "margin_samples", "margin_maximizer"]
 
 
 @pytest.mark.parametrize("mode", stability.MODES)

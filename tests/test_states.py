@@ -407,6 +407,59 @@ def test_remark2_vector_state():
     assert np.max(np.abs(expected - got)) < 1e-10
 
 
+def purified(outer, u):
+    """The Remark 2 density by purification: ``Xi Xi* / ||Xi||_F**2`` for
+    ``Xi = (1 + u) R / sqrt(2)``, ``R`` the square root, by ``eigh``, of
+    the product extension of ``outer`` outside site 0."""
+    comp = Region.of([0], outer.lattice_size).complement()
+    extended = car.small_representation(outer.density, comp)
+    evals, vecs = np.linalg.eigh((extended + extended.conj().T) / 2.0)
+    root = car.embed((vecs * np.sqrt(np.clip(evals, 0.0, None)))
+                     @ vecs.conj().T, comp)
+    xi = (root + u.matrix @ root) / math.sqrt(2.0)
+    return xi @ xi.conj().T / np.vdot(xi, xi).real
+
+
+@pytest.mark.parametrize("outer_kind", ["gibbs", "random"])
+@pytest.mark.parametrize("lattice", [2, 4, 6])
+def test_remark2_matches_the_purification(lattice, outer_kind):
+    # (1 + u) E (1 + u) / Tr is Xi Xi* / ||Xi||_F**2; the random outer state
+    # is faithful and not even outside site 0, so its odd part must cancel
+    if outer_kind == "gibbs":
+        outer = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    else:
+        outer = random_density(lattice, np.random.default_rng(lattice))
+        comp = Region.of([0], lattice).complement()
+        assert outer.lambda_min() > 0.0
+        assert restrict(outer, comp).evenness_defect() > 1e-3
+    u = odd_direction(Region.of([0], lattice))
+    oracle = purified(outer, u)
+    got = remark2_construct(outer).density
+    assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_remark2_takes_no_eigh_and_one_eigvalsh(monkeypatch):
+    # no square root is taken; the one spectrum is the validation's
+    lattice = 5
+    outer = gibbs_state(total_hamiltonian(tv_model(lattice)), 1.0)
+    seen, eigvalsh = [], car.eigvalsh
+
+    def spy(matrix):
+        seen.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(car, "eigvalsh", spy)
+    monkeypatch.setattr(car, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    state = remark2_construct(outer)
+    n = car.dim(lattice)
+    assert seen == [(n, n)]
+    assert state.lambda_min() >= -1e-12 and seen == [(n, n)]
+
+
 def test_remark2_rejects_bad_unitaries():
     lattice = 3
     outer = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
