@@ -20,7 +20,10 @@ disjoint supports anticommute in their odd parts).
 The grading automorphism ``theta`` conjugates by the full-chain parity
 ``v_0 ... v_{L-1}``; it fixes even elements and negates odd ones, and every
 element splits as ``A = A_even + A_odd`` with the two parts obtained by
-averaging ``A`` with ``theta(A)``.
+averaging ``A`` with ``theta(A)``.  Its one table is :func:`parity_order`
+(even-popcount states, then odd): every sign of the grading is read off it
+(:func:`parity_signs`), :func:`parity_blocks` gathers a matrix's blocks of
+one parity, and :func:`grading_defect` reads them with no ``theta(X)``.
 
 Local structure goes through one primitive, :func:`mode_reordering`: the
 signed permutation of occupation states that renumbers the modes so that a
@@ -42,17 +45,13 @@ Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
 
 Every Hermitian decomposition of the package goes through one helper,
-:func:`spectral_blocks`.  An even operator commutes with the grading, so in
-the parity order (:func:`parity_order`: even-popcount states, then odd) it
-is ``diag(X_+, X_-)``, and every preset is real.  The helper decides by
-the dtype alone, as :func:`as_float` does: it hands a real matrix whose
-parity-changing blocks are exactly zero over as its two real
-``2**L / 2``-square blocks, any other real matrix whole, and a complex
-matrix whole and as it is.  :func:`eigvalsh`,
-:func:`eigh` and :func:`spectral_map` are its thin users.  With one BLAS
-thread, the two real half-size blocks of the ``hopping`` Hamiltonian
-decompose 6.6 times faster than the complex whole at ``N = 256`` and 17
-times faster at ``N = 1024``.
+:func:`spectral_blocks`, with :func:`eigvalsh`, :func:`eigh` and
+:func:`spectral_map` its thin users.  An even operator is ``diag(X_+,
+X_-)`` in the parity order, and every preset is real, so a real matrix
+with zero parity-changing blocks is decomposed as its two real
+``2**L / 2``-square blocks, anything else whole.  With one BLAS thread,
+the two real half-size blocks of the ``hopping`` Hamiltonian decompose 6.6
+times faster than the complex whole at ``N = 256`` and 17 at ``N = 1024``.
 
 Arrays keep the dtype of their data (:func:`as_float`): float64 for real
 data, complex128 for complex data, decided by the dtype alone.  Every
@@ -76,14 +75,15 @@ serves only the monomial basis of a region: per site, one factor out of
 taken over the sites of the region in ascending order.  Distinct such
 products are mutually orthogonal for the normalized trace
 ``tau = Tr / 2**L``, with squared norms ``(1/2)**(number of a or a*
-factors)``.  Nothing in the package calls the basis: its tables of
-``4**|R| * 2**L`` entries are the independent oracle the tests hold the
-maps above to.
+factors)``.  Nothing in the package calls the basis or reads a column-map
+encoding: its tables of ``4**|R| * 2**L`` entries are the independent
+oracle the tests hold the maps above to.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -157,6 +157,30 @@ def parity_order(lattice_size: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def parity_blocks(matrix: np.ndarray, parity: int) -> Iterator[np.ndarray]:
+    """The two blocks of ``matrix`` in the :func:`parity_order` whose
+    entries have ``parity``, gathered one at a time: the diagonal blocks for
+    0, the even-by-odd then the odd-by-even block for 1."""
+    even, odd = parity_order(matrix.shape[0].bit_length() - 1)
+    columns = (even, odd) if parity == 0 else (odd, even)
+    for rows, cols in zip((even, odd), columns):
+        yield matrix[np.ix_(rows, cols)]
+
+
+def grading_defect(matrix: np.ndarray, parity: int = 0) -> float:
+    """``max |X - (-1)**parity theta(X)|``: ``theta`` negates the
+    :func:`parity_blocks` of parity 1, so it is twice the largest entry of
+    those of the other parity, read one at a time with their moduli taken in
+    place for real data.  A NaN entry of theirs gives NaN."""
+    largest = []
+    for block in parity_blocks(matrix, 1 - parity):
+        real = not np.iscomplexobj(block)
+        largest.append(np.max(np.abs(block, out=block if real else None),
+                              initial=0.0))
+        del block       # before the next one is gathered
+    return float(2.0 * np.max(largest))
+
+
 def spectral_blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | None,
                                                       np.ndarray]]:
     """The diagonal blocks a Hermitian decomposition of ``matrix`` needs,
@@ -164,21 +188,16 @@ def spectral_blocks(matrix: np.ndarray) -> list[tuple[np.ndarray | None,
     the whole matrix).
 
     A complex matrix is returned whole, as it is: the dtype alone decides,
-    as in :func:`as_float`, so there is no copy and no parity test.  A real
-    matrix whose parity-changing blocks are both exactly zero (it commutes
-    with the grading, as every even operator does) splits into the two real
-    blocks of :func:`parity_order`; a single nonzero parity-changing entry
-    keeps the whole matrix.  Every branch gives the same spectrum: the
-    blocks' spectra together are the matrix's.
+    as in :func:`as_float`.  A real matrix whose :func:`parity_blocks` of
+    parity 1 are exactly zero splits into its two of parity 0; a single
+    nonzero parity-changing entry keeps the whole matrix.
     """
     n = matrix.shape[0]
-    if np.iscomplexobj(matrix) or n < 2 or n & (n - 1):
+    if (np.iscomplexobj(matrix) or n < 2 or n & (n - 1)
+            or any(map(np.any, parity_blocks(matrix, 1)))):
         return [(None, matrix)]
-    even, odd = parity_order(n.bit_length() - 1)
-    if np.any(matrix[np.ix_(even, odd)]) or np.any(matrix[np.ix_(odd, even)]):
-        return [(None, matrix)]
-    return [(even, matrix[np.ix_(even, even)]),
-            (odd, matrix[np.ix_(odd, odd)])]
+    return list(zip(parity_order(n.bit_length() - 1),
+                    parity_blocks(matrix, 0)))
 
 
 def eigvalsh(matrix: np.ndarray) -> np.ndarray:
@@ -403,9 +422,13 @@ def annihilator(site: int, lattice_size: int) -> AlgebraElement:
 
 @lru_cache(maxsize=16)
 def parity_signs(lattice_size: int) -> np.ndarray:
-    """Diagonal of the full-chain grading unitary ``v_0 ... v_{L-1}``."""
-    _, val = grading_encoding(Region.full(lattice_size))
-    return val.real.copy()
+    """Diagonal of the chain parity ``v_0 ... v_{L-1}``: ``(-1)**L`` on the
+    even states of the :func:`parity_order`, ``-(-1)**L`` on the odd ones."""
+    even, odd = parity_order(lattice_size)
+    signs = np.empty(dim(lattice_size))
+    signs[even], signs[odd] = (-1.0) ** lattice_size, -(-1.0) ** lattice_size
+    signs.flags.writeable = False
+    return signs
 
 
 def theta_matrix(matrix: np.ndarray, lattice_size: int) -> np.ndarray:
@@ -431,7 +454,7 @@ def require_odd_self_adjoint(element: AlgebraElement, name: str) -> None:
     scale = max(1.0, float(np.max(np.abs(element.small))))
     if not element.is_self_adjoint(1e-12 * scale):
         raise ValueError(f"{name} is not self-adjoint")
-    if np.max(np.abs((element + theta(element)).small)) > 1e-12 * scale:
+    if grading_defect(element.small, 1) > 1e-12 * scale:
         raise ValueError(f"{name} is not odd")
 
 
@@ -609,15 +632,14 @@ def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     complement's reordering, and block ``y`` of the image is
     ``S_even + s_y S_odd``: ``S`` itself, or ``S`` conjugated by the
     complement's parity.  Folding that conjugation into the sign multiplies
-    entry ``[y, x]`` by ``s_y ** popcount(x)``.
+    the odd columns by ``s_y``, the region's :func:`parity_signs` at ``y``.
     """
     if region.is_empty:
         raise ValueError("the commutant of the empty region is the full algebra")
     index, sign = mode_reordering(region.complement())
-    block_grading = grading_encoding(region)[1].real[index[:, 0]]
-    states = np.arange(index.shape[1])
-    odd = np.array([bin(x).count("1") % 2 for x in states], dtype=bool)
-    twisted = sign * np.where(odd[None, :], block_grading[:, None], 1.0)
+    odd = parity_order(region.lattice_size - len(region))[1]
+    twisted = sign.copy()
+    twisted[:, odd] *= parity_signs(len(region))[:, None]
     twisted.flags.writeable = False
     return index, twisted
 
@@ -767,21 +789,17 @@ def monomial_basis(region: Region) -> MonomialBasis:
 
 
 @lru_cache(maxsize=16)
-def _element_tables(r: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """What :func:`random_element` needs of a region of ``r`` sites: the
-    entry scale ``sqrt(2**(r - flips))``, ``flips[i, j] = popcount(i ^ j)``,
-    and for each parity ``p`` the mask of the entries outside it, which an
-    element of parity ``p`` has zero."""
+def _entry_scale(r: int) -> np.ndarray:
+    """The scale ``sqrt(2**(r - popcount(i ^ j)))`` of entry ``(i, j)`` of
+    :func:`random_element` on ``r`` sites."""
     states = np.arange(dim(r), dtype=np.int64)
     differ = states[:, None] ^ states[None, :]
     flips = np.zeros_like(differ)
     for k in range(r):
         flips += (differ >> k) & 1
     scale = np.sqrt(2.0 ** (r - flips))
-    outside = (flips % 2 != 0, flips % 2 != 1)
-    for table in (scale, *outside):
-        table.flags.writeable = False
-    return scale, outside
+    scale.flags.writeable = False
+    return scale
 
 
 def random_element(region: Region, rng: np.random.Generator, *,
@@ -793,21 +811,20 @@ def random_element(region: Region, rng: np.random.Generator, *,
     monomial basis, drawn without the basis: in the small representation
     the entries are independent complex Gaussians with
     ``E|M_ij|^2 = 2 * 2**(number of sites where i and j agree)``, and entry
-    ``(i, j)`` has parity ``popcount(i ^ j) mod 2``.  With ``hermitian`` the
-    result is averaged with its adjoint, which preserves the parity
-    constraint (the grading commutes with the adjoint).  The scale and the
-    parity masks depend only on ``|region|`` and are cached.
+    ``(i, j)`` has the parity read off :func:`parity_signs`.  With
+    ``hermitian`` the result is averaged with its adjoint, which preserves
+    the parity constraint (the grading commutes with the adjoint).
     """
     if parity not in (None, 0, 1):
         raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
-    r = len(region)
-    scale, outside = _element_tables(r)
+    scale = _entry_scale(len(region))
     mat = np.empty(scale.shape, dtype=np.complex128)
     mat.real = rng.standard_normal(scale.shape)
     mat.imag = rng.standard_normal(scale.shape)
     mat *= scale
     if parity is not None:
-        mat[outside[parity]] = 0.0
+        signs = parity_signs(len(region))
+        mat[np.outer(signs, signs) != (-1.0) ** parity] = 0.0
     if hermitian:
         mat = (mat + mat.conj().T) / 2.0
     return AlgebraElement(mat, region)

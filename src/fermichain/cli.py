@@ -220,7 +220,7 @@ def run_gibbs(cfg: RunConfig) -> list[CheckRecord]:
     hamiltonian = total_hamiltonian(_model(cfg))
     state = gibbs_state(hamiltonian, cfg.beta)
     kms = kms_residual(state, hamiltonian, cfg.beta)
-    even = state.evenness_defect()
+    even = car.grading_defect(state.density)
     return [
         CheckRecord("kms_residual", kms, 1e-10, kms <= 1e-10),
         CheckRecord("evenness", even, 1e-12, even <= 1e-12),
@@ -236,7 +236,7 @@ def run_perturb(cfg: RunConfig) -> list[CheckRecord]:
     forward = relative_entropy(state, phi)
     backward = relative_entropy(phi, state)
     slack = bound - max(forward, backward)
-    even = phi.evenness_defect()
+    even = car.grading_defect(phi.density)
     return [
         CheckRecord("decoupled_even", even, 1e-12, even <= 1e-12),
         CheckRecord("product_property", product, 1e-9, product <= 1e-9),

@@ -94,7 +94,7 @@ def standardize(raw: Mapping[Region, AlgebraElement]) -> Potential:
         scale = max(1.0, float(np.max(np.abs(small))))
         if np.max(np.abs(small - small.conj().T)) > 1e-12 * scale:
             raise ValueError(f"raw term on {region.sites} is not self-adjoint")
-        if np.max(np.abs(small - car.theta_matrix(small, len(region)))) > 1e-12 * scale:
+        if car.grading_defect(small) > 1e-12 * scale:
             raise ValueError(f"raw term on {region.sites} is not even")
 
         chain = Region.full(len(region))   # position k holds site region.sites[k]
@@ -193,8 +193,7 @@ def validate_potential(potential: Potential) -> PotentialReport:
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         res["self_adjoint"] = np.maximum(res["self_adjoint"],
                                          np.max(np.abs(term - term.conj().T)))
-        res["even"] = np.maximum(res["even"], np.max(np.abs(
-            term - car.theta_matrix(term, len(region)))))
+        res["even"] = np.maximum(res["even"], car.grading_defect(term))
         res["support"] = np.maximum(res["support"],
                                     0.0 if np.isfinite(term).all() else np.nan)
         res["standard"] = np.maximum(res["standard"], abs(car.tau(term)))

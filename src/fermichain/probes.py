@@ -150,12 +150,8 @@ def scan_odd_correlations(cases) -> dict:
     reported.
 
     The three values of a case come from one call, ``omega.odd_pair(a, b)``
-    (the module's functional protocol).  A :class:`states.FactorState`
-    answers it through its factor ``G``: the state is even, so it gives
-    every element the value of its even part, and ``A B``, ``A* A`` and
-    ``B* B`` of odd ``A`` and ``B`` are even already; on those it is
-    ``<G, X G> / ||G||**2`` exactly, and ``A G`` and ``B G`` are formed once
-    each, ``O(N**2 m)`` instead of the ``O(N**3)`` of a density.
+    (the module's functional protocol), which a :class:`states.FactorState`
+    answers through its factor, ``O(N**2 m)`` instead of ``O(N**3)``.
     """
     count = 0
     violations = 0

@@ -119,6 +119,19 @@ def _entropy_and_energy(omega: DensityState, small: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _smallest_eigenvalue(omega: DensityState) -> float:
+    """The smallest eigenvalue of a faithful base (``ValueError`` if it is
+    not positive: for a Gibbs base, only by underflow at large ``beta``)."""
+    lam = omega.lambda_min()
+    if lam <= 0.0:
+        raise ValueError(
+            "the smallest eigenvalue of the Gibbs base underflows to 0.0 at "
+            f"beta = {omega.log.beta:g}; samples = 0 tests the bound alone"
+            if omega.log is not None else
+            "base state must be faithful (strictly positive density)")
+    return lam
+
+
 def feasible_sampler(omega: DensityState, region: Region, mode: str,
                      count: int, seed: int | None = 0) -> Iterator[DensityState]:
     """Random feasible competitors of a faithful base state, drawn one at a
@@ -127,13 +140,11 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
     Each competitor is ``D + Y`` with ``Y`` self-adjoint, traceless,
     orthogonal to the constraint algebra, and of spectral norm below half
     the smallest eigenvalue of ``D`` — so every one is a genuine density
-    with exactly the base state's constrained expectations.  The probe and
-    the base are checked when the sampler is called, before any draw.
+    with exactly the base state's constrained expectations.  The probe, and
+    the base if there is a competitor to draw, are checked at the call.
     """
     project = constraint_family(region, mode)
-    lam_half = 0.5 * omega.lambda_min()
-    if lam_half <= 0.0:
-        raise ValueError("base state must be faithful (strictly positive density)")
+    lam_half = 0.5 * _smallest_eigenvalue(omega) if count > 0 else 0.0
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -168,6 +179,7 @@ def _base_multiplier(omega: DensityState, project: ConstraintProjection,
     if omega.log is not None:
         log_d = omega.log.matrix(omega.density.shape[0])
     else:
+        _smallest_eigenvalue(omega)
         decomposition = car.eigh(omega.density)
         log_d = car.spectral_map(decomposition,
                                  [np.log(w) for _, w, _ in decomposition])

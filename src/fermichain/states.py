@@ -38,16 +38,12 @@ for the decoupled state, whose ``2**|I^c|``-dimensional Hamiltonian is all
 that gets diagonalized.  Its entropy, smallest eigenvalue and every trace
 ``Tr(rho log D)`` then follow from the exact weights and one trace against
 ``H``, without decomposing ``D``.  Any other state computes its eigenvalues
-once, on first use, and validation, ``lambda_min`` and its entropy all read
-that computation.  Every decomposition goes through
-:func:`car.spectral_blocks`: an even real ``H`` (every preset) is
-diagonalized as its two real parity blocks, and so are the even real
-densities built from it; a noneven or complex matrix is decomposed whole.
-Densities are ``N x N`` arrays in the dtype of their data
-(:func:`car.as_float`, which reads the dtype only): float64 for the Gibbs,
-decoupled, perturbed and site-0 vector states of every preset, complex128
-only where complex data enters, as in the ``lts`` competitors and the
-Gaussian factor of a :class:`FactorState`.
+once, on first use (by :func:`car.spectral_blocks`), and validation,
+``lambda_min`` and its entropy all read that computation.  Densities are
+``N x N`` arrays in the dtype of their data (:func:`car.as_float`): float64
+for the Gibbs, decoupled, perturbed and site-0 vector states of every
+preset, complex128 only where complex data enters, as in the ``lts``
+competitors and the Gaussian factor of a :class:`FactorState`.
 Local elements are held on their support (:class:`car.AlgebraElement`):
 ``omega(A)`` reads the state's block diagonal there, and a noneven direction
 is checked on its small representation and applied through it.
@@ -226,11 +222,6 @@ class DensityState:
         return DensityState(car.theta_matrix(self.density, self.lattice_size),
                             label=f"{self.label}.theta", validate=False)
 
-    def evenness_defect(self) -> float:
-        """Largest entry of ``D - theta(D)``; zero exactly for even states."""
-        return float(np.max(np.abs(self.density -
-                                   car.theta_matrix(self.density, self.lattice_size))))
-
 
 @dataclass
 class FactorState:
@@ -293,16 +284,16 @@ class FactorState:
         The three values are inner products, which a signed permutation of
         the rows keeps, so each column block of ``G`` is gathered once by
         :func:`_pair_gather` into modes ordered ``supp A``, ``supp B``, the
-        rest, and ``A G`` and ``B G`` are formed there with no scatter.  In
-        the parity order an odd element is off-diagonal, so each acts by
-        its two off-diagonal blocks, half the flops of the whole.  ``B``'s
-        modes follow ``A``'s, so its Jordan-Wigner strings cross them: the
-        product with the odd ``B`` carries ``supp A``'s grading sign
-        ``(-1)**(|A| - popcount(x))`` on row ``x``.
+        rest, and ``A G`` and ``B G`` are formed there with no scatter.  An
+        odd element acts by its two :func:`car.parity_blocks` of parity 1,
+        half the flops of the whole.  ``B``'s modes follow ``A``'s, so its
+        Jordan-Wigner strings cross them: the odd ``B`` carries ``supp A``'s
+        grading sign ``(-1)**(|A| - popcount(x))`` on row ``x``.
         """
         car.require_odd_pair(a, b)
         index, sign = _pair_gather(a.support, b.support)
-        (a_eo, a_oe), (b_eo, b_oe) = _odd_blocks(a), _odd_blocks(b)
+        a_eo, a_oe = car.parity_blocks(a.small, 1)
+        b_eo, b_oe = car.parity_blocks(b.small, 1)
         ha, hb = a_eo.shape[0], b_eo.shape[0]
         grading = (-1.0) ** len(a.support)    # on even x; -grading on odd x
         sums = np.zeros(3, dtype=np.complex128)
@@ -322,14 +313,6 @@ class FactorState:
             sums += (np.vdot(ag, bg), np.vdot(ag, ag), np.vdot(bg, bg))
         corr, aa, bb = sums / self._weight
         return complex(corr), complex(aa), complex(bb)
-
-
-def _odd_blocks(element: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of an odd element's small representation with even rows
-    and odd columns, and with odd rows and even columns, in the
-    :func:`car.parity_order`; its two diagonal blocks are zero."""
-    even, odd = car.parity_order(len(element.support))
-    return element.small[np.ix_(even, odd)], element.small[np.ix_(odd, even)]
 
 
 @lru_cache(maxsize=64)
@@ -440,14 +423,9 @@ def kms_residual(omega: DensityState, hamiltonian: AlgebraElement,
     density is a multiple of the identity, gives the same value.  A NaN
     entry of ``D`` gives NaN.
 
-    The decomposition is :func:`car.eigh`'s: for an even ``H`` the eigenbasis
-    is block diagonal in the parity order, ``U = diag(U_+, U_-)``, and the
-    defect squared is
-
-        sum_b ||U_b* D_bb U_b - diag(w_b)||_F**2 + ||D_+-||_F**2 + ||D_-+||_F**2,
-
-    so the parity-changing blocks of ``D``, which the Gibbs density has
-    zero, enter as they are and a noneven ``D`` still shows.
+    For an even ``H`` the eigenbasis is ``diag(U_+, U_-)`` in the parity
+    order, so the blocks of ``D`` of parity 1 (:func:`car.parity_blocks`),
+    zero for the Gibbs density, add their squares as they are.
     """
     decomposition = car.eigh(hamiltonian.matrix)
     eps = np.concatenate([block_eps for _, block_eps, _ in decomposition])
@@ -461,9 +439,7 @@ def kms_residual(omega: DensityState, hamiltonian: AlgebraElement,
         defect[np.diag_indices_from(defect)] -= weights
         squares += np.vdot(defect, defect).real
     if len(decomposition) == 2:
-        (even, _, _), (odd, _, _) = decomposition
-        for rows, cols in ((even, odd), (odd, even)):
-            off = density[np.ix_(rows, cols)]
+        for off in car.parity_blocks(density, 1):
             squares += np.vdot(off, off).real
     return float(np.sqrt(squares))
 

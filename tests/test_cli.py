@@ -283,6 +283,30 @@ def test_lts_passes_at_beta_50_on_one_site(tmp_path):
     assert abs(by_name["margin_maximizer"]["value"]) <= 1e-13
 
 
+@pytest.mark.parametrize("length, region, beta", [(8, "2,3", "100"),
+                                                  (4, "1", "200")])
+def test_lts_bound_alone_passes_where_the_weights_underflow(length, region,
+                                                            beta, tmp_path):
+    # the Gibbs state's smallest weight underflows to 0.0; with no
+    # competitor to draw, nothing asks for it, and the bound passes
+    out = tmp_path / "report.jsonl"
+    assert run(["lts", "--length", str(length), "--region", region,
+                "--beta", beta, "--samples", "0", "--out", str(out)]) == 0
+    records = read_records(out)
+    assert [r["check"] for r in records] == ["feasible_residual",
+                                             "margin_maximizer"]
+    assert all(r["pass"] for r in records)
+
+
+def test_lts_samples_where_the_weights_underflow_name_the_cause(tmp_path,
+                                                                capsys):
+    out = tmp_path / "report.jsonl"
+    assert run(["lts", "--length", "4", "--region", "1", "--beta", "200",
+                "--samples", "2", "--out", str(out)]) == 1
+    assert [r["check"] for r in read_records(out)] == ["error"]
+    assert "underflows to 0.0 at beta = 200" in capsys.readouterr().err
+
+
 def test_an_error_record_names_the_region_of_the_check_records(monkeypatch,
                                                                tmp_path):
     # the label is decided once per run, before the verb runs: sites given
@@ -395,6 +419,18 @@ def test_remark2_verb_reports_the_unit_expectation(tmp_path):
     by_name = {rec["check"]: rec for rec in read_records(out)}
     assert abs(by_name["odd_expectation"]["value"] - 1.0) < 1e-10
     assert by_name["vector_asymmetry"]["pass"]
+
+
+def test_remark2_runs_on_one_site(tmp_path):
+    # outside site 0 the chain is empty: the restriction there is the 1 x 1
+    # density, whose grading is the identity
+    out = tmp_path / "report.jsonl"
+    assert run(["remark2", "--length", "1", "--out", str(out)]) == 0
+    records = read_records(out)
+    assert [r["check"] for r in records] == ["restriction_residual",
+                                             "odd_expectation",
+                                             "vector_asymmetry"]
+    assert all(r["pass"] for r in records)
 
 
 def test_ssb_probe_verb_covers_all_probes(tmp_path):

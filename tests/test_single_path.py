@@ -1,4 +1,5 @@
-"""Guard: one way to compute a conditional expectation.
+"""Guards: one way to compute a conditional expectation, and one way to
+read the grading.
 
 Restrictions, conditional expectations, commutant projections and random
 elements all go through the mode reordering in :mod:`fermichain.car`.  The
@@ -7,6 +8,10 @@ cost ``4**|R| x 2**L`` entries and refuse large regions, so no package code
 calls them, ``car`` included: only the bodies of ``MonomialBasis`` and
 ``monomial_basis``, which build and read the tables, may.  Tests use them
 freely as an oracle.
+
+The grading is read off :func:`car.parity_order` alone, so no package code
+calls a column-map encoding (``*_encoding``, ``encoding_dense``) either:
+only the bodies of the monomial basis's own definitions may.
 """
 
 import ast
@@ -25,26 +30,28 @@ TABLE_METHODS = {name for name, value in vars(car.MonomialBasis).items()
 EXEMPT = {"MonomialBasis", "monomial_basis"}
 
 
-def monomial_table_calls(source: str) -> list[int]:
-    """Line numbers of calls to ``monomial_basis`` or to a method named like
-    one of ``MonomialBasis``'s, outside the bodies of the two."""
+def calls_outside(source: str, exempt_names, flagged) -> list[int]:
+    """Line numbers of the calls whose callee ``flagged`` accepts, outside
+    the bodies of the top-level definitions named in ``exempt_names``."""
     tree = ast.parse(source)
     exempt = [(node.lineno, node.end_lineno) for node in tree.body
               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-              and node.name in EXEMPT]
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if any(first <= node.lineno <= last for first, last in exempt):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in TABLE_FUNCTIONS:
-            lines.append(node.lineno)
-        elif isinstance(func, ast.Attribute) and (
-                func.attr in TABLE_FUNCTIONS or func.attr in TABLE_METHODS):
-            lines.append(node.lineno)
-    return lines
+              and node.name in exempt_names]
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and flagged(node.func)
+            and not any(first <= node.lineno <= last
+                        for first, last in exempt)]
+
+
+def monomial_table_calls(source: str) -> list[int]:
+    """Line numbers of calls to ``monomial_basis`` or to a method named like
+    one of ``MonomialBasis``'s, outside the bodies of the two."""
+    def flagged(func):
+        if isinstance(func, ast.Name):
+            return func.id in TABLE_FUNCTIONS
+        return isinstance(func, ast.Attribute) and (
+            func.attr in TABLE_FUNCTIONS or func.attr in TABLE_METHODS)
+    return calls_outside(source, EXEMPT, flagged)
 
 
 def test_table_methods_are_known():
@@ -78,3 +85,42 @@ def test_only_car_touches_the_monomial_tables():
     assert not offenders, ("monomial tables used outside their own "
                            "definitions in car.py (use small_representation "
                            f"/ embed): {offenders}")
+
+
+# top-level definitions of the monomial oracle, which build its tables from
+# the column-map encodings
+ORACLE = {"_site_factor_encodings", "Monomial", "monomial_basis"}
+
+
+def encoding_calls(source: str) -> list[int]:
+    """Line numbers of calls to a column-map encoding outside the bodies of
+    the monomial oracle's definitions."""
+    def flagged(func):
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else "")
+        return name.endswith("_encoding") or name == "encoding_dense"
+    return calls_outside(source, ORACLE, flagged)
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("car.grading_encoding(region)", True),
+    ("grading_encoding(Region.full(n))[1].real", True),
+    ("encoding_dense(perm, val)", True),
+    ("car.annihilator_encoding(0, 3)", True),
+    ("car.parity_order(n)", False),
+    ("car.parity_signs(n)", False),
+    ("_site_factor_encodings(n)", False),
+    ("class Monomial:\n    def dense(self):\n"
+     "        return encoding_dense(self.perm, self.val)", False),
+    ("def signs(n):\n    return grading_encoding(n)", True),
+])
+def test_guard_recognizes_encoding_calls(snippet, flagged):
+    assert bool(encoding_calls(snippet)) is flagged
+
+
+def test_no_package_code_reads_a_column_map_encoding():
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 for line in encoding_calls(path.read_text("utf-8"))]
+    assert not offenders, ("column-map encodings called outside the "
+                           "monomial oracle (read the grading off "
+                           f"car.parity_order): {offenders}")

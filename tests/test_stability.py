@@ -426,8 +426,8 @@ def test_noneven_margin_is_its_relative_entropy_from_the_bound():
 
 
 def test_maximizer_requires_a_faithful_constraint():
-    # the sampler refuses an unfaithful base before any work is done, with
-    # no samples to draw too
+    # the bound takes the log of a base that is not a Gibbs state, so it
+    # refuses an unfaithful one, with no samples to draw too
     lattice = 3
     n = car.dim(lattice)
     pure = np.zeros((n, n), dtype=complex)
@@ -435,6 +435,37 @@ def test_maximizer_requires_a_faithful_constraint():
     with pytest.raises(ValueError, match="faithful"):
         lts_check(DensityState(pure), hopping_model(lattice),
                   Region.of([2], lattice), 1.0, samples=0)
+
+
+@pytest.mark.parametrize("mode", stability.MODES)
+def test_bound_alone_takes_no_smallest_eigenvalue(mode, monkeypatch):
+    # a Gibbs base whose smallest weight underflows: with no competitor to
+    # draw, the check asks for no smallest eigenvalue, and the bound holds
+    lattice, beta = 4, 200.0
+    pot = hopping_model(lattice)
+    region = Region.of([1], lattice)
+    omega = gibbs_state(total_hamiltonian(pot), beta)
+    assert omega.lambda_min() == 0.0
+
+    def refuse(self):
+        raise AssertionError("lambda_min asked for with no samples")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DensityState, "lambda_min", refuse)
+        report = lts_check(omega, pot, region, beta, mode=mode, samples=0)
+    assert report.passed
+    assert [c.check for c in report.checks] == ["feasible_residual",
+                                                "margin_maximizer"]
+
+
+def test_sampler_names_an_underflowing_gibbs_base():
+    lattice, beta = 4, 200.0
+    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
+    region = Region.of([1], lattice)
+    with pytest.raises(ValueError, match="underflows to 0.0 at beta = 200"):
+        feasible_sampler(omega, region, "lts", 1)
+    # with nothing to draw there is nothing to refuse
+    assert list(feasible_sampler(omega, region, "lts", 0)) == []
 
 
 @pytest.mark.parametrize("mode", stability.MODES)

@@ -64,7 +64,7 @@ def test_gibbs_limits_and_invariance():
                          - np.eye(16) / 16)) < 1e-14
     g = gibbs_state(h, 1.3)
     assert np.max(np.abs(g.density @ h.matrix - h.matrix @ g.density)) < 1e-13
-    assert g.evenness_defect() <= 1e-12
+    assert car.grading_defect(g.density) <= 1e-12
     with pytest.raises(ValueError):
         gibbs_state(h, math.inf)
     skew = car.annihilator(0, 4)
@@ -248,7 +248,7 @@ def test_restriction_commutes_with_the_grading_exactly(lattice, sites):
     # the traced-out modes cancel: restricting the grading image and
     # grading the restriction give equal entries, with no rounding
     omega = random_density(lattice, np.random.default_rng(lattice))
-    assert omega.evenness_defect() > 1e-3
+    assert car.grading_defect(omega.density) > 1e-3
     region = Region.of(sites, lattice)
     got = restrict(omega.theta(), region)
     want = restrict(omega, region).theta()
@@ -296,7 +296,7 @@ def test_perturbed_state_has_exact_product_property():
     region = Region.of([2], lattice)
     phi = perturbed_state(pot, beta, region)
     assert product_check(phi, region) < 1e-13
-    assert phi.evenness_defect() <= 1e-12
+    assert car.grading_defect(phi.density) <= 1e-12
     # the density lies in the complement algebra
     comp = region.complement()
     assert np.max(np.abs(car.conditional_expectation_matrix(phi.density, comp)
@@ -366,7 +366,7 @@ def test_noneven_perturbation_is_invisible_outside():
                          - restrict(phi, comp).density)) == 0.0
     # ... yet genuinely different and noneven
     assert np.max(np.abs(psi.density - phi.density)) > 1e-4
-    assert psi.evenness_defect() > 1e-4
+    assert car.grading_defect(psi.density) > 1e-4
     # the even average recovers the original state exactly
     averaged = 0.5 * (psi.density + psi.theta().density)
     assert np.max(np.abs(averaged - phi.density)) < 1e-15
@@ -431,7 +431,7 @@ def test_remark2_matches_the_purification(lattice, outer_kind):
         outer = random_density(lattice, np.random.default_rng(lattice))
         comp = Region.of([0], lattice).complement()
         assert outer.lambda_min() > 0.0
-        assert restrict(outer, comp).evenness_defect() > 1e-3
+        assert car.grading_defect(restrict(outer, comp).density) > 1e-3
     u = odd_direction(Region.of([0], lattice))
     oracle = purified(outer, u)
     got = remark2_construct(outer).density

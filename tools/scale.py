@@ -2,21 +2,25 @@
 scale, each job one child process with one BLAS thread under a 3 GiB
 address-space limit; peak RSS is the child's ``ru_maxrss`` from ``wait4``.
 
-    python tools/scale.py PATH LABEL [--src DIR] [--slow]
+    python tools/scale.py PATH LABEL=SRC [LABEL=SRC ...] [--slow]
 
 runs the ``hopping`` jobs at ``beta = 1``, seed 0, region ``2,3``, against
-the package under ``--src`` (default ``src``), and stores them under
-``LABEL`` in the JSON file ``PATH``, keeping the other labels there.  The
-jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with ``--samples 200``
-and not at 10), ``gibbs``, ``perturb``, ``entropy``, ``prop4`` and
-``remark2`` at ``L = 11`` and 12, and ``lts --samples 0`` at ``L = 11``
-and 12.  ``--slow`` adds ``lts --samples 50`` at ``L = 10``.
+the package in each source directory ``SRC``, and stores them under its
+``LABEL`` in the JSON file ``PATH``, keeping the other labels there.  Each
+job runs three times on every tree, the trees alternating in order from
+one run to the next, so that drift on the machine falls on all of them
+alike; a record keeps the median wall time and peak with all three of
+each.  The jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with
+``--samples 200`` and not at 10), ``gibbs``, ``perturb``, ``entropy``,
+``prop4`` and ``remark2`` at ``L = 11`` and 12, and ``lts --samples 0`` at
+``L = 11`` and 12.  ``--slow`` adds ``lts --samples 50`` at ``L = 10``.
 """
 
 import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -33,6 +37,7 @@ JOBS = ([(verb, n, ("--samples", "200") if verb == "lts" else ())
         + [("lts", n, ("--samples", "0")) for n in (11, 12)])
 SLOW = [("lts", 10, ("--samples", "50"))]
 LIMIT = 3 << 30
+REPEATS = 3
 
 
 def run(verb, length, extra, src):
@@ -55,19 +60,43 @@ def run(verb, length, extra, src):
                        if not r["pass"]]}
 
 
+def summarize(runs):
+    """One record of a job's runs: the medians, every wall and peak, the
+    first nonzero exit status and every check that failed in any run."""
+    walls = [r["wall_s"] for r in runs]
+    peaks = [r["peak_rss_mb"] for r in runs]
+    return {"argv": runs[0]["argv"], "wall_s": statistics.median(walls),
+            "peak_rss_mb": statistics.median(peaks), "walls": walls,
+            "peaks": peaks,
+            "status": next((r["status"] for r in runs if r["status"]), 0),
+            "failed": sorted({c for r in runs for c in r["failed"]})}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("path")
-    parser.add_argument("label")
-    parser.add_argument("--src", default="src")
+    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
     parser.add_argument("--slow", action="store_true")
     args = parser.parse_args()
+    trees = []
+    for pair in args.trees:
+        label, sep, src = pair.partition("=")
+        if not (label and sep and src):
+            parser.error(f"expected LABEL=SRC, got {pair!r}")
+        trees.append((label, os.path.abspath(src)))
     results = {}
     if os.path.exists(args.path):
         with open(args.path) as handle:
             results = json.load(handle)
-    results[args.label] = [run(*job, os.path.abspath(args.src))
-                           for job in JOBS + (SLOW if args.slow else [])]
+    records = {label: [] for label, _ in trees}
+    for job in JOBS + (SLOW if args.slow else []):
+        runs = {label: [] for label, _ in trees}
+        for repeat in range(REPEATS):
+            for label, src in trees[::-1] if repeat % 2 else trees:
+                runs[label].append(run(*job, src))
+        for label, _ in trees:
+            records[label].append(summarize(runs[label]))
+    results.update(records)
     with open(args.path, "w") as handle:
         json.dump(results, handle, indent=1)
         handle.write("\n")
