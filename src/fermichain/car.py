@@ -39,19 +39,21 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
 - the tau-preserving conditional expectation onto ``A_R`` is
   ``embed o small_representation``;
 - :func:`commutant_reordering` twists the complement's reordering by
-  ``v_R`` so that the commutant of ``A_R`` is block diagonal as well.
+  ``v_R`` so that the commutant of ``A_R`` is block diagonal as well;
+- :func:`pair_gather` composes two reorderings into one signed gather.
 
 Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
 
 Every Hermitian decomposition of the package goes through one helper,
-:func:`spectral_blocks`, with :func:`eigvalsh`, :func:`eigh` and
-:func:`spectral_map` its thin users.  An even operator is ``diag(X_+,
-X_-)`` in the parity order, and every preset is real, so a real matrix
-with zero parity-changing blocks is decomposed as its two real
-``2**L / 2``-square blocks, anything else whole.  With one BLAS thread,
-the two real half-size blocks of the ``hopping`` Hamiltonian decompose 6.6
-times faster than the complex whole at ``N = 256`` and 17 at ``N = 1024``.
+:func:`spectral_blocks`, with :func:`eigvalsh`, :func:`eigh`,
+:func:`spectral_map` and :func:`trace_log` its thin users.  An even
+operator is ``diag(X_+, X_-)`` in the parity order, and every preset is
+real, so a real matrix with zero parity-changing blocks is decomposed as
+its two real ``2**L / 2``-square blocks, anything else whole.  With one
+BLAS thread, the two real half-size blocks of the ``hopping`` Hamiltonian
+decompose 6.6 times faster than the complex whole at ``N = 256`` and 17
+at ``N = 1024``.
 
 Arrays keep the dtype of their data (:func:`as_float`): float64 for real
 data, complex128 for complex data, decided by the dtype alone.  Every
@@ -240,6 +242,26 @@ def spectral_map(decomposition, values) -> np.ndarray:
     for states, part in parts:
         out[np.ix_(states, states)] = part
     return out
+
+
+# relative spectral cutoff separating genuine kernel directions from dust
+_KERNEL_CUTOFF = 1e-12
+
+
+def trace_log(matrix: np.ndarray, rho: np.ndarray) -> float:
+    """``Tr(rho log matrix)`` for a positive semidefinite Hermitian
+    ``matrix`` from one :func:`eigh`, ``-inf`` when ``rho`` has weight on
+    the kernel, decided by a relative cutoff on the spectrum."""
+    decomposition = eigh(matrix)
+    lam = np.concatenate([w for _, w, _ in decomposition])
+    # entry i is sum_j conj(u_ji) (rho u)_ji
+    diag = np.concatenate([
+        np.real(np.sum(u.conj() * (diagonal_block(rho, states) @ u), 0))
+        for states, _, u in decomposition])
+    support = lam > _KERNEL_CUTOFF * max(float(lam.max()), _KERNEL_CUTOFF)
+    if np.sum(diag[~support]) > _KERNEL_CUTOFF * max(1.0, abs(np.trace(rho))):
+        return -np.inf
+    return float(np.sum(np.log(lam[support]) * diag[support]))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +530,32 @@ def mode_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
     sign = 1.0 - 2.0 * (inversions & 1)
     shape = (dim(lattice - r), dim(r))
     index, sign = index.reshape(shape), sign.reshape(shape)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+@lru_cache(maxsize=64)
+def pair_gather(first: Region,
+                second: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The signed gather of the rows of a chain's matrix into the modes
+    ordered ``first``, ``second`` (disjoint from it), then the rest, with
+    the states of each support in the :func:`parity_order`.
+
+    Returns ``(index, sign)`` of shape ``(2**|first|, 2**|second|,
+    2**(L - |first| - |second|))``: row ``[x, w, z]`` of the gathered matrix
+    is ``sign[x, w, z]`` times row ``index[x, w, z]``.  It composes two
+    :func:`mode_reordering` tables: ``first``'s, and on the chain of
+    ``first``'s complement that of ``second``'s positions there, which
+    renumbers only the modes after ``first``'s.
+    """
+    index_a, sign_a = mode_reordering(first)                # [y, x]
+    index_b, sign_b = mode_reordering(
+        second.positions_in(first.complement()))            # [z, w] -> y
+    order_a = np.concatenate(parity_order(len(first)))[:, None, None]
+    order_b = np.concatenate(parity_order(len(second)))
+    y = index_b[:, order_b].T[None]                         # [., w, z]
+    index = index_a[y, order_a]
+    sign = sign_a[y, order_a] * sign_b[:, order_b].T[None]
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 

@@ -83,8 +83,9 @@ class RunConfig:
         if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}; "
                              f"known: {', '.join(sorted(MODELS))}")
-        if not math.isfinite(self.beta):
-            raise UsageError(f"beta must be finite, got {self.beta}")
+        for key, value in [("beta", self.beta), *self.model_params.items()]:
+            if not math.isfinite(value):
+                raise UsageError(f"{key} must be finite, got {value}")
         if self.samples is not None and self.command != "lts":
             raise UsageError(f"command {self.command!r} takes no samples")
         if self.samples is not None and self.samples < 0:

@@ -25,19 +25,16 @@ energy of the region gives the local free energy
 the functional whose constrained maximizers are the thermally stable states;
 :func:`fermichain.stability.free_energy` computes it.
 
-When the reference is a Gibbs state its log is known in closed form,
-``log D1 = -beta (H - E0) - log Z'`` (:class:`fermichain.states.GibbsLog`),
-so ``Tr(D2 log D1)`` is a trace against ``H`` and needs no decomposition of
-``D1``; a Gibbs state is faithful, so the kernel condition holds and no
-spectral cutoff is involved.  ``Tr(D2 log D2)`` is ``-S(omega2)``, which a
-Gibbs state also knows in closed form and any other state reads from its
-one eigenvalue computation.  :func:`relative_entropy_matrices` is the
-spectral route for references with no closed-form log.
+The state supplies ``Tr(D2 log D1)`` (:meth:`DensityState.trace_log`):
+in closed form from ``log D1 = -beta (H - E0) - log Z'`` when the
+reference is a Gibbs state, which is faithful, so the kernel condition
+holds with no spectral cutoff; from one decomposition of ``D1`` otherwise,
+``-inf`` when the kernel condition fails.  ``Tr(D2 log D2)`` is
+``-S(omega2)``, which a Gibbs state also knows in closed form and any other
+state reads from its one eigenvalue computation.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,67 +42,37 @@ from . import car
 from .regions import Region
 from .states import DensityState, restrict, spectral_entropy
 
-# Relative spectral cutoff separating genuine kernel directions from dust.
-_KERNEL_CUTOFF = 1e-12
-
 # Magnitude of negative computed values still attributable to rounding.
 _NEGATIVE_SLACK = 1e-9
 
 
 def relative_entropy_matrices(d1: np.ndarray, d2: np.ndarray) -> float:
-    """Relative entropy from raw density matrices (first argument = reference),
-    ``inf`` when the kernel condition fails.
-
-    Values are computed entirely on the support of the reference: the
-    entropic terms use every positive eigenvalue (the function ``x log x``
-    extends continuously by zero, so spectral dust is harmless), while the
-    kernel condition is decided with a relative cutoff on the spectrum.
-
-    ``D1`` is decomposed by :func:`car.eigh`, so for an even ``D1`` its
-    eigenbasis is block diagonal in the parity order and the kernel leak
-    and the diagonal of ``U1* D2 U1`` read only the diagonal blocks of
-    ``D2``.
-    """
-    decomposition = car.eigh((d1 + d1.conj().T) / 2.0)
-    lam1 = np.concatenate([lam for _, lam, _ in decomposition])
-    lam2 = car.eigvalsh((d2 + d2.conj().T) / 2.0)
-    cut1 = _KERNEL_CUTOFF * max(float(np.max(lam1)), _KERNEL_CUTOFF)
-
-    leak, cross = 0.0, 0.0
-    for states, lam, u1 in decomposition:
-        block2 = car.diagonal_block(d2, states)
-        support1 = lam > cut1
-        if not np.all(support1):
-            kernel_vecs = u1[:, ~support1]
-            leak += float(np.real(np.vdot(kernel_vecs, block2 @ kernel_vecs)))
-        # diagonal of u1* d2 u1: column i is sum_j conj(u1_ji) (d2 u1)_ji
-        diag2 = np.real(np.sum(u1.conj() * (block2 @ u1), axis=0))
-        cross += float(np.sum(np.log(lam[support1]) * diag2[support1]))
-    if leak > _KERNEL_CUTOFF * max(1.0, float(np.abs(np.trace(d2)))):
-        return math.inf
-
-    ent2 = -spectral_entropy(lam2)
-    return _nonnegative(ent2 - cross)
+    """Relative entropy from raw ``2**L x 2**L`` density matrices (first
+    argument = reference): :func:`relative_entropy` of the two as
+    unvalidated :class:`DensityState` s, ``inf`` when the kernel condition
+    fails.  Raw matrices carry no closed-form log: this is the spectral
+    route, the tests' oracle for the closed forms."""
+    return relative_entropy(DensityState(d1, validate=False),
+                            DensityState(d2, validate=False))
 
 
-def _nonnegative(value: float) -> float:
-    """A computed relative entropy, with rounding below zero clipped away."""
-    if value < 0.0:
-        if value < -_NEGATIVE_SLACK:
-            raise RuntimeError(f"relative entropy came out {value:.3e} < 0; "
-                               "inputs are not valid densities")
+def _clipped(value: float, what: str, sign: int) -> float:
+    """A computed ``value`` whose sign is ``sign`` (``1`` or ``-1``), with
+    rounding of the other sign clipped away."""
+    if sign * value < 0.0:
+        if sign * value < -_NEGATIVE_SLACK:
+            raise RuntimeError(f"{what} came out {value:.3e} {'<>'[sign < 0]} "
+                               "0; inputs are not valid densities")
         value = 0.0
     return value
 
 
 def relative_entropy(omega1: DensityState, omega2: DensityState) -> float:
-    """``S(omega1, omega2)``; finite only if ``omega2`` lives on the support
-    of ``omega1``, which holds whenever ``omega1`` is a Gibbs state: then
-    ``S = -S(D2) - Tr(D2 log D1)`` from the closed-form log, and the
-    kernel condition holds with no spectral cutoff."""
-    if omega1.log is None:
-        return relative_entropy_matrices(omega1.density, omega2.density)
-    return _nonnegative(-omega2.entropy() - omega1.log.trace_log(omega2.density))
+    """``S(omega1, omega2) = -S(D2) - Tr(D2 log D1)``, each term the state's
+    own; finite only if ``omega2`` lives on the support of ``omega1``,
+    which holds whenever ``omega1`` is a Gibbs state."""
+    return _clipped(-omega2.entropy() - omega1.trace_log(omega2.density),
+                    "relative entropy", 1)
 
 
 def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
@@ -118,7 +85,7 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
     return relative_entropy(restrict(omega1, region), restrict(omega2, region))
 
 
-def _entropy(matrix: np.ndarray) -> float:
+def matrix_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix."""
     return spectral_entropy(car.eigvalsh((matrix + matrix.conj().T) / 2.0))
 
@@ -137,14 +104,9 @@ def compressed_conditional_entropy(omega: DensityState, small: np.ndarray) -> fl
     form for a Gibbs state, its one spectrum otherwise), ``S(small)`` one
     ``m x m`` eigenvalue problem.
     """
-    n = omega.density.shape[0]
-    value = omega.entropy() - n / small.shape[0] * _entropy(small)
-    if value > 0.0:
-        if value > _NEGATIVE_SLACK:
-            raise RuntimeError(f"conditional entropy came out {value:.3e} > 0; "
-                               "inputs are not valid densities")
-        value = 0.0
-    return value
+    multiplicity = omega.density.shape[0] / small.shape[0]
+    return _clipped(omega.entropy() - multiplicity * matrix_entropy(small),
+                    "conditional entropy", -1)
 
 
 def conditional_entropy(omega: DensityState, region: Region) -> float:

@@ -40,12 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from . import car
-from .entropy import compressed_conditional_entropy, relative_entropy
+from .entropy import (compressed_conditional_entropy, matrix_entropy,
+                      relative_entropy)
 from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
 from .reporting import CheckRecord
-from .states import (DensityState, noneven_perturbation, perturbed_state,
-                     restrict, spectral_entropy)
+from .states import DensityState, noneven_perturbation, perturbed_state
 
 MODES = ("lts", "lts_prime")
 
@@ -119,19 +119,6 @@ def _entropy_and_energy(omega: DensityState, small: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _smallest_eigenvalue(omega: DensityState) -> float:
-    """The smallest eigenvalue of a faithful base (``ValueError`` if it is
-    not positive: for a Gibbs base, only by underflow at large ``beta``)."""
-    lam = omega.lambda_min()
-    if lam <= 0.0:
-        raise ValueError(
-            "the smallest eigenvalue of the Gibbs base underflows to 0.0 at "
-            f"beta = {omega.log.beta:g}; samples = 0 tests the bound alone"
-            if omega.log is not None else
-            "base state must be faithful (strictly positive density)")
-    return lam
-
-
 def feasible_sampler(omega: DensityState, region: Region, mode: str,
                      count: int, seed: int | None = 0) -> Iterator[DensityState]:
     """Random feasible competitors of a faithful base state, drawn one at a
@@ -144,7 +131,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
     the base if there is a competitor to draw, are checked at the call.
     """
     project = constraint_family(region, mode)
-    lam_half = 0.5 * _smallest_eigenvalue(omega) if count > 0 else 0.0
+    lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -172,17 +159,11 @@ def _base_multiplier(omega: DensityState, project: ConstraintProjection,
     """``M0 = compress(log D + beta H(I))``, the multiplier at which the
     bound of :func:`_dual_bound` is attained when ``omega`` is a faithful
     constrained maximizer: there ``log D + beta H(I)`` lies in the
-    constraint algebra, so ``K(M0) = log D``.  ``log D`` is a Gibbs state's
-    closed form (:meth:`GibbsLog.matrix`) or one :func:`car.eigh` of a
-    faithful density; ``beta H(I)`` is added into it in place from its small
-    representation, in complex arithmetic when ``H(I)`` is complex."""
-    if omega.log is not None:
-        log_d = omega.log.matrix(omega.density.shape[0])
-    else:
-        _smallest_eigenvalue(omega)
-        decomposition = car.eigh(omega.density)
-        log_d = car.spectral_map(decomposition,
-                                 [np.log(w) for _, w, _ in decomposition])
+    constraint algebra, so ``K(M0) = log D``.  ``log D`` is the state's
+    own (:meth:`DensityState.log_matrix`); ``beta H(I)`` is added into it in
+    place from its small representation, in complex arithmetic when
+    ``H(I)`` is complex."""
+    log_d = omega.log_matrix()
     log_d = log_d.astype(np.result_type(log_d, h_i.small), copy=False)
     car.add_embedded(log_d, beta * h_i.small, h_i.support)
     return project.compress(log_d)
@@ -212,7 +193,7 @@ def _dual_bound(project: ConstraintProjection, small_base: np.ndarray,
     log_z = top + math.log(float(np.sum(np.exp(spectrum - top))))
     multiplicity = car.dim(project.region.lattice_size) / small_base.shape[0]
     return log_z - multiplicity * (float(np.real(np.vdot(multiplier, small_base)))
-                                   + spectral_entropy(car.eigvalsh(small_base)))
+                                   + matrix_entropy(small_base))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +295,10 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     conditional entropy and local energy, and that the noneven states lose
     the free-energy comparison by exactly their relative entropy from the
     even one — strictly, so neither can be locally thermally stable.  The
-    full-chain Gibbs state is never built.  Each state's conditional
-    entropy ``Sc`` and local energy ``E = omega(H(I))`` are taken once, the
-    energy on the support of ``H(I)``, and its free energy is
-    ``Sc - beta E``.
+    full-chain Gibbs state is never built.  Each state is compressed onto
+    the complement's algebra once, for its agreement outside the region and
+    its conditional entropy ``Sc``; ``Sc`` and ``E = omega(H(I))`` are
+    taken once, ``E`` on the support of ``H(I)``, and ``F = Sc - beta E``.
 
     The strict loss is a finite-chain fact with no infinite-volume escape
     hatch here: the mechanism that would rescue a noneven equilibrium state
@@ -327,12 +308,6 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     phi_p = perturbed_state(potential, beta, region)
     psi = noneven_perturbation(phi_p, region, strength=strength)
     psi_t = psi.theta()
-    comp = region.complement()
-
-    rest_ref = restrict(phi_p, comp).density
-    rest_defect = max(
-        float(np.max(np.abs(restrict(state, comp).density - rest_ref)))
-        for state in (psi, psi_t))
 
     h_tilde_i = local_hamiltonian(prune(potential, region), region)
     hi_defect = h_tilde_i.norm()
@@ -342,9 +317,16 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
 
     project = constraint_family(region, "lts")
     h_i = local_hamiltonian(potential, region)
-    (sc_p, e_p), (sc_psi, e_psi), (sc_psi_t, e_psi_t) = (
-        _entropy_and_energy(state, project.compress(state.density), h_i)
-        for state in (phi_p, psi, psi_t))
+    ref = project.compress(phi_p.density)
+    parts, defects = [_entropy_and_energy(phi_p, ref, h_i)], []
+    for state in (psi, psi_t):
+        small = project.compress(state.density)
+        defects.append(float(np.max(np.abs(small - ref))))
+        parts.append(_entropy_and_energy(state, small, h_i))
+        del small       # before the next compression
+    # 2**|I| times the compression is the restriction to the complement
+    rest_defect = car.dim(len(region)) * max(defects)
+    (sc_p, e_p), (sc_psi, e_psi), (sc_psi_t, e_psi_t) = parts
     f_p = sc_p - beta * e_p
     f_psi = sc_psi - beta * e_psi
     f_psi_t = sc_psi_t - beta * e_psi_t

@@ -39,11 +39,13 @@ that gets diagonalized.  Its entropy, smallest eigenvalue and every trace
 ``Tr(rho log D)`` then follow from the exact weights and one trace against
 ``H``, without decomposing ``D``.  Any other state computes its eigenvalues
 once, on first use (by :func:`car.spectral_blocks`), and validation,
-``lambda_min`` and its entropy all read that computation.  Densities are
-``N x N`` arrays in the dtype of their data (:func:`car.as_float`): float64
-for the Gibbs, decoupled, perturbed and site-0 vector states of every
-preset, complex128 only where complex data enters, as in the ``lts``
-competitors and the Gaussian factor of a :class:`FactorState`.
+``lambda_min`` and its entropy all read that computation.  Only this module
+decides between the two (:meth:`DensityState.trace_log`, ``log_matrix`` and
+``smallest_weight``).  Densities are ``N x N`` arrays in the dtype of their
+data (:func:`car.as_float`): float64 for the Gibbs, decoupled, perturbed and
+site-0 vector states of every preset, complex128 only where complex data
+enters, as in the ``lts`` competitors and the Gaussian factor of a
+:class:`FactorState`.
 Local elements are held on their support (:class:`car.AlgebraElement`):
 ``omega(A)`` reads the state's block diagonal there, and a noneven direction
 is checked on its small representation and applied through it.
@@ -54,7 +56,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -217,6 +218,37 @@ class DensityState:
             return self.log.entropy(self.density.shape[0])
         return spectral_entropy(self.eigenvalues())
 
+    def smallest_weight(self) -> float:
+        """The smallest eigenvalue of a faithful state; ``ValueError`` if it
+        is not positive (for a Gibbs state, only by underflow)."""
+        lam = self.lambda_min()
+        if lam > 0.0:
+            return lam
+        raise ValueError(
+            "the smallest eigenvalue of the Gibbs base underflows to 0.0 at "
+            f"beta = {self.log.beta:g}; samples = 0 tests the bound alone"
+            if self.log is not None else
+            "base state must be faithful (strictly positive density)")
+
+    def log_matrix(self) -> np.ndarray:
+        """``log D`` as an ``N x N`` matrix: a Gibbs state's closed form
+        (:meth:`GibbsLog.matrix`), otherwise one :func:`car.eigh` of a
+        faithful density (:meth:`smallest_weight` refuses any other)."""
+        if self.log is not None:
+            return self.log.matrix(self.density.shape[0])
+        self.smallest_weight()
+        decomposition = car.eigh(self.density)
+        return car.spectral_map(decomposition,
+                                [np.log(w) for _, w, _ in decomposition])
+
+    def trace_log(self, rho: np.ndarray) -> float:
+        """``Tr(rho log D)``, ``-inf`` when ``rho`` has weight on the kernel
+        of ``D``: a Gibbs state's closed form (:meth:`GibbsLog.trace_log`),
+        otherwise :func:`car.trace_log` of ``D``, from one decomposition."""
+        if self.log is not None:
+            return self.log.trace_log(rho)
+        return car.trace_log(self.density, rho)
+
     def theta(self) -> "DensityState":
         """The composed state ``omega o theta`` (its density is the grading image)."""
         return DensityState(car.theta_matrix(self.density, self.lattice_size),
@@ -283,7 +315,7 @@ class FactorState:
 
         The three values are inner products, which a signed permutation of
         the rows keeps, so each column block of ``G`` is gathered once by
-        :func:`_pair_gather` into modes ordered ``supp A``, ``supp B``, the
+        :func:`car.pair_gather` into modes ordered ``supp A``, ``supp B``, the
         rest, and ``A G`` and ``B G`` are formed there with no scatter.  An
         odd element acts by its two :func:`car.parity_blocks` of parity 1,
         half the flops of the whole.  ``B``'s modes follow ``A``'s, so its
@@ -291,7 +323,7 @@ class FactorState:
         grading sign ``(-1)**(|A| - popcount(x))`` on row ``x``.
         """
         car.require_odd_pair(a, b)
-        index, sign = _pair_gather(a.support, b.support)
+        index, sign = car.pair_gather(a.support, b.support)
         a_eo, a_oe = car.parity_blocks(a.small, 1)
         b_eo, b_oe = car.parity_blocks(b.small, 1)
         ha, hb = a_eo.shape[0], b_eo.shape[0]
@@ -313,32 +345,6 @@ class FactorState:
             sums += (np.vdot(ag, bg), np.vdot(ag, ag), np.vdot(bg, bg))
         corr, aa, bb = sums / self._weight
         return complex(corr), complex(aa), complex(bb)
-
-
-@lru_cache(maxsize=64)
-def _pair_gather(first: Region,
-                 second: Region) -> tuple[np.ndarray, np.ndarray]:
-    """The signed gather of the rows of a chain's matrix into the modes
-    ordered ``first``, ``second`` (disjoint from it), then the rest, with
-    the states of each support in the :func:`car.parity_order`.
-
-    Returns ``(index, sign)`` of shape ``(2**|first|, 2**|second|,
-    2**(L - |first| - |second|))``: row ``[x, w, z]`` of the gathered matrix
-    is ``sign[x, w, z]`` times row ``index[x, w, z]``.  It composes two
-    :func:`car.mode_reordering` tables: ``first``'s, and on the chain of
-    ``first``'s complement that of ``second``'s positions there, which
-    renumbers only the modes after ``first``'s.
-    """
-    index_a, sign_a = car.mode_reordering(first)            # [y, x]
-    index_b, sign_b = car.mode_reordering(
-        second.positions_in(first.complement()))            # [z, w] -> y
-    order_a = np.concatenate(car.parity_order(len(first)))[:, None, None]
-    order_b = np.concatenate(car.parity_order(len(second)))
-    y = index_b[:, order_b].T[None]                          # [., w, z]
-    index = index_a[y, order_a]
-    sign = sign_a[y, order_a] * sign_b[:, order_b].T[None]
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,20 @@ def test_nonnumeric_model_parameter_exits_two(tmp_path):
     assert run(["--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("key, text", [("t", "nan"), ("mu", "inf"),
+                                       ("mu", "-inf")])
+def test_nonfinite_model_parameter_exits_two(key, text, tmp_path, capsys):
+    # refused before the verb runs, as a non-finite beta is, rather than
+    # ending in a LinAlgError record
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\ncommand = gibbs\nlength = 3\n"
+                      f"[model]\n{key} = {text}\n")
+    assert run(["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {key} must be finite, got {text}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

@@ -145,6 +145,24 @@ def test_relative_entropy_kernel_leak_oracle(lattice, seed):
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
+def test_relative_entropy_takes_one_decomposition_of_the_reference(
+        monkeypatch):
+    # a non-Gibbs reference: one eigh of D1 and nothing else, as validation
+    # already holds the spectrum of D2
+    rng = np.random.default_rng(9)
+    omega1, omega2 = random_state(3, rng), random_state(3, rng)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(matrix, name=name, original=getattr(car, name)):
+            calls.append((name, matrix is omega1.density))
+            return original(matrix)
+        monkeypatch.setattr(car, name, counted)
+    got = relative_entropy(omega1, omega2)
+    assert calls == [("eigh", True)]
+    own, cross = logm_terms(omega1.density, omega2.density)
+    assert abs(got - (own - cross)) <= 1e-12 * max(abs(own), abs(cross))
+
+
 def test_relative_entropy_is_unitarily_invariant():
     rng = np.random.default_rng(5)
     a = random_density_matrix(8, rng)

@@ -1,5 +1,5 @@
-"""Guards: one way to compute a conditional expectation, and one way to
-read the grading.
+"""Guards: one way to compute a conditional expectation, one way to read
+the grading, and one place that decides how a state's log is known.
 
 Restrictions, conditional expectations, commutant projections and random
 elements all go through the mode reordering in :mod:`fermichain.car`.  The
@@ -12,6 +12,12 @@ freely as an oracle.
 The grading is read off :func:`car.parity_order` alone, so no package code
 calls a column-map encoding (``*_encoding``, ``encoding_dense``) either:
 only the bodies of the monomial basis's own definitions may.
+
+Whether a state's log comes in closed form (a Gibbs state's ``GibbsLog``)
+or from a decomposition of its density is decided in
+:mod:`fermichain.states` alone: the modules that need ``log D`` ask the
+state (``trace_log``, ``log_matrix``, ``smallest_weight``), so they read no
+``.log`` attribute and name no ``GibbsLog``.
 """
 
 import ast
@@ -124,3 +130,53 @@ def test_no_package_code_reads_a_column_map_encoding():
     assert not offenders, ("column-map encodings called outside the "
                            "monomial oracle (read the grading off "
                            f"car.parity_order): {offenders}")
+
+
+# modules that ask a state for its log; math.log and np.log are functions
+LOG_CLIENTS = ("entropy.py", "stability.py")
+LOG_FUNCTION_MODULES = {"math", "np", "numpy", "cmath"}
+
+
+def log_reads(source: str) -> list[int]:
+    """Line numbers of reads of a ``.log`` attribute (other than the
+    logarithm of a math module) and of every use of the name
+    ``GibbsLog``."""
+    def flagged(node):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "GibbsLog":
+                return True
+            return node.attr == "log" and not (
+                isinstance(node.value, ast.Name)
+                and node.value.id in LOG_FUNCTION_MODULES)
+        if isinstance(node, ast.Name):
+            return node.id == "GibbsLog"
+        return isinstance(node, ast.alias) and node.name == "GibbsLog"
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if flagged(node)]
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("omega.log", True),
+    ("if omega.log is None:\n    pass", True),
+    ("omega1.log.trace_log(omega2.density)", True),
+    ("log_d = omega.log.matrix(n)", True),
+    ("from .states import DensityState, GibbsLog", True),
+    ("isinstance(x, GibbsLog)", True),
+    ("states.GibbsLog", True),
+    ("np.log(w)", False),
+    ("math.log(z)", False),
+    ("numpy.log(w)", False),
+    ("omega.log_matrix()", False),
+    ("omega1.trace_log(omega2.density)", False),
+    ("omega.smallest_weight()", False),
+])
+def test_guard_recognizes_log_reads(snippet, flagged):
+    assert bool(log_reads(snippet)) is flagged
+
+
+def test_only_states_decides_how_a_log_is_known():
+    offenders = [f"{name}:{line}" for name in LOG_CLIENTS
+                 for line in log_reads((PACKAGE / name).read_text("utf-8"))]
+    assert not offenders, ("a state's log read outside fermichain.states "
+                           "(ask the state: trace_log, log_matrix, "
+                           f"smallest_weight): {offenders}")

@@ -212,6 +212,58 @@ def test_spectral_entropy_keeps_a_nan():
         assert math.isnan(spectral_entropy(np.array(spectrum)))
 
 
+def unitary_density(q, spectrum):
+    """``q diag(spectrum) q*``, normalized to trace 1."""
+    return (q * (spectrum / np.sum(spectrum))) @ q.conj().T
+
+
+def random_unitary(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(g)[0]
+
+
+@pytest.mark.parametrize("lattice", [1, 2, 3, 4])
+def test_log_matrix_of_a_faithful_state_matches_logm(lattice):
+    # a complex density with spectrum in [0.01, 1], whole, and a real even
+    # one, the Gibbs density held with no closed form, by parity blocks
+    rng = np.random.default_rng(40 + lattice)
+    n = car.dim(lattice)
+    gibbs = gibbs_state(total_hamiltonian(tv_model(lattice)), 0.7)
+    for density in (unitary_density(random_unitary(n, rng),
+                                    rng.uniform(0.01, 1.0, n)),
+                    gibbs.density):
+        state = DensityState(density)
+        assert state.log is None
+        got = state.log_matrix()
+        want = scipy.linalg.logm(density)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    closed = gibbs.log_matrix()
+    assert np.max(np.abs(got - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("lattice", [1, 2, 3, 4])
+def test_trace_log_off_the_support_is_minus_infinity(lattice):
+    rng = np.random.default_rng(50 + lattice)
+    n = car.dim(lattice)
+    q = random_unitary(n, rng)
+    kernel = max(1, n // 2 - 1)
+    spectrum = rng.uniform(0.01, 1.0, n)
+    spectrum[:kernel] = 0.0
+    state = DensityState(unitary_density(q, spectrum))
+    # weight on a kernel vector of D: -inf
+    rho = unitary_density(random_unitary(n, rng), rng.uniform(0.01, 1.0, n))
+    assert state.trace_log(rho) == -math.inf
+    # weight only on the support: Tr(rho log D) in a basis of the support
+    support = q[:, kernel:]
+    inner = unitary_density(random_unitary(n - kernel, rng),
+                            rng.uniform(0.01, 1.0, n - kernel))
+    got = state.trace_log(support @ inner @ support.conj().T)
+    log_d = scipy.linalg.logm(support.conj().T @ state.density @ support)
+    want = float(np.real(np.trace(inner @ log_d)))
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # restrictions
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Wall time, peak RSS, exit status and failing checks of every CLI verb at
-scale, each job one child process with one BLAS thread under a 3 GiB
-address-space limit; peak RSS is the child's ``ru_maxrss`` from ``wait4``.
+"""Wall time, CPU time, peak RSS, exit status and failing checks of every
+CLI verb at scale, each job one child process with one BLAS thread under a
+3 GiB address-space limit; CPU time (user plus system) and peak RSS are the
+child's ``ru_utime + ru_stime`` and ``ru_maxrss`` from ``wait4``.
 
     python tools/scale.py PATH LABEL=SRC [LABEL=SRC ...] [--slow]
 
@@ -9,8 +10,8 @@ the package in each source directory ``SRC``, and stores them under its
 ``LABEL`` in the JSON file ``PATH``, keeping the other labels there.  Each
 job runs three times on every tree, the trees alternating in order from
 one run to the next, so that drift on the machine falls on all of them
-alike; a record keeps the median wall time and peak with all three of
-each.  The jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with
+alike; a record keeps the median wall time, CPU time and peak with all
+three of each.  The jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with
 ``--samples 200`` and not at 10), ``gibbs``, ``perturb``, ``entropy``,
 ``prop4`` and ``remark2`` at ``L = 11`` and 12, and ``lts --samples 0`` at
 ``L = 11`` and 12.  ``--slow`` adds ``lts --samples 50`` at ``L = 10``.
@@ -54,6 +55,7 @@ def run(verb, length, extra, src):
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     return {"argv": argv[3:], "wall_s": round(time.perf_counter() - start, 3),
+            "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
             "status": child.returncode,
             "failed": [r["check"] for r in map(json.loads, report.splitlines())
@@ -61,13 +63,16 @@ def run(verb, length, extra, src):
 
 
 def summarize(runs):
-    """One record of a job's runs: the medians, every wall and peak, the
-    first nonzero exit status and every check that failed in any run."""
+    """One record of a job's runs: the medians, every wall, CPU time and
+    peak, the first nonzero exit status and every check that failed in any
+    run."""
     walls = [r["wall_s"] for r in runs]
+    cpus = [r["cpu_s"] for r in runs]
     peaks = [r["peak_rss_mb"] for r in runs]
     return {"argv": runs[0]["argv"], "wall_s": statistics.median(walls),
+            "cpu_s": statistics.median(cpus),
             "peak_rss_mb": statistics.median(peaks), "walls": walls,
-            "peaks": peaks,
+            "cpus": cpus, "peaks": peaks,
             "status": next((r["status"] for r in runs if r["status"]), 0),
             "failed": sorted({c for r in runs for c in r["failed"]})}
 
