@@ -25,11 +25,11 @@ the occupation basis.  The layers, bottom to top:
   yet maximally noneven on it;
 - :mod:`fermichain.entropy` — relative and conditional entropy as floats
   (``inf`` when the kernel condition fails);
-- :mod:`fermichain.stability` — the local free energy, projections onto
-  the constraint algebras (the complement's algebra and the region's
-  commutant), variational checks of local thermal stability against the
-  Gibbs variational bound at the base's own multiplier, and the pipeline
-  showing noneven states lose free energy strictly;
+- :mod:`fermichain.stability` — the local free energy against the
+  constraint algebra (the complement's), variational checks of local
+  thermal stability against the Gibbs variational bound at the base's own
+  multiplier, and the pipeline showing noneven states lose free energy
+  strictly;
 - :mod:`fermichain.probes` — symmetry probes: clustering, grading
   asymmetry, odd-correlation scans;
 - :mod:`fermichain.cli` — the ``fermichain`` command.
@@ -52,9 +52,8 @@ from .potentials import (MODELS, Potential, PotentialReport, build_model,
 from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
-from .stability import (ConstraintProjection, StabilityReport,
-                        feasible_sampler, free_energy, lts_check,
-                        prop4_pipeline)
+from .stability import (StabilityReport, feasible_sampler, free_energy,
+                        lts_check, prop4_pipeline)
 from .states import (DensityState, FactorState, gibbs_state, kms_residual,
                      noneven_perturbation, odd_direction,
                      perturbed_state, product_check, random_pair_panel,
@@ -63,7 +62,7 @@ from .states import (DensityState, FactorState, gibbs_state, kms_residual,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "BACKEND", "ConstraintProjection", "DensityState",
+    "AlgebraElement", "BACKEND", "DensityState",
     "FactorState", "MAX_SITES", "MODELS",
     "Monomial", "MonomialBasis", "Potential",
     "PotentialReport", "ProbeResult", "Region",

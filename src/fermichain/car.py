@@ -38,8 +38,6 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
   through ``S`` alone;
 - the tau-preserving conditional expectation onto ``A_R`` is
   ``embed o small_representation``;
-- :func:`commutant_reordering` twists the complement's reordering by
-  ``v_R`` so that the commutant of ``A_R`` is block diagonal as well;
 - :func:`pair_gather` composes two reorderings into one signed gather.
 
 Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
@@ -244,22 +242,24 @@ def spectral_map(decomposition, values) -> np.ndarray:
     return out
 
 
-# relative spectral cutoff separating genuine kernel directions from dust
-_KERNEL_CUTOFF = 1e-12
+# weight of rho on the kernel, relative to its trace, that rounding explains
+_KERNEL_WEIGHT = 1e-12
 
 
 def trace_log(matrix: np.ndarray, rho: np.ndarray) -> float:
     """``Tr(rho log matrix)`` for a positive semidefinite Hermitian
     ``matrix`` from one :func:`eigh`, ``-inf`` when ``rho`` has weight on
-    the kernel, decided by a relative cutoff on the spectrum."""
+    the kernel: the eigenvalues at the numerical floor ``N eps lambda_max``,
+    which rounding alone could give (a higher cutoff counts small genuine
+    eigenvalues as kernel)."""
     decomposition = eigh(matrix)
     lam = np.concatenate([w for _, w, _ in decomposition])
     # entry i is sum_j conj(u_ji) (rho u)_ji
     diag = np.concatenate([
         np.real(np.sum(u.conj() * (diagonal_block(rho, states) @ u), 0))
         for states, _, u in decomposition])
-    support = lam > _KERNEL_CUTOFF * max(float(lam.max()), _KERNEL_CUTOFF)
-    if np.sum(diag[~support]) > _KERNEL_CUTOFF * max(1.0, abs(np.trace(rho))):
+    support = lam > lam.size * np.finfo(float).eps * max(float(lam.max()), 0.0)
+    if np.sum(diag[~support]) > _KERNEL_WEIGHT * max(1.0, abs(np.trace(rho))):
         return -np.inf
     return float(np.sum(np.log(lam[support]) * diag[support]))
 
@@ -560,24 +560,12 @@ def pair_gather(first: Region,
     return index, sign
 
 
-def block_average(matrix: np.ndarray,
-                  reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Mean of the diagonal blocks of ``U matrix U*`` for the signed
-    reordering ``U`` given as ``(index, sign)``; reads only those blocks."""
-    index, sign = reordering
-    blocks = matrix[index[:, :, None], index[:, None, :]]
-    blocks *= sign[:, :, None]
-    blocks *= sign[:, None, :]
-    return blocks.sum(axis=0) / index.shape[0]
-
-
-def _signed_blocks(small: np.ndarray,
-                   reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The ``(N/m) x m x m`` diagonal blocks of ``U* (1 (x) small) U``,
-    ``sign[y, i] small[i, j] sign[y, j]``, in ``small``'s dtype (float64 at
-    least): one copy of ``small`` per block row, with the signs multiplied
-    in place."""
-    index, sign = reordering
+def _signed_blocks(small: np.ndarray, region: Region) -> np.ndarray:
+    """The ``(N/m) x m x m`` diagonal blocks of ``U* (1 (x) small) U`` for
+    the :func:`mode_reordering` ``U`` of ``region``, ``sign[y, i] small[i,
+    j] sign[y, j]``, in ``small``'s dtype (float64 at least): one copy of
+    ``small`` per block row, with the signs multiplied in place."""
+    index, sign = mode_reordering(region)
     m = index.shape[1]
     if small.shape != (m, m):
         raise ValueError(f"small matrix of shape {small.shape} does not "
@@ -590,17 +578,6 @@ def _signed_blocks(small: np.ndarray,
     return blocks
 
 
-def block_embed(small: np.ndarray,
-                reordering: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``U* (1 (x) small) U``, the inverse of :func:`block_average` on the
-    block-diagonal matrices, in ``small``'s dtype (float64 at least)."""
-    index, _ = reordering
-    blocks = _signed_blocks(small, reordering)
-    out = np.zeros((index.size, index.size), dtype=blocks.dtype)
-    out[index[:, :, None], index[:, None, :]] = blocks
-    return out
-
-
 def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
     """Image of ``matrix`` in the standard ``2**|R|`` copy of ``A_region``.
 
@@ -609,14 +586,24 @@ def small_representation(matrix: np.ndarray, region: Region) -> np.ndarray:
     divided by their number.  On ``A_region`` this is the unital
     isomorphism onto ``M_{2**|R|}`` (operator norms are preserved, the
     ambient trace picks up the multiplicity ``2**L / 2**|R|``); anything
-    orthogonal to the region's algebra is discarded.
+    orthogonal to the region's algebra is discarded.  Only the diagonal
+    blocks are read.
     """
-    return block_average(matrix, mode_reordering(region))
+    index, sign = mode_reordering(region)
+    blocks = matrix[index[:, :, None], index[:, None, :]]
+    blocks *= sign[:, :, None]
+    blocks *= sign[:, None, :]
+    return blocks.sum(axis=0) / index.shape[0]
 
 
 def embed(small: np.ndarray, region: Region) -> np.ndarray:
-    """The element of ``A_region`` whose small representation is ``small``."""
-    return block_embed(small, mode_reordering(region))
+    """The element of ``A_region`` whose small representation is ``small``:
+    ``U* (1 (x) small) U``, in ``small``'s dtype (float64 at least)."""
+    blocks = _signed_blocks(small, region)
+    index, _ = mode_reordering(region)
+    out = np.zeros((index.size, index.size), dtype=blocks.dtype)
+    out[index[:, :, None], index[:, None, :]] = blocks
+    return out
 
 
 def add_embedded(out: np.ndarray, small: np.ndarray, region: Region) -> None:
@@ -628,10 +615,8 @@ def add_embedded(out: np.ndarray, small: np.ndarray, region: Region) -> None:
     if np.iscomplexobj(small) and not np.iscomplexobj(out):
         raise TypeError("cannot add a complex element into a real matrix; "
                         "make the matrix complex first")
-    reordering = mode_reordering(region)
-    index, _ = reordering
-    out[index[:, :, None], index[:, None, :]] += _signed_blocks(small,
-                                                                reordering)
+    index, _ = mode_reordering(region)
+    out[index[:, :, None], index[:, None, :]] += _signed_blocks(small, region)
 
 
 def local_times(small: np.ndarray, region: Region,
@@ -665,31 +650,6 @@ def local_times(small: np.ndarray, region: Region,
 def conditional_expectation_matrix(matrix: np.ndarray, region: Region) -> np.ndarray:
     """Tau-preserving conditional expectation onto ``A_region`` (dense input)."""
     return embed(small_representation(matrix, region), region)
-
-
-@lru_cache(maxsize=64)
-def commutant_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """The complement's :func:`mode_reordering`, twisted so that the
-    commutant of ``A_region`` is ``M_{2**|R^c|} (x) 1`` in it.
-
-    The commutant is the image of ``S -> E(S_even) + v_R E(S_odd)``, ``E``
-    the complement's :func:`embed`, and is strictly larger than the
-    complement's algebra; ``stability.ConstraintProjection`` projects onto
-    it in mode ``"lts_prime"``.  ``v_R`` reads only the region's modes, so
-    it is a constant ``s_y = +-1`` on each block row ``y`` of the
-    complement's reordering, and block ``y`` of the image is
-    ``S_even + s_y S_odd``: ``S`` itself, or ``S`` conjugated by the
-    complement's parity.  Folding that conjugation into the sign multiplies
-    the odd columns by ``s_y``, the region's :func:`parity_signs` at ``y``.
-    """
-    if region.is_empty:
-        raise ValueError("the commutant of the empty region is the full algebra")
-    index, sign = mode_reordering(region.complement())
-    odd = parity_order(region.lattice_size - len(region))[1]
-    twisted = sign.copy()
-    twisted[:, odd] *= parity_signs(len(region))[:, None]
-    twisted.flags.writeable = False
-    return index, twisted
 
 
 # ---------------------------------------------------------------------------

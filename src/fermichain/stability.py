@@ -6,9 +6,12 @@ temperature ``beta`` when it maximizes the local free energy
     F(omega) = Sc_I(omega) - beta * omega(H(I))
 
 among all states that agree with ``phi`` on the constraint algebra: the
-algebra of the complement (mode ``"lts"``) or the full commutant of the
-region's algebra (mode ``"lts_prime"``), which is strictly larger by the
-grading-twisted odd elements.
+algebra of the complement ``I^c``, the paper's "complementary outside
+system" of the region.  It is a copy of ``M_m``, ``m = 2**|I^c|``, reached
+through the maps of :mod:`fermichain.car` on the complement:
+``compress`` is :func:`car.small_representation`, ``expand`` is
+:func:`car.embed`, and they are Hilbert-Schmidt adjoint up to the
+multiplicity, ``<expand(X), G> = (N / m) <X, compress(G)>``.
 
 :func:`lts_check` runs two independent tests.  It compares the free energy
 against the competitors :func:`feasible_sampler` draws, random density
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,60 +49,22 @@ from .regions import Region
 from .reporting import CheckRecord
 from .states import DensityState, noneven_perturbation, perturbed_state
 
-MODES = ("lts", "lts_prime")
 
-
-@dataclass(frozen=True)
-class ConstraintProjection:
-    """Tau-preserving conditional expectation onto the constraint algebra of
-    a probe, called on dense matrices.
-
-    The constraint algebra is a copy of ``M_m``, ``m = 2**|I^c|``:
-    :meth:`expand` is the unital *-isomorphism onto it (:func:`car.embed`
-    on the complement, with the odd part multiplied by ``v_I`` for
-    ``lts_prime``) and :meth:`compress` is its inverse composed with the
-    projection.  They are Hilbert-Schmidt adjoint up to the multiplicity:
-    ``<expand(X), G> = (N / m) <X, compress(G)>``.
-    """
-
-    region: Region
-    mode: str
-
-    @cached_property
-    def reordering(self) -> tuple[np.ndarray, np.ndarray]:
-        """The signed reordering ``(index, sign)`` in which
-        ``expand(X) = 1 (x) X``: :func:`car.mode_reordering` of the
-        complement, or :func:`car.commutant_reordering` of the region."""
-        if self.mode == "lts":
-            return car.mode_reordering(self.region.complement())
-        return car.commutant_reordering(self.region)
-
-    def compress(self, matrix: np.ndarray) -> np.ndarray:
-        return car.block_average(matrix, self.reordering)
-
-    def expand(self, small: np.ndarray) -> np.ndarray:
-        return car.block_embed(small, self.reordering)
-
-    def __call__(self, matrix: np.ndarray) -> np.ndarray:
-        return self.expand(self.compress(matrix))
-
-
-def constraint_family(region: Region, mode: str) -> ConstraintProjection:
-    """The projection onto the constraint algebra of the given mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+def _outside(region: Region) -> Region:
+    """The complement of a probe region, whose algebra is the constraint
+    algebra; an empty probe region is refused (``ValueError``)."""
     if region.is_empty:
         raise ValueError("empty probe region: the constraints fix the whole "
                          "state, so there is nothing to vary")
-    return ConstraintProjection(region, mode)
+    return region.complement()
 
 
 def free_energy(omega: DensityState, potential: Potential, region: Region,
-                beta: float, mode: str = "lts") -> float:
+                beta: float) -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
-    against the constraint algebra of the chosen mode."""
-    project = constraint_family(region, mode)
-    sc, energy = _entropy_and_energy(omega, project.compress(omega.density),
+    against the constraint algebra."""
+    small = car.small_representation(omega.density, _outside(region))
+    sc, energy = _entropy_and_energy(omega, small,
                                      local_hamiltonian(potential, region))
     return sc - beta * energy
 
@@ -119,8 +83,8 @@ def _entropy_and_energy(omega: DensityState, small: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def feasible_sampler(omega: DensityState, region: Region, mode: str,
-                     count: int, seed: int | None = 0) -> Iterator[DensityState]:
+def feasible_sampler(omega: DensityState, region: Region, count: int,
+                     seed: int | None = 0) -> Iterator[DensityState]:
     """Random feasible competitors of a faithful base state, drawn one at a
     time as they are consumed, so only the one in use is held.
 
@@ -130,7 +94,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
     with exactly the base state's constrained expectations.  The probe, and
     the base if there is a competitor to draw, are checked at the call.
     """
-    project = constraint_family(region, mode)
+    outside = _outside(region)
     lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
@@ -141,7 +105,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             g = (g + g.conj().T) / 2.0
             # g and its projection are exactly Hermitian, and so is y
-            y = g - project(g)
+            y = g - car.conditional_expectation_matrix(g, outside)
             nrm = car.hermitian_norm(y)
         t = float(rng.uniform(0.3, 1.0)) * lam_half
         return DensityState(omega.density + (t / nrm) * y,
@@ -154,7 +118,7 @@ def feasible_sampler(omega: DensityState, region: Region, mode: str,
 # ---------------------------------------------------------------------------
 
 
-def _base_multiplier(omega: DensityState, project: ConstraintProjection,
+def _base_multiplier(omega: DensityState, outside: Region,
                      h_i: car.AlgebraElement, beta: float) -> np.ndarray:
     """``M0 = compress(log D + beta H(I))``, the multiplier at which the
     bound of :func:`_dual_bound` is attained when ``omega`` is a faithful
@@ -166,10 +130,10 @@ def _base_multiplier(omega: DensityState, project: ConstraintProjection,
     log_d = omega.log_matrix()
     log_d = log_d.astype(np.result_type(log_d, h_i.small), copy=False)
     car.add_embedded(log_d, beta * h_i.small, h_i.support)
-    return project.compress(log_d)
+    return car.small_representation(log_d, outside)
 
 
-def _dual_bound(project: ConstraintProjection, small_base: np.ndarray,
+def _dual_bound(outside: Region, small_base: np.ndarray,
                 h_i: car.AlgebraElement, beta: float,
                 multiplier: np.ndarray) -> float:
     """The Gibbs variational bound on the free energy of the slice
@@ -186,12 +150,12 @@ def _dual_bound(project: ConstraintProjection, small_base: np.ndarray,
     ``log Tr e^K`` comes from one :func:`car.eigvalsh` of ``K``, by its
     real parity blocks when ``K`` is even and real.
     """
-    exponent = project.expand(multiplier)
+    exponent = car.embed(multiplier, outside)
     car.add_embedded(exponent, -beta * h_i.small, h_i.support)
     spectrum = car.eigvalsh(exponent)
     top = float(spectrum[-1])
     log_z = top + math.log(float(np.sum(np.exp(spectrum - top))))
-    multiplicity = car.dim(project.region.lattice_size) / small_base.shape[0]
+    multiplicity = car.dim(outside.lattice_size) / small_base.shape[0]
     return log_z - multiplicity * (float(np.real(np.vdot(multiplier, small_base)))
                                    + matrix_entropy(small_base))
 
@@ -222,7 +186,7 @@ _MARGIN_TOL = 1e-9
 
 
 def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
-           project: ConstraintProjection, h_i: car.AlgebraElement,
+           outside: Region, h_i: car.AlgebraElement,
            beta: float) -> tuple[float, list[float]]:
     """The worst disagreement of the competitors with the base on the
     constraint algebra (the largest entry of the difference of their small
@@ -232,7 +196,7 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
     :func:`lts_check` would hold the last one through the bound."""
     worst, energies = 0.0, []
     for member in competitors:
-        small = project.compress(member.density)
+        small = car.small_representation(member.density, outside)
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         worst = np.maximum(worst, np.max(np.abs(small - small_base)))
         sc, energy = _entropy_and_energy(member, small, h_i)
@@ -241,7 +205,7 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
 
 
 def lts_check(omega: DensityState, potential: Potential, region: Region,
-              beta: float, mode: str = "lts", samples: int = 200,
+              beta: float, samples: int = 200,
               seed: int = 0) -> StabilityReport:
     """Variational stability test of a faithful state.
 
@@ -256,15 +220,15 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     two; the report passes when every check does, each margin no worse
     than ``-1e-9``.
     """
-    competitors = feasible_sampler(omega, region, mode, int(samples), seed)
-    project = constraint_family(region, mode)
+    competitors = feasible_sampler(omega, region, int(samples), seed)
+    outside = _outside(region)
     h_i = local_hamiltonian(potential, region)
-    small_base = project.compress(omega.density)
+    small_base = car.small_representation(omega.density, outside)
     sc_base, e_base = _entropy_and_energy(omega, small_base, h_i)
     f_base = sc_base - beta * e_base
     free_energies = {"base": f_base}
 
-    feas, f_members = _score(competitors, small_base, project, h_i, beta)
+    feas, f_members = _score(competitors, small_base, outside, h_i, beta)
     checks = [CheckRecord("feasible_residual", feas, 1e-10, feas <= 1e-10)]
     margin_samples = math.inf
     if f_members:
@@ -274,8 +238,8 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
         checks.append(CheckRecord("margin_samples", margin_samples, _MARGIN_TOL,
                                   margin_samples >= -_MARGIN_TOL))
 
-    bound = _dual_bound(project, small_base, h_i, beta,
-                        _base_multiplier(omega, project, h_i, beta))
+    bound = _dual_bound(outside, small_base, h_i, beta,
+                        _base_multiplier(omega, outside, h_i, beta))
     free_energies["maximizer"] = bound
     margin_max = f_base - bound
     checks.append(CheckRecord("margin_maximizer", margin_max, _MARGIN_TOL,
@@ -315,12 +279,12 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         hi_defect = np.maximum(hi_defect, abs(state.expectation(h_tilde_i)))
 
-    project = constraint_family(region, "lts")
+    outside = _outside(region)
     h_i = local_hamiltonian(potential, region)
-    ref = project.compress(phi_p.density)
+    ref = car.small_representation(phi_p.density, outside)
     parts, defects = [_entropy_and_energy(phi_p, ref, h_i)], []
     for state in (psi, psi_t):
-        small = project.compress(state.density)
+        small = car.small_representation(state.density, outside)
         defects.append(float(np.max(np.abs(small - ref))))
         parts.append(_entropy_and_energy(state, small, h_i))
         del small       # before the next compression

@@ -68,9 +68,10 @@ _HERM_TOL = 1e-11
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-11
 
-# Columns of a state's factor taken per block by FactorState.odd_pair: at
-# L = 10 a block is 1 MiB, and blocks of 32 to 256 columns ran fastest (about
-# 25% faster than the whole factor, one BLAS thread on a 2-core Xeon VM)
+# Columns of a state's factor taken per block by FactorState.odd_pair, and
+# the width of FactorState.gaussian's factor: at L = 10 a block is 1 MiB, and
+# blocks of 32 to 256 columns ran fastest (about 25% faster than the whole
+# factor, one BLAS thread on a 2-core Xeon VM)
 _FACTOR_COLUMNS = 64
 
 
@@ -293,10 +294,14 @@ class FactorState:
     @classmethod
     def gaussian(cls, lattice_size: int, rng: np.random.Generator,
                  label: str = "factor-state") -> "FactorState":
-        """The state of a square complex Ginibre factor: real parts drawn
+        """The state of an ``N x 64`` complex Ginibre factor, one
+        :data:`_FACTOR_COLUMNS` block of :meth:`odd_pair`: real parts drawn
         first, then imaginary parts, each standard normal in row-major
-        order.  Its density ``G G*`` is complex Wishart."""
-        shape = (car.dim(lattice_size),) * 2
+        order.  Its density ``G G*`` is complex Wishart with 64 degrees of
+        freedom, of rank ``min(N, 64)``.  The even part of ``G G*`` is a
+        state at any rank, and the facts the scan tests (``Re omega(A B) =
+        0`` and the Cauchy-Schwarz envelope) hold for every state."""
+        shape = (car.dim(lattice_size), _FACTOR_COLUMNS)
         factor = np.empty(shape, dtype=np.complex128)
         factor.real = rng.standard_normal(shape)
         factor.imag = rng.standard_normal(shape)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fermichain import car
 from fermichain.regions import Region
-from fermichain.stability import constraint_family
 from fermichain.states import DensityState
 
 from conftest import oracle_annihilator, oracle_local, oracle_parity
@@ -455,41 +454,8 @@ def test_from_matrix_refuses_leakage():
 
 
 # ---------------------------------------------------------------------------
-# commutant and the small representation
+# the small representation
 # ---------------------------------------------------------------------------
-
-
-def _images(project, lattice):
-    """Projections of every monomial of the chain, flattened as rows."""
-    full = car.monomial_basis(Region.full(lattice))
-    return np.stack([project(m.dense()).ravel() for m in full.monomials])
-
-
-def test_commutant_basis_commutes_with_region_algebra():
-    lattice = 5
-    region = Region.of([1, 2], lattice)
-    images = _images(constraint_family(region, "lts_prime"), lattice)
-    assert np.linalg.matrix_rank(images) == 4 ** (lattice - len(region))
-    n = car.dim(lattice)
-    gens = [car.annihilator(i, lattice).matrix for i in region.sites]
-    for row in images:
-        mono = row.reshape(n, n)
-        for g in gens:
-            assert np.max(np.abs(comm(mono, g))) < 1e-15
-
-
-def test_commutant_strictly_contains_complement_algebra():
-    lattice = 4
-    region = Region.of([1], lattice)
-    comp = region.complement()
-    twisted = _images(constraint_family(region, "lts_prime"), lattice)
-    plain = _images(lambda x: car.conditional_expectation_matrix(x, comp),
-                    lattice)
-    assert np.linalg.matrix_rank(twisted) == np.linalg.matrix_rank(plain) \
-        == 4 ** len(comp)
-    # same dimension but a different span: the twisted odd part is new
-    joint = np.linalg.matrix_rank(np.concatenate([twisted, plain]))
-    assert joint > 4 ** len(comp)
 
 
 def test_small_representation_is_an_isomorphism():

@@ -423,6 +423,41 @@ def test_dispatch_usage_error_exits_two(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# low temperature
+# ---------------------------------------------------------------------------
+
+PROBE_VERBS = ("perturb", "entropy", "lts", "prop4", "ssb-probe")
+
+
+@pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
+@pytest.mark.parametrize("beta", ["20", "50", "100", "200"])
+def test_every_verb_runs_at_low_temperature(model, beta, tmp_path, capsys):
+    # every run passes, or fails in one of two known ways: the raw number
+    # model fails standardness by design, and an lts competitor's step is
+    # a fraction of the smallest Gibbs weight, which may underflow to 0.0
+    out = tmp_path / "report.jsonl"
+    for verb in cli.COMMANDS:
+        for region in (["0", "2,3"] if verb in PROBE_VERBS else [None]):
+            argv = [verb, "--length", "6", "--model", model, "--beta", beta,
+                    "--out", str(out)]
+            if region is not None:
+                argv += ["--region", region]
+            if verb == "lts":
+                argv += ["--samples", "5"]
+            status = run(argv)
+            err = capsys.readouterr().err
+            failed = [r["check"] for r in read_records(out) if not r["pass"]]
+            if status == 0:
+                assert not failed, argv
+            elif verb == "validate" and model == "raw-number":
+                assert status == 1 and failed == ["standard"], argv
+            else:
+                assert verb == "lts" and status == 1, (argv, err)
+                assert [r["check"] for r in read_records(out)] == ["error"]
+                assert "underflows to 0.0" in err, argv
+
+
+# ---------------------------------------------------------------------------
 # the remaining verbs, smoke level
 # ---------------------------------------------------------------------------
 

@@ -11,11 +11,12 @@ from fermichain.entropy import (compressed_conditional_entropy,
                                 conditional_entropy, relative_entropy,
                                 relative_entropy_matrices,
                                 restricted_relative_entropy)
-from fermichain.potentials import (hopping_model, local_hamiltonian,
-                                   total_hamiltonian)
+from fermichain.potentials import (build_model, hopping_model,
+                                   local_hamiltonian, total_hamiltonian)
 from fermichain.regions import Region
 from fermichain.stability import free_energy
-from fermichain.states import (DensityState, gibbs_state, perturbed_state,
+from fermichain.states import (DensityState, gibbs_state,
+                               noneven_perturbation, perturbed_state,
                                restrict)
 
 
@@ -143,6 +144,23 @@ def test_relative_entropy_kernel_leak_oracle(lattice, seed):
     want = logm_relative_entropy(support.conj().T @ d1 @ support, inner)
     # a one-dimensional support makes both states equal and the value 0
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("model", ["tv", "hopping"])
+@pytest.mark.parametrize("sites", [[0], [2, 3]])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+def test_small_eigenvalues_of_the_reference_are_not_its_kernel(
+        model, sites, beta):
+    # psi = phi (1 + X / 2) is faithful, yet at low temperature its smallest
+    # eigenvalues lie far below its largest (2.8e-14 of it for tv, beta = 5
+    # on site 0); log psi = log phi + log(1 + X / 2), so the relative
+    # entropy of phi from psi is -tau(log(1 + X / 2)) = -log(1 - 1/4) / 2
+    lattice = 6
+    region = Region.of(sites, lattice)
+    phi = perturbed_state(build_model(model, lattice), beta, region)
+    psi = noneven_perturbation(phi, region)
+    want = -0.5 * math.log(1.0 - 0.25)
+    assert abs(relative_entropy(psi, phi) - want) <= 1e-11
 
 
 def test_relative_entropy_takes_one_decomposition_of_the_reference(

@@ -1,16 +1,14 @@
 """The grading read one way: the parity table and the helpers built on it.
 
-``car.parity_order`` is the one parity table.  ``car.parity_signs`` and
-``car.commutant_reordering`` read their signs off it, ``car.parity_blocks``
-gathers the blocks of one parity in its order, and ``car.grading_defect``
-measures how far a matrix is from a parity as twice the largest entry of
-the blocks of the other parity.  Each is held here to the construction it
+``car.parity_order`` is the one parity table.  ``car.parity_signs`` reads
+its signs off it, ``car.parity_blocks`` gathers the blocks of one parity in
+its order, and ``car.grading_defect`` measures how far a matrix is from a
+parity as twice the largest entry of the blocks of the other parity.  Each is held here to the construction it
 replaced: the grading unitary's column-map encoding, and ``theta(X)``
 formed and subtracted.
 """
 
 import inspect
-import itertools
 import math
 import tracemalloc
 
@@ -94,28 +92,6 @@ def test_parity_signs_match_the_grading_unitary(lattice):
 
 def test_parity_signs_of_the_empty_chain():
     assert np.array_equal(car.parity_signs(0), [1.0])
-
-
-def old_commutant_reordering(region):
-    """The commutant reordering as it was built from the grading unitary's
-    encoding and a popcount loop."""
-    index, sign = car.mode_reordering(region.complement())
-    block_grading = car.grading_encoding(region)[1].real[index[:, 0]]
-    states = np.arange(index.shape[1])
-    odd = np.array([bin(x).count("1") % 2 for x in states], dtype=bool)
-    return index, sign * np.where(odd[None, :], block_grading[:, None], 1.0)
-
-
-@pytest.mark.parametrize("lattice", range(1, 7))
-def test_commutant_reordering_matches_the_old_construction(lattice):
-    for r in range(1, lattice + 1):
-        for sites in itertools.combinations(range(lattice), r):
-            region = Region(sites, lattice)
-            index, sign = car.commutant_reordering(region)
-            want_index, want_sign = old_commutant_reordering(region)
-            assert np.array_equal(index, want_index)
-            assert np.array_equal(sign, want_sign), sites
-            assert not sign.flags.writeable
 
 
 @pytest.mark.parametrize("lattice", range(6))

@@ -230,5 +230,5 @@ def test_every_preset_state_is_real(model):
     # complex enters with complex data only
     rng = np.random.default_rng(0)
     assert FactorState.gaussian(lattice, rng).factor.dtype == np.complex128
-    competitor = next(feasible_sampler(gibbs, region, "lts", 1))
+    competitor = next(feasible_sampler(gibbs, region, 1))
     assert competitor.density.dtype == np.complex128

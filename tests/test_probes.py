@@ -425,11 +425,12 @@ def test_scan_and_check_take_factor_states():
 
 def test_factor_state_draws_real_parts_first():
     # the order of the draws is the law of the ssb-probe scan: the factor
-    # is the complex Ginibre matrix re + 1j * im, re drawn first
-    lattice = 3
-    n = car.dim(lattice)
-    rng = np.random.default_rng(11)
-    want = rng.standard_normal((n, n))
-    want = want + 1j * rng.standard_normal((n, n))
-    got = FactorState.gaussian(lattice, np.random.default_rng(11)).factor
-    assert got.tobytes() == want.tobytes()
+    # is the N x 64 complex Ginibre matrix re + 1j * im, re drawn first,
+    # with more columns than rows on short chains
+    for lattice in (3, 8):
+        shape = (car.dim(lattice), 64)
+        rng = np.random.default_rng(11)
+        want = rng.standard_normal(shape)
+        want = want + 1j * rng.standard_normal(shape)
+        got = FactorState.gaussian(lattice, np.random.default_rng(11)).factor
+        assert got.tobytes() == want.tobytes()

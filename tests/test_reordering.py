@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from fermichain import car, kernels
 from fermichain.potentials import hopping_model, total_hamiltonian
 from fermichain.regions import Region
-from fermichain.stability import constraint_family
 from fermichain.states import (DensityState, gibbs_state, perturbed_state,
                                product_check, restrict)
 
@@ -184,54 +183,6 @@ def test_restriction_values_and_labels_match_the_tables(region, seed):
     values = (car.monomial_basis(Region.full(len(region))).expectations(rest.density)
               if len(region) else rest.density[0])
     assert np.max(np.abs(values - basis.expectations(omega.density))) <= TOL
-
-
-# ---------------------------------------------------------------------------
-# the commutant projection
-# ---------------------------------------------------------------------------
-
-
-def commutant_oracle(matrix, region):
-    """Projection onto even complement monomials and ``v_R`` times odd ones,
-    with the parities read off the monomial table."""
-    basis = car.monomial_basis(region.complement())
-    v = car.grading_encoding(region)[1].real[:, None]
-    parities = np.array([m.parity for m in basis.monomials])
-    even = np.where(parities == 0, basis.coefficients(matrix), 0.0)
-    odd = np.where(parities == 1, basis.coefficients(v * matrix), 0.0)
-    return basis.assemble(even) + v * basis.assemble(odd)
-
-
-@given(regions(nonempty=True), seeds)
-def test_commutant_projection_matches_oracle_and_is_the_commutant(region, seed):
-    lattice = region.lattice_size
-    rng = np.random.default_rng(seed)
-    a, b = (unit_matrix(car.dim(lattice), rng) for _ in range(2))
-    project = constraint_family(region, "lts_prime")
-    pa = project(a)
-    assert np.max(np.abs(pa - commutant_oracle(a, region))) <= TOL
-    # idempotent and self-adjoint for the Hilbert-Schmidt product
-    assert np.max(np.abs(project(pa) - pa)) <= TOL
-    pb = project(b)
-    assert abs(np.vdot(pa, b) - np.vdot(a, pb)) <= 1e-12
-    # its range commutes with the region's algebra
-    for site in region.sites:
-        gen = car.annihilator(site, lattice).matrix
-        assert np.max(np.abs(pa @ gen - gen @ pa)) <= 1e-13
-    # and leaves the complement's algebra whenever that is not trivial
-    comp = region.complement()
-    if not comp.is_empty:
-        inside = car.conditional_expectation_matrix(pa, comp)
-        assert np.max(np.abs(pa - inside)) > 1e-3
-
-
-@given(regions(max_lattice=4, nonempty=True))
-def test_commutant_projection_has_the_commutant_rank(region):
-    lattice = region.lattice_size
-    full = car.monomial_basis(Region.full(lattice))
-    project = constraint_family(region, "lts_prime")
-    images = np.stack([project(m.dense()).ravel() for m in full.monomials])
-    assert np.linalg.matrix_rank(images) == 4 ** (lattice - len(region))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Guards: one way to compute a conditional expectation, one way to read
 the grading, and one place that decides how a state's log is known.
 
-Restrictions, conditional expectations, commutant projections and random
-elements all go through the mode reordering in :mod:`fermichain.car`.  The
+Restrictions, conditional expectations and random elements all go through
+the mode reordering in :mod:`fermichain.car`, and only ``car`` reads it:
+every other module calls its maps (``small_representation``, ``embed``,
+``conditional_expectation_matrix``, ``add_embedded``, ``pair_gather``), so
+the constraint algebra of a stability check is the complement's, reached
+the way every restriction is.  The
 monomial tables (``monomial_basis`` and the methods of ``MonomialBasis``)
 cost ``4**|R| x 2**L`` entries and refuse large regions, so no package code
 calls them, ``car`` included: only the bodies of ``MonomialBasis`` and
@@ -91,6 +95,40 @@ def test_only_car_touches_the_monomial_tables():
     assert not offenders, ("monomial tables used outside their own "
                            "definitions in car.py (use small_representation "
                            f"/ embed): {offenders}")
+
+
+def reordering_calls(source: str) -> list[int]:
+    """Line numbers of the calls to ``mode_reordering``."""
+    def flagged(func):
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else "")
+        return name == "mode_reordering"
+    return calls_outside(source, (), flagged)
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("car.mode_reordering(region)", True),
+    ("mode_reordering(region.complement())", True),
+    ("index, sign = car.mode_reordering(outside)", True),
+    ("def reordering(self):\n    return car.mode_reordering(self.region)",
+     True),
+    ("car.small_representation(x, region.complement())", False),
+    ("car.embed(small, outside)", False),
+    ("car.conditional_expectation_matrix(g, outside)", False),
+    ("car.pair_gather(first, second)", False),
+    ("table = car.mode_reordering", False),
+])
+def test_guard_recognizes_reordering_calls(snippet, flagged):
+    assert bool(reordering_calls(snippet)) is flagged
+
+
+def test_only_car_reads_a_mode_reordering():
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 if path.name != "car.py"
+                 for line in reordering_calls(path.read_text("utf-8"))]
+    assert not offenders, ("mode reordering read outside car.py (call "
+                           "car.small_representation / car.embed on the "
+                           f"region): {offenders}")
 
 
 # top-level definitions of the monomial oracle, which build its tables from

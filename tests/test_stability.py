@@ -15,11 +15,15 @@ from fermichain.potentials import (Potential, hopping_model,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
 from fermichain.reporting import CheckRecord
-from fermichain.stability import (StabilityReport, constraint_family,
-                                  feasible_sampler, free_energy, lts_check,
-                                  prop4_pipeline)
+from fermichain.stability import (StabilityReport, feasible_sampler,
+                                  free_energy, lts_check, prop4_pipeline)
 from fermichain.states import (DensityState, gibbs_state,
                                noneven_perturbation, perturbed_state)
+
+# the constraint algebra of local thermal stability, the algebra of the
+# probe region's complement, as the map from a probe region to the region
+# whose algebra it is; each case it marks carries the id "lts"
+LTS = pytest.mark.parametrize("constraint", [Region.complement], ids=["lts"])
 
 
 def random_state(lattice, rng):
@@ -41,80 +45,33 @@ def test_free_energy_agrees_with_the_entropy_module():
     h_i = local_hamiltonian(pot, region).matrix
     for seed in range(4):
         omega = random_state(lattice, np.random.default_rng(seed))
-        a = free_energy(omega, pot, region, beta, mode="lts")
+        a = free_energy(omega, pot, region, beta)
         b = (conditional_entropy(omega, region)
              - beta * float(np.real(omega.expectation(h_i))))
         assert abs(a - b) < 1e-12
 
 
-def test_both_modes_agree_on_even_states():
-    # the commutant and complement algebras share their even part, and on an
-    # even state the odd coefficients vanish, so the two projections coincide
-    lattice, beta = 4, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([1], lattice)
-    for seed in range(6):
-        rng = np.random.default_rng(100 + seed)
-        raw = random_state(lattice, rng).density
-        even = DensityState(0.5 * (raw + car.theta_matrix(raw, lattice)))
-        f = free_energy(even, pot, region, beta, mode="lts")
-        f_prime = free_energy(even, pot, region, beta, mode="lts_prime")
-        assert abs(f - f_prime) < 1e-12
-
-
-def fixed_monomials(project, lattice):
-    """The monomials of the whole chain that a projection leaves unchanged."""
-    return [m for m in car.monomial_basis(Region.full(lattice)).monomials
-            if np.max(np.abs(project(m.dense()) - m.dense())) < 1e-14]
-
-
-def test_constraint_family_modes():
-    lattice = 4
-    region = Region.of([1], lattice)
-    lts = fixed_monomials(constraint_family(region, "lts"), lattice)
-    prime = fixed_monomials(constraint_family(region, "lts_prime"), lattice)
-    # same count, different span: half the commutant monomials thread the
-    # probed region through its parity operator
-    assert len(lts) == 4 ** (lattice - 1)
-    assert len(prime) == len(lts)
-    touching = [m for m in prime if set(m.sites) & set(region.sites)]
-    assert len(touching) == len(prime) // 2
-    assert not any(set(m.sites) & set(region.sites) for m in lts)
-    with pytest.raises(ValueError):
-        constraint_family(region, "global")
-
-
-def commutant_oracle(matrix, region):
-    """``E_{R^c}(A_even) + v_R E_{R^c}(v_R A_odd)``, spelled out."""
-    comp = region.complement()
-    graded = car.theta_matrix(matrix, region.lattice_size)
-    v = np.diag(car.grading_encoding(region)[1])
-    even = car.conditional_expectation_matrix((matrix + graded) / 2.0, comp)
-    odd = car.conditional_expectation_matrix(v @ (matrix - graded) / 2.0, comp)
-    return even + v @ odd
-
-
 @given(st.integers(min_value=1, max_value=6), st.data(),
-       st.sampled_from(stability.MODES), st.integers(0, 10_000))
+       st.integers(0, 10_000))
 def test_compress_is_adjoint_to_expand_and_composes_to_the_projection(
-        lattice, data, mode, seed):
+        lattice, data, seed):
+    # compress and expand are the small representation and embedding of the
+    # complement, the constraint algebra; expand o compress is the
+    # projection onto it, held to the monomial oracle
     sites = data.draw(st.sets(st.integers(0, lattice - 1), min_size=1))
-    region = Region.of(sites, lattice)
-    project = constraint_family(region, mode)
+    outside = Region.of(sites, lattice).complement()
     rng = np.random.default_rng(seed)
-    n, m = car.dim(lattice), car.dim(lattice - len(region))
+    n, m = car.dim(lattice), car.dim(len(outside))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    small = project.compress(g)
+    small = car.small_representation(g, outside)
     assert small.shape == (m, m)
-    lhs = np.vdot(project.expand(x), g)
+    lhs = np.vdot(car.embed(x, outside), g)
     assert abs(lhs - (n / m) * np.vdot(x, small)) <= 1e-13 * n * m
-    assert np.max(np.abs(project.compress(project.expand(x)) - x)) <= 1e-14
-    if mode == "lts":
-        want = car.conditional_expectation_matrix(g, region.complement())
-    else:
-        want = commutant_oracle(g, region)
-    assert np.max(np.abs(project(g) - want)) <= 1e-14
+    assert np.max(np.abs(car.small_representation(car.embed(x, outside),
+                                                  outside) - x)) <= 1e-14
+    want = car.monomial_basis(outside).project(g)
+    assert np.max(np.abs(car.embed(small, outside) - want)) <= 1e-14
 
 
 def hermitian(m, rng):
@@ -141,10 +98,10 @@ def probe_regions(draw, lattice):
     return Region.of(sites, lattice)
 
 
-@given(st.integers(min_value=1, max_value=6), st.data(),
-       st.sampled_from(stability.MODES), st.booleans(), st.integers(0, 10_000))
+@given(st.integers(min_value=1, max_value=6), st.data(), st.booleans(),
+       st.integers(0, 10_000))
 def test_conditional_entropy_matches_the_relative_entropy_oracle(
-        lattice, data, mode, pure, seed):
+        lattice, data, pure, seed):
     # Sc = S(D) - (N / m) S(compress(D)) against -S(E(D), D) with E(D)
     # formed densely; the spectra of full-rank densities are kept in
     # [0.01, 1] so that the comparison measures the identity, not the
@@ -161,16 +118,12 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
         spectrum = rng.uniform(0.01, 1.0, n)
         density = (q * (spectrum / np.sum(spectrum))) @ q.conj().T
     omega = DensityState(density)
-    if mode == "lts":
-        projected = car.conditional_expectation_matrix(density, region.complement())
-    else:
-        projected = commutant_oracle(density, region)
+    projected = car.conditional_expectation_matrix(density, region.complement())
     oracle = -relative_entropy_matrices(projected, density)
-    if mode == "lts":
-        assert abs(conditional_entropy(omega, region) - oracle) <= 1e-12
+    assert abs(conditional_entropy(omega, region) - oracle) <= 1e-12
     pot, beta = hopping_model(lattice), 0.7
     energy = float(np.real(omega.expectation(local_hamiltonian(pot, region).matrix)))
-    got = free_energy(omega, pot, region, beta, mode)
+    got = free_energy(omega, pot, region, beta)
     assert abs(got - (oracle - beta * energy)) <= 1e-12
 
 
@@ -179,10 +132,10 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
 # ---------------------------------------------------------------------------
 
 
-def redraw(omega, region, mode, count, seed):
+def redraw(omega, outside, count, seed):
     """The competitor densities drawn directly, in the sampler's RNG order:
-    ``g``, then ``t``, with ``g`` redrawn when its feasible part vanishes."""
-    project = constraint_family(region, mode)
+    ``g``, then ``t``, with ``g`` redrawn when its feasible part vanishes;
+    ``outside`` is the region of the constraint algebra."""
     lam_half = 0.5 * omega.lambda_min()
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
@@ -190,7 +143,7 @@ def redraw(omega, region, mode, count, seed):
     while len(densities) < count:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g = (g + g.conj().T) / 2.0
-        y = g - project(g)
+        y = g - car.conditional_expectation_matrix(g, outside)
         y = (y + y.conj().T) / 2.0
         nrm = car.hermitian_norm(y)
         if nrm < 1e-12:
@@ -200,28 +153,28 @@ def redraw(omega, region, mode, count, seed):
     return densities
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_feasible_sampler_streams_the_direct_draws(mode):
+@LTS
+def test_feasible_sampler_streams_the_direct_draws(constraint):
     lattice = 4
     region = Region.of([1, 2], lattice)
     omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    stream = feasible_sampler(omega, region, mode, 6, seed=7)
+    stream = feasible_sampler(omega, region, 6, seed=7)
     got = [member.density for member in stream]
-    want = redraw(omega, region, mode, 6, seed=7)
+    want = redraw(omega, constraint(region), 6, seed=7)
     assert len(got) == len(want) == 6
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("mode", ["lts", "lts_prime"])
-def test_feasible_sampler_produces_genuine_competitors(mode):
+@LTS
+def test_feasible_sampler_produces_genuine_competitors(constraint):
     lattice, beta = 4, 1.0
     region = Region.of([1, 2], lattice)
     omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
-    project = constraint_family(region, mode)
-    members = list(feasible_sampler(omega, region, mode, 25, seed=7))
+    outside = constraint(region)
+    members = list(feasible_sampler(omega, region, 25, seed=7))
     assert len(members) == 25
-    residual = max(float(np.max(np.abs(
-        project.compress(m.density - omega.density)))) for m in members)
+    residual = max(float(np.max(np.abs(car.small_representation(
+        m.density - omega.density, outside)))) for m in members)
     assert residual < 1e-12
     for member in members:
         evals = np.linalg.eigvalsh(member.density)
@@ -239,7 +192,7 @@ def test_feasible_sampler_requires_a_faithful_base():
     pure = np.zeros((n, n), dtype=complex)
     pure[0, 0] = 1.0
     with pytest.raises(ValueError):
-        feasible_sampler(DensityState(pure), Region.of([0], lattice), "lts", 5)
+        feasible_sampler(DensityState(pure), Region.of([0], lattice), 5)
 
 
 def test_margin_equals_relative_entropy_for_gibbs_base():
@@ -250,7 +203,7 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
     f_gibbs = free_energy(gibbs, pot, region, beta)
-    for member in feasible_sampler(gibbs, region, "lts", 10, seed=11):
+    for member in feasible_sampler(gibbs, region, 10, seed=11):
         loss = f_gibbs - free_energy(member, pot, region, beta)
         rel = relative_entropy(gibbs, member)
         assert abs(loss - rel) < 1e-10
@@ -262,17 +215,20 @@ def test_margin_equals_relative_entropy_for_gibbs_base():
 # ---------------------------------------------------------------------------
 
 
-def bound_parts(omega, pot, region, beta, mode="lts"):
-    """The projection, ``compress(D)``, ``H(I)`` and ``M0`` of ``lts_check``."""
-    project = constraint_family(region, mode)
+def bound_parts(omega, pot, region, beta, constraint=Region.complement):
+    """The constraint region, ``compress(D)``, ``H(I)`` and ``M0`` of
+    ``lts_check``."""
+    outside = constraint(region)
     h_i = local_hamiltonian(pot, region)
-    m0 = stability._base_multiplier(omega, project, h_i, beta)
-    return project, project.compress(omega.density), h_i, m0
+    m0 = stability._base_multiplier(omega, outside, h_i, beta)
+    return (outside, car.small_representation(omega.density, outside), h_i,
+            m0)
 
 
-def exponent_state(project, h_i, beta, multiplier):
+def exponent_state(outside, h_i, beta, multiplier):
     """``e^K / Tr e^K`` for ``K = expand(M) - beta H(I)``, by ``expm``."""
-    weight = scipy.linalg.expm(project.expand(multiplier) - beta * h_i.matrix)
+    weight = scipy.linalg.expm(car.embed(multiplier, outside)
+                               - beta * h_i.matrix)
     return weight / np.trace(weight).real
 
 
@@ -287,10 +243,10 @@ def raw_coupling(lattice, phase):
                                Region.of([2, 3, 4], lattice): term.small})
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
+@LTS
 @pytest.mark.parametrize("base, phase", [("gibbs", 1.0), ("random", 1.0),
                                          ("gibbs", 1j)])
-def test_base_multiplier_matches_the_dense_sum(base, phase, mode):
+def test_base_multiplier_matches_the_dense_sum(base, phase, constraint):
     # M0 = compress(log D) + beta compress(H(I)) with log D by eigh and H(I)
     # dense; the complex coupling on a real Gibbs base needs complex
     # arithmetic, or the imaginary part of beta H(I) would be lost
@@ -301,37 +257,38 @@ def test_base_multiplier_matches_the_dense_sum(base, phase, mode):
         omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
     else:
         omega = random_state(lattice, np.random.default_rng(5))
-    project = constraint_family(region, mode)
+    outside = constraint(region)
     h_i = local_hamiltonian(pot, region)
     w, v = np.linalg.eigh(omega.density)
-    oracle = (project.compress((v * np.log(w)) @ v.conj().T)
-              + beta * project.compress(h_i.matrix))
-    m0 = stability._base_multiplier(omega, project, h_i, beta)
+    oracle = (car.small_representation((v * np.log(w)) @ v.conj().T, outside)
+              + beta * car.small_representation(h_i.matrix, outside))
+    m0 = stability._base_multiplier(omega, outside, h_i, beta)
     assert np.max(np.abs(m0 - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     if phase == 1j:
         assert np.max(np.abs(m0.imag)) > 0.1
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
+@LTS
 @pytest.mark.parametrize("lattice", [3, 4, 6])
-def test_weak_duality_at_random_multipliers(lattice, mode):
+def test_weak_duality_at_random_multipliers(lattice, constraint):
     # F(D) <= f_dual(M) for every state of the slice and every Hermitian M,
     # and M0 is the minimum: a traceless step away from it raises the bound
     beta = 1.0
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    project, small, h_i, m0 = bound_parts(gibbs, pot, region, beta, mode)
+    outside, small, h_i, m0 = bound_parts(gibbs, pot, region, beta,
+                                          constraint)
     m = m0.shape[0]
     rng = np.random.default_rng(lattice)
-    at_m0 = stability._dual_bound(project, small, h_i, beta, m0)
-    members = [free_energy(member, pot, region, beta, mode)
-               for member in feasible_sampler(gibbs, region, mode, 10, seed=1)]
+    at_m0 = stability._dual_bound(outside, small, h_i, beta, m0)
+    members = [free_energy(member, pot, region, beta)
+               for member in feasible_sampler(gibbs, region, 10, seed=1)]
     for _ in range(3):
         step = hermitian(m, rng)
         step -= np.trace(step) / m * np.eye(m)
         for multiplier in (hermitian(m, rng), m0 + 1e-2 * step, m0 + step):
-            bound = stability._dual_bound(project, small, h_i, beta, multiplier)
+            bound = stability._dual_bound(outside, small, h_i, beta, multiplier)
             assert max(members) <= bound
             assert bound > at_m0
     assert max(members) <= at_m0 + 1e-12
@@ -345,10 +302,10 @@ def test_maximizer_recovers_the_gibbs_state(beta):
     pot = hopping_model(lattice)
     region = Region.of([1, 2], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    project, small, h_i, m0 = bound_parts(gibbs, pot, region, beta)
-    state = exponent_state(project, h_i, beta, m0)
+    outside, small, h_i, m0 = bound_parts(gibbs, pot, region, beta)
+    state = exponent_state(outside, h_i, beta, m0)
     assert np.max(np.abs(state - gibbs.density)) < 1e-11
-    bound = stability._dual_bound(project, small, h_i, beta, m0)
+    bound = stability._dual_bound(outside, small, h_i, beta, m0)
     assert abs(bound - free_energy(gibbs, pot, region, beta)) < 1e-12
 
 
@@ -380,8 +337,8 @@ def test_maximizer_certifies_at_low_temperature(beta, sites):
     assert abs(by_name["margin_maximizer"].value) <= 1e-13
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_a_maximizer_that_is_no_gibbs_state_passes(mode):
+@LTS
+def test_a_maximizer_that_is_no_gibbs_state_passes(constraint):
     # sigma = exp(-beta H(I) + expand(X)) / Z is the constrained maximizer of
     # its own slice for every Hermitian X; it carries no closed-form log, so
     # M0 comes from one decomposition of its density.  The raw coupling
@@ -393,13 +350,12 @@ def test_a_maximizer_that_is_no_gibbs_state_passes(mode):
                               Region.of([2, 4], lattice): np.diag([0.0, 0.0,
                                                                    0.0, 1.0])})
     region = Region.of([1, 2], lattice)
-    project = constraint_family(region, mode)
+    outside = constraint(region)
     h_i = local_hamiltonian(pot, region)
-    x = 0.5 * hermitian(car.dim(lattice - len(region)),
-                        np.random.default_rng(8))
-    sigma = DensityState(exponent_state(project, h_i, beta, x))
+    x = 0.5 * hermitian(car.dim(len(outside)), np.random.default_rng(8))
+    sigma = DensityState(exponent_state(outside, h_i, beta, x))
     assert sigma.log is None
-    report = lts_check(sigma, pot, region, beta, mode=mode, samples=20, seed=2)
+    report = lts_check(sigma, pot, region, beta, samples=20, seed=2)
     by_name = {c.check: c for c in report.checks}
     assert report.passed
     assert abs(by_name["margin_maximizer"].value) <= 1e-12
@@ -414,8 +370,8 @@ def test_noneven_margin_is_its_relative_entropy_from_the_bound():
     region = Region.of([2], lattice)
     gap = prop4_pipeline(pot, beta, region).margin
     psi = noneven_perturbation(perturbed_state(pot, beta, region), region)
-    project, _, h_i, m0 = bound_parts(psi, pot, region, beta)
-    sigma0 = exponent_state(project, h_i, beta, m0)
+    outside, _, h_i, m0 = bound_parts(psi, pot, region, beta)
+    sigma0 = exponent_state(outside, h_i, beta, m0)
     oracle = float(np.real(np.trace(psi.density @ (
         scipy.linalg.logm(psi.density) - scipy.linalg.logm(sigma0)))))
     report = lts_check(psi, pot, region, beta, samples=0)
@@ -437,8 +393,8 @@ def test_maximizer_requires_a_faithful_constraint():
                   Region.of([2], lattice), 1.0, samples=0)
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_bound_alone_takes_no_smallest_eigenvalue(mode, monkeypatch):
+@LTS
+def test_bound_alone_takes_no_smallest_eigenvalue(constraint, monkeypatch):
     # a Gibbs base whose smallest weight underflows: with no competitor to
     # draw, the check asks for no smallest eigenvalue, and the bound holds
     lattice, beta = 4, 200.0
@@ -452,7 +408,7 @@ def test_bound_alone_takes_no_smallest_eigenvalue(mode, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(DensityState, "lambda_min", refuse)
-        report = lts_check(omega, pot, region, beta, mode=mode, samples=0)
+        report = lts_check(omega, pot, region, beta, samples=0)
     assert report.passed
     assert [c.check for c in report.checks] == ["feasible_residual",
                                                 "margin_maximizer"]
@@ -463,13 +419,13 @@ def test_sampler_names_an_underflowing_gibbs_base():
     omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
     region = Region.of([1], lattice)
     with pytest.raises(ValueError, match="underflows to 0.0 at beta = 200"):
-        feasible_sampler(omega, region, "lts", 1)
+        feasible_sampler(omega, region, 1)
     # with nothing to draw there is nothing to refuse
-    assert list(feasible_sampler(omega, region, "lts", 0)) == []
+    assert list(feasible_sampler(omega, region, 0)) == []
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_maximizer_memory_is_a_few_dense_matrices(mode):
+@LTS
+def test_maximizer_memory_is_a_few_dense_matrices(constraint):
     # the multiplier lives in the 2**|I^c| small representation, and the
     # bound takes one spectrum of K: a few N x N arrays at its peak
     lattice, beta = 7, 1.0
@@ -479,7 +435,7 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = lts_check(gibbs, pot, region, beta, mode=mode, samples=0)
+        report = lts_check(gibbs, pot, region, beta, samples=0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -489,9 +445,9 @@ def test_maximizer_memory_is_a_few_dense_matrices(mode):
     assert peak < 4 * n * n * 8
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
+@LTS
 @pytest.mark.parametrize("base", ["gibbs", "random"])
-def test_check_forms_no_dense_element(base, mode, monkeypatch):
+def test_check_forms_no_dense_element(base, constraint, monkeypatch):
     # H(I) and every other element enter lts_check by their small
     # representations: the dense view is never read
     lattice, beta = 5, 1.0
@@ -506,13 +462,13 @@ def test_check_forms_no_dense_element(base, mode, monkeypatch):
         raise AssertionError("AlgebraElement.matrix read")
 
     monkeypatch.setattr(car.AlgebraElement, "matrix", property(refused))
-    report = lts_check(omega, pot, region, beta, mode=mode, samples=3)
+    report = lts_check(omega, pot, region, beta, samples=3)
     assert [c.check for c in report.checks] == [
         "feasible_residual", "margin_samples", "margin_maximizer"]
 
 
-@pytest.mark.parametrize("mode", stability.MODES)
-def test_maximizer_decomposes_only_real_parity_blocks(mode, monkeypatch):
+@LTS
+def test_maximizer_decomposes_only_real_parity_blocks(constraint, monkeypatch):
     # a Gibbs base and its K are even and real, so car.eigvalsh splits each
     # spectrum into its two real parity blocks: nothing N x N, nothing
     # complex, and no eigenvectors at all
@@ -531,9 +487,9 @@ def test_maximizer_decomposes_only_real_parity_blocks(mode, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     monkeypatch.setattr(np.linalg, "eigh", refused)
-    report = lts_check(gibbs, pot, region, beta, mode=mode, samples=0)
+    report = lts_check(gibbs, pot, region, beta, samples=0)
     assert report.passed
-    n, m = car.dim(lattice), car.dim(lattice - len(region))
+    n, m = car.dim(lattice), car.dim(len(constraint(region)))
     assert set(seen) == {(n // 2, "f"), (m // 2, "f")}
 
 
@@ -542,29 +498,18 @@ def test_maximizer_rejects_an_empty_probe_region():
     pot = hopping_model(lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), 1.0)
     empty = Region.empty(lattice)
-    with pytest.raises(ValueError):
-        constraint_family(empty, "lts")
-    # the sampler would find no direction to draw from
-    with pytest.raises(ValueError):
-        lts_check(gibbs, pot, empty, 1.0, samples=5)
+    # the constraints would fix the whole state: the sampler would find no
+    # direction to draw from
+    for refused in (lambda: free_energy(gibbs, pot, empty, 1.0),
+                    lambda: feasible_sampler(gibbs, empty, 5),
+                    lambda: lts_check(gibbs, pot, empty, 1.0, samples=5)):
+        with pytest.raises(ValueError, match="empty probe region"):
+            refused()
 
 
 # ---------------------------------------------------------------------------
 # the stability check
 # ---------------------------------------------------------------------------
-
-
-def test_gibbs_state_passes_the_check_in_both_modes():
-    lattice, beta = 5, 1.0
-    pot = hopping_model(lattice)
-    region = Region.of([2], lattice)
-    gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    for mode in ("lts", "lts_prime"):
-        report = lts_check(gibbs, pot, region, beta, mode=mode,
-                           samples=100, seed=0)
-        assert report.passed
-        assert report.margin >= -1e-9
-        assert "maximizer" in report.free_energies
 
 
 def test_gibbs_state_passes_at_strong_coupling():
@@ -628,8 +573,8 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
     sampler = stability.feasible_sampler
     entropy_and_energy = stability._entropy_and_energy
 
-    def broken(omega, region, mode, count, seed):
-        competitors = sampler(omega, region, mode, count, seed)
+    def broken(omega, region, count, seed):
+        competitors = sampler(omega, region, count, seed)
         yield next(competitors)
         yield DensityState(np.full_like(omega.density, np.nan), validate=False)
         yield from competitors
@@ -649,16 +594,13 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
     assert not report.passed
 
 
-@pytest.mark.parametrize("drawn_for", ["region", "mode", "base"])
+@pytest.mark.parametrize("drawn_for", ["region", "base"])
 def test_feasible_residual_fails_a_competitor_drawn_for_another_probe(
         monkeypatch, drawn_for):
     lattice, beta = 4, 1.0
     pot = hopping_model(lattice)
     region = Region.of([1], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    # lts competitors are orthogonal to the complement's algebra only, so
-    # they move the grading-twisted odd constraints that lts_prime adds
-    mode = "lts_prime" if drawn_for == "mode" else "lts"
     base, probe = gibbs, region
     if drawn_for == "region":
         probe = Region.of([2], lattice)
@@ -666,9 +608,9 @@ def test_feasible_residual_fails_a_competitor_drawn_for_another_probe(
         base = gibbs_state(total_hamiltonian(pot), 2.0)
     sampler = stability.feasible_sampler
     monkeypatch.setattr(stability, "feasible_sampler",
-                        lambda omega, region, mode, count, seed:
-                        sampler(base, probe, "lts", count, seed))
-    report = lts_check(gibbs, pot, region, beta, mode=mode, samples=20, seed=2)
+                        lambda omega, region, count, seed:
+                        sampler(base, probe, count, seed))
+    report = lts_check(gibbs, pot, region, beta, samples=20, seed=2)
     record = next(c for c in report.checks if c.check == "feasible_residual")
     assert record.value > 1e-6
     assert not record.passed
