@@ -49,7 +49,7 @@ from .potentials import (MODELS, Potential, PotentialReport, build_model,
                          random_standard_potential, raw_number_model,
                          standardize, total_hamiltonian, tv_model,
                          validate_potential)
-from .probes import (ProbeResult, cluster_coefficient, grading_asymmetry,
+from .probes import (cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
 from .stability import (StabilityReport, feasible_sampler, free_energy,
@@ -65,7 +65,7 @@ __all__ = [
     "AlgebraElement", "BACKEND", "DensityState",
     "FactorState", "MAX_SITES", "MODELS",
     "Monomial", "MonomialBasis", "Potential",
-    "PotentialReport", "ProbeResult", "Region",
+    "PotentialReport", "Region",
     "StabilityReport", "annihilator", "build_model",
     "cluster_coefficient", "conditional_entropy", "embed",
     "feasible_sampler", "free_energy", "gibbs_state",

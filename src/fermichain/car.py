@@ -35,10 +35,10 @@ reordered basis the region's algebra is ``M_{2**|R|} (x) 1``, so
 - :func:`embed` is its inverse on ``A_R``: ``S -> S (x) 1``, and
   :func:`add_embedded` sums terms;
 - :func:`local_times` multiplies a matrix by ``embed(S)`` on the left
-  through ``S`` alone;
+  through the two parity-changing blocks of an odd ``S`` alone, the one
+  product of an odd local element with a matrix or a factor;
 - the tau-preserving conditional expectation onto ``A_R`` is
-  ``embed o small_representation``;
-- :func:`pair_gather` composes two reorderings into one signed gather.
+  ``embed o small_representation``.
 
 Each map touches only the ``2**L * 2**|R|`` entries of the block diagonal
 in the reordered basis, never the whole matrix.
@@ -470,14 +470,23 @@ def theta(element: AlgebraElement) -> AlgebraElement:
                           element.support)
 
 
+def require_odd(small: np.ndarray, name: str) -> None:
+    """Refuse (``ValueError``) a small representation whose even part
+    exceeds ``1e-12`` of its largest entry (of 1, if that is less)."""
+    # an exactly odd small, the usual one, is read with no moduli taken
+    if any(map(np.any, parity_blocks(small, 0))):
+        scale = max(1.0, float(np.max(np.abs(small))))
+        if grading_defect(small, 1) > 1e-12 * scale:
+            raise ValueError(f"{name} is not odd")
+
+
 def require_odd_self_adjoint(element: AlgebraElement, name: str) -> None:
     """Refuse (``ValueError``) an element that is not self-adjoint and odd,
     to ``1e-12`` of its largest entry."""
     scale = max(1.0, float(np.max(np.abs(element.small))))
     if not element.is_self_adjoint(1e-12 * scale):
         raise ValueError(f"{name} is not self-adjoint")
-    if grading_defect(element.small, 1) > 1e-12 * scale:
-        raise ValueError(f"{name} is not odd")
+    require_odd(element.small, name)
 
 
 def require_odd_pair(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -535,27 +544,14 @@ def mode_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def pair_gather(first: Region,
-                second: Region) -> tuple[np.ndarray, np.ndarray]:
-    """The signed gather of the rows of a chain's matrix into the modes
-    ordered ``first``, ``second`` (disjoint from it), then the rest, with
-    the states of each support in the :func:`parity_order`.
-
-    Returns ``(index, sign)`` of shape ``(2**|first|, 2**|second|,
-    2**(L - |first| - |second|))``: row ``[x, w, z]`` of the gathered matrix
-    is ``sign[x, w, z]`` times row ``index[x, w, z]``.  It composes two
-    :func:`mode_reordering` tables: ``first``'s, and on the chain of
-    ``first``'s complement that of ``second``'s positions there, which
-    renumbers only the modes after ``first``'s.
-    """
-    index_a, sign_a = mode_reordering(first)                # [y, x]
-    index_b, sign_b = mode_reordering(
-        second.positions_in(first.complement()))            # [z, w] -> y
-    order_a = np.concatenate(parity_order(len(first)))[:, None, None]
-    order_b = np.concatenate(parity_order(len(second)))
-    y = index_b[:, order_b].T[None]                         # [., w, z]
-    index = index_a[y, order_a]
-    sign = sign_a[y, order_a] * sign_b[:, order_b].T[None]
+def _parity_gather(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`mode_reordering` of ``region`` by the region's states,
+    ``(index, sign)`` of shape ``(2**|R|, 2**(L - |R|))``, with those states
+    in the :func:`parity_order`: row ``x`` holds the occupation states whose
+    region sites spell the ``x``-th state of that order, even ones first."""
+    index, sign = mode_reordering(region)
+    order = np.concatenate(parity_order(len(region)))
+    index, sign = index.T[order], sign.T[order]
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 
@@ -621,29 +617,43 @@ def add_embedded(out: np.ndarray, small: np.ndarray, region: Region) -> None:
 
 def local_times(small: np.ndarray, region: Region,
                 matrix: np.ndarray) -> np.ndarray:
-    """``embed(small, region) @ matrix`` without forming the embedding.
+    """``embed(small, region) @ matrix`` for an odd ``small``, without
+    forming the embedding.
 
-    Row ``index[y, x]`` of the product is ``sign[y, x]`` times row ``x`` of
-    ``small`` applied to the signed rows ``index[y, :]`` of ``matrix``, so
-    the rows are gathered, multiplied by ``small`` in one
-    ``(m, m) @ (m, N * k / m)`` product and scattered back:
-    ``O(N * k * m)`` for ``k`` columns instead of ``O(N**2 * k)``.
+    Row ``index[x, y]`` of the product (:func:`_parity_gather`) is
+    ``sign[x, y]`` times row ``x`` of ``small`` applied to the signed rows
+    ``index[:, y]`` of ``matrix``.  So the rows are gathered, multiplied by
+    ``small`` and scattered back: ``O(N k m)`` for ``k`` columns instead of
+    ``O(N**2 k)``.  An odd ``small`` maps the rows of the odd states onto
+    the even ones and back by its two :func:`parity_blocks` of parity 1,
+    half the flops of the whole; ``small`` with an even part is refused
+    (:func:`require_odd`).
     """
-    index, sign = mode_reordering(region)
-    m = index.shape[1]
+    index, sign = _parity_gather(region)
+    m = index.shape[0]
     if small.shape != (m, m):
         raise ValueError(f"small matrix of shape {small.shape} does not "
                          f"represent a block of size {m}")
     if matrix.ndim != 2 or matrix.shape[0] != index.size:
         raise ValueError(f"matrix of shape {matrix.shape} does not act on "
                          f"the {index.size} states of the chain")
-    signs = sign.T[:, :, None]
-    rows = matrix[index.T].astype(np.result_type(small, matrix), copy=False)
+    require_odd(small, "small matrix")
+    signs = sign[:, :, None]
+    rows = matrix[index].astype(np.result_type(small, matrix), copy=False)
     rows *= signs
-    product = (small @ rows.reshape(m, -1)).reshape(rows.shape)
-    product *= signs
-    out = rows.reshape(index.size, -1)   # the gathered rows are spent
-    out[index.T] = product
+    half = (m + 1) // 2                  # the even states, first
+    even_odd, odd_even = parity_blocks(small, 1)
+    flat = rows.reshape(m, rows[0].size)
+    # np.dot, not matmul: it hands even the 1 x 1 blocks of a one-site
+    # element to BLAS, 2.5 times faster on a row of 8192 entries
+    top = np.dot(even_odd, flat[half:])
+    # top has read the odd rows, so the product's odd rows take their place
+    np.dot(odd_even, flat[:half], out=flat[half:])
+    flat[:half] = top
+    del top                              # before the output is allocated
+    rows *= signs
+    out = np.empty((index.size, rows.shape[2]), dtype=rows.dtype)
+    out[index] = rows
     return out
 
 

@@ -274,7 +274,7 @@ def run_prop4(cfg: RunConfig) -> list[CheckRecord]:
 def run_ssb_probe(cfg: RunConfig) -> list[CheckRecord]:
     region = cfg.region
     state, _ = _gibbs(cfg)
-    asym = grading_asymmetry(state, region).quantity
+    asym = grading_asymmetry(state, region)
     checks = [CheckRecord("grading_asymmetry", asym, 1e-10, asym <= 1e-10)]
 
     outside = region.complement()
@@ -292,8 +292,8 @@ def run_ssb_probe(cfg: RunConfig) -> list[CheckRecord]:
             key=lambda s: min(abs(s - r) for r in region.sites))
         near = Region.of([by_distance[0]], cfg.lattice_size)
         far = Region.of([by_distance[-1]], cfg.lattice_size)
-        c_near = cluster_coefficient(state, observable, near).quantity
-        c_far = cluster_coefficient(state, observable, far).quantity
+        c_near = cluster_coefficient(state, observable, near)
+        c_far = cluster_coefficient(state, observable, far)
         decay = c_far - c_near
         checks.append(CheckRecord("cluster_decay", decay, 1e-12,
                                   decay <= 1e-12))
@@ -324,7 +324,7 @@ def run_remark2(cfg: RunConfig) -> list[CheckRecord]:
 
     u = odd_direction(site0)
     odd_expectation = float(np.real(vector_state.expectation(u)))
-    asym = grading_asymmetry(vector_state, site0).quantity
+    asym = grading_asymmetry(vector_state, site0)
     return [
         CheckRecord("restriction_residual", defect, 1e-10, defect <= 1e-10),
         CheckRecord("odd_expectation", odd_expectation, 1e-10,

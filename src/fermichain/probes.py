@@ -36,17 +36,12 @@ The two odd-correlation probes take any functional with one method,
 for odd self-adjoint ``A`` and ``B`` on disjoint supports and refusing
 anything else through one validator, :func:`car.require_odd_pair`; it is
 their one spelling of ``omega(A B)``.  A :class:`states.DensityState` reads
-each of the three on the restriction to its product's support.  A
-:class:`states.FactorState`, the even part of ``G G* / ||G||**2`` held by
-``G`` alone, is exact through ``G``: ``A B``, ``A* A`` and ``B* B`` are
-even, and on even ``X`` the state is ``<G, X G> / ||G||**2``, so the three
-values are ``<A G, B G>``, ``||A G||**2`` and ``||B G||**2`` over
-``||G||**2``, from one product of each factor with ``G``.
+each of the three on the restriction to its product's support, a
+:class:`states.FactorState` off ``A G`` and ``B G``, each one
+:func:`car.local_times` of its factor ``G``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +54,12 @@ from .states import DensityState, FactorState, restrict
 _REAL_TOL = 1e-12
 
 
-@dataclass
-class ProbeResult:
-    """Outcome of a probe: the quantity, where it was measured, and (when
-    available) an element of the probed algebra attaining it."""
-
-    quantity: float
-    region: Region
-    witness: AlgebraElement | None = None
-
-
 def _trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
 
 def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
-                        region: Region) -> ProbeResult:
+                        region: Region) -> float:
     """``sup |omega(A B) - omega(A) omega(B)|`` over ``B`` in the region's
     algebra of unit norm.
 
@@ -92,33 +77,23 @@ def cluster_coefficient(omega: DensityState, observable: AlgebraElement,
     local = observable.small_on(union)
     hand = rest.density @ local - rest.expectation(local) * rest.density
     small = car.small_representation(hand, region.positions_in(union))
-    value = car.dim(len(union)) / car.dim(len(region)) * _trace_norm(small)
-    return ProbeResult(quantity=float(value), region=region)
+    return car.dim(len(union)) / car.dim(len(region)) * _trace_norm(small)
 
 
-def grading_asymmetry(omega: DensityState, region: Region) -> ProbeResult:
+def grading_asymmetry(omega: DensityState, region: Region) -> float:
     """``sup |omega(W)|`` over odd self-adjoint ``W`` in the region's algebra
-    of unit norm, with an attaining witness.
+    of unit norm.
 
     Equals half the trace-norm distance ``||rho - theta(rho)||_1 / 2``
     between the restriction ``rho`` to the region and its grading image,
-    hence lies in ``[0, 1]``; it vanishes iff the state is even there.  The
-    witness is extracted from the ``m x m`` spectral decomposition of the
-    difference and then reduced to its odd part, which changes nothing:
-    even elements cannot see the difference of a state and its grading
-    image.
+    hence lies in ``[0, 1]``; it vanishes iff the state is even there.
+    Even elements cannot see the difference of a state and its grading
+    image, so the odd part of an element attaining the dual norm attains
+    the supremum.
     """
     rest = restrict(omega, region)
     diff = rest.density - rest.theta().density
-    decomposition = car.eigh((diff + diff.conj().T) / 2.0)
-    evals = np.concatenate([block for _, block, _ in decomposition])
-    value = 0.5 * float(np.sum(np.abs(evals)))
-
-    signs = [np.where(block >= 0.0, 1.0, -1.0) for _, block, _ in decomposition]
-    opt = AlgebraElement(car.spectral_map(decomposition, signs), region)
-    odd = 0.5 * (opt - car.theta(opt))
-    witness = 0.5 * (odd + odd.dagger())
-    return ProbeResult(quantity=float(value), region=region, witness=witness)
+    return 0.5 * car.hermitian_norm((diff + diff.conj().T) / 2.0, trace=True)
 
 
 def purely_imaginary_check(omega: DensityState | FactorState,
@@ -151,7 +126,8 @@ def scan_odd_correlations(cases) -> dict:
 
     The three values of a case come from one call, ``omega.odd_pair(a, b)``
     (the module's functional protocol), which a :class:`states.FactorState`
-    answers through its factor, ``O(N**2 m)`` instead of ``O(N**3)``.
+    answers through its ``N x k`` factor, ``O(N k m)`` instead of
+    ``O(N**3)``.
     """
     count = 0
     violations = 0

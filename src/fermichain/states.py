@@ -68,10 +68,7 @@ _HERM_TOL = 1e-11
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-11
 
-# Columns of a state's factor taken per block by FactorState.odd_pair, and
-# the width of FactorState.gaussian's factor: at L = 10 a block is 1 MiB, and
-# blocks of 32 to 256 columns ran fastest (about 25% faster than the whole
-# factor, one BLAS thread on a 2-core Xeon VM)
+# Columns of FactorState.gaussian's factor
 _FACTOR_COLUMNS = 64
 
 
@@ -160,9 +157,10 @@ class DensityState:
 
     def __post_init__(self) -> None:
         self.density = car.as_float(self.density)
-        n = self.density.shape[0]
-        if self.density.shape != (n, n) or n & (n - 1):
-            raise ValueError(f"density shape {self.density.shape} is not (2**L, 2**L)")
+        shape = self.density.shape
+        n = shape[0] if shape else 0
+        if shape != (n, n) or n < 1 or n & (n - 1):
+            raise ValueError(f"density shape {shape} is not (2**L, 2**L)")
         if self.validate:
             scale = max(1.0, float(np.max(np.abs(self.density))))
             if car.hermitian_defect(self.density) > _HERM_TOL * scale:
@@ -271,11 +269,9 @@ class FactorState:
     products ``A B``, ``A* A = A**2`` and ``B* B`` are even, which gives
     ``omega(A B) = <A G, B G> / ||G||**2`` and the squared norms of ``A G``
     and ``B G`` for the other two (:meth:`odd_pair`).  A local factor acts
-    on ``G`` through its small representation: ``O(N k m)`` for a support
-    of ``m = 2**|S|`` states, with no ``N x N`` product and no grading of
-    an ``N x N`` matrix.  :meth:`odd_pair` gathers ``G`` once per block of
-    :data:`_FACTOR_COLUMNS` columns into the modes of both supports, so
-    besides ``G`` it holds a few ``N x 64`` arrays.
+    on ``G`` through its small representation (:func:`car.local_times`):
+    ``O(N k m)`` for a support of ``m = 2**|S|`` states, with no ``N x N``
+    product and no grading of an ``N x N`` matrix.
     """
 
     factor: np.ndarray
@@ -283,10 +279,10 @@ class FactorState:
 
     def __post_init__(self) -> None:
         self.factor = np.asarray(self.factor, dtype=np.complex128)
-        n = self.factor.shape[0]
-        if self.factor.ndim != 2 or n & (n - 1):
-            raise ValueError(f"factor shape {self.factor.shape} is not "
-                             "(2**L, k)")
+        shape = self.factor.shape
+        n = shape[0] if shape else 0
+        if len(shape) != 2 or n < 1 or n & (n - 1):
+            raise ValueError(f"factor shape {shape} is not (2**L, k)")
         self._weight = float(np.vdot(self.factor, self.factor).real)
         if not self._weight > 0.0:
             raise ValueError(f"factor of {self.label!r} is zero or not finite")
@@ -294,13 +290,13 @@ class FactorState:
     @classmethod
     def gaussian(cls, lattice_size: int, rng: np.random.Generator,
                  label: str = "factor-state") -> "FactorState":
-        """The state of an ``N x 64`` complex Ginibre factor, one
-        :data:`_FACTOR_COLUMNS` block of :meth:`odd_pair`: real parts drawn
-        first, then imaginary parts, each standard normal in row-major
-        order.  Its density ``G G*`` is complex Wishart with 64 degrees of
-        freedom, of rank ``min(N, 64)``.  The even part of ``G G*`` is a
-        state at any rank, and the facts the scan tests (``Re omega(A B) =
-        0`` and the Cauchy-Schwarz envelope) hold for every state."""
+        """The state of an ``N x 64`` complex Ginibre factor
+        (:data:`_FACTOR_COLUMNS`): real parts drawn first, then imaginary
+        parts, each standard normal in row-major order.  Its density
+        ``G G*`` is complex Wishart with 64 degrees of freedom, of rank
+        ``min(N, 64)``.  The even part of ``G G*`` is a state at any rank,
+        and the facts the scan tests (``Re omega(A B) = 0`` and the
+        Cauchy-Schwarz envelope) hold for every state."""
         shape = (car.dim(lattice_size), _FACTOR_COLUMNS)
         factor = np.empty(shape, dtype=np.complex128)
         factor.real = rng.standard_normal(shape)
@@ -314,42 +310,14 @@ class FactorState:
     def odd_pair(self, a: AlgebraElement,
                  b: AlgebraElement) -> tuple[complex, complex, complex]:
         """``omega(A B)``, ``omega(A* A)`` and ``omega(B* B)`` from ``A G``
-        and ``B G``, each formed once.  The identities need ``A`` and ``B``
-        odd and self-adjoint on disjoint supports, so anything else is
-        refused by :func:`car.require_odd_pair`.
-
-        The three values are inner products, which a signed permutation of
-        the rows keeps, so each column block of ``G`` is gathered once by
-        :func:`car.pair_gather` into modes ordered ``supp A``, ``supp B``, the
-        rest, and ``A G`` and ``B G`` are formed there with no scatter.  An
-        odd element acts by its two :func:`car.parity_blocks` of parity 1,
-        half the flops of the whole.  ``B``'s modes follow ``A``'s, so its
-        Jordan-Wigner strings cross them: the odd ``B`` carries ``supp A``'s
-        grading sign ``(-1)**(|A| - popcount(x))`` on row ``x``.
-        """
+        and ``B G``, each one :func:`car.local_times`.  The identities need
+        ``A`` and ``B`` odd and self-adjoint on disjoint supports, so
+        anything else is refused by :func:`car.require_odd_pair`."""
         car.require_odd_pair(a, b)
-        index, sign = car.pair_gather(a.support, b.support)
-        a_eo, a_oe = car.parity_blocks(a.small, 1)
-        b_eo, b_oe = car.parity_blocks(b.small, 1)
-        ha, hb = a_eo.shape[0], b_eo.shape[0]
-        grading = (-1.0) ** len(a.support)    # on even x; -grading on odd x
-        sums = np.zeros(3, dtype=np.complex128)
-        for start in range(0, self.factor.shape[1], _FACTOR_COLUMNS):
-            g = self.factor[:, start:start + _FACTOR_COLUMNS][index]
-            g *= sign[..., None]
-            g = g.reshape(index.shape[0], index.shape[1], -1)
-            ag = np.empty((g.shape[0], g[0].size),
-                          dtype=np.result_type(a.small, g))
-            np.matmul(a_eo, g[ha:].reshape(ha, -1), out=ag[:ha])
-            np.matmul(a_oe, g[:ha].reshape(ha, -1), out=ag[ha:])
-            bg = np.empty(g.shape, dtype=np.result_type(b.small, g))
-            np.matmul(b_eo, g[:, hb:], out=bg[:, :hb])
-            np.matmul(b_oe, g[:, :hb], out=bg[:, hb:])
-            bg[:ha] *= grading
-            bg[ha:] *= -grading
-            sums += (np.vdot(ag, bg), np.vdot(ag, ag), np.vdot(bg, bg))
-        corr, aa, bb = sums / self._weight
-        return complex(corr), complex(aa), complex(bb)
+        ag = car.local_times(a.small, a.support, self.factor)
+        bg = car.local_times(b.small, b.support, self.factor)
+        return tuple(complex(value / self._weight) for value in
+                     (np.vdot(ag, bg), np.vdot(ag, ag), np.vdot(bg, bg)))
 
 
 # ---------------------------------------------------------------------------

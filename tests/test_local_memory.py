@@ -12,7 +12,7 @@ each element path must stay below one array.
 Three paths hold an N x N array by design and are bounded by a count of
 them: the Gibbs state of the whole chain and the decoupled state, whose
 density is one, and a case of the ``ssb-probe`` scan, whose even state is
-held by its N x N Gaussian factor.
+held by its N x 64 Gaussian factor.
 """
 
 import tracemalloc
@@ -122,9 +122,9 @@ def test_decoupled_state_holds_one_dense_density():
 
 def test_scan_case_holds_its_factor_and_column_blocks():
     # one case of the ssb-probe scan at L = 9, drawn as the command draws
-    # it: the factor G is one N x N array and its real-part draw half of
-    # one, AG and BG are formed in blocks of columns, and no density,
-    # grading image or embedded B is formed (that path held five arrays)
+    # it: the factor G is N x 64, AG and BG are each one car.local_times,
+    # and no density, grading image or embedded B is formed (that path
+    # held five N x N arrays)
     lattice = 9
     dense = dense_bytes(lattice, np.complex128)
     for sites in ([2, 3], [0]):

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from fermichain import car
 from fermichain.potentials import hopping_model, total_hamiltonian
-from fermichain.probes import (ProbeResult, cluster_coefficient,
-                               grading_asymmetry, purely_imaginary_check,
-                               scan_odd_correlations)
+from fermichain.probes import (cluster_coefficient, grading_asymmetry,
+                               purely_imaginary_check, scan_odd_correlations)
 from fermichain.regions import Region
 from fermichain.states import (DensityState, FactorState, gibbs_state,
                                noneven_perturbation, odd_direction,
-                               perturbed_state, remark2_construct)
+                               perturbed_state, remark2_construct, restrict)
 
 
 def number(site, lattice):
@@ -47,34 +46,40 @@ def test_even_states_have_no_grading_asymmetry():
     region = Region.of([1, 2], lattice)
     for seed in range(5):
         omega = random_even_state(lattice, np.random.default_rng(seed))
-        assert grading_asymmetry(omega, region).quantity < 1e-12
+        assert grading_asymmetry(omega, region) < 1e-12
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    assert grading_asymmetry(gibbs, region).quantity < 1e-12
+    assert grading_asymmetry(gibbs, region) < 1e-12
 
 
 def test_asymmetry_witness_is_odd_selfadjoint_and_attaining():
+    # the witness W is built here, from the m x m eigendecomposition of
+    # rho - theta(rho) on the restriction: the signs of its eigenvalues,
+    # reduced to their odd self-adjoint part, which even elements cannot see
     lattice = 5
     region = Region.of([2], lattice)
     phi = perturbed_state(hopping_model(lattice), 1.0, region)
     psi = noneven_perturbation(phi, region)
-    result = grading_asymmetry(psi, region)
-    assert result.quantity > 1e-4
-    w = result.witness
-    assert w is not None
-    assert w.support.is_subregion(region)
+    asymmetry = grading_asymmetry(psi, region)
+    assert asymmetry > 1e-4
+    rho = restrict(psi, region)
+    evals, vecs = np.linalg.eigh(rho.density - rho.theta().density)
+    signs = np.where(evals >= 0.0, 1.0, -1.0)
+    opt = car.AlgebraElement((vecs * signs) @ vecs.conj().T, region)
+    odd = 0.5 * (opt - car.theta(opt))
+    w = 0.5 * (odd + odd.dagger())
     assert w.is_self_adjoint()
     assert np.max(np.abs(car.theta(w).matrix + w.matrix)) < 1e-12
     assert w.norm() <= 1.0 + 1e-12
-    # the witness actually realizes the supremum
-    assert abs(abs(psi.expectation(w.matrix)) - result.quantity) < 1e-10
+    # the witness realizes the supremum
+    assert abs(abs(psi.expectation(w.matrix)) - asymmetry) < 1e-10
 
 
 def test_remark2_state_is_maximally_asymmetric_at_site_zero():
     lattice = 4
     outer = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
     state = remark2_construct(outer)
-    result = grading_asymmetry(state, Region.of([0], lattice))
-    assert abs(result.quantity - 1.0) < 1e-10
+    asymmetry = grading_asymmetry(state, Region.of([0], lattice))
+    assert abs(asymmetry - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +98,7 @@ def test_cluster_coefficient_vanishes_for_product_states():
     ext = DensityState(car.conditional_expectation_matrix(d, inside))
     obs = car.AlgebraElement.from_matrix(number(0, lattice).matrix,
                                          inside)
-    result = cluster_coefficient(ext, obs, Region.of([4, 5], lattice))
-    assert result.quantity < 1e-12
+    assert cluster_coefficient(ext, obs, Region.of([4, 5], lattice)) < 1e-12
 
 
 def test_cluster_coefficient_decays_for_local_gibbs_states():
@@ -102,9 +106,9 @@ def test_cluster_coefficient_decays_for_local_gibbs_states():
     gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
     n0 = number(0, lattice)
     centered = car.AlgebraElement(n0.small - n0.tau() * np.eye(2), n0.support)
-    near = cluster_coefficient(gibbs, centered, Region.of([1], lattice)).quantity
-    mid = cluster_coefficient(gibbs, centered, Region.of([3], lattice)).quantity
-    far = cluster_coefficient(gibbs, centered, Region.of([5], lattice)).quantity
+    near = cluster_coefficient(gibbs, centered, Region.of([1], lattice))
+    mid = cluster_coefficient(gibbs, centered, Region.of([3], lattice))
+    far = cluster_coefficient(gibbs, centered, Region.of([5], lattice))
     assert near > mid > far >= 0.0
     assert far < 1e-3 * near
 
@@ -225,17 +229,6 @@ def test_scan_refuses_overlapping_supports():
         scan_odd_correlations([(gibbs, a, b)])
 
 
-def test_probe_result_carries_its_region():
-    lattice = 4
-    region = Region.of([3], lattice)
-    gibbs = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
-    obs = number(0, lattice)
-    result = cluster_coefficient(gibbs, obs, region)
-    assert isinstance(result, ProbeResult)
-    assert result.region == region
-    assert result.witness is None
-
-
 # ---------------------------------------------------------------------------
 # products with local factors, against the dense products
 # ---------------------------------------------------------------------------
@@ -308,7 +301,7 @@ def test_cluster_coefficient_matches_the_dense_product(case):
     hand = omega.density @ a.matrix - mean * omega.density
     small = car.small_representation(hand, b.support)
     want = (n / m) * np.sum(np.linalg.svd(small, compute_uv=False))
-    assert_relative(cluster_coefficient(omega, a, b.support).quantity, want)
+    assert_relative(cluster_coefficient(omega, a, b.support), want)
 
 
 def test_scan_counts_the_cases_of_a_generator():
@@ -344,10 +337,16 @@ def test_an_element_outside_its_declared_support_cannot_be_built():
 # ---------------------------------------------------------------------------
 
 
-def factor_and_density(lattice, rng):
-    """A Gaussian factor state and the ``DensityState`` of the
+def factor_and_density(lattice, rng, columns=None):
+    """A Gaussian factor state, ``FactorState.gaussian``'s or one of
+    ``columns`` complex Ginibre columns, and the ``DensityState`` of the
     grading-symmetrized ``G G* / Tr(G G*)`` it stands for."""
-    factor = FactorState.gaussian(lattice, rng)
+    if columns is None:
+        factor = FactorState.gaussian(lattice, rng)
+    else:
+        shape = (car.dim(lattice), columns)
+        factor = FactorState(rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
     g = factor.factor
     d = g @ g.conj().T
     d /= np.trace(d).real
@@ -365,17 +364,18 @@ def assert_within(got, want, scale, tol=1e-13):
     assert abs(got - want) <= tol * scale, (got, want, scale)
 
 
-@given(st.integers(min_value=2, max_value=6), st.data())
-def test_factor_state_pair_values_match_the_symmetrized_density(lattice, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+def draw_disjoint_regions(data, lattice):
+    """Two disjoint nonempty regions of the chain."""
     first = draw_region(data, lattice)
     rest = first.complement()
     if rest.is_empty:
         first, rest = (Region.of(first.sites[:-1], lattice),
                        Region.of(first.sites[-1:], lattice))
     sites = data.draw(st.sets(st.sampled_from(rest.sites), min_size=1))
-    second = Region.of(sites, lattice)
-    factor, density = factor_and_density(lattice, rng)
+    return first, Region.of(sites, lattice)
+
+
+def assert_pair_values_match(factor, density, first, second, rng):
     a = car.random_element(first, rng, parity=1, hermitian=True)
     b = car.random_element(second, rng, parity=1, hermitian=True)
     got = factor.odd_pair(a, b)
@@ -386,6 +386,26 @@ def test_factor_state_pair_values_match_the_symmetrized_density(lattice, data):
     # |omega(AB)| <= ||A|| ||B||, which is the scale of the value: relative
     # to |omega(AB)| itself, rounding fails a value that is exactly zero
     assert_within(got[0], density.expectation(a.matrix @ b.matrix), scales[0])
+
+
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_factor_state_pair_values_match_the_symmetrized_density(lattice, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    first, second = draw_disjoint_regions(data, lattice)
+    factor, density = factor_and_density(lattice, rng)
+    assert_pair_values_match(factor, density, first, second, rng)
+
+
+@given(st.integers(min_value=2, max_value=6), st.booleans(), st.data())
+def test_factor_state_pair_values_on_wide_factors(lattice, square, data):
+    # factors of N x 200 columns, and square N x N ones: more columns than
+    # the N x 64 factor the scan draws, held to the same oracle and scale
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    first, second = draw_disjoint_regions(data, lattice)
+    columns = car.dim(lattice) if square else 200
+    factor, density = factor_and_density(lattice, rng, columns)
+    assert factor.factor.shape == (car.dim(lattice), columns)
+    assert_pair_values_match(factor, density, first, second, rng)
 
 
 def test_factor_state_pair_refuses_elements_that_are_not_odd_self_adjoint():

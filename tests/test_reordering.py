@@ -144,14 +144,15 @@ def test_embedding_rejects_a_wrong_size():
         car.embed(np.eye(2), Region.of([0, 1], 3))
 
 
-@given(regions(), seeds)
+@given(regions(nonempty=True), seeds)
 @example(Region((3,), 5), 0)
 @example(Region((3, 0, 1), 5), 1)       # sites given out of order
 @example(Region.of([0, 2, 5], 6), 2)    # interleaved with the complement
 @example(Region.full(7), 3)
 def test_local_times_is_the_product_with_the_embedding(region, seed):
+    # local_times takes odd elements only, which an empty region has none of
     rng = np.random.default_rng(seed)
-    small = unit_matrix(car.dim(len(region)), rng)
+    small = car.random_element(region, rng, parity=1).small
     matrix = unit_matrix(car.dim(region.lattice_size), rng)
     want = car.embed(small, region) @ matrix
     assert np.max(np.abs(car.local_times(small, region, matrix) - want)) <= 1e-12
@@ -161,6 +162,26 @@ def test_local_times_is_the_product_with_the_embedding(region, seed):
     want_real = car.embed(small, region) @ matrix.real
     assert np.max(np.abs(car.local_times(small, region, matrix.real)
                          - want_real)) <= 1e-12
+
+
+def test_local_times_refuses_a_small_that_is_not_odd():
+    region = Region.of([0, 2], 3)
+    rng = np.random.default_rng(0)
+    matrix = unit_matrix(car.dim(3), rng)
+    odd = car.random_element(region, rng, parity=1).small
+    even = car.random_element(region, rng, parity=0).small
+    for small in (even, odd + 1e-9 * even, np.eye(4)):
+        with pytest.raises(ValueError, match="not odd"):
+            car.local_times(small, region, matrix)
+    # an even part below 1e-12 of the largest entry is rounding
+    want = car.embed(odd, region) @ matrix
+    got = car.local_times(odd + 1e-15 * even, region, matrix)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # the empty region's one odd element is 0, and its identity is even
+    empty = Region.of([], 3)
+    assert not np.any(car.local_times(np.zeros((1, 1)), empty, matrix))
+    with pytest.raises(ValueError, match="not odd"):
+        car.local_times(np.ones((1, 1)), empty, matrix)
 
 
 def test_local_times_rejects_mismatched_shapes():

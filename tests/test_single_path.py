@@ -4,7 +4,7 @@ the grading, and one place that decides how a state's log is known.
 Restrictions, conditional expectations and random elements all go through
 the mode reordering in :mod:`fermichain.car`, and only ``car`` reads it:
 every other module calls its maps (``small_representation``, ``embed``,
-``conditional_expectation_matrix``, ``add_embedded``, ``pair_gather``), so
+``conditional_expectation_matrix``, ``add_embedded``, ``local_times``), so
 the constraint algebra of a stability check is the complement's, reached
 the way every restriction is.  The
 monomial tables (``monomial_basis`` and the methods of ``MonomialBasis``)

@@ -11,7 +11,8 @@ from fermichain import car
 from fermichain.potentials import (hopping_model, prune, total_hamiltonian,
                                    tv_model)
 from fermichain.regions import Region
-from fermichain.states import (DensityState, gibbs_state, kms_residual,
+from fermichain.states import (DensityState, FactorState, gibbs_state,
+                               kms_residual,
                                noneven_perturbation, odd_direction,
                                perturbed_state, product_check,
                                random_pair_panel, remark2_construct, restrict,
@@ -45,6 +46,17 @@ def test_density_validation_rejects_bad_inputs():
     spectrum = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
         DensityState(spectrum)                        # negative eigenvalue
+
+
+def test_states_refuse_arrays_of_no_chain():
+    # N = 0 is no chain's 2**L, and a 0-d array has no rows: each state
+    # refuses them by its own shape check, before any reduction
+    for bad in (np.zeros((0, 0)), np.array(1.0), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"density shape .* is not"):
+            DensityState(bad)
+    for bad in (np.zeros((0, 3)), np.array(1.0), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"factor shape .* is not"):
+            FactorState(bad)
 
 
 def test_single_site_gibbs_closed_form():
