@@ -544,16 +544,18 @@ def mode_reordering(region: Region) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _parity_gather(region: Region) -> tuple[np.ndarray, np.ndarray]:
+def _parity_gather(region: Region) -> tuple[np.ndarray, np.ndarray | None]:
     """The :func:`mode_reordering` of ``region`` by the region's states,
     ``(index, sign)`` of shape ``(2**|R|, 2**(L - |R|))``, with those states
     in the :func:`parity_order`: row ``x`` holds the occupation states whose
-    region sites spell the ``x``-th state of that order, even ones first."""
+    region sites spell the ``x``-th state of that order, even ones first.
+    ``sign`` is ``None`` when every sign is ``+1``, as on a prefix region
+    ``0, ..., r - 1``, which no reordering moves past another mode."""
     index, sign = mode_reordering(region)
     order = np.concatenate(parity_order(len(region)))
     index, sign = index.T[order], sign.T[order]
     index.flags.writeable = sign.flags.writeable = False
-    return index, sign
+    return index, None if np.all(sign > 0) else sign
 
 
 def _signed_blocks(small: np.ndarray, region: Region) -> np.ndarray:
@@ -638,9 +640,9 @@ def local_times(small: np.ndarray, region: Region,
         raise ValueError(f"matrix of shape {matrix.shape} does not act on "
                          f"the {index.size} states of the chain")
     require_odd(small, "small matrix")
-    signs = sign[:, :, None]
     rows = matrix[index].astype(np.result_type(small, matrix), copy=False)
-    rows *= signs
+    if sign is not None:
+        rows *= sign[:, :, None]
     half = (m + 1) // 2                  # the even states, first
     even_odd, odd_even = parity_blocks(small, 1)
     flat = rows.reshape(m, rows[0].size)
@@ -651,7 +653,8 @@ def local_times(small: np.ndarray, region: Region,
     np.dot(odd_even, flat[:half], out=flat[half:])
     flat[:half] = top
     del top                              # before the output is allocated
-    rows *= signs
+    if sign is not None:
+        rows *= sign[:, :, None]
     out = np.empty((index.size, rows.shape[2]), dtype=rows.dtype)
     out[index] = rows
     return out
@@ -844,5 +847,6 @@ def random_element(region: Region, rng: np.random.Generator, *,
         signs = parity_signs(len(region))
         mat[np.outer(signs, signs) != (-1.0) ** parity] = 0.0
     if hermitian:
-        mat = (mat + mat.conj().T) / 2.0
+        mat += mat.conj().T
+        mat *= 0.5
     return AlgebraElement(mat, region)

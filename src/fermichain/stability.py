@@ -86,13 +86,17 @@ def _entropy_and_energy(omega: DensityState, small: np.ndarray,
 def feasible_sampler(omega: DensityState, region: Region, count: int,
                      seed: int | None = 0) -> Iterator[DensityState]:
     """Random feasible competitors of a faithful base state, drawn one at a
-    time as they are consumed, so only the one in use is held.
+    time as they are consumed.
 
     Each competitor is ``D + Y`` with ``Y`` self-adjoint, traceless,
     orthogonal to the constraint algebra, and of spectral norm below half
     the smallest eigenvalue of ``D`` — so every one is a genuine density
-    with exactly the base state's constrained expectations.  The probe, and
-    the base if there is a competitor to draw, are checked at the call.
+    with exactly the base state's constrained expectations.  ``Y`` is the
+    Hermitian part of a complex Ginibre matrix less the embedding of its
+    compression, scaled to its norm; the whole competitor is built in place
+    in one complex ``N x N`` array, so a consumer that drops each one
+    before asking for the next holds one at a time.  The probe, and the
+    base if there is a competitor to draw, are checked at the call.
     """
     outside = _outside(region)
     lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
@@ -102,14 +106,20 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     def draw(k: int) -> DensityState:
         nrm = 0.0
         while nrm < 1e-12:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g = (g + g.conj().T) / 2.0
-            # g and its projection are exactly Hermitian, and so is y
-            y = g - car.conditional_expectation_matrix(g, outside)
+            y = np.empty((n, n), dtype=np.complex128)
+            y.real = rng.standard_normal((n, n))
+            y.imag = rng.standard_normal((n, n))
+            y += y.conj().T
+            y *= 0.5
+            # y and its compression are exactly Hermitian, and so is y less
+            # the compression's embedding
+            car.add_embedded(y, -car.small_representation(y, outside),
+                             outside)
             nrm = car.hermitian_norm(y)
         t = float(rng.uniform(0.3, 1.0)) * lam_half
-        return DensityState(omega.density + (t / nrm) * y,
-                            label=f"feasible-{k}", validate=False)
+        y *= t / nrm
+        y += omega.density
+        return DensityState(y, label=f"feasible-{k}", validate=False)
     return (draw(k) for k in range(count))
 
 
@@ -191,9 +201,11 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
     """The worst disagreement of the competitors with the base on the
     constraint algebra (the largest entry of the difference of their small
     representations, the base's given as ``small_base``), and their free
-    energies, each competitor compressed once for both.  A function of its
-    own so that no competitor outlives its scoring: a loop variable of
-    :func:`lts_check` would hold the last one through the bound."""
+    energies, each competitor compressed once for both.  Each competitor
+    and its compression are dropped before the next is drawn, so one is
+    alive at a time.  A function of its own so that the last one does not
+    outlive its scoring either: a loop variable of :func:`lts_check` would
+    hold it through the bound."""
     worst, energies = 0.0, []
     for member in competitors:
         small = car.small_representation(member.density, outside)
@@ -201,6 +213,7 @@ def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
         worst = np.maximum(worst, np.max(np.abs(small - small_base)))
         sc, energy = _entropy_and_energy(member, small, h_i)
         energies.append(sc - beta * energy)
+        del member, small       # before the next competitor is drawn
     return float(worst), energies
 
 

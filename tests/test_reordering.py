@@ -149,6 +149,7 @@ def test_embedding_rejects_a_wrong_size():
 @example(Region((3, 0, 1), 5), 1)       # sites given out of order
 @example(Region.of([0, 2, 5], 6), 2)    # interleaved with the complement
 @example(Region.full(7), 3)
+@example(Region.of([0, 1], 6), 4)       # a prefix, gathered with no signs
 def test_local_times_is_the_product_with_the_embedding(region, seed):
     # local_times takes odd elements only, which an empty region has none of
     rng = np.random.default_rng(seed)
@@ -162,6 +163,18 @@ def test_local_times_is_the_product_with_the_embedding(region, seed):
     want_real = car.embed(small, region) @ matrix.real
     assert np.max(np.abs(car.local_times(small, region, matrix.real)
                          - want_real)) <= 1e-12
+
+
+@pytest.mark.parametrize("sites, signed", [([0], False), ([0, 1], False),
+                                           ([0, 1, 2], False), ([1], True),
+                                           ([2, 3], True), ([0, 2], True)])
+def test_gather_of_a_prefix_region_has_no_signs(sites, signed):
+    # only a prefix 0, ..., r - 1 keeps every mode in its place, and there
+    # local_times skips both sign passes
+    region = Region.of(sites, 5)
+    _, sign = car.mode_reordering(region)
+    assert bool(np.any(sign < 0)) == signed
+    assert (car._parity_gather(region)[1] is not None) == signed
 
 
 def test_local_times_refuses_a_small_that_is_not_odd():

@@ -165,6 +165,39 @@ def test_feasible_sampler_streams_the_direct_draws(constraint):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("base", ["gibbs", "random"])
+@pytest.mark.parametrize("lattice, sites", [(3, [0]), (4, [1]), (5, [2, 3]),
+                                            (6, [0, 1]), (6, [1, 3, 4])])
+def test_feasible_sampler_is_bit_identical_to_the_written_out_draw(
+        lattice, sites, base):
+    # the competitor written out as three whole-matrix expressions: the
+    # Hermitian part of a complex Ginibre matrix, less the embedding of its
+    # compression onto the constraint algebra, scaled and added to D
+    region = Region.of(sites, lattice)
+    outside = region.complement()
+    if base == "gibbs":
+        omega = gibbs_state(total_hamiltonian(tv_model(lattice)), 0.8)
+    else:
+        omega = random_state(lattice, np.random.default_rng(lattice))
+    lam_half = 0.5 * omega.smallest_weight()
+    n = car.dim(lattice)
+    for seed in (0, 5, 19):
+        rng = np.random.default_rng(seed)
+        got = feasible_sampler(omega, region, 3, seed=seed)
+        for k in range(3):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g = (g + g.conj().T) / 2.0
+            y = g - car.embed(car.small_representation(g, outside), outside)
+            nrm = car.hermitian_norm(y)
+            t = float(rng.uniform(0.3, 1.0)) * lam_half
+            want = omega.density + (t / nrm) * y
+            member = next(got)
+            assert member.label == f"feasible-{k}"
+            # bytes, so that signed zeros count too
+            assert member.density.tobytes() == want.tobytes(), (seed, k)
+        assert next(got, None) is None
+
+
 @LTS
 def test_feasible_sampler_produces_genuine_competitors(constraint):
     lattice, beta = 4, 1.0
@@ -634,6 +667,30 @@ def test_check_holds_one_competitor_at_a_time():
     n = car.dim(lattice)
     assert report.passed
     assert peak < 32 * n * n * 16
+
+
+def test_competitor_is_one_complex_array_built_in_place():
+    # each competitor is drawn into one complex N x N array and dropped
+    # before the next is drawn: three samples peak where one does, below
+    # 2.5 such arrays (the competitor and one spectrum's copy of it)
+    lattice, beta = 8, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([2, 3], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    unit = car.dim(lattice) ** 2 * 16
+    peaks = []
+    for samples in (1, 3):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = lts_check(gibbs, pot, region, beta, samples=samples)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / unit)
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+    one, three = peaks
+    assert abs(three - one) <= 0.25, peaks
+    assert max(peaks) < 2.5, peaks
 
 
 # ---------------------------------------------------------------------------
