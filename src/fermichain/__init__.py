@@ -44,11 +44,10 @@ from .car import (AlgebraElement, Monomial, MonomialBasis, annihilator,
 from .entropy import (conditional_entropy, relative_entropy,
                       restricted_relative_entropy)
 from .kernels import BACKEND
-from .potentials import (MODELS, Potential, PotentialReport, build_model,
-                         hopping_model, local_hamiltonian, prune,
-                         random_standard_potential, raw_number_model,
-                         standardize, total_hamiltonian, tv_model,
-                         validate_potential)
+from .potentials import (MODELS, Potential, build_model, hopping_model,
+                         local_hamiltonian, prune, random_standard_potential,
+                         raw_number_model, standardize, total_hamiltonian,
+                         tv_model, validate_potential)
 from .probes import (cluster_coefficient, grading_asymmetry,
                      purely_imaginary_check, scan_odd_correlations)
 from .regions import MAX_SITES, Region
@@ -65,7 +64,7 @@ __all__ = [
     "AlgebraElement", "BACKEND", "DensityState",
     "FactorState", "MAX_SITES", "MODELS",
     "Monomial", "MonomialBasis", "Potential",
-    "PotentialReport", "Region",
+    "Region",
     "StabilityReport", "annihilator", "build_model",
     "cluster_coefficient", "conditional_entropy", "embed",
     "feasible_sampler", "free_energy", "gibbs_state",

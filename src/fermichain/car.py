@@ -66,6 +66,10 @@ request, dense input enters through the one checked constructor
 :meth:`AlgebraElement.from_matrix`, and sums and products run on the chain
 of the union of the supports.
 
+A defect measured against an input's own scale (not self-adjoint, not
+odd, not in its support's algebra) is refused by one rule, :func:`require`,
+which refuses a NaN defect too.
+
 Monomials in the generators are "column maps" (each occupation state is sent
 to at most one occupation state); the encoding (:mod:`fermichain.kernels`)
 serves only the monomial basis of a region: per site, one factor out of
@@ -115,9 +119,22 @@ def tau(matrix: np.ndarray) -> complex:
     return complex(np.trace(matrix)) / matrix.shape[0]
 
 
+def require(defect: float, matrix: np.ndarray, message: str,
+            tol: float = 1e-12) -> None:
+    """The one refusal rule: ``ValueError(message)`` unless ``defect`` is at
+    most ``tol`` times the largest entry modulus of ``matrix`` (of 1, if
+    that is less), read with no temporary for real data.  The comparison
+    is ``defect <= bound``, so a NaN defect is refused."""
+    largest = (np.max(np.abs(matrix)) if np.iscomplexobj(matrix)
+               else max(np.max(matrix), -np.min(matrix)))
+    if not defect <= tol * max(1.0, float(largest)):
+        raise ValueError(message)
+
+
 def hermitian_defect(matrix: np.ndarray) -> float:
     """Largest entry modulus of ``matrix - matrix*``, with one square
-    temporary for real data (the moduli are taken in place)."""
+    temporary for real data (the moduli are taken in place): the one
+    measure of self-adjointness.  A NaN entry gives NaN."""
     diff = matrix - matrix.conj().T
     return float(np.max(np.abs(diff, out=None if np.iscomplexobj(diff)
                                 else diff)))
@@ -368,18 +385,18 @@ class AlgebraElement:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, support: Region) -> "AlgebraElement":
-        """The element with the dense ``matrix``, refusing (``ValueError``) a
-        matrix that does not lie in the algebra of ``support``."""
+        """The element with the dense ``matrix``, refusing (:func:`require`)
+        a matrix that does not lie in the algebra of ``support``, or that
+        has a NaN entry."""
         matrix = as_float(matrix)
         n = dim(support.lattice_size)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match "
                              f"chain of {support.lattice_size} sites")
         small = small_representation(matrix, support)
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if np.max(np.abs(embed(small, support) - matrix)) > 1e-12 * scale:
-            raise ValueError(f"matrix does not lie in the algebra of its "
-                             f"support {support.sites}")
+        require(np.max(np.abs(embed(small, support) - matrix)), matrix,
+                f"matrix does not lie in the algebra of its support "
+                f"{support.sites}")
         return cls(small, support)
 
     @property
@@ -407,9 +424,6 @@ class AlgebraElement:
         """Operator (spectral) norm, which the small representation
         preserves: an SVD of ``2**|support|`` rows instead of ``2**L``."""
         return float(np.linalg.norm(self.small, 2))
-
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.small - self.small.conj().T)) <= tol)
 
     def _binary(self, other: "AlgebraElement", op) -> "AlgebraElement":
         union = self.support.union(other.support)
@@ -471,21 +485,18 @@ def theta(element: AlgebraElement) -> AlgebraElement:
 
 
 def require_odd(small: np.ndarray, name: str) -> None:
-    """Refuse (``ValueError``) a small representation whose even part
+    """Refuse (:func:`require`) a small representation whose even part
     exceeds ``1e-12`` of its largest entry (of 1, if that is less)."""
     # an exactly odd small, the usual one, is read with no moduli taken
     if any(map(np.any, parity_blocks(small, 0))):
-        scale = max(1.0, float(np.max(np.abs(small))))
-        if grading_defect(small, 1) > 1e-12 * scale:
-            raise ValueError(f"{name} is not odd")
+        require(grading_defect(small, 1), small, f"{name} is not odd")
 
 
 def require_odd_self_adjoint(element: AlgebraElement, name: str) -> None:
-    """Refuse (``ValueError``) an element that is not self-adjoint and odd,
-    to ``1e-12`` of its largest entry."""
-    scale = max(1.0, float(np.max(np.abs(element.small))))
-    if not element.is_self_adjoint(1e-12 * scale):
-        raise ValueError(f"{name} is not self-adjoint")
+    """Refuse (:func:`require`) an element that is not self-adjoint and
+    odd, to ``1e-12`` of its largest entry."""
+    require(hermitian_defect(element.small), element.small,
+            f"{name} is not self-adjoint")
     require_odd(element.small, name)
 
 

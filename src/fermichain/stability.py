@@ -103,7 +103,7 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
 
-    def draw(k: int) -> DensityState:
+    def draw() -> DensityState:
         nrm = 0.0
         while nrm < 1e-12:
             y = np.empty((n, n), dtype=np.complex128)
@@ -119,8 +119,8 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
         t = float(rng.uniform(0.3, 1.0)) * lam_half
         y *= t / nrm
         y += omega.density
-        return DensityState(y, label=f"feasible-{k}", validate=False)
-    return (draw(k) for k in range(count))
+        return DensityState(y, validate=False)
+    return (draw() for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,6 @@ class DensityState:
     """
 
     density: np.ndarray
-    label: str = "state"
     validate: bool = field(default=True, repr=False)
     log: GibbsLog | None = field(default=None, repr=False)
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -162,14 +161,14 @@ class DensityState:
         if shape != (n, n) or n < 1 or n & (n - 1):
             raise ValueError(f"density shape {shape} is not (2**L, 2**L)")
         if self.validate:
-            scale = max(1.0, float(np.max(np.abs(self.density))))
-            if car.hermitian_defect(self.density) > _HERM_TOL * scale:
-                raise ValueError(f"density of {self.label!r} is not self-adjoint")
-            if abs(np.trace(self.density).real - 1.0) > _TRACE_TOL or \
-                    abs(np.trace(self.density).imag) > _TRACE_TOL:
-                raise ValueError(f"density of {self.label!r} has trace {np.trace(self.density)}")
-            if self.lambda_min() < -_PSD_TOL:
-                raise ValueError(f"density of {self.label!r} is not positive semidefinite")
+            car.require(car.hermitian_defect(self.density), self.density,
+                        "density is not self-adjoint", _HERM_TOL)
+            trace = np.trace(self.density)
+            if not (abs(trace.real - 1.0) <= _TRACE_TOL
+                    and abs(trace.imag) <= _TRACE_TOL):
+                raise ValueError(f"density has trace {trace}")
+            if not -self.lambda_min() <= _PSD_TOL:
+                raise ValueError("density is not positive semidefinite")
 
     @property
     def lattice_size(self) -> int:
@@ -251,7 +250,7 @@ class DensityState:
     def theta(self) -> "DensityState":
         """The composed state ``omega o theta`` (its density is the grading image)."""
         return DensityState(car.theta_matrix(self.density, self.lattice_size),
-                            label=f"{self.label}.theta", validate=False)
+                            validate=False)
 
 
 @dataclass
@@ -275,7 +274,6 @@ class FactorState:
     """
 
     factor: np.ndarray
-    label: str = "factor-state"
 
     def __post_init__(self) -> None:
         self.factor = np.asarray(self.factor, dtype=np.complex128)
@@ -285,11 +283,11 @@ class FactorState:
             raise ValueError(f"factor shape {shape} is not (2**L, k)")
         self._weight = float(np.vdot(self.factor, self.factor).real)
         if not self._weight > 0.0:
-            raise ValueError(f"factor of {self.label!r} is zero or not finite")
+            raise ValueError("factor is zero or not finite")
 
     @classmethod
-    def gaussian(cls, lattice_size: int, rng: np.random.Generator,
-                 label: str = "factor-state") -> "FactorState":
+    def gaussian(cls, lattice_size: int,
+                 rng: np.random.Generator) -> "FactorState":
         """The state of an ``N x 64`` complex Ginibre factor
         (:data:`_FACTOR_COLUMNS`): real parts drawn first, then imaginary
         parts, each standard normal in row-major order.  Its density
@@ -301,7 +299,7 @@ class FactorState:
         factor = np.empty(shape, dtype=np.complex128)
         factor.real = rng.standard_normal(shape)
         factor.imag = rng.standard_normal(shape)
-        return cls(factor, label)
+        return cls(factor)
 
     @property
     def lattice_size(self) -> int:
@@ -325,8 +323,7 @@ class FactorState:
 # ---------------------------------------------------------------------------
 
 
-def gibbs_state(hamiltonian: AlgebraElement, beta: float,
-                label: str | None = None) -> DensityState:
+def gibbs_state(hamiltonian: AlgebraElement, beta: float) -> DensityState:
     """``e^(-beta H) / Z``, computed from the eigendecomposition of ``H``.
 
     Only the small representation ``h`` of ``H`` on its support is
@@ -343,9 +340,7 @@ def gibbs_state(hamiltonian: AlgebraElement, beta: float,
     """
     h, support = hamiltonian.small, hamiltonian.support
     region = None if len(support) == support.lattice_size else support
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if car.hermitian_defect(h) > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not self-adjoint")
+    car.require(car.hermitian_defect(h), h, "Hamiltonian is not self-adjoint")
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     decomposition = car.eigh(h)
@@ -362,8 +357,7 @@ def gibbs_state(hamiltonian: AlgebraElement, beta: float,
     if region is not None:
         density = car.embed(density, region)
         density /= log.multiplicity(density.shape[0])
-    return DensityState(density, label=label or f"gibbs(beta={beta:g})",
-                        validate=False, log=log)
+    return DensityState(density, validate=False, log=log)
 
 
 def random_pair_panel(lattice_size: int, count: int,
@@ -437,8 +431,7 @@ def perturbed_state(potential: Potential, beta: float,
     """
     complement = region.complement()
     remainder = total_hamiltonian(prune(potential, region), support=complement)
-    return gibbs_state(remainder, beta,
-                       label=f"perturbed(beta={beta:g}, I={region.label()})")
+    return gibbs_state(remainder, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +461,7 @@ def restrict(omega: DensityState, region: Region) -> DensityState:
     log = None
     if omega.log is not None and omega.log.region == region:
         log = replace(omega.log, region=None)
-    return DensityState(rho, label=f"{omega.label}|{region.label()}",
-                        validate=False, log=log)
+    return DensityState(rho, validate=False, log=log)
 
 
 def product_check(omega: DensityState, region: Region) -> float:
@@ -544,8 +536,7 @@ def noneven_perturbation(omega: DensityState, region: Region,
         raise ValueError(f"strength {lam} outside (0, {1.0 / nrm})")
     density = car.local_times(lam * x.small, x.support, omega.density)
     density += omega.density
-    return DensityState(density, label=f"{omega.label}*(1+{lam:.3e}*odd)",
-                        validate=True)
+    return DensityState(density, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +565,8 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     if u is None:
         u = odd_direction(site0)
     car.require_odd_self_adjoint(u, "u")
-    scale = max(1.0, float(np.max(np.abs(u.small))))
-    if np.max(np.abs(u.small @ u.small - np.eye(u.small.shape[0]))) > 1e-12 * scale:
-        raise ValueError("u is not unitary")
+    car.require(np.max(np.abs(u.small @ u.small - np.eye(u.small.shape[0]))),
+                u.small, "u is not unitary")
 
     extended = car.embed(car.small_representation(outer.density, comp), comp)
     left = car.local_times(u.small, u.support, extended)
@@ -588,7 +578,7 @@ def remark2_construct(outer: DensityState, u: AlgebraElement | None = None) -> D
     density += right                               # (1 + u) E (1 + u)
     del left, right   # validation holds the density and its temporaries only
     density /= float(np.trace(density).real)
-    return DensityState(density, label="site0-vector-state", validate=True)
+    return DensityState(density, validate=True)
 
 
 def remark2_restriction_defect(outer: DensityState, state: DensityState) -> float:

@@ -258,7 +258,7 @@ def test_conditional_entropy_of_a_product_vector_state():
     n = car.dim(lattice)
     vacuum = np.zeros((n, n), dtype=complex)
     vacuum[0, 0] = 1.0
-    omega = DensityState(vacuum, label="vacuum")
+    omega = DensityState(vacuum)
     # the vacuum is pure on site 0, so decoupling it costs exactly log 2
     got = conditional_entropy(omega, Region.of([0], lattice))
     assert abs(got + math.log(2)) < 1e-12

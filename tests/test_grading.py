@@ -148,8 +148,9 @@ def test_no_defect_site_forms_theta(monkeypatch):
         even = records["evenness" if verb == "gibbs" else "decoupled_even"]
         assert even.passed and even.value <= 1e-12
     potential = standardize(raw)
-    assert validate_potential(potential).residuals["even"] <= 1e-12
-    assert validate_potential(hopping_model(lattice)).passed
+    assert validate_potential(potential)["even"] <= 1e-12
+    assert all(v <= 1e-12
+               for v in validate_potential(hopping_model(lattice)).values())
     car.require_odd_self_adjoint(direction, "direction")
     with pytest.raises(ValueError, match="not odd"):
         car.require_odd_self_adjoint(direction @ direction, "square")

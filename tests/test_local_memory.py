@@ -132,7 +132,7 @@ def test_scan_case_holds_its_factor_and_column_blocks():
         rng = np.random.default_rng(0)
 
         def case():
-            omega = FactorState.gaussian(lattice, rng, label="scan-even")
+            omega = FactorState.gaussian(lattice, rng)
             a = car.random_element(region, rng, parity=1, hermitian=True)
             b = car.random_element(region.complement(), rng, parity=1,
                                    hermitian=True)
@@ -154,7 +154,7 @@ def test_scan_holds_one_case_at_a_time():
 
     def cases():
         for _ in range(3):
-            yield (FactorState.gaussian(lattice, rng, label="scan-even"),
+            yield (FactorState.gaussian(lattice, rng),
                    car.random_element(region, rng, parity=1, hermitian=True),
                    car.random_element(region.complement(), rng, parity=1,
                                       hermitian=True))

@@ -1,5 +1,6 @@
 """Guards: one way to compute a conditional expectation, one way to read
-the grading, and one place that decides how a state's log is known.
+the grading, one place that decides how a state's log is known, and one
+measure of self-adjointness.
 
 Restrictions, conditional expectations and random elements all go through
 the mode reordering in :mod:`fermichain.car`, and only ``car`` reads it:
@@ -22,6 +23,9 @@ or from a decomposition of its density is decided in
 :mod:`fermichain.states` alone: the modules that need ``log D`` ask the
 state (``trace_log``, ``log_matrix``, ``smallest_weight``), so they read no
 ``.log`` attribute and name no ``GibbsLog``.
+
+Self-adjointness is measured by :func:`car.hermitian_defect` alone: no
+package code forms ``X - X*`` outside its body.
 """
 
 import ast
@@ -40,17 +44,23 @@ TABLE_METHODS = {name for name, value in vars(car.MonomialBasis).items()
 EXEMPT = {"MonomialBasis", "monomial_basis"}
 
 
-def calls_outside(source: str, exempt_names, flagged) -> list[int]:
-    """Line numbers of the calls whose callee ``flagged`` accepts, outside
-    the bodies of the top-level definitions named in ``exempt_names``."""
+def nodes_outside(source: str, exempt_names, flagged) -> list[int]:
+    """Line numbers of the nodes ``flagged`` accepts, outside the bodies of
+    the top-level definitions named in ``exempt_names``."""
     tree = ast.parse(source)
     exempt = [(node.lineno, node.end_lineno) for node in tree.body
               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
               and node.name in exempt_names]
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and flagged(node.func)
-            and not any(first <= node.lineno <= last
-                        for first, last in exempt)]
+            if flagged(node) and not any(first <= node.lineno <= last
+                                         for first, last in exempt)]
+
+
+def calls_outside(source: str, exempt_names, flagged) -> list[int]:
+    """Line numbers of the calls whose callee ``flagged`` accepts, outside
+    the bodies of the top-level definitions named in ``exempt_names``."""
+    return nodes_outside(source, exempt_names, lambda node: isinstance(
+        node, ast.Call) and flagged(node.func))
 
 
 def monomial_table_calls(source: str) -> list[int]:
@@ -218,3 +228,58 @@ def test_only_states_decides_how_a_log_is_known():
     assert not offenders, ("a state's log read outside fermichain.states "
                            "(ask the state: trace_log, log_matrix, "
                            f"smallest_weight): {offenders}")
+
+
+def adjoint_operand(node):
+    """``X`` of an expression ``X.conj().T`` or ``X.T.conj()``, else None."""
+    def operand(node, attr):
+        if attr == "conj":      # a call with no arguments
+            if not (isinstance(node, ast.Call) and not node.args):
+                return None
+            node = node.func
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            return node.value
+        return None
+    for outer, inner in (("T", "conj"), ("conj", "T")):
+        x = operand(node, outer)
+        x = None if x is None else operand(x, inner)
+        if x is not None:
+            return x
+    return None
+
+
+def adjoint_differences(source: str) -> list[int]:
+    """Line numbers of the differences ``X - X*`` outside the body of
+    ``hermitian_defect``."""
+    def flagged(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            return False
+        x = adjoint_operand(node.right)
+        return x is not None and ast.dump(x) == ast.dump(node.left)
+    return nodes_outside(source, {"hermitian_defect"}, flagged)
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("x - x.conj().T", True),
+    ("np.max(np.abs(small - small.conj().T))", True),
+    ("term.small - term.small.conj().T", True),
+    ("x - x.T.conj()", True),
+    ("def is_self_adjoint(self):\n    return self.small - self.small.conj().T",
+     True),
+    ("def hermitian_defect(matrix):\n    diff = matrix - matrix.conj().T",
+     False),
+    ("car.hermitian_defect(small)", False),
+    ("x + x.conj().T", False),
+    ("y += y.conj().T", False),
+    ("x - y.conj().T", False),
+    ("x - x.T", False),
+])
+def test_guard_recognizes_adjoint_differences(snippet, flagged):
+    assert bool(adjoint_differences(snippet)) is flagged
+
+
+def test_self_adjointness_is_measured_by_hermitian_defect_alone():
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 for line in adjoint_differences(path.read_text("utf-8"))]
+    assert not offenders, ("X - X* formed outside car.hermitian_defect "
+                           f"(call it instead): {offenders}")

@@ -13,9 +13,10 @@ one run to the next, so that drift on the machine falls on all of them
 alike; a record keeps the median wall time, CPU time and peak with all
 three of each.  The jobs are every verb at ``L = 8``, 9 and 10 (``lts`` with
 ``--samples 200`` and not at 10), ``gibbs``, ``perturb``, ``entropy``,
-``prop4``, ``remark2`` and ``ssb-probe`` at ``L = 11`` and 12, and ``lts
---samples 0`` at ``L = 11`` and 12.  ``--slow`` adds ``lts --samples 50`` at
-``L = 10``.
+``prop4``, ``remark2`` and ``ssb-probe`` at ``L = 11`` and 12, ``lts
+--samples 0`` at ``L = 11`` and 12, and ``lts --samples 2`` at ``L = 11``, so
+that a row holds a competitor's peak.  ``--slow`` adds ``lts --samples 50``
+at ``L = 10`` and ``lts --samples 1`` at ``L = 12``.
 """
 
 import argparse
@@ -31,14 +32,16 @@ VERBS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
          "ssb-probe", "remark2")
 WHOLE_CHAIN = {"validate", "gibbs", "remark2"}    # verbs that take no region
 # lts passes --samples explicitly, so its rows stay comparable when the
-# default changes; at L = 11 and 12 it runs the bound alone
+# default changes; at L = 11 and 12 it runs the bound alone, and with the
+# fewest competitors that show one's peak
 JOBS = ([(verb, n, ("--samples", "200") if verb == "lts" else ())
          for n in (8, 9, 10) for verb in VERBS if (verb, n) != ("lts", 10)]
         + [(verb, n, ()) for n in (11, 12)
            for verb in ("gibbs", "perturb", "entropy", "prop4", "remark2",
                         "ssb-probe")]
-        + [("lts", n, ("--samples", "0")) for n in (11, 12)])
-SLOW = [("lts", 10, ("--samples", "50"))]
+        + [("lts", n, ("--samples", "0")) for n in (11, 12)]
+        + [("lts", 11, ("--samples", "2"))])
+SLOW = [("lts", 10, ("--samples", "50")), ("lts", 12, ("--samples", "1"))]
 LIMIT = 3 << 30
 REPEATS = 3
 
