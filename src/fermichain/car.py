@@ -140,6 +140,23 @@ def hermitian_defect(matrix: np.ndarray) -> float:
                                 else diff)))
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(X + X*) / 2`` in place, returning ``x``: the one Hermitian part."""
+    x += x.conj().T
+    x *= 0.5
+    return x
+
+
+def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """A complex array of ``shape`` with standard normal real and imaginary
+    parts, the real parts drawn first, then the imaginary parts, each in
+    row-major order: the one complex Gaussian law of the package."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    return out
+
+
 def hermitian_norm(matrix: np.ndarray, trace: bool = False) -> float:
     """Spectral norm of a Hermitian matrix, or its trace norm with
     ``trace``, read off the eigenvalues instead of an SVD."""
@@ -247,9 +264,7 @@ def spectral_map(decomposition, values) -> np.ndarray:
         scaled = u * vals[None, :]
         part = scaled @ np.conjugate(u, out=u).T
         del scaled
-        part += part.conj().T
-        part *= 0.5
-        parts.append((states, part))
+        parts.append((states, hermitian_part(part)))
     if len(parts) == 1 and parts[0][0] is None:
         return parts[0][1]
     n = sum(part.shape[0] for _, part in parts)
@@ -850,14 +865,11 @@ def random_element(region: Region, rng: np.random.Generator, *,
     if parity not in (None, 0, 1):
         raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
     scale = _entry_scale(len(region))
-    mat = np.empty(scale.shape, dtype=np.complex128)
-    mat.real = rng.standard_normal(scale.shape)
-    mat.imag = rng.standard_normal(scale.shape)
+    mat = complex_gaussian(scale.shape, rng)
     mat *= scale
     if parity is not None:
         signs = parity_signs(len(region))
         mat[np.outer(signs, signs) != (-1.0) ** parity] = 0.0
     if hermitian:
-        mat += mat.conj().T
-        mat *= 0.5
+        hermitian_part(mat)
     return AlgebraElement(mat, region)

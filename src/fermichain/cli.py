@@ -50,8 +50,6 @@ from .states import (FactorState, gibbs_state, kms_residual, odd_direction,
                      perturbed_state, product_check, remark2_construct,
                      remark2_restriction_defect)
 
-COMMANDS = ("validate", "gibbs", "perturb", "entropy", "lts", "prop4",
-            "ssb-probe", "remark2")
 
 class UsageError(Exception):
     """Configuration problem; reported on stderr with exit status 2."""
@@ -277,14 +275,14 @@ def run_ssb_probe(cfg: RunConfig) -> list[CheckRecord]:
 
     outside = region.complement()
     if not outside.is_empty:
-        real_part = purely_imaginary_check(state, odd_direction(region),
+        observable = odd_direction(region)
+        real_part = purely_imaginary_check(state, observable,
                                            odd_direction(outside))
         checks.append(CheckRecord("odd_correlation_real", real_part, 1e-12,
                                   real_part <= 1e-12))
 
         # clustering: correlations of a region observable should not grow
         # with distance; compare the nearest and farthest outside sites
-        observable = odd_direction(region)
         by_distance = sorted(
             outside.sites,
             key=lambda s: min(abs(s - r) for r in region.sites))
@@ -341,6 +339,7 @@ DISPATCH = {
     "ssb-probe": run_ssb_probe,
     "remark2": run_remark2,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,10 @@ def restricted_relative_entropy(omega1: DensityState, omega2: DensityState,
 
 
 def matrix_entropy(matrix: np.ndarray) -> float:
-    """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix."""
-    return spectral_entropy(car.eigvalsh((matrix + matrix.conj().T) / 2.0))
+    """Von Neumann entropy ``-Tr(x log x)`` of a positive matrix, read off
+    the spectrum of its Hermitian part, taken on a copy: the callers'
+    compressions are read again after it."""
+    return spectral_entropy(car.eigvalsh(car.hermitian_part(matrix.copy())))
 
 
 def compressed_conditional_entropy(omega: DensityState, small: np.ndarray) -> float:

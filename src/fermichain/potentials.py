@@ -49,12 +49,15 @@ def _region_sort_key(region: Region):
 @dataclass
 class Potential:
     """Finitely many interaction terms, keyed by their support region; each
-    term is the ``2**|K| x 2**|K|`` small representation of ``Phi(K)``."""
+    term is the ``2**|K| x 2**|K|`` small representation of ``Phi(K)``.
+    The terms are stored ordered by size of support, then by sites."""
 
     lattice_size: int
     terms: dict[Region, np.ndarray]
 
     def __post_init__(self) -> None:
+        self.terms = {r: self.terms[r]
+                      for r in sorted(self.terms, key=_region_sort_key)}
         for region, term in self.terms.items():
             if region.lattice_size != self.lattice_size:
                 raise ValueError(f"term region {region} not on chain of {self.lattice_size}")
@@ -65,7 +68,7 @@ class Potential:
                 raise ValueError(f"term for {region.sites} has shape {term.shape}")
 
     def regions(self) -> list[Region]:
-        return sorted(self.terms.keys(), key=_region_sort_key)
+        return list(self.terms)
 
 
 def standardize(raw: Mapping[Region, AlgebraElement]) -> Potential:
@@ -110,7 +113,6 @@ def standardize(raw: Mapping[Region, AlgebraElement]) -> Potential:
             sub = Region(tuple(region.sites[k] for k in j.sites), lattice)
             out[sub] = out.get(sub, 0) + car.small_representation(contrib, j)
     out = {r: t for r, t in out.items() if np.max(np.abs(t)) > _TERM_DROP_TOL}
-    out = {r: out[r] for r in sorted(out.keys(), key=_region_sort_key)}
     return Potential(lattice_size=lattice, terms=out)
 
 
@@ -216,9 +218,7 @@ def _potential(lattice_size: int, terms: list[AlgebraElement]) -> Potential:
     summed: dict[Region, np.ndarray] = {}
     for term in terms:
         summed[term.support] = summed.get(term.support, 0) + term.small
-    ordered = sorted(summed, key=_region_sort_key)
-    return Potential(lattice_size=lattice_size,
-                     terms={r: summed[r] for r in ordered})
+    return Potential(lattice_size=lattice_size, terms=summed)
 
 
 def _hopping_terms(lattice_size: int, t: float,

@@ -93,7 +93,7 @@ def grading_asymmetry(omega: DensityState, region: Region) -> float:
     """
     rest = restrict(omega, region)
     diff = rest.density - rest.theta().density
-    return 0.5 * car.hermitian_norm((diff + diff.conj().T) / 2.0, trace=True)
+    return 0.5 * car.hermitian_norm(car.hermitian_part(diff), trace=True)
 
 
 def purely_imaginary_check(omega: DensityState | FactorState,

@@ -36,8 +36,9 @@ relative entropy from the even one.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,19 +64,36 @@ def free_energy(omega: DensityState, potential: Potential, region: Region,
                 beta: float) -> float:
     """``Sc_I(omega) - beta omega(H(I))`` with the conditional entropy taken
     against the constraint algebra."""
-    small = car.small_representation(omega.density, _outside(region))
-    sc, energy = _entropy_and_energy(omega, small,
-                                     local_hamiltonian(potential, region))
+    _, _, [(sc, energy)] = _score(omega, (), _outside(region),
+                                  local_hamiltonian(potential, region))
     return sc - beta * energy
 
 
-def _entropy_and_energy(omega: DensityState, small: np.ndarray,
-                        h_i: car.AlgebraElement) -> tuple[float, float]:
-    """``Sc_I(omega)``, from ``small``, the compression of ``omega``'s
-    density onto the constraint algebra, and ``omega(H(I))``, read on the
-    support of ``H(I)`` (:meth:`DensityState.expectation`)."""
-    return (compressed_conditional_entropy(omega, small),
-            float(np.real(omega.expectation(h_i))))
+def _score(base: DensityState, others: Iterable[DensityState],
+           outside: Region, h_i: car.AlgebraElement
+           ) -> tuple[np.ndarray, float, list[tuple[float, float]]]:
+    """Every state compressed onto the constraint algebra once, for all that
+    is read off it: the base's compression; the worst disagreement of the
+    others with the base there (the largest entry modulus of the difference
+    of their compressions, NaN if any is NaN); and each state's ``Sc_I``,
+    with ``omega(H(I))`` read on the support of ``H(I)``
+    (:meth:`DensityState.expectation`), the base's pair first.  Each other
+    state and its compression are dropped before the next is drawn, so one
+    is alive at a time.  A function of its own so that the last one does
+    not outlive its scoring either: a loop variable of :func:`lts_check`
+    would hold it through the bound."""
+    small_base, worst, parts = None, 0.0, []
+    for state in chain((base,), others):
+        small = car.small_representation(state.density, outside)
+        if small_base is None:
+            small_base = small
+        else:
+            # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
+            worst = np.maximum(worst, np.max(np.abs(small - small_base)))
+        parts.append((compressed_conditional_entropy(state, small),
+                      float(np.real(state.expectation(h_i)))))
+        del state, small        # before the next state is drawn
+    return small_base, float(worst), parts
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +110,12 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     orthogonal to the constraint algebra, and of spectral norm below half
     the smallest eigenvalue of ``D`` — so every one is a genuine density
     with exactly the base state's constrained expectations.  ``Y`` is the
-    Hermitian part of a complex Ginibre matrix less the embedding of its
-    compression, scaled to its norm; the whole competitor is built in place
-    in one complex ``N x N`` array, so a consumer that drops each one
-    before asking for the next holds one at a time.  The probe, and the
-    base if there is a competitor to draw, are checked at the call.
+    Hermitian part of a complex Ginibre matrix (:func:`car.complex_gaussian`)
+    less the embedding of its compression, scaled to its norm; the whole
+    competitor is built in place in one complex ``N x N`` array, so a
+    consumer that drops each one before asking for the next holds one at a
+    time.  The probe, and the base if there is a competitor to draw, are
+    checked at the call.
     """
     outside = _outside(region)
     lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
@@ -106,11 +125,7 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     def draw() -> DensityState:
         nrm = 0.0
         while nrm < 1e-12:
-            y = np.empty((n, n), dtype=np.complex128)
-            y.real = rng.standard_normal((n, n))
-            y.imag = rng.standard_normal((n, n))
-            y += y.conj().T
-            y *= 0.5
+            y = car.hermitian_part(car.complex_gaussian((n, n), rng))
             # y and its compression are exactly Hermitian, and so is y less
             # the compression's embedding
             car.add_embedded(y, -car.small_representation(y, outside),
@@ -195,28 +210,6 @@ class StabilityReport:
 _MARGIN_TOL = 1e-9
 
 
-def _score(competitors: Iterator[DensityState], small_base: np.ndarray,
-           outside: Region, h_i: car.AlgebraElement,
-           beta: float) -> tuple[float, list[float]]:
-    """The worst disagreement of the competitors with the base on the
-    constraint algebra (the largest entry of the difference of their small
-    representations, the base's given as ``small_base``), and their free
-    energies, each competitor compressed once for both.  Each competitor
-    and its compression are dropped before the next is drawn, so one is
-    alive at a time.  A function of its own so that the last one does not
-    outlive its scoring either: a loop variable of :func:`lts_check` would
-    hold it through the bound."""
-    worst, energies = 0.0, []
-    for member in competitors:
-        small = car.small_representation(member.density, outside)
-        # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
-        worst = np.maximum(worst, np.max(np.abs(small - small_base)))
-        sc, energy = _entropy_and_energy(member, small, h_i)
-        energies.append(sc - beta * energy)
-        del member, small       # before the next competitor is drawn
-    return float(worst), energies
-
-
 def lts_check(omega: DensityState, potential: Potential, region: Region,
               beta: float, samples: int = 200,
               seed: int = 0) -> StabilityReport:
@@ -236,12 +229,9 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     competitors = feasible_sampler(omega, region, int(samples), seed)
     outside = _outside(region)
     h_i = local_hamiltonian(potential, region)
-    small_base = car.small_representation(omega.density, outside)
-    sc_base, e_base = _entropy_and_energy(omega, small_base, h_i)
-    f_base = sc_base - beta * e_base
+    small_base, feas, parts = _score(omega, competitors, outside, h_i)
+    f_base, *f_members = [sc - beta * energy for sc, energy in parts]
     free_energies = {"base": f_base}
-
-    feas, f_members = _score(competitors, small_base, outside, h_i, beta)
     checks = [CheckRecord("feasible_residual", feas, 1e-10, feas <= 1e-10)]
     margin_samples = math.inf
     if f_members:
@@ -273,9 +263,10 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
     the free-energy comparison by exactly their relative entropy from the
     even one — strictly, so neither can be locally thermally stable.  The
     full-chain Gibbs state is never built.  Each state is compressed onto
-    the complement's algebra once, for its agreement outside the region and
-    its conditional entropy ``Sc``; ``Sc`` and ``E = omega(H(I))`` are
-    taken once, ``E`` on the support of ``H(I)``, and ``F = Sc - beta E``.
+    the complement's algebra once (:func:`_score`), for its agreement
+    outside the region and its conditional entropy ``Sc``; ``Sc`` and
+    ``E = omega(H(I))`` are taken once, ``E`` on the support of ``H(I)``,
+    and ``F = Sc - beta E``.
 
     The strict loss is a finite-chain fact with no infinite-volume escape
     hatch here: the mechanism that would rescue a noneven equilibrium state
@@ -292,17 +283,10 @@ def prop4_pipeline(potential: Potential, beta: float, region: Region,
         # np.maximum keeps a NaN, where max(0.0, nan) would return 0.0
         hi_defect = np.maximum(hi_defect, abs(state.expectation(h_tilde_i)))
 
-    outside = _outside(region)
-    h_i = local_hamiltonian(potential, region)
-    ref = car.small_representation(phi_p.density, outside)
-    parts, defects = [_entropy_and_energy(phi_p, ref, h_i)], []
-    for state in (psi, psi_t):
-        small = car.small_representation(state.density, outside)
-        defects.append(float(np.max(np.abs(small - ref))))
-        parts.append(_entropy_and_energy(state, small, h_i))
-        del small       # before the next compression
+    _, worst, parts = _score(phi_p, (psi, psi_t), _outside(region),
+                             local_hamiltonian(potential, region))
     # 2**|I| times the compression is the restriction to the complement
-    rest_defect = car.dim(len(region)) * max(defects)
+    rest_defect = car.dim(len(region)) * worst
     (sc_p, e_p), (sc_psi, e_psi), (sc_psi_t, e_psi_t) = parts
     f_p = sc_p - beta * e_p
     f_psi = sc_psi - beta * e_psi

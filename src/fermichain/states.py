@@ -289,17 +289,13 @@ class FactorState:
     def gaussian(cls, lattice_size: int,
                  rng: np.random.Generator) -> "FactorState":
         """The state of an ``N x 64`` complex Ginibre factor
-        (:data:`_FACTOR_COLUMNS`): real parts drawn first, then imaginary
-        parts, each standard normal in row-major order.  Its density
-        ``G G*`` is complex Wishart with 64 degrees of freedom, of rank
-        ``min(N, 64)``.  The even part of ``G G*`` is a state at any rank,
-        and the facts the scan tests (``Re omega(A B) = 0`` and the
+        (:data:`_FACTOR_COLUMNS`) drawn by :func:`car.complex_gaussian`.
+        Its density ``G G*`` is complex Wishart with 64 degrees of freedom,
+        of rank ``min(N, 64)``.  The even part of ``G G*`` is a state at any
+        rank, and the facts the scan tests (``Re omega(A B) = 0`` and the
         Cauchy-Schwarz envelope) hold for every state."""
-        shape = (car.dim(lattice_size), _FACTOR_COLUMNS)
-        factor = np.empty(shape, dtype=np.complex128)
-        factor.real = rng.standard_normal(shape)
-        factor.imag = rng.standard_normal(shape)
-        return cls(factor)
+        return cls(car.complex_gaussian((car.dim(lattice_size),
+                                         _FACTOR_COLUMNS), rng))
 
     @property
     def lattice_size(self) -> int:
@@ -366,16 +362,16 @@ def random_pair_panel(lattice_size: int, count: int,
     the panel is consumed (``list`` it to reuse it): the tests' oracle for
     the KMS boundary condition that :func:`kms_residual` checks.
 
-    Each matrix is complex Ginibre (real and imaginary parts standard
-    normal, drawn in the order Re a, Im a, Re b, Im b) scaled by its
-    :func:`car.spectral_norm`.  The Ginibre law and the spectral norm are
-    unitarily invariant, so the pairs may be read as matrices in any
-    orthonormal basis, the eigenbasis of ``H`` among them.
+    Each matrix is complex Ginibre (:func:`car.complex_gaussian`, ``a``
+    drawn before ``b``) scaled by its :func:`car.spectral_norm`.  The
+    Ginibre law and the spectral norm are unitarily invariant, so the pairs
+    may be read as matrices in any orthonormal basis, the eigenbasis of
+    ``H`` among them.
     """
     n = car.dim(lattice_size)
     for _ in range(count):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = car.complex_gaussian((n, n), rng)
+        b = car.complex_gaussian((n, n), rng)
         yield a / car.spectral_norm(a), b / car.spectral_norm(b)
 
 

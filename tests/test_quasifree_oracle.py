@@ -4,7 +4,8 @@ entropies of restrictions and the conditional entropy, each to
 ``1e-12 * max(1, |value|)``; and the relative entropies of the ``perturb``
 and ``entropy`` verbs, to ``1e-12`` of the largest of the closed form's
 three terms.  This reaches the parity-block decompositions at a size the
-Kronecker and monomial oracles cannot.
+Kronecker and monomial oracles cannot.  The relative entropies are also
+compared at L = 12, on ``2,3`` at beta = 1 (marked slow).
 """
 
 import math
@@ -69,8 +70,9 @@ def test_relative_entropies_of_the_decoupled_state(case):
     # (3.9e-3 from terms between 4 and 9 on 2,3), so each is compared at
     # the scale of its terms
     region, beta, state, c = case
-    phi = perturbed_state(hopping_model(LATTICE), beta, region)
-    h = oracle.hopping_one_body(LATTICE)
+    lattice = region.lattice_size
+    phi = perturbed_state(hopping_model(lattice), beta, region)
+    h = oracle.hopping_one_body(lattice)
     h_phi = oracle.pruned(h, region.sites)
     outside = region.complement().sites
     pairs = [
@@ -86,3 +88,12 @@ def test_relative_entropies_of_the_decoupled_state(case):
         want = math.fsum(terms)
         assert abs(got - want) <= 1e-12 * max(1.0, *map(abs, terms)), \
             (got, want, terms)
+
+
+@pytest.mark.slow
+def test_relative_entropies_of_the_decoupled_state_at_12():
+    lattice, beta = 12, 1.0
+    region = Region.of((2, 3), lattice)
+    state = gibbs_state(total_hamiltonian(hopping_model(lattice)), beta)
+    c = oracle.two_point(oracle.hopping_one_body(lattice), beta)
+    test_relative_entropies_of_the_decoupled_state((region, beta, state, c))

@@ -1,6 +1,6 @@
 """Guards: one way to compute a conditional expectation, one way to read
-the grading, one place that decides how a state's log is known, and one
-measure of self-adjointness.
+the grading, one place that decides how a state's log is known, one
+measure of self-adjointness, one Hermitian part and one Gaussian draw.
 
 Restrictions, conditional expectations and random elements all go through
 the mode reordering in :mod:`fermichain.car`, and only ``car`` reads it:
@@ -25,7 +25,10 @@ state (``trace_log``, ``log_matrix``, ``smallest_weight``), so they read no
 ``.log`` attribute and name no ``GibbsLog``.
 
 Self-adjointness is measured by :func:`car.hermitian_defect` alone: no
-package code forms ``X - X*`` outside its body.
+package code forms ``X - X*`` outside its body.  The Hermitian part
+``(X + X*) / 2`` is taken by :func:`car.hermitian_part` alone, and every
+Gaussian draw is :func:`car.complex_gaussian`'s: no package code adds a
+matrix to its adjoint, or calls ``standard_normal``, outside their bodies.
 """
 
 import ast
@@ -283,3 +286,81 @@ def test_self_adjointness_is_measured_by_hermitian_defect_alone():
                  for line in adjoint_differences(path.read_text("utf-8"))]
     assert not offenders, ("X - X* formed outside car.hermitian_defect "
                            f"(call it instead): {offenders}")
+
+
+def adjoint_sums(source: str) -> list[int]:
+    """Line numbers of the sums ``X + X*``, ``X* + X`` and ``X += X*``
+    outside the body of ``hermitian_part``; a target and an operand are
+    compared as written, whether stored or loaded."""
+    def adjoint_of(adjoint, x):
+        operand = adjoint_operand(adjoint)
+        return operand is not None and ast.unparse(operand) == ast.unparse(x)
+
+    def flagged(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return (adjoint_of(node.right, node.left)
+                    or adjoint_of(node.left, node.right))
+        return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and adjoint_of(node.value, node.target))
+    return nodes_outside(source, {"hermitian_part"}, flagged)
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("x + x.conj().T", True),
+    ("(matrix + matrix.conj().T) / 2.0", True),
+    ("x.conj().T + x", True),
+    ("x + x.T.conj()", True),
+    ("y += y.conj().T", True),
+    ("part += part.conj().T", True),
+    ("def hermitian_part(x):\n    x += x.conj().T", False),
+    ("car.hermitian_part(diff)", False),
+    ("x - x.conj().T", False),
+    ("x + y.conj().T", False),
+    ("y += x.conj().T", False),
+    ("x + x.T", False),
+    ("h + h.dagger()", False),
+])
+def test_guard_recognizes_adjoint_sums(snippet, flagged):
+    assert bool(adjoint_sums(snippet)) is flagged
+
+
+def test_the_hermitian_part_is_taken_by_hermitian_part_alone():
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 for line in adjoint_sums(path.read_text("utf-8"))]
+    assert not offenders, ("X + X* formed outside car.hermitian_part (call "
+                           f"it instead): {offenders}")
+
+
+def gaussian_draws(source: str) -> list[int]:
+    """Line numbers of the calls to ``standard_normal`` outside the body of
+    ``complex_gaussian``."""
+    def flagged(func):
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else "")
+        return name == "standard_normal"
+    return calls_outside(source, {"complex_gaussian"}, flagged)
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("rng.standard_normal((n, n))", True),
+    ("y.real = rng.standard_normal((n, n))", True),
+    ("a = rng.standard_normal(s) + 1j * rng.standard_normal(s)", True),
+    ("np.random.default_rng(0).standard_normal(3)", True),
+    ("standard_normal(3)", True),
+    ("def draw(rng):\n    return rng.standard_normal(3)", True),
+    ("def complex_gaussian(shape, rng):\n"
+     "    out.real = rng.standard_normal(shape)", False),
+    ("car.complex_gaussian((n, n), rng)", False),
+    ("rng.uniform(0.3, 1.0)", False),
+    ("draw = rng.standard_normal", False),
+])
+def test_guard_recognizes_gaussian_draws(snippet, flagged):
+    assert bool(gaussian_draws(snippet)) is flagged
+
+
+def test_every_gaussian_draw_is_complex_gaussian():
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 for line in gaussian_draws(path.read_text("utf-8"))]
+    assert not offenders, ("standard_normal called outside "
+                           "car.complex_gaussian (call it instead): "
+                           f"{offenders}")

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -603,7 +604,7 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
     region = Region.of([1], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
     sampler = stability.feasible_sampler
-    entropy_and_energy = stability._entropy_and_energy
+    conditional = stability.compressed_conditional_entropy
 
     def broken(omega, region, count, seed):
         competitors = sampler(omega, region, count, seed)
@@ -611,19 +612,123 @@ def test_nan_competitor_fails_the_feasible_residual(monkeypatch):
         yield DensityState(np.full_like(omega.density, np.nan), validate=False)
         yield from competitors
 
-    def scored(omega, small, h_i):
+    def scored(omega, small):
         # the spectrum of a NaN density does not converge; score it as NaN
         if np.isnan(omega.density).any():
-            return math.nan, math.nan
-        return entropy_and_energy(omega, small, h_i)
+            return math.nan
+        return conditional(omega, small)
 
     monkeypatch.setattr(stability, "feasible_sampler", broken)
-    monkeypatch.setattr(stability, "_entropy_and_energy", scored)
+    monkeypatch.setattr(stability, "compressed_conditional_entropy", scored)
     report = lts_check(gibbs, pot, region, beta, samples=3, seed=3)
     record = next(c for c in report.checks if c.check == "feasible_residual")
     assert math.isnan(record.value)
     assert not record.passed
     assert not report.passed
+
+
+def test_nan_compression_of_theta_psi_fails_restic(monkeypatch):
+    # RESTIc is the worst disagreement of psi and theta psi with the
+    # decoupled state, and a NaN that comes second must survive it where
+    # max([0.0, nan]) would return 0.0
+    lattice, beta = 4, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1], lattice)
+    images, theta = [], DensityState.theta
+    compress = car.small_representation
+    conditional = stability.compressed_conditional_entropy
+
+    def recorded(self):
+        images.append(theta(self))
+        return images[-1]
+
+    def compressed(matrix, region):
+        # only the compression that stability itself takes: the expectations
+        # of H(I) restrict theta psi through the same map
+        small = compress(matrix, region)
+        if (sys._getframe(1).f_globals["__name__"] == stability.__name__
+                and any(matrix is image.density for image in images)):
+            small = np.full_like(small, np.nan)
+        return small
+
+    def scored(omega, small):
+        # theta psi's entropy stays finite: it is taken on its compression
+        if np.isnan(small).any():
+            small = compress(omega.density, region.complement())
+        return conditional(omega, small)
+
+    monkeypatch.setattr(DensityState, "theta", recorded)
+    monkeypatch.setattr(car, "small_representation", compressed)
+    monkeypatch.setattr(stability, "compressed_conditional_entropy", scored)
+    report = prop4_pipeline(pot, beta, region)
+    assert len(images) == 1
+    by_name = {c.check: c for c in report.checks}
+    assert math.isnan(by_name["RESTIc"].value)
+    assert not by_name["RESTIc"].passed
+    assert all(c.passed for c in report.checks if c.check != "RESTIc")
+
+
+def stability_compressions(monkeypatch) -> list:
+    """The calls of :func:`car.small_representation` that the code of
+    :mod:`fermichain.stability` makes, as (calling function, matrix)."""
+    calls, compress = [], car.small_representation
+
+    def recorded(matrix, region):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == stability.__name__:
+            calls.append((caller.f_code.co_name, matrix))
+        return compress(matrix, region)
+
+    monkeypatch.setattr(car, "small_representation", recorded)
+    return calls
+
+
+def test_lts_check_compresses_each_state_once(monkeypatch):
+    lattice, beta = 4, 1.0
+    pot = hopping_model(lattice)
+    region = Region.of([1], lattice)
+    gibbs = gibbs_state(total_hamiltonian(pot), beta)
+    members, sampler = [], stability.feasible_sampler
+
+    def kept(omega, region, count, seed):
+        for member in sampler(omega, region, count, seed):
+            members.append(member)
+            yield member
+
+    monkeypatch.setattr(stability, "feasible_sampler", kept)
+    calls = stability_compressions(monkeypatch)
+    lts_check(gibbs, pot, region, beta, samples=3)
+    # the sampler compresses each draw before it becomes a competitor
+    scored = [matrix for caller, matrix in calls if caller != "draw"]
+    assert len(members) == 3
+    assert [sum(matrix is state.density for matrix in scored)
+            for state in [gibbs, *members]] == [1, 1, 1, 1]
+    # the one other compression is the bound's multiplier
+    assert len(scored) == 5
+
+
+def test_prop4_compresses_each_state_once(monkeypatch):
+    lattice, beta = 4, 1.0
+    region = Region.of([1], lattice)
+    states = []
+
+    def kept(build):
+        def built(*args, **kwargs):
+            states.append(build(*args, **kwargs))
+            return states[-1]
+        return built
+
+    monkeypatch.setattr(stability, "perturbed_state",
+                        kept(stability.perturbed_state))
+    monkeypatch.setattr(stability, "noneven_perturbation",
+                        kept(stability.noneven_perturbation))
+    monkeypatch.setattr(DensityState, "theta", kept(DensityState.theta))
+    calls = stability_compressions(monkeypatch)
+    assert prop4_pipeline(hopping_model(lattice), beta, region).passed
+    assert len(states) == 3     # phi_p, psi and theta psi
+    assert [sum(matrix is state.density for _, matrix in calls)
+            for state in states] == [1, 1, 1]
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("drawn_for", ["region", "base"])
