@@ -147,10 +147,14 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
-    """A complex array of ``shape`` with standard normal real and imaginary
-    parts, the real parts drawn first, then the imaginary parts, each in
-    row-major order: the one complex Gaussian law of the package."""
+def gaussian(shape, rng: np.random.Generator, dtype) -> np.ndarray:
+    """An array of ``shape`` with standard normal entries, float64, or
+    complex128 with standard normal real and imaginary parts when ``dtype``
+    is complex: the real parts drawn first, then the imaginary parts, each
+    in row-major order.  The one Gaussian law of the package, so a complex
+    draw begins with the real one of the same seed."""
+    if not np.issubdtype(dtype, np.complexfloating):
+        return rng.standard_normal(shape)
     out = np.empty(shape, dtype=np.complex128)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
@@ -865,7 +869,7 @@ def random_element(region: Region, rng: np.random.Generator, *,
     if parity not in (None, 0, 1):
         raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
     scale = _entry_scale(len(region))
-    mat = complex_gaussian(scale.shape, rng)
+    mat = gaussian(scale.shape, rng, np.complex128)
     mat *= scale
     if parity is not None:
         signs = parity_signs(len(region))

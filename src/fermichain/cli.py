@@ -259,8 +259,11 @@ def run_entropy(cfg: RunConfig) -> list[CheckRecord]:
 def run_lts(cfg: RunConfig) -> list[CheckRecord]:
     state, potential = _gibbs(cfg)
     given = {} if cfg.samples is None else {"samples": cfg.samples}
-    return lts_check(state, potential, cfg.region, cfg.beta, seed=cfg.seed,
-                     **given).checks
+    report = lts_check(state, potential, cfg.region, cfg.beta, seed=cfg.seed,
+                       **given)
+    for note in report.notes:
+        print(f"fermichain: lts: {note}", file=sys.stderr)
+    return report.checks
 
 
 def run_prop4(cfg: RunConfig) -> list[CheckRecord]:

@@ -48,7 +48,8 @@ from .entropy import (compressed_conditional_entropy, matrix_entropy,
 from .potentials import Potential, local_hamiltonian, prune
 from .regions import Region
 from .reporting import CheckRecord
-from .states import DensityState, noneven_perturbation, perturbed_state
+from .states import (DensityState, WeightUnderflow, noneven_perturbation,
+                     perturbed_state)
 
 
 def _outside(region: Region) -> Region:
@@ -110,22 +111,24 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     orthogonal to the constraint algebra, and of spectral norm below half
     the smallest eigenvalue of ``D`` — so every one is a genuine density
     with exactly the base state's constrained expectations.  ``Y`` is the
-    Hermitian part of a complex Ginibre matrix (:func:`car.complex_gaussian`)
-    less the embedding of its compression, scaled to its norm; the whole
-    competitor is built in place in one complex ``N x N`` array, so a
-    consumer that drops each one before asking for the next holds one at a
-    time.  The probe, and the base if there is a competitor to draw, are
-    checked at the call.
+    Hermitian part of a Gaussian matrix (:func:`car.gaussian`) in the dtype
+    of the base's density, real for a real base and complex Ginibre for a
+    complex one, less the embedding of its compression, scaled to its norm.
+    The whole competitor is built in place in one ``N x N`` array of that
+    dtype, so a consumer that drops each one before asking for the next
+    holds one at a time, and a real base's competitors take real spectra.
+    The probe, and the base if there is a competitor to draw, are checked at
+    the call.
     """
     outside = _outside(region)
     lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
-    n = omega.density.shape[0]
+    n, dtype = omega.density.shape[0], omega.density.dtype
     rng = np.random.default_rng(seed)
 
     def draw() -> DensityState:
         nrm = 0.0
         while nrm < 1e-12:
-            y = car.hermitian_part(car.complex_gaussian((n, n), rng))
+            y = car.hermitian_part(car.gaussian((n, n), rng, dtype))
             # y and its compression are exactly Hermitian, and so is y less
             # the compression's embedding
             car.add_embedded(y, -car.small_representation(y, outside),
@@ -224,9 +227,18 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
     sampled or not, and it is attained exactly when the base is the
     constrained maximizer.  The margin of the report is the smaller of the
     two; the report passes when every check does, each margin no worse
-    than ``-1e-9``.
+    than ``-1e-9``.  A Gibbs base whose smallest weight underflows to 0.0
+    leaves no room to scale a competitor: then none is drawn, the report is
+    that of ``samples = 0``, and a note says why.
     """
-    competitors = feasible_sampler(omega, region, int(samples), seed)
+    notes = []
+    try:
+        competitors = feasible_sampler(omega, region, int(samples), seed)
+    except WeightUnderflow as exc:
+        # the bound covers every state of the slice, drawn or not
+        competitors = ()
+        notes.append(f"{exc}: no competitor is drawn, and the bound alone "
+                     "is the verdict")
     outside = _outside(region)
     h_i = local_hamiltonian(potential, region)
     small_base, feas, parts = _score(omega, competitors, outside, h_i)
@@ -249,7 +261,7 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
                               margin_max >= -_MARGIN_TOL))
     return StabilityReport(free_energies=free_energies,
                            margin=min(margin_samples, margin_max),
-                           checks=checks)
+                           checks=checks, notes=notes)
 
 
 def prop4_pipeline(potential: Potential, beta: float, region: Region,

@@ -43,9 +43,9 @@ once, on first use (by :func:`car.spectral_blocks`), and validation,
 decides between the two (:meth:`DensityState.trace_log`, ``log_matrix`` and
 ``smallest_weight``).  Densities are ``N x N`` arrays in the dtype of their
 data (:func:`car.as_float`): float64 for the Gibbs, decoupled, perturbed and
-site-0 vector states of every preset, complex128 only where complex data
-enters, as in the ``lts`` competitors and the Gaussian factor of a
-:class:`FactorState`.
+site-0 vector states of every preset and the ``lts`` competitors of a real
+base, complex128 only where complex data enters, as in the Gaussian factor
+of a :class:`FactorState`.
 Local elements are held on their support (:class:`car.AlgebraElement`):
 ``omega(A)`` reads the state's block diagonal there, and a noneven direction
 is checked on its small representation and applied through it.
@@ -77,6 +77,11 @@ def spectral_entropy(eigenvalues: np.ndarray) -> float:
     zero is clipped away."""
     p = np.clip(eigenvalues, 0.0, None)
     return -float(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)))
+
+
+class WeightUnderflow(ValueError):
+    """The smallest weight of a Gibbs state, positive in exact arithmetic,
+    is 0.0 in floating point (:meth:`DensityState.smallest_weight`)."""
 
 
 @dataclass(frozen=True)
@@ -218,15 +223,17 @@ class DensityState:
 
     def smallest_weight(self) -> float:
         """The smallest eigenvalue of a faithful state; ``ValueError`` if it
-        is not positive (for a Gibbs state, only by underflow)."""
+        is not positive, :class:`WeightUnderflow` for a Gibbs state, whose
+        weights are positive and can only underflow."""
         lam = self.lambda_min()
         if lam > 0.0:
             return lam
-        raise ValueError(
-            "the smallest eigenvalue of the Gibbs base underflows to 0.0 at "
-            f"beta = {self.log.beta:g}; samples = 0 tests the bound alone"
-            if self.log is not None else
-            "base state must be faithful (strictly positive density)")
+        if self.log is not None:
+            raise WeightUnderflow(
+                "the smallest eigenvalue of the Gibbs base underflows to 0.0 "
+                f"at beta = {self.log.beta:g}")
+        raise ValueError("base state must be faithful (strictly positive "
+                         "density)")
 
     def log_matrix(self) -> np.ndarray:
         """``log D`` as an ``N x N`` matrix: a Gibbs state's closed form
@@ -289,13 +296,13 @@ class FactorState:
     def gaussian(cls, lattice_size: int,
                  rng: np.random.Generator) -> "FactorState":
         """The state of an ``N x 64`` complex Ginibre factor
-        (:data:`_FACTOR_COLUMNS`) drawn by :func:`car.complex_gaussian`.
+        (:data:`_FACTOR_COLUMNS`) drawn by :func:`car.gaussian`.
         Its density ``G G*`` is complex Wishart with 64 degrees of freedom,
         of rank ``min(N, 64)``.  The even part of ``G G*`` is a state at any
         rank, and the facts the scan tests (``Re omega(A B) = 0`` and the
         Cauchy-Schwarz envelope) hold for every state."""
-        return cls(car.complex_gaussian((car.dim(lattice_size),
-                                         _FACTOR_COLUMNS), rng))
+        return cls(car.gaussian((car.dim(lattice_size), _FACTOR_COLUMNS),
+                                rng, np.complex128))
 
     @property
     def lattice_size(self) -> int:
@@ -362,7 +369,7 @@ def random_pair_panel(lattice_size: int, count: int,
     the panel is consumed (``list`` it to reuse it): the tests' oracle for
     the KMS boundary condition that :func:`kms_residual` checks.
 
-    Each matrix is complex Ginibre (:func:`car.complex_gaussian`, ``a``
+    Each matrix is complex Ginibre (:func:`car.gaussian`, ``a``
     drawn before ``b``) scaled by its :func:`car.spectral_norm`.  The
     Ginibre law and the spectral norm are unitarily invariant, so the pairs
     may be read as matrices in any orthonormal basis, the eigenbasis of
@@ -370,8 +377,8 @@ def random_pair_panel(lattice_size: int, count: int,
     """
     n = car.dim(lattice_size)
     for _ in range(count):
-        a = car.complex_gaussian((n, n), rng)
-        b = car.complex_gaussian((n, n), rng)
+        a = car.gaussian((n, n), rng, np.complex128)
+        b = car.gaussian((n, n), rng, np.complex128)
         yield a / car.spectral_norm(a), b / car.spectral_norm(b)
 
 

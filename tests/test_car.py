@@ -296,6 +296,31 @@ def test_random_element_is_bit_identical_to_the_uncached_draw(r):
             assert got.small.tobytes() == want.tobytes(), options
 
 
+@pytest.mark.parametrize("shape", [(5,), (4, 7), (2, 3, 4)])
+def test_complex_gaussian_draws_the_real_parts_then_the_imaginary(shape):
+    got = car.gaussian(shape, np.random.default_rng(3), np.complex128)
+    rng = np.random.default_rng(3)
+    want = np.empty(shape, dtype=np.complex128)
+    want.real = rng.standard_normal(shape)
+    want.imag = rng.standard_normal(shape)
+    assert got.dtype == np.complex128
+    # bytes, so that signed zeros count too
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.dtype(np.float64)],
+                         ids=["type", "dtype"])
+def test_real_gaussian_is_the_real_parts_alone(dtype):
+    shape = (4, 7)
+    got = car.gaussian(shape, np.random.default_rng(3), dtype)
+    assert got.dtype == np.float64
+    assert got.tobytes() == \
+        np.random.default_rng(3).standard_normal(shape).tobytes()
+    # the complex draw of the same seed begins with the same numbers
+    assert got.tobytes() == car.gaussian(
+        shape, np.random.default_rng(3), np.complex128).real.tobytes()
+
+
 def test_random_element_refuses_an_unknown_parity():
     region = Region.of([0], 2)
     with pytest.raises(ValueError, match="parity"):

@@ -314,11 +314,37 @@ def test_lts_bound_alone_passes_where_the_weights_underflow(length, region,
 
 def test_lts_samples_where_the_weights_underflow_name_the_cause(tmp_path,
                                                                 capsys):
+    # no competitor can be scaled to a weight of 0.0: none is drawn, the
+    # report is that of --samples 0, and one stderr line says why
+    argv = ["lts", "--length", "4", "--region", "1", "--beta", "200"]
+    drawn, alone = tmp_path / "drawn.jsonl", tmp_path / "alone.jsonl"
+    assert run([*argv, "--samples", "2", "--out", str(drawn)]) == 0
+    err = capsys.readouterr().err
+    assert run([*argv, "--samples", "0", "--out", str(alone)]) == 0
+    assert "underflows" not in capsys.readouterr().err
+    assert drawn.read_bytes() == alone.read_bytes()
+    notes = [line for line in err.splitlines() if "underflows" in line]
+    assert notes == ["fermichain: lts: the smallest eigenvalue of the Gibbs "
+                     "base underflows to 0.0 at beta = 200: no competitor is "
+                     "drawn, and the bound alone is the verdict"]
+
+
+@pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
+@pytest.mark.parametrize("beta", ["50", "100", "200"])
+def test_lts_passes_at_low_temperature(model, beta, tmp_path, capsys):
+    # with competitors where the smallest weight leaves room to scale one,
+    # and the bound alone where it underflows
     out = tmp_path / "report.jsonl"
-    assert run(["lts", "--length", "4", "--region", "1", "--beta", "200",
-                "--samples", "2", "--out", str(out)]) == 1
-    assert [r["check"] for r in read_records(out)] == ["error"]
-    assert "underflows to 0.0 at beta = 200" in capsys.readouterr().err
+    for length in range(2, 7):
+        for region in ("0", "1", "0,1"):
+            argv = ["lts", "--length", str(length), "--model", model,
+                    "--beta", beta, "--region", region, "--samples", "20",
+                    "--out", str(out)]
+            assert run(argv) == 0, argv
+            underflows = "underflows to 0.0" in capsys.readouterr().err
+            by_name = {r["check"]: r for r in read_records(out)}
+            assert by_name["margin_maximizer"]["pass"], argv
+            assert ("margin_samples" not in by_name) == underflows, argv
 
 
 def test_an_error_record_names_the_region_of_the_check_records(monkeypatch,
@@ -432,9 +458,9 @@ PROBE_VERBS = ("perturb", "entropy", "lts", "prop4", "ssb-probe")
 @pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
 @pytest.mark.parametrize("beta", ["20", "50", "100", "200"])
 def test_every_verb_runs_at_low_temperature(model, beta, tmp_path, capsys):
-    # every run passes, or fails in one of two known ways: the raw number
-    # model fails standardness by design, and an lts competitor's step is
-    # a fraction of the smallest Gibbs weight, which may underflow to 0.0
+    # every run passes but validate on the raw number model, which fails
+    # standardness by design; where the smallest Gibbs weight underflows,
+    # lts draws no competitor and passes on the bound alone
     out = tmp_path / "report.jsonl"
     for verb in cli.COMMANDS:
         for region in (["0", "2,3"] if verb in PROBE_VERBS else [None]):
@@ -447,14 +473,10 @@ def test_every_verb_runs_at_low_temperature(model, beta, tmp_path, capsys):
             status = run(argv)
             err = capsys.readouterr().err
             failed = [r["check"] for r in read_records(out) if not r["pass"]]
-            if status == 0:
-                assert not failed, argv
-            elif verb == "validate" and model == "raw-number":
+            if verb == "validate" and model == "raw-number":
                 assert status == 1 and failed == ["standard"], argv
             else:
-                assert verb == "lts" and status == 1, (argv, err)
-                assert [r["check"] for r in read_records(out)] == ["error"]
-                assert "underflows to 0.0" in err, argv
+                assert status == 0 and not failed, (argv, err)
 
 
 # ---------------------------------------------------------------------------

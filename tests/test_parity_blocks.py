@@ -8,7 +8,10 @@ with ``np.linalg`` on the whole matrix to ``1e-13`` relative; and every verb
 must report the same verdicts, with values within ``1e-13``, when the
 helper is made to hand over the whole complex matrix instead, and when
 every density and element is forced to complex128 instead of keeping its
-real dtype.
+real dtype.  The one exception is the value of ``lts``'s
+``margin_samples``: its competitors are drawn in the dtype of the base,
+so a base held complex draws other competitors than the same base held
+real, and each run's value is checked against its own bound instead.
 """
 
 import math
@@ -168,6 +171,23 @@ def agree(got: float, want: float) -> bool:
     return abs(got - want) <= TOL * max(1.0, abs(want))
 
 
+def assert_same_reports(first, second):
+    """The same checks and verdicts, and every value within ``TOL`` but
+    that of ``margin_samples``, whose competitors follow the base's dtype:
+    there each run's best competitor must lose to its own bound, by weak
+    duality, as ``lts_check`` tolerates it."""
+    assert [r.check for r in first] == [r.check for r in second]
+    assert [r.passed for r in first] == [r.passed for r in second]
+    for report in (first, second):
+        values = {r.check: r.value for r in report}
+        if "margin_samples" in values:
+            assert (values["margin_samples"]
+                    >= values["margin_maximizer"] - 1e-9), values
+    for a, b in zip(first, second):
+        if a.check != "margin_samples":
+            assert agree(a.value, b.value), (a, b)
+
+
 @pytest.mark.parametrize("verb, lattice, sites, beta, extra", VERB_RUNS)
 def test_verbs_agree_with_the_whole_complex_decomposition(
         verb, lattice, sites, beta, extra, monkeypatch):
@@ -185,10 +205,7 @@ def test_verbs_agree_with_the_whole_complex_decomposition(
         whole = cli.DISPATCH[verb](cfg)
     # every verb but validate decomposes something
     assert bool(seen) == (verb != "validate")
-    assert [r.check for r in blocks] == [r.check for r in whole]
-    assert [r.passed for r in blocks] == [r.passed for r in whole]
-    for split, full in zip(blocks, whole):
-        assert agree(split.value, full.value), (split, full)
+    assert_same_reports(blocks, whole)
 
 
 @pytest.mark.parametrize("verb, lattice, sites, beta, extra", VERB_RUNS)
@@ -211,10 +228,7 @@ def test_verbs_agree_with_complex_densities(verb, lattice, sites, beta,
         patch.setattr(car, "as_float", complex_)
         forced = cli.DISPATCH[verb](cfg)
     assert seen
-    assert [r.check for r in real] == [r.check for r in forced]
-    assert [r.passed for r in real] == [r.passed for r in forced]
-    for kept, cast in zip(real, forced):
-        assert agree(kept.value, cast.value), (kept, cast)
+    assert_same_reports(real, forced)
 
 
 @pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
@@ -227,8 +241,9 @@ def test_every_preset_state_is_real(model):
     states = (gibbs, phi, noneven_perturbation(phi, region),
               remark2_construct(gibbs))
     assert [s.density.dtype for s in states] == [np.float64] * 4
-    # complex enters with complex data only
+    # complex enters with complex data only: a real base's competitors are
+    # real
     rng = np.random.default_rng(0)
     assert FactorState.gaussian(lattice, rng).factor.dtype == np.complex128
     competitor = next(feasible_sampler(gibbs, region, 1))
-    assert competitor.density.dtype == np.complex128
+    assert competitor.density.dtype == np.float64

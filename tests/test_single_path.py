@@ -27,8 +27,9 @@ state (``trace_log``, ``log_matrix``, ``smallest_weight``), so they read no
 Self-adjointness is measured by :func:`car.hermitian_defect` alone: no
 package code forms ``X - X*`` outside its body.  The Hermitian part
 ``(X + X*) / 2`` is taken by :func:`car.hermitian_part` alone, and every
-Gaussian draw is :func:`car.complex_gaussian`'s: no package code adds a
-matrix to its adjoint, or calls ``standard_normal``, outside their bodies.
+Gaussian draw, real or complex, is :func:`car.gaussian`'s: no package code
+adds a matrix to its adjoint, or calls ``standard_normal``, outside their
+bodies.
 """
 
 import ast
@@ -333,12 +334,12 @@ def test_the_hermitian_part_is_taken_by_hermitian_part_alone():
 
 def gaussian_draws(source: str) -> list[int]:
     """Line numbers of the calls to ``standard_normal`` outside the body of
-    ``complex_gaussian``."""
+    ``gaussian``."""
     def flagged(func):
         name = (func.id if isinstance(func, ast.Name)
                 else func.attr if isinstance(func, ast.Attribute) else "")
         return name == "standard_normal"
-    return calls_outside(source, {"complex_gaussian"}, flagged)
+    return calls_outside(source, {"gaussian"}, flagged)
 
 
 @pytest.mark.parametrize("snippet, flagged", [
@@ -348,9 +349,11 @@ def gaussian_draws(source: str) -> list[int]:
     ("np.random.default_rng(0).standard_normal(3)", True),
     ("standard_normal(3)", True),
     ("def draw(rng):\n    return rng.standard_normal(3)", True),
+    ("def gaussian(shape, rng, dtype):\n"
+     "    real = rng.standard_normal(shape)", False),
     ("def complex_gaussian(shape, rng):\n"
-     "    out.real = rng.standard_normal(shape)", False),
-    ("car.complex_gaussian((n, n), rng)", False),
+     "    out.real = rng.standard_normal(shape)", True),
+    ("car.gaussian((n, n), rng, dtype)", False),
     ("rng.uniform(0.3, 1.0)", False),
     ("draw = rng.standard_normal", False),
 ])
@@ -358,9 +361,8 @@ def test_guard_recognizes_gaussian_draws(snippet, flagged):
     assert bool(gaussian_draws(snippet)) is flagged
 
 
-def test_every_gaussian_draw_is_complex_gaussian():
+def test_every_gaussian_draw_is_car_gaussian():
     offenders = [f"{path.name}:{line}" for path in SOURCES
                  for line in gaussian_draws(path.read_text("utf-8"))]
-    assert not offenders, ("standard_normal called outside "
-                           "car.complex_gaussian (call it instead): "
-                           f"{offenders}")
+    assert not offenders, ("standard_normal called outside car.gaussian "
+                           f"(call it instead): {offenders}")

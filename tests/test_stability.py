@@ -133,16 +133,26 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
 # ---------------------------------------------------------------------------
 
 
+def direction(rng, n, dtype):
+    """The sampler's Gaussian matrix written out: real standard normal
+    entries, and for a complex base imaginary ones drawn after them."""
+    g = rng.standard_normal((n, n))
+    if np.issubdtype(dtype, np.complexfloating):
+        g = g + 1j * rng.standard_normal((n, n))
+    return g
+
+
 def redraw(omega, outside, count, seed):
     """The competitor densities drawn directly, in the sampler's RNG order:
-    ``g``, then ``t``, with ``g`` redrawn when its feasible part vanishes;
-    ``outside`` is the region of the constraint algebra."""
+    ``g`` in the base's dtype, then ``t``, with ``g`` redrawn when its
+    feasible part vanishes; ``outside`` is the region of the constraint
+    algebra."""
     lam_half = 0.5 * omega.lambda_min()
     n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
     densities = []
     while len(densities) < count:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = direction(rng, n, omega.density.dtype)
         g = (g + g.conj().T) / 2.0
         y = g - car.conditional_expectation_matrix(g, outside)
         y = (y + y.conj().T) / 2.0
@@ -163,6 +173,7 @@ def test_feasible_sampler_streams_the_direct_draws(constraint):
     got = [member.density for member in stream]
     want = redraw(omega, constraint(region), 6, seed=7)
     assert len(got) == len(want) == 6
+    assert all(a.dtype == np.float64 for a in got)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -172,8 +183,9 @@ def test_feasible_sampler_streams_the_direct_draws(constraint):
 def test_feasible_sampler_is_bit_identical_to_the_written_out_draw(
         lattice, sites, base):
     # the competitor written out as three whole-matrix expressions: the
-    # Hermitian part of a complex Ginibre matrix, less the embedding of its
-    # compression onto the constraint algebra, scaled and added to D
+    # Hermitian part of a Gaussian matrix in the base's dtype (real for the
+    # real tv base, complex Ginibre for the random one), less the embedding
+    # of its compression onto the constraint algebra, scaled and added to D
     region = Region.of(sites, lattice)
     outside = region.complement()
     if base == "gibbs":
@@ -186,7 +198,7 @@ def test_feasible_sampler_is_bit_identical_to_the_written_out_draw(
         rng = np.random.default_rng(seed)
         got = feasible_sampler(omega, region, 3, seed=seed)
         for k in range(3):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g = direction(rng, n, omega.density.dtype)
             g = (g + g.conj().T) / 2.0
             y = g - car.embed(car.small_representation(g, outside), outside)
             nrm = car.hermitian_norm(y)
@@ -196,6 +208,28 @@ def test_feasible_sampler_is_bit_identical_to_the_written_out_draw(
             # bytes, so that signed zeros count too
             assert member.density.tobytes() == want.tobytes(), (seed, k)
         assert next(got, None) is None
+
+
+def test_complex_base_competitors_keep_the_complex_ginibre_law():
+    # a complex base's competitors are complex128, drawn as before real
+    # directions were: the Hermitian part of a complex Ginibre matrix,
+    # real parts first, less the embedding of its compression
+    lattice = 5
+    region = Region.of([1, 2], lattice)
+    outside = region.complement()
+    omega = random_state(lattice, np.random.default_rng(9))
+    assert omega.density.dtype == np.complex128
+    lam_half = 0.5 * omega.smallest_weight()
+    n = car.dim(lattice)
+    rng = np.random.default_rng(4)
+    for member in feasible_sampler(omega, region, 4, seed=4):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = (g + g.conj().T) / 2.0
+        y = g - car.embed(car.small_representation(g, outside), outside)
+        t = float(rng.uniform(0.3, 1.0)) * lam_half
+        want = omega.density + (t / car.hermitian_norm(y)) * y
+        assert member.density.dtype == np.complex128
+        assert member.density.tobytes() == want.tobytes()
 
 
 @LTS
@@ -773,15 +807,17 @@ def test_check_holds_one_competitor_at_a_time():
     assert peak < 32 * n * n * 16
 
 
-def test_competitor_is_one_complex_array_built_in_place():
-    # each competitor is drawn into one complex N x N array and dropped
-    # before the next is drawn: three samples peak where one does, below
-    # 2.5 such arrays (the competitor and one spectrum's copy of it)
+def test_competitor_is_one_array_built_in_place():
+    # each competitor is drawn into one N x N array of the base's dtype,
+    # real here, and dropped before the next is drawn: three samples peak
+    # where one does, below 2.5 such arrays (the competitor and one
+    # spectrum's copy of it)
     lattice, beta = 8, 1.0
     pot = hopping_model(lattice)
     region = Region.of([2, 3], lattice)
     gibbs = gibbs_state(total_hamiltonian(pot), beta)
-    unit = car.dim(lattice) ** 2 * 16
+    assert gibbs.density.dtype == np.float64
+    unit = car.dim(lattice) ** 2 * 8
     peaks = []
     for samples in (1, 3):
         tracemalloc.start()
