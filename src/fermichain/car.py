@@ -195,14 +195,21 @@ def parity_order(lattice_size: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+@lru_cache(maxsize=16)
+def _parity_grids(lattice_size: int) -> tuple[tuple, tuple]:
+    """The :func:`np.ix_` grids of the two :func:`parity_blocks` of each
+    parity, built once per chain length."""
+    even, odd = parity_order(lattice_size)
+    return ((np.ix_(even, even), np.ix_(odd, odd)),
+            (np.ix_(even, odd), np.ix_(odd, even)))
+
+
 def parity_blocks(matrix: np.ndarray, parity: int) -> Iterator[np.ndarray]:
     """The two blocks of ``matrix`` in the :func:`parity_order` whose
     entries have ``parity``, gathered one at a time: the diagonal blocks for
     0, the even-by-odd then the odd-by-even block for 1."""
-    even, odd = parity_order(matrix.shape[0].bit_length() - 1)
-    columns = (even, odd) if parity == 0 else (odd, even)
-    for rows, cols in zip((even, odd), columns):
-        yield matrix[np.ix_(rows, cols)]
+    for grid in _parity_grids(matrix.shape[0].bit_length() - 1)[parity]:
+        yield matrix[grid]
 
 
 def grading_defect(matrix: np.ndarray, parity: int = 0) -> float:

@@ -27,6 +27,14 @@ and both margins come back nonnegative, each competitor losing by its
 relative entropy from the base.  A base that is not the constrained
 maximizer falls short of the bound at every multiplier.
 
+The competitors of an even base are drawn even.  The grading ``theta``
+maps the states that agree with an even base outside ``I`` onto
+themselves and keeps ``F``: the entropy, the compression's entropy and
+``omega(H(I))`` are ``theta``-invariant, ``H(I)`` being even.  ``F`` is
+concave, so ``F((rho + theta(rho)) / 2) >= F(rho)``: the best competitor
+of an even base is even, which is the paper's own statement that noneven
+states lose to the even state they come from.
+
 :func:`prop4_pipeline` runs the free-energy comparison that kills noneven
 states: the decoupled state and its odd perturbations agree on everything
 outside ``I``, yet the noneven ones lose free energy by exactly their
@@ -110,25 +118,51 @@ def feasible_sampler(omega: DensityState, region: Region, count: int,
     Each competitor is ``D + Y`` with ``Y`` self-adjoint, traceless,
     orthogonal to the constraint algebra, and of spectral norm below half
     the smallest eigenvalue of ``D`` — so every one is a genuine density
-    with exactly the base state's constrained expectations.  ``Y`` is the
-    Hermitian part of a Gaussian matrix (:func:`car.gaussian`) in the dtype
-    of the base's density, real for a real base and complex Ginibre for a
-    complex one, less the embedding of its compression, scaled to its norm.
-    The whole competitor is built in place in one ``N x N`` array of that
-    dtype, so a consumer that drops each one before asking for the next
-    holds one at a time, and a real base's competitors take real spectra.
-    The probe, and the base if there is a competitor to draw, are checked at
-    the call.
+    with exactly the base state's constrained expectations.  ``Y`` is drawn
+    in the base's dtype (:func:`car.gaussian`), real for a real base and
+    complex Ginibre for a complex one, and in its grading: for an even base,
+    whose parity-changing blocks (:func:`car.parity_blocks`) are exactly
+    zero, ``Y`` is even, its two diagonal parity blocks the Hermitian parts
+    of Gaussian blocks, the even block drawn first; for any other base it is
+    the Hermitian part of a whole Gaussian matrix.  The embedding of its
+    compression is subtracted, which keeps an even ``Y`` even, and it is
+    scaled to its norm.
+
+    Even directions lose no competitor that matters: the even part
+    ``(rho + theta(rho)) / 2`` of any competitor ``rho`` of an even base is
+    a competitor whose free energy is no lower (see the module docstring).
+    Of a real even base, each competitor's spectrum and its direction's
+    split into two real ``N/2 x N/2`` parity blocks
+    (:func:`car.spectral_blocks`).
+
+    The whole competitor is built in place in one ``N x N`` array of the
+    base's dtype, so a consumer that drops each one before asking for the
+    next holds one at a time.  The probe, and the base if there is a
+    competitor to draw, are checked at the call.
     """
     outside = _outside(region)
     lam_half = 0.5 * omega.smallest_weight() if count > 0 else 0.0
     n, dtype = omega.density.shape[0], omega.density.dtype
+    # the occupation states of the diagonal parity blocks an even base's
+    # directions are drawn in, even first; None for any other base
+    blocks = (car.parity_order(omega.lattice_size)
+              if count > 0 and car.grading_defect(omega.density) == 0.0
+              else None)
     rng = np.random.default_rng(seed)
+
+    def direction() -> np.ndarray:
+        if blocks is None:
+            return car.hermitian_part(car.gaussian((n, n), rng, dtype))
+        y = np.zeros((n, n), dtype)
+        for states in blocks:
+            y[np.ix_(states, states)] = car.hermitian_part(
+                car.gaussian((states.size, states.size), rng, dtype))
+        return y
 
     def draw() -> DensityState:
         nrm = 0.0
         while nrm < 1e-12:
-            y = car.hermitian_part(car.gaussian((n, n), rng, dtype))
+            y = direction()
             # y and its compression are exactly Hermitian, and so is y less
             # the compression's embedding
             car.add_embedded(y, -car.small_representation(y, outside),
@@ -220,9 +254,11 @@ def lts_check(omega: DensityState, potential: Potential, region: Region,
 
     ``samples`` competitors are drawn by :func:`feasible_sampler` and scored
     in one pass as they are drawn (their ``feasible_residual`` and free
-    energy), so no more than one is held.  The maximizer's margin is the
-    base free energy minus the Gibbs variational bound at the base's own
-    multiplier, ``f_base - f_dual(M0)`` (:func:`_base_multiplier`,
+    energy), so no more than one is held.  An even base's competitors are
+    even: the even part of any competitor does at least as well, so the
+    samples lose no reach.  The maximizer's margin is the base free energy
+    minus the Gibbs variational bound at the base's own multiplier,
+    ``f_base - f_dual(M0)`` (:func:`_base_multiplier`,
     :func:`_dual_bound`): the bound holds for every state of the slice,
     sampled or not, and it is attained exactly when the base is the
     constrained maximizer.  The margin of the report is the smaller of the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fermichain import car, stability
 from fermichain.entropy import (conditional_entropy, relative_entropy,
                                 relative_entropy_matrices)
-from fermichain.potentials import (Potential, hopping_model,
+from fermichain.potentials import (Potential, build_model, hopping_model,
                                    local_hamiltonian, prune,
                                    total_hamiltonian, tv_model)
 from fermichain.regions import Region
@@ -133,27 +133,53 @@ def test_conditional_entropy_matches_the_relative_entropy_oracle(
 # ---------------------------------------------------------------------------
 
 
-def direction(rng, n, dtype):
-    """The sampler's Gaussian matrix written out: real standard normal
-    entries, and for a complex base imaginary ones drawn after them."""
-    g = rng.standard_normal((n, n))
+def parities(n):
+    """The parity of each of ``n`` occupation states: its popcount mod 2."""
+    return np.array([bin(s).count("1") % 2 for s in range(n)])
+
+
+def gaussian(rng, k, dtype):
+    """A ``k x k`` Gaussian matrix written out: real standard normal
+    entries, and for a complex dtype imaginary ones drawn after them."""
+    g = rng.standard_normal((k, k))
     if np.issubdtype(dtype, np.complexfloating):
-        g = g + 1j * rng.standard_normal((n, n))
+        g = g + 1j * rng.standard_normal((k, k))
     return g
+
+
+def is_even(density):
+    """Whether every entry between states of different parity is zero."""
+    parity = parities(density.shape[0])
+    return not np.any(density[parity[:, None] != parity[None, :]])
+
+
+def direction(rng, omega):
+    """The sampler's Hermitian Gaussian direction written out, in the base's
+    dtype: for an even base, the Hermitian parts of a Gaussian block on the
+    even states and then of one on the odd states, zero between them; for
+    any other base, the Hermitian part of a whole Gaussian matrix."""
+    n, dtype = omega.density.shape[0], omega.density.dtype
+    if not is_even(omega.density):
+        g = gaussian(rng, n, dtype)
+        return (g + g.conj().T) / 2.0
+    parity = parities(n)
+    y = np.zeros((n, n), dtype=dtype)
+    for p in (0, 1):
+        states = np.flatnonzero(parity == p)
+        g = gaussian(rng, states.size, dtype)
+        y[np.ix_(states, states)] = (g + g.conj().T) / 2.0
+    return y
 
 
 def redraw(omega, outside, count, seed):
     """The competitor densities drawn directly, in the sampler's RNG order:
-    ``g`` in the base's dtype, then ``t``, with ``g`` redrawn when its
-    feasible part vanishes; ``outside`` is the region of the constraint
-    algebra."""
+    the direction, then ``t``, with the direction redrawn when its feasible
+    part vanishes; ``outside`` is the region of the constraint algebra."""
     lam_half = 0.5 * omega.lambda_min()
-    n = omega.density.shape[0]
     rng = np.random.default_rng(seed)
     densities = []
     while len(densities) < count:
-        g = direction(rng, n, omega.density.dtype)
-        g = (g + g.conj().T) / 2.0
+        g = direction(rng, omega)
         y = g - car.conditional_expectation_matrix(g, outside)
         y = (y + y.conj().T) / 2.0
         nrm = car.hermitian_norm(y)
@@ -166,6 +192,7 @@ def redraw(omega, outside, count, seed):
 
 @LTS
 def test_feasible_sampler_streams_the_direct_draws(constraint):
+    # an even real base: the directions are even and real
     lattice = 4
     region = Region.of([1, 2], lattice)
     omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
@@ -182,24 +209,23 @@ def test_feasible_sampler_streams_the_direct_draws(constraint):
                                             (6, [0, 1]), (6, [1, 3, 4])])
 def test_feasible_sampler_is_bit_identical_to_the_written_out_draw(
         lattice, sites, base):
-    # the competitor written out as three whole-matrix expressions: the
-    # Hermitian part of a Gaussian matrix in the base's dtype (real for the
-    # real tv base, complex Ginibre for the random one), less the embedding
-    # of its compression onto the constraint algebra, scaled and added to D
+    # the competitor written out as whole-matrix expressions: the direction
+    # in the base's dtype and grading (even and real for the tv Gibbs base,
+    # whole and complex Ginibre for the random one), less the embedding of
+    # its compression onto the constraint algebra, scaled and added to D
     region = Region.of(sites, lattice)
     outside = region.complement()
     if base == "gibbs":
         omega = gibbs_state(total_hamiltonian(tv_model(lattice)), 0.8)
     else:
         omega = random_state(lattice, np.random.default_rng(lattice))
+    assert is_even(omega.density) == (base == "gibbs")
     lam_half = 0.5 * omega.smallest_weight()
-    n = car.dim(lattice)
     for seed in (0, 5, 19):
         rng = np.random.default_rng(seed)
         got = feasible_sampler(omega, region, 3, seed=seed)
         for k in range(3):
-            g = direction(rng, n, omega.density.dtype)
-            g = (g + g.conj().T) / 2.0
+            g = direction(rng, omega)
             y = g - car.embed(car.small_representation(g, outside), outside)
             nrm = car.hermitian_norm(y)
             t = float(rng.uniform(0.3, 1.0)) * lam_half
@@ -230,6 +256,119 @@ def test_complex_base_competitors_keep_the_complex_ginibre_law():
         want = omega.density + (t / car.hermitian_norm(y)) * y
         assert member.density.dtype == np.complex128
         assert member.density.tobytes() == want.tobytes()
+
+
+def whole_draw(omega, outside, rng):
+    """A competitor of a real base by the whole-matrix law, which any base
+    but an even one keeps: the Hermitian part of a whole real Gaussian
+    matrix, less the embedding of its compression, scaled by ``t`` uniform
+    on ``[0.3, 1)`` times half the smallest weight over its norm."""
+    n = omega.density.shape[0]
+    g = rng.standard_normal((n, n))
+    g = (g + g.T) / 2.0
+    y = g - car.embed(car.small_representation(g, outside), outside)
+    t = float(rng.uniform(0.3, 1.0)) * 0.5 * omega.smallest_weight()
+    return omega.density + (t / car.hermitian_norm(y)) * y
+
+
+def test_noneven_real_base_keeps_the_whole_draw():
+    # the noneven perturbation is real and has parity-changing entries, so
+    # its competitors are drawn whole, byte for byte as before
+    lattice = 5
+    region = Region.of([1, 2], lattice)
+    psi = noneven_perturbation(
+        perturbed_state(hopping_model(lattice), 1.0, region), region)
+    assert psi.density.dtype == np.float64
+    assert car.grading_defect(psi.density) > 0.01
+    rng = np.random.default_rng(3)
+    for member in feasible_sampler(psi, region, 4, seed=3):
+        want = whole_draw(psi, region.complement(), rng)
+        assert member.density.tobytes() == want.tobytes()
+        assert car.grading_defect(member.density) > 0.0
+
+
+@pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
+@pytest.mark.parametrize("lattice, sites", [(5, [1, 2]), (6, [0]),
+                                            (6, [2, 3, 4])])
+def test_even_base_competitors_are_even_and_take_half_size_spectra(
+        model, lattice, sites, monkeypatch):
+    # every competitor of an even real Gibbs base is even, feasible and
+    # positive, and lts_check takes no N x N spectrum: two N/2 x N/2 ones
+    # for the bound's K and four for each competitor (its direction's and
+    # its own), besides those of the m x m compressions
+    beta, samples = 1.0, 6
+    pot = build_model(model, lattice)
+    region = Region.of(sites, lattice)
+    outside = region.complement()
+    omega = gibbs_state(total_hamiltonian(pot), beta)
+    assert car.grading_defect(omega.density) == 0.0
+    n, m = car.dim(lattice), car.dim(len(outside))
+    for member in feasible_sampler(omega, region, samples, seed=2):
+        assert member.density.dtype == np.float64
+        assert car.grading_defect(member.density) == 0.0
+        residual = np.max(np.abs(car.small_representation(
+            member.density - omega.density, outside)))
+        assert residual < 1e-12
+        assert np.linalg.eigvalsh(member.density)[0] > 0.0
+        assert np.max(np.abs(member.density - omega.density)) > 0.0
+
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape[0], a.dtype.kind))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    report = lts_check(omega, pot, region, beta, samples=samples, seed=2)
+    assert report.passed
+    assert set(seen) == {(n // 2, "f"), (m // 2, "f")}
+    assert seen.count((n // 2, "f")) == 2 + 4 * samples
+
+
+@pytest.mark.parametrize("lattice, site", [(1, 0), (2, 0), (2, 1), (3, 1),
+                                           (4, 0), (4, 3)])
+def test_even_draws_end_on_one_site_regions(lattice, site):
+    # on a one-site probe, even at L = 1 where the constraint algebra is the
+    # scalars, every even direction has a nonzero feasible part: each
+    # competitor is t away from the base, t in [0.3, 1) times lambda_min / 2
+    region = Region.of([site], lattice)
+    omega = gibbs_state(total_hamiltonian(hopping_model(lattice)), 1.0)
+    lam_half = 0.5 * omega.smallest_weight()
+    members = list(feasible_sampler(omega, region, 8, seed=lattice + site))
+    assert len(members) == 8
+    for member in members:
+        assert car.grading_defect(member.density) == 0.0
+        away = car.hermitian_norm(member.density - omega.density)
+        assert 0.3 * lam_half * (1 - 1e-12) <= away <= lam_half
+
+
+@pytest.mark.parametrize("model", ["hopping", "tv", "raw-number"])
+@pytest.mark.parametrize("lattice, sites", [(2, [0]), (4, [1, 2]),
+                                            (6, [2, 3])])
+def test_even_part_of_a_competitor_does_at_least_as_well(model, lattice,
+                                                         sites):
+    # the grading maps the competitors of an even base onto themselves and
+    # keeps F, which is concave: the even part (rho + theta rho) / 2 of a
+    # competitor drawn whole is a competitor with F no lower, so the best
+    # competitor can be taken even
+    beta = 1.0
+    pot = build_model(model, lattice)
+    region = Region.of(sites, lattice)
+    outside = region.complement()
+    omega = gibbs_state(total_hamiltonian(pot), beta)
+    rng = np.random.default_rng(lattice)
+    for _ in range(4):
+        rho = whole_draw(omega, outside, rng)
+        theta_rho = car.theta_matrix(rho, lattice)
+        even_part = (rho + theta_rho) / 2.0
+        assert car.grading_defect(even_part) == 0.0
+        assert np.max(np.abs(car.small_representation(
+            even_part - omega.density, outside))) < 1e-12
+        f_rho, f_theta, f_even = (
+            free_energy(DensityState(d, validate=False), pot, region, beta)
+            for d in (rho, theta_rho, even_part))
+        assert abs(f_theta - f_rho) <= 1e-12
+        assert f_even >= f_rho - 1e-13
 
 
 @LTS
@@ -810,8 +949,8 @@ def test_check_holds_one_competitor_at_a_time():
 def test_competitor_is_one_array_built_in_place():
     # each competitor is drawn into one N x N array of the base's dtype,
     # real here, and dropped before the next is drawn: three samples peak
-    # where one does, below 2.5 such arrays (the competitor and one
-    # spectrum's copy of it)
+    # where one does, below 2.0 such arrays (the competitor and the
+    # half-size parity blocks of one spectrum)
     lattice, beta = 8, 1.0
     pot = hopping_model(lattice)
     region = Region.of([2, 3], lattice)
@@ -830,7 +969,7 @@ def test_competitor_is_one_array_built_in_place():
         assert report.passed
     one, three = peaks
     assert abs(three - one) <= 0.25, peaks
-    assert max(peaks) < 2.5, peaks
+    assert max(peaks) < 2.0, peaks
 
 
 # ---------------------------------------------------------------------------
